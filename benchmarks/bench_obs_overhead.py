@@ -36,7 +36,7 @@ from repro import obs
 from repro.eval.experiments import cached_module
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.library import default_library
-from repro.hdl.power.monte_carlo import _event_toggles, shared_event_simulator
+from repro.hdl.power.monte_carlo import _replay, shared_event_simulator
 from repro.hdl.sim.levelized import LevelizedSimulator
 
 N_CYCLES = int(os.environ.get("REPRO_OBS_BENCH_CYCLES", "10"))
@@ -67,11 +67,12 @@ def test_bench_obs_overhead(report_sink):
     transitions = N_CYCLES - 1
 
     # Warm the shared simulator and its kernels outside the clocks.
-    kernel = shared_event_simulator(module, lib).kernel
-    _event_toggles(module, lib, run, N_CYCLES)
+    esim = shared_event_simulator(module, lib)
+    kernel = esim.kernel
+    _replay(esim, run.values, 1, transitions)
 
     def replay():
-        totals, __ = _event_toggles(module, lib, run, N_CYCLES)
+        totals, __ = _replay(esim, run.values, 1, transitions)
         return totals
 
     # Wide-word serve subject: one W x 64-pattern superword through the

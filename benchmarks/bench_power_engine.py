@@ -21,8 +21,8 @@ from repro.eval.experiments import cached_module
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.library import default_library
 from repro.hdl.power.monte_carlo import (
-    _event_toggles,
     _event_toggles_legacy,
+    _replay,
     shared_event_simulator,
 )
 from repro.hdl.sim.levelized import LevelizedSimulator
@@ -63,7 +63,7 @@ def test_bench_power_engine(report_sink):
         esim = shared_event_simulator(module, lib)
         kernel = esim.kernel
         t0 = time.perf_counter()
-        after_totals, stats = _event_toggles(module, lib, run, N_CYCLES)
+        after_totals, stats = _replay(esim, run.values, 1, transitions)
         after_s = time.perf_counter() - t0
 
         assert after_totals == before_totals, f"{which}: toggles diverged"

@@ -7,11 +7,10 @@ execution backend —
 * **parallel cold**: ``workers=4``, auto backend, fresh cache — on a
   box with fewer than 4 cores the auto policy *downgrades to inline*
   (counted as ``orchestrator.backend.downgraded``) instead of paying
-  fork-pool overhead for time slicing, so this leg can never lose to
-  serial by design;
-* **fork cold** / **workers cold**: the explicit process backends on a
-  fresh cache each — the ``workers`` leg exercises the work-stealing
-  pool; on hosts with >= 4 cores it must beat serial by 2.5x;
+  process overhead for time slicing, so this leg can never lose to
+  serial by design; otherwise it runs on the ``workers`` pool;
+* **workers cold**: the explicit work-stealing pool on a fresh cache —
+  on hosts with >= 4 cores it must beat serial by 2.5x;
 * **warm**: the auto leg rerun over the parallel run's cache;
 * **remote cold**: two localhost worker daemons behind ``--backend
   remote`` (same total worker count as the ``workers`` leg); on hosts
@@ -105,8 +104,6 @@ def test_bench_report_pipeline(benchmark, report_sink, tmp_path):
     serial = _one_run(tmp_path, "serial_cold", 1, tmp_path / "cache_serial")
     parallel = _one_run(tmp_path, "parallel_cold", PARALLEL_WORKERS,
                         tmp_path / "cache_parallel")
-    fork = _one_run(tmp_path, "fork_cold", pool_workers,
-                    tmp_path / "cache_fork", backend="fork")
     stealing = _one_run(tmp_path, "workers_cold", pool_workers,
                         tmp_path / "cache_workers", backend="workers")
 
@@ -158,8 +155,7 @@ def test_bench_report_pipeline(benchmark, report_sink, tmp_path):
     # Determinism contract: every backend renders the same bytes — the
     # kill leg doubles as the zero-lost-leaves proof (a dropped leaf
     # could not render an identical report).
-    runs = (serial, parallel, fork, stealing, remote, cachesync, kill,
-            warm)
+    runs = (serial, parallel, stealing, remote, cachesync, kill, warm)
     for run in runs[1:]:
         assert run["text"] == serial["text"], run["tag"]
     assert warm["cache_hits"] >= 1

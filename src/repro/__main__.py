@@ -56,7 +56,7 @@ def main(argv=None):
                              "experiment job graph (default serial)")
     parser.add_argument("--backend", default="auto",
                         help="for 'report': execution backend "
-                             "(auto/inline/fork/workers/remote)")
+                             "(auto/inline/workers/remote)")
     parser.add_argument("--hosts", default=None,
                         help="for 'report' with --backend remote: "
                              "worker daemons as HOST:PORT,... "

@@ -90,6 +90,30 @@ def key_digest(key):
     return hashlib.sha256(key.encode()).hexdigest()
 
 
+def _proves(entry, digest):
+    """Whether a loaded entry proves it belongs under ``digest``.
+
+    Two self-verifying entry forms share the store: keyed entries
+    written locally (``{"key": <full key>}``) and digest entries stored
+    by a worker daemon (``{"digest": <hex>}`` — the daemon only ever
+    sees the content address).
+    """
+    return isinstance(entry, dict) and (
+        (isinstance(entry.get("key"), str)
+         and key_digest(entry["key"]) == digest)
+        or entry.get("digest") == digest)
+
+
+def _atomic_write(path, data):
+    """Write ``data`` via a temp file and ``os.replace``: readers never
+    observe a torn file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 class ResultCache:
     """On-disk content-addressed cache of finished experiment results."""
 
@@ -114,11 +138,6 @@ class ResultCache:
 
     def _object_path(self, digest):
         return self.root / _OBJECTS / f"{digest}.pkl"
-
-    def _entry(self, jb):
-        key = job_key(self.fingerprint, jb)
-        digest = key_digest(key)
-        return self._object_path(digest), key, digest
 
     # ------------------------------------------------------------------
     # the index (names, sizes, access order)
@@ -156,85 +175,89 @@ class ResultCache:
         if self._index is None:
             return
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump({"schema": SCHEMA, "entries": self._index},
-                          fh, sort_keys=True)
-            os.replace(tmp, self.root / _INDEX)
+            _atomic_write(self.root / _INDEX, json.dumps(
+                {"schema": SCHEMA, "entries": self._index},
+                sort_keys=True).encode())
         except Exception:
             pass
 
     # ------------------------------------------------------------------
-    # load / store
+    # the one verified read and the one atomic write
     # ------------------------------------------------------------------
 
-    def load(self, jb):
-        """Return ``(hit, value)``; any failure is a miss, never an error."""
-        if self.root is None:
+    def _read(self, digest):
+        """``(hit, value)`` of the object named ``digest``, verified.
+
+        A torn pickle or an entry that does not :func:`_proves` its
+        name is corrupt, not merely cold: it ticks
+        ``orchestrator.cache.corrupt`` and is deleted to clear the way
+        for the recompute's overwrite.  Hits refresh the LRU atime.
+        """
+        path = self._object_path(digest)
+        try:
+            with open(path, "rb") as fh:
+                entry = pickle.load(fh)
+        except FileNotFoundError:
             return False, None
-        path, key, digest = self._entry(jb)
-        with obs.span(f"cache:probe:{jb.name}", cat="cache") as note:
+        except Exception:
+            entry = None
+        if not _proves(entry, digest):
+            obs.registry().inc("orchestrator.cache.corrupt")
             try:
-                with open(path, "rb") as fh:
-                    entry = pickle.load(fh)
-            except FileNotFoundError:
-                entry = None
-            except Exception:
-                entry = False                # present but unreadable
-            if entry is not None and not isinstance(entry, dict):
-                entry = False
-            # Two self-verifying entry forms share the store: keyed
-            # entries written locally ({"key": <full key>}) and digest
-            # entries synced from a remote daemon ({"digest": <hex>} —
-            # the daemon only ever saw the content address).  Either
-            # proof ties the object to the name that found it.
-            if entry in (None, False) or not (
-                    entry.get("key") == key
-                    or entry.get("digest") == digest):
-                if entry is not None:
-                    # Torn pickle or digest/key mismatch: corrupt, not
-                    # merely cold.  Count it and clear the way for the
-                    # recompute's overwrite.
-                    obs.registry().inc("orchestrator.cache.corrupt")
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                self.misses += 1
-                note["hit"] = False
-                obs.registry().inc("orchestrator.cache.misses")
-                return False, None
-            self.hits += 1
-            note["hit"] = True
-            obs.registry().inc("orchestrator.cache.hits")
+                os.unlink(path)
+            except OSError:
+                pass
+            return False, None
         entries = self._load_index()
         if digest in entries:
             entries[digest]["atime"] = time.time()
             self._flush_index()
         return True, entry["value"]
 
-    def store(self, jb, value):
-        """Best-effort atomic write; enforces the LRU size budget."""
-        if self.root is None:
-            return
-        path, key, digest = self._entry(jb)
+    def _write(self, digest, entry, name):
+        """Best-effort atomic store; enforces the LRU size budget."""
+        path = self._object_path(digest)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"schema": SCHEMA, "key": key, "value": value},
-                            fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
+            _atomic_write(path, pickle.dumps(
+                entry, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             return
         entries = self._load_index()
-        entries[digest] = {"name": jb.name,
+        entries[digest] = {"name": name,
                            "bytes": path.stat().st_size,
                            "atime": time.time()}
         if self.max_bytes is not None:
             self._evict_locked(self.max_bytes, keep=digest)
         self._flush_index()
+
+    # ------------------------------------------------------------------
+    # keyed access (the scheduler)
+    # ------------------------------------------------------------------
+
+    def load(self, jb):
+        """Return ``(hit, value)``; any failure is a miss, never an error."""
+        if self.root is None:
+            return False, None
+        digest = key_digest(job_key(self.fingerprint, jb))
+        with obs.span(f"cache:probe:{jb.name}", cat="cache") as note:
+            hit, value = self._read(digest)
+            note["hit"] = hit
+        if hit:
+            self.hits += 1
+            obs.registry().inc("orchestrator.cache.hits")
+        else:
+            self.misses += 1
+            obs.registry().inc("orchestrator.cache.misses")
+        return hit, value
+
+    def store(self, jb, value):
+        """Best-effort atomic write; enforces the LRU size budget."""
+        if self.root is None:
+            return
+        key = job_key(self.fingerprint, jb)
+        self._write(key_digest(key),
+                    {"schema": SCHEMA, "key": key, "value": value},
+                    jb.name)
 
     # ------------------------------------------------------------------
     # digest-addressed access (remote cache sync)
@@ -249,34 +272,10 @@ class ResultCache:
 
         The remote coordinator pulls warm results this way — it knows
         the digest from the leaf fingerprint, not the daemon's key.
-        Verification matches :meth:`load`: the entry must carry either
-        a key hashing to ``digest`` or the digest itself.
         """
         if self.root is None:
             return False, None
-        path = self._object_path(digest)
-        try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-        except FileNotFoundError:
-            return False, None
-        except Exception:
-            entry = None
-        if not isinstance(entry, dict) or not (
-                (isinstance(entry.get("key"), str)
-                 and key_digest(entry["key"]) == digest)
-                or entry.get("digest") == digest):
-            obs.registry().inc("orchestrator.cache.corrupt")
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return False, None
-        entries = self._load_index()
-        if digest in entries:
-            entries[digest]["atime"] = time.time()
-            self._flush_index()
-        return True, entry["value"]
+        return self._read(digest)
 
     def store_object(self, digest, value, name="?"):
         """Best-effort store of one object under a bare content address.
@@ -287,24 +286,9 @@ class ResultCache:
         """
         if self.root is None:
             return
-        path = self._object_path(digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"schema": SCHEMA, "digest": digest,
-                             "value": value},
-                            fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except Exception:
-            return
-        entries = self._load_index()
-        entries[digest] = {"name": name,
-                           "bytes": path.stat().st_size,
-                           "atime": time.time()}
-        if self.max_bytes is not None:
-            self._evict_locked(self.max_bytes, keep=digest)
-        self._flush_index()
+        self._write(digest,
+                    {"schema": SCHEMA, "digest": digest, "value": value},
+                    name)
 
     # ------------------------------------------------------------------
     # maintenance: stats / gc
@@ -395,22 +379,14 @@ class ResultCache:
                 blob = tar.extractfile(member).read()
                 try:
                     entry = pickle.loads(blob)
-                    assert entry.get("schema") == SCHEMA
-                    if "key" in entry:
-                        assert key_digest(entry["key"]) == digest
-                    else:
-                        assert entry["digest"] == digest
                 except Exception:
+                    entry = None
+                if not _proves(entry, digest) \
+                        or entry.get("schema") != SCHEMA:
                     corrupt += 1
                     obs.registry().inc("orchestrator.cache.corrupt")
                     continue
-                path = self._object_path(digest)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                           suffix=".tmp")
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
+                _atomic_write(self._object_path(digest), blob)
                 entries[digest] = {"name": "?", "bytes": len(blob),
                                    "atime": time.time()}
                 imported += 1

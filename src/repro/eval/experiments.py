@@ -293,28 +293,22 @@ def table3_point_from_shards(key, shards, n_cycles=64, seed=2017):
                                     shards).total_mw
 
 
-def experiment_table3(n_cycles=64, seed=2017, superword=True):
+def experiment_table3(n_cycles=64, seed=2017):
     """Table III: Monte Carlo power of both multipliers, both styles.
 
-    ``superword=True`` (default) evaluates each configuration's whole
-    stimulus battery through the batched superword API — one settle
-    pass per netlist (the four configurations are four *distinct*
-    netlists, so they cannot share a word the way Table V's formats
-    do).  Bit-identical to the per-point path (property-tested).
+    Each configuration's stimulus battery goes through the batched
+    superword API — one settle pass per netlist (the four
+    configurations are four *distinct* netlists, so they cannot share a
+    word the way Table V's formats do).
     """
-    if superword:
-        lib = default_library()
-        results = {}
-        for key, which in TABLE3_CONFIGS:
-            gen = WorkloadGenerator(seed)
-            stim = gen.multiplier_stimulus(n_cycles)
-            rep = estimate_power_batch(cached_module(which), lib,
-                                       [(stim, n_cycles)])[0]
-            results[key] = rep.total_mw
-    else:
-        results = {key: table3_power_point(key, n_cycles=n_cycles,
-                                           seed=seed)
-                   for key, __ in TABLE3_CONFIGS}
+    lib = default_library()
+    results = {}
+    for key, which in TABLE3_CONFIGS:
+        gen = WorkloadGenerator(seed)
+        stim = gen.multiplier_stimulus(n_cycles)
+        rep = estimate_power_batch(cached_module(which), lib,
+                                   [(stim, n_cycles)])[0]
+        results[key] = rep.total_mw
     return Table3Result(power_mw=results, paper=PAPER["table3"])
 
 
@@ -396,7 +390,12 @@ def table5_format_point(fmt, n_cycles=64, seed=2017, issue_mhz=880.0):
     module = cached_module("mf")
     gen = WorkloadGenerator(seed)
     stim = gen.mf_stimulus(fmt, n_cycles)
-    rep = estimate_power(module, lib, stim, n_cycles)
+    return _table5_triple(fmt, estimate_power(module, lib, stim, n_cycles),
+                          issue_mhz)
+
+
+def _table5_triple(fmt, rep, issue_mhz):
+    """``(mW @100MHz, GFLOPS, GFLOPS/W)`` of one format's power report."""
     gflops = TABLE5_FLOPS[fmt] * issue_mhz / 1000.0
     watts = rep.scaled_to(issue_mhz).total_mw / 1000.0
     return (rep.total_mw, gflops, gflops / watts)
@@ -427,9 +426,7 @@ def table5_point_from_shards(fmt, shards, n_cycles=64, seed=2017,
     stim = gen.mf_stimulus(fmt, n_cycles)
     rep = power_report_from_shards(cached_module("mf"), default_library(),
                                    stim, n_cycles, shards)
-    gflops = TABLE5_FLOPS[fmt] * issue_mhz / 1000.0
-    watts = rep.scaled_to(issue_mhz).total_mw / 1000.0
-    return (rep.total_mw, gflops, gflops / watts)
+    return _table5_triple(fmt, rep, issue_mhz)
 
 
 def mf_max_freq_mhz():
@@ -438,39 +435,28 @@ def mf_max_freq_mhz():
     return 1e6 / timing.clock_period_ps
 
 
-def experiment_table5(n_cycles=64, seed=2017, issue_mhz=880.0,
-                      superword=True):
+def experiment_table5(n_cycles=64, seed=2017, issue_mhz=880.0):
     """Table V: power per format on the pipelined multi-format unit.
 
     Throughput follows the paper: one operation per cycle (two for the
     dual binary32 mode) at the unit's maximum clock (the paper uses its
     880 MHz; we use ours, reported alongside).
 
-    ``superword=True`` (default) evaluates all four formats' stimulus
-    sweeps in **one** W×64-pattern superword settle pass — they share
-    the ``mf`` netlist, so the per-format sequences concatenate into
-    segments of a single levelized run (registers masked at segment
-    boundaries) instead of four separate kernel invocations.
-    Bit-identical to the per-point path (property-tested).
+    All four formats' stimulus sweeps run in **one** W×64-pattern
+    superword settle pass — they share the ``mf`` netlist, so the
+    per-format sequences concatenate into segments of a single
+    levelized run (registers masked at segment boundaries) instead of
+    four separate kernel invocations.
     """
-    if superword:
-        lib = default_library()
-        module = cached_module("mf")
-        jobs = []
-        for fmt in TABLE5_FLOPS:
-            gen = WorkloadGenerator(seed)
-            jobs.append((gen.mf_stimulus(fmt, n_cycles), n_cycles))
-        reports = estimate_power_batch(module, lib, jobs)
-        measured = {}
-        for fmt, rep in zip(TABLE5_FLOPS, reports):
-            gflops = TABLE5_FLOPS[fmt] * issue_mhz / 1000.0
-            watts = rep.scaled_to(issue_mhz).total_mw / 1000.0
-            measured[fmt] = (rep.total_mw, gflops, gflops / watts)
-    else:
-        measured = {fmt: table5_format_point(fmt, n_cycles=n_cycles,
-                                             seed=seed,
-                                             issue_mhz=issue_mhz)
-                    for fmt in TABLE5_FLOPS}
+    lib = default_library()
+    module = cached_module("mf")
+    jobs = []
+    for fmt in TABLE5_FLOPS:
+        gen = WorkloadGenerator(seed)
+        jobs.append((gen.mf_stimulus(fmt, n_cycles), n_cycles))
+    reports = estimate_power_batch(module, lib, jobs)
+    measured = {fmt: _table5_triple(fmt, rep, issue_mhz)
+                for fmt, rep in zip(TABLE5_FLOPS, reports)}
     return Table5Result(measured=measured, paper=PAPER["table5"],
                         max_freq_mhz=mf_max_freq_mhz())
 

@@ -9,8 +9,8 @@ Monte Carlo from scratch.  This module turns that walk into a
 
 * **leaf jobs** are module-level functions addressed as
   ``"module.path:function"`` with keyword params — picklable, so they
-  fan out over a ``ProcessPoolExecutor`` (fork context, sharing the
-  parent's warm module caches);
+  fan out over worker processes (forked, sharing the parent's warm
+  module caches);
 * **merge jobs** run in the parent as soon as their dependencies
   complete and assemble leaf values into the exact result objects the
   serial entry points return — same seeds, bit-identical tables.
@@ -22,12 +22,13 @@ to a pluggable **execution backend** (:mod:`repro.eval.sched`):
 * ``inline`` — zero-overhead serial execution, auto-selected whenever
   the request cannot actually run in parallel (``workers <= 1``, or an
   oversubscribed request — more workers than cores — which is counted
-  as ``orchestrator.backend.downgraded`` instead of paying fork-pool
+  as ``orchestrator.backend.downgraded`` instead of paying process
   overhead for time slicing);
-* ``fork`` — the classic fork-context ``ProcessPoolExecutor``;
 * ``workers`` — long-lived worker processes under deque-based work
   stealing, speaking the ``repro.sched/1`` wire protocol with live
-  result streaming and crash recovery.
+  result streaming and crash recovery (what ``auto`` picks for
+  parallel requests);
+* ``remote`` — the same protocol over TCP to worker daemons.
 
 Results stay byte-identical to a serial run on every backend at any
 worker count and steal schedule, because merges are keyed by job name
@@ -206,9 +207,9 @@ def _resolve_backend_choice(backend, workers):
     """Map a ``(backend, workers)`` request to what actually runs.
 
     ``auto`` policy: serial requests (``workers <= 1``) run inline;
-    parallel requests run on ``fork`` — unless they are oversubscribed
+    parallel requests run on ``workers`` — unless they are oversubscribed
     (``workers > os.cpu_count()``), in which case any "parallelism"
-    would be GIL-free time slicing plus fork overhead, so the request
+    would be time slicing plus process overhead, so the request
     **downgrades to inline** and ``orchestrator.backend.downgraded``
     ticks (the 0.858×-of-serial regression class, made structurally
     impossible).  An explicitly named backend is always honoured —
@@ -243,7 +244,7 @@ def _resolve_backend_choice(backend, workers):
                         "to": "inline", "reason": "oversubscribed"})
             return "inline", 1
     if backend == "auto":
-        return "fork", workers
+        return "workers", workers
     return backend, max(1, workers)
 
 
@@ -252,7 +253,7 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
     """Execute a job graph; returns ``{name: JobOutcome}``.
 
     ``backend`` picks the execution backend (``auto``/``inline``/
-    ``fork``/``workers``/``remote``; see :func:`_resolve_backend_choice`
+    ``workers``/``remote``; see :func:`_resolve_backend_choice`
     for the ``auto`` policy).  ``hosts`` names the worker daemons of the
     ``remote`` backend (``HOST:PORT,...``; default
     ``REPRO_SCHED_HOSTS``).  The inline path runs everything in deterministic
@@ -646,7 +647,7 @@ def run_experiment(name, workers=0, cache=True, backend="auto",
     instead of rebuilding private state.  ``cache`` accepts ``True``
     (default on-disk cache), ``False`` (no caching) or a
     :class:`ResultCache` instance; ``backend`` one of ``auto``/
-    ``inline``/``fork``/``workers``/``remote`` (``hosts`` names the
+    ``inline``/``workers``/``remote`` (``hosts`` names the
     remote backend's worker daemons).
     """
     outcomes = run_graph(build_jobs(name, params), workers=workers,

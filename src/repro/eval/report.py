@@ -85,8 +85,8 @@ def generate_report(n_cycles=12, out_path=None, include_sweeps=False,
     ``include_verification`` the mutation-coverage campaigns.
     ``workers`` fans the job graph out over that many processes
     (``<= 1`` runs serially — same bytes either way) and ``backend``
-    picks the execution backend (``auto``/``inline``/``fork``/
-    ``workers``/``remote`` — the latter running leaves on the worker
+    picks the execution backend (``auto``/``inline``/``workers``/
+    ``remote`` — the latter running leaves on the worker
     daemons named by ``hosts``; see :mod:`repro.eval.sched`); ``cache`` is
     ``True``/``False`` or a :class:`repro.eval.orchestrator.ResultCache`.
     ``filters`` (substrings matched against experiment names) narrows
@@ -217,9 +217,7 @@ def main(argv=None):
                     "the mutation-coverage campaigns, orchestrated "
                     "over worker processes with a persistent result "
                     "cache.")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("REPRO_REPORT_WORKERS",
-                                                   "1") or "1"),
+    parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the job graph "
                              "(default 1 = serial; same output bytes "
                              "either way)")
@@ -229,10 +227,9 @@ def main(argv=None):
                         choices=BACKEND_CHOICES,
                         help="execution backend for the job graph: "
                              "auto (inline when serial or "
-                             "oversubscribed, else fork), inline, "
-                             "fork, the work-stealing 'workers' "
-                             "pool, or 'remote' worker daemons "
-                             "(default auto)")
+                             "oversubscribed, else workers), inline, "
+                             "the work-stealing 'workers' pool, or "
+                             "'remote' worker daemons (default auto)")
     parser.add_argument("--hosts", default=os.environ.get(
                             "REPRO_SCHED_HOSTS") or None,
                         metavar="HOST:PORT,...",

@@ -9,10 +9,10 @@ backend   what it is
 inline    zero-overhead serial execution in the scheduler's process —
           auto-selected whenever ``effective_workers == 1`` (including
           the oversubscription downgrade)
-fork      the classic fork-context ``ProcessPoolExecutor``
 workers   long-lived worker processes speaking the ``repro.sched/1``
           wire protocol, scheduled by deque-based work stealing with
-          crash recovery and live result streaming
+          crash recovery and live result streaming — what ``auto``
+          picks for parallel requests
 remote    the same wire protocol over authenticated TCP to worker
           daemons on other machines (``--hosts a:9700,b:9700``), with
           cross-host stealing, digest-based cache sync and lost-host
@@ -33,7 +33,6 @@ from repro.eval.sched.base import (
     raise_leaf_failure,
     resolve_fn,
 )
-from repro.eval.sched.fork import ForkBackend
 from repro.eval.sched.inline import InlineBackend
 from repro.eval.sched.remote import RemoteBackend
 from repro.eval.sched.stealing import WorkersBackend
@@ -41,7 +40,6 @@ from repro.eval.sched.stealing import WorkersBackend
 #: Every selectable backend, by registry key.
 BACKENDS = {
     "inline": InlineBackend,
-    "fork": ForkBackend,
     "workers": WorkersBackend,
     "remote": RemoteBackend,
 }
@@ -73,8 +71,7 @@ def make_backend(name, workers, hosts=None):
 
 
 __all__ = [
-    "BACKENDS", "BACKEND_CHOICES", "Backend", "ForkBackend",
-    "InlineBackend", "LeafResult", "LeafTask", "RemoteBackend",
+    "BACKENDS", "BACKEND_CHOICES", "Backend", "InlineBackend", "LeafResult", "LeafTask", "RemoteBackend",
     "WorkersBackend", "call_leaf", "execute_task", "make_backend",
     "raise_leaf_failure", "resolve_fn",
 ]

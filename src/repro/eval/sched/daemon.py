@@ -20,9 +20,9 @@ Cache side
     The daemon keeps its own content-addressed
     :class:`~repro.eval.cache.ResultCache`: every executed leaf is
     stored under its digest, ``cache_offer`` frames are answered from
-    ``has_object``, ``cache_pull`` serves the pickled object (or a
-    ``cache_miss``), and ``cache_push`` seeds the store — the daemon
-    half of the coordinator's digest-based cache sync.
+    ``has_object``, and ``cache_pull`` serves the pickled object (or a
+    ``cache_miss``) — the daemon half of the coordinator's digest-based
+    cache sync.
 
 Health
     ``--telemetry-port`` starts the stack's standard
@@ -39,7 +39,6 @@ and ride back to coordinators in every ``pong``.
 
 import argparse
 import os
-import pickle
 import queue
 import signal
 import socket
@@ -138,8 +137,6 @@ class _Session:
                 self._on_cache_offer(env)
             elif kind == "cache_pull":
                 self._on_cache_pull(env)
-            elif kind == "cache_push":
-                self._on_cache_push(env)
             elif kind == "ping":
                 self._send(wire.pong_envelope(env.get("seq", 0),
                                               self.daemon.stats()))
@@ -188,18 +185,6 @@ class _Session:
             self._send(wire.cache_object_envelope(digest, value))
         else:
             self._send(wire.cache_miss_envelope(digest))
-
-    def _on_cache_push(self, env):
-        cache = self.daemon.cache
-        if cache is None:
-            return
-        try:
-            value = pickle.loads(env["payload"])
-        except Exception:
-            self.daemon.bump("wire_errors")
-            return
-        self.daemon.bump("cache_pushes")
-        cache.store_object(env.get("digest", ""), value)
 
     # ------------------------------------------------------------------
     # pump thread: exclusive owner of the local stealing pool
@@ -255,7 +240,7 @@ class WorkerDaemon:
         self._stats = {"sessions": 0, "connected": 0, "rejected": 0,
                        "jobs": 0, "results": 0, "errors": 0,
                        "cache_offers": 0, "cache_pulls": 0,
-                       "cache_pushes": 0, "wire_errors": 0,
+                       "wire_errors": 0,
                        "inflight": 0, "backlog": 0}
         self._telemetry = None
 

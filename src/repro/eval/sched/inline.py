@@ -4,7 +4,7 @@ No processes, no queues — :meth:`submit` runs the leaf on the spot in
 the scheduler's own process and parks the result for
 :meth:`next_result`.  This is what the scheduler auto-selects whenever
 ``effective_workers == 1`` (including the oversubscription downgrade),
-so "parallel" runs on a small box can never again pay fork-pool
+so "parallel" runs on a small box can never again pay process
 overhead for nothing: the inline path *is* the serial path.
 
 The leaf still runs under a :func:`repro.obs.span` (via the shared

@@ -26,22 +26,22 @@ Cache sync
     leaf — warm entries move between machines over the same socket.
     Dispatch waits until every live host has answered the offer, so a
     fully warm cluster replays a report with zero leaf executions.
-    Daemons store every result they execute under its digest, and
-    ``REPRO_SCHED_REPLICATE=1`` additionally pushes each finished
-    object to the hosts that reported a miss.
+    Daemons store every result they execute under its digest.
+    ``REPRO_SCHED_CACHE_SYNC=0`` turns the offers off, so every leaf
+    executes.
 
 Failure model
-    Heartbeat pings flow on an interval; a host that stays silent past
-    the timeout — or whose socket errors — is declared lost: its
-    in-flight leaves are re-queued at the head of the least-loaded
-    survivor (capped at :data:`MAX_TASK_REQUEUES` so a poison leaf
-    fails the job instead of hopping hosts forever), its backlog and
-    unanswered cache offers migrate, and ``sched.remote.requeues``
-    ticks.  Losing the *last* host raises — there is nowhere left to
-    run.
+    Heartbeat pings flow every :attr:`RemoteBackend.HEARTBEAT_S`; a host
+    that stays silent past :attr:`RemoteBackend.TIMEOUT_S` — or whose
+    socket errors — is declared lost: its in-flight leaves are
+    re-queued at the head of the least-loaded survivor (capped at
+    :data:`MAX_TASK_REQUEUES` so a poison leaf fails the job instead of
+    hopping hosts forever), its backlog and unanswered cache offers
+    migrate, and ``sched.remote.requeues`` ticks.  Losing the *last*
+    host raises — there is nowhere left to run.
 
 Everything is observable under ``sched.remote.*``: host count, jobs,
-steals, requeues, cache offers/hits/pulls/pushes and per-direction byte
+steals, requeues, cache offers/hits/pulls and per-direction byte
 counts, plus the per-leaf ``repro.obs/1`` payloads streamed back with
 each result (so ``--live`` and the telemetry endpoint show the whole
 cluster).
@@ -62,13 +62,6 @@ from repro.eval.sched.base import Backend, LeafResult
 #: Give up on a leaf after it has been re-queued off this many lost
 #: hosts (mirrors ``MAX_TASK_CRASHES`` one level down).
 MAX_TASK_REQUEUES = 2
-
-
-def _env_float(name, default):
-    try:
-        return float(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
 
 
 def parse_hosts(spec):
@@ -126,16 +119,14 @@ class _Host:
 class _TaskState:
     """Lifecycle of one submitted leaf across offers/pulls/dispatch."""
 
-    __slots__ = ("task", "phase", "submitted", "offers_waiting",
-                 "hit_hosts", "miss_hosts", "pull_host", "requeues")
+    __slots__ = ("task", "phase", "offers_waiting", "hit_hosts",
+                 "pull_host", "requeues")
 
     def __init__(self, task):
         self.task = task
         self.phase = "new"       # offering | ready | inflight | pulling | done
-        self.submitted = time.perf_counter()
         self.offers_waiting = set()     # host indices yet to answer
         self.hit_hosts = []             # host indices that hold the digest
-        self.miss_hosts = []            # host indices that reported a miss
         self.pull_host = None
         self.requeues = 0
 
@@ -146,6 +137,13 @@ class RemoteBackend(Backend):
     name = "remote"
     mode = "remote"
 
+    #: Seconds between heartbeat pings to each host.
+    HEARTBEAT_S = 2.0
+    #: A host silent for this many seconds is declared lost.
+    TIMEOUT_S = 15.0
+    #: Seconds to wait for a daemon's TCP connect + handshake.
+    CONNECT_TIMEOUT_S = 5.0
+
     def __init__(self, hosts, token=None):
         self._hosts = [_Host(i, addr) for i, addr in enumerate(hosts)]
         self._token = wire.default_token() if token is None else token
@@ -154,11 +152,7 @@ class RemoteBackend(Backend):
         self._results = deque()
         self._outstanding = 0
         self._started = False
-        self._heartbeat = _env_float("REPRO_SCHED_HEARTBEAT", 2.0)
-        self._timeout = _env_float("REPRO_SCHED_TIMEOUT", 15.0)
-        self._connect_timeout = _env_float("REPRO_SCHED_CONNECT_TIMEOUT", 5.0)
         self._cache_sync = os.environ.get("REPRO_SCHED_CACHE_SYNC", "1") != "0"
-        self._replicate = os.environ.get("REPRO_SCHED_REPLICATE", "") == "1"
 
     # ------------------------------------------------------------------
     # connections
@@ -167,7 +161,7 @@ class RemoteBackend(Backend):
     def _connect(self, host):
         try:
             sock = socket.create_connection(host.addr,
-                                            timeout=self._connect_timeout)
+                                            timeout=self.CONNECT_TIMEOUT_S)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             stream = wire.FrameStream(sock)
             welcome = wire.client_handshake(stream, self._token)
@@ -237,7 +231,7 @@ class RemoteBackend(Backend):
                     return None
                 raise RuntimeError(
                     "remote backend has no results and no jobs in flight")
-            wait = self._heartbeat / 4
+            wait = self.HEARTBEAT_S / 4
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -304,9 +298,9 @@ class RemoteBackend(Backend):
     def _heartbeat_pass(self):
         now = time.monotonic()
         for host in self._alive():
-            if now - host.last_recv > self._timeout:
+            if now - host.last_recv > self.TIMEOUT_S:
                 self._lose_host(host, "heartbeat timeout")
-            elif now - host.last_ping >= self._heartbeat:
+            elif now - host.last_ping >= self.HEARTBEAT_S:
                 host.ping_seq += 1
                 host.last_ping = now
                 self._send(host, wire.ping_envelope(host.ping_seq))
@@ -368,15 +362,6 @@ class RemoteBackend(Backend):
             return                       # late duplicate after a requeue
         result.worker = f"{host.label}/{result.worker}"
         self._settle(state, result)
-        if self._replicate and result.ok and state.task.fingerprint \
-                and state.miss_hosts:
-            push = wire.cache_push_envelope(state.task.fingerprint,
-                                            result.value)
-            for index in state.miss_hosts:
-                other = self._hosts[index]
-                if other.alive and other is not host:
-                    obs.registry().inc("sched.remote.cache.pushed")
-                    self._send(other, push)
 
     def _on_cache_hits(self, host, env):
         state = self._tasks.get(env.get("offer"))
@@ -385,8 +370,6 @@ class RemoteBackend(Backend):
         state.offers_waiting.discard(host.index)
         if env.get("digests"):
             state.hit_hosts.append(host.index)
-        else:
-            state.miss_hosts.append(host.index)
         if state.phase != "offering":
             return
         if state.hit_hosts:
@@ -439,7 +422,6 @@ class RemoteBackend(Backend):
                 or state.pull_host != host.index:
             return
         # The entry vanished between offer and pull (eviction, GC).
-        state.miss_hosts.append(host.index)
         self._start_pull(state)
 
     # ------------------------------------------------------------------
@@ -490,9 +472,6 @@ class RemoteBackend(Backend):
 
     def _settle(self, state, result):
         state.phase = "done"
-        state.submitted, submitted = None, state.submitted
-        if submitted is not None:
-            result.seconds = time.perf_counter() - submitted
         self._results.append(result)
 
     # ------------------------------------------------------------------

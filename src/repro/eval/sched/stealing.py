@@ -119,7 +119,6 @@ class WorkersBackend(Backend):
         self.workers = max(1, int(workers))
         self._slots = [_Slot(i) for i in range(self.workers)]
         self._results = deque()
-        self._submitted = {}      # task name -> submit perf_counter
         self._crashes = {}        # task name -> crash count
         self._outstanding = 0
         self._started = False
@@ -156,7 +155,6 @@ class WorkersBackend(Backend):
         self._ensure_started()
         slot = min(self._slots, key=lambda s: (s.load, s.index))
         slot.queue.append(task)
-        self._submitted[task.name] = time.perf_counter()
         self._outstanding += 1
         self._pump()
 
@@ -278,9 +276,6 @@ class WorkersBackend(Backend):
                         continue
                     result.name = slot.inflight.name
                 slot.inflight = None
-                submitted = self._submitted.pop(result.name, None)
-                if submitted is not None:
-                    result.seconds = time.perf_counter() - submitted
                 self._results.append(result)
             self._pump()
         self._outstanding -= 1

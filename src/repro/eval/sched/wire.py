@@ -53,8 +53,6 @@ Frame kinds (post-handshake):
 ``cache_pull`` / ``cache_object`` / ``cache_miss``
     coordinator pulls a warm result object by digest instead of
     re-executing the leaf.
-``cache_push``
-    coordinator seeds a daemon's store with one digest-named object.
 ``ping`` / ``pong``
     heartbeat; ``pong`` carries the daemon's load stats.
 ``shutdown``
@@ -442,8 +440,3 @@ def cache_object_envelope(digest, value):
 def cache_miss_envelope(digest):
     return {"schema": SCHEMA, "kind": "cache_miss", "digest": digest}
 
-
-def cache_push_envelope(digest, value):
-    return {"schema": SCHEMA, "kind": "cache_push", "digest": digest,
-            "payload": pickle.dumps(value,
-                                    protocol=pickle.HIGHEST_PROTOCOL)}

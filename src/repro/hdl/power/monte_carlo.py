@@ -26,17 +26,18 @@ replay):
   pattern words, and runs on the compiled C event kernel
   (:mod:`repro.hdl.sim.ckernel`) whenever a system C compiler is
   available;
-* ``workers=N`` shards the cycle sequence into contiguous windows
-  replayed by worker processes.  Each window seeds from the exact
-  levelized values at its first cycle — the event simulator's settled
-  state equals the zero-delay state, so windows are independent and the
-  per-net toggle counts merge deterministically by integer summation.
+* a long point splits into :func:`power_shard_plan` windows replayed
+  by independent :func:`power_replay_shard` leaves (the orchestrator
+  runs them on any scheduler backend).  Each window seeds from the
+  exact levelized values at its first cycle — the event simulator's
+  settled state equals the zero-delay state, so windows are independent
+  and the per-net toggle counts merge deterministically by integer
+  summation (:func:`power_report_from_shards`).
 """
 
-import os
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro import obs
 from repro.errors import SimulationError
@@ -79,58 +80,45 @@ def shared_event_simulator(module, library):
 
 
 def estimate_power(module, library, stimulus, n_cycles, frequency_mhz=100.0,
-                   glitch=True, workers=None, attribution=False):
+                   glitch=True, attribution=False):
     """Estimate average power over a stimulus sequence.
 
     ``stimulus`` maps input bus names to per-cycle word lists (as for
     :class:`LevelizedSimulator`).  At least two cycles are needed to
-    observe a transition.  ``workers=N`` (opt-in; default serial, or
-    the ``REPRO_POWER_WORKERS`` environment variable) shards the glitch
-    replay over N processes with a deterministic merge — results are
-    identical to the serial run.  ``attribution=True`` additionally
-    keeps the per-net toggle vectors and attaches a
+    observe a transition.  ``attribution=True`` additionally keeps the
+    per-net toggle vectors and attaches a
     :class:`~repro.hdl.power.attribution.PowerAttribution` (glitch vs
     functional split by sub-block / cell / pipeline stage) to the
     report — a pure observer, the power numbers do not change.
+
+    This is the one-job case of :func:`estimate_power_batch`; to spread
+    one long point over processes, run its :func:`power_shard_plan`
+    windows as :func:`power_replay_shard` leaves and merge them with
+    :func:`power_report_from_shards`.
     """
-    if n_cycles < 2:
-        raise SimulationError("need at least two cycles to measure power")
-    if workers is None:
-        env = os.environ.get("REPRO_POWER_WORKERS", "0") or "0"
-        try:
-            workers = int(env)
-        except ValueError:
+    return estimate_power_batch(module, library, [(stimulus, n_cycles)],
+                                frequency_mhz=frequency_mhz, glitch=glitch,
+                                attribution=attribution)[0]
+
+
+def _zero_delay(module, library, jobs):
+    """The zero-delay prefix every power path shares.
+
+    One superword levelized pass over ``jobs`` (``(stimulus, n_cycles)``
+    pairs), plus the per-net switching energies and sub-block owners.
+    Returns ``(segmented run, energies, owner, levelized seconds)``.
+    """
+    for __, n_cycles in jobs:
+        if n_cycles < 2:
             raise SimulationError(
-                f"REPRO_POWER_WORKERS must be an integer, got {env!r}"
-            ) from None
+                "need at least two cycles to measure power")
     t_level = time.perf_counter()
     with obs.span("power:levelized", cat="power", module=module.name,
-                  cycles=n_cycles):
-        sim = LevelizedSimulator(module)
-        run = sim.run(stimulus, n_cycles)
+                  cycles=sum(n for __, n in jobs), segments=len(jobs)):
+        seg = LevelizedSimulator(module).run_segments(jobs)
     t_level = time.perf_counter() - t_level
-
-    energies = net_toggle_energies(module, library)
-    owner = module.block_of_net()
-
-    zero_toggles = run.toggles_per_net()
-    zero_energy = sum(t * e for t, e in zip(zero_toggles, energies))
-
-    if glitch:
-        with obs.span("power:glitch_replay", cat="power",
-                      module=module.name, workers=workers or 1):
-            event_toggles, sim_stats = _event_toggles(module, library, run,
-                                                      n_cycles, workers)
-    else:
-        event_toggles = zero_toggles
-        sim_stats = {"engine": "zero-delay", "kernel": "none",
-                     "transitions": n_cycles - 1, "workers": 1,
-                     "elapsed_s": t_level}
-
-    return _assemble_report(module, library, n_cycles, zero_toggles,
-                            event_toggles, sim_stats, energies, owner,
-                            zero_energy, t_level, frequency_mhz, glitch,
-                            attribution)
+    return (seg, net_toggle_energies(module, library),
+            module.block_of_net(), t_level)
 
 
 def estimate_power_batch(module, library, jobs, frequency_mhz=100.0,
@@ -145,29 +133,16 @@ def estimate_power_batch(module, library, jobs, frequency_mhz=100.0,
     per-job zero-delay toggles are windowed popcounts over the shared
     words and the glitch replay seeds each job's cycle window straight
     from them.  Returns one :class:`PowerReport` per job, each
-    **bit-identical** to a serial :func:`estimate_power` call over the
-    same stimulus (property-tested).
+    bit-identical to an :func:`estimate_power` call over the same
+    stimulus alone (``tests/test_sim_compile.py``).
     """
     jobs = list(jobs)
-    for __, n_cycles in jobs:
-        if n_cycles < 2:
-            raise SimulationError(
-                "need at least two cycles to measure power")
-    t_level = time.perf_counter()
-    with obs.span("power:levelized", cat="power", module=module.name,
-                  cycles=sum(n for __, n in jobs), segments=len(jobs)):
-        sim = LevelizedSimulator(module)
-        seg = sim.run_segments(jobs)
-    t_level = time.perf_counter() - t_level
-
-    energies = net_toggle_energies(module, library)
-    owner = module.block_of_net()
+    seg, energies, owner, t_level = _zero_delay(module, library, jobs)
     esim = shared_event_simulator(module, library) if glitch else None
 
     reports = []
     for i, (__, n_cycles) in enumerate(jobs):
         zero_toggles = seg.toggles_per_net(i)
-        zero_energy = sum(t * e for t, e in zip(zero_toggles, energies))
         offset = seg.segments[i][0]
         if glitch:
             with obs.span("power:glitch_replay", cat="power",
@@ -184,24 +159,24 @@ def estimate_power_batch(module, library, jobs, frequency_mhz=100.0,
                          "elapsed_s": t_level}
         reports.append(_assemble_report(
             module, library, n_cycles, zero_toggles, event_toggles,
-            sim_stats, energies, owner, zero_energy, t_level,
-            frequency_mhz, glitch, attribution))
+            sim_stats, energies, owner, t_level, frequency_mhz, glitch,
+            attribution))
     return reports
 
 
 def _assemble_report(module, library, n_cycles, zero_toggles,
-                     event_toggles, sim_stats, energies, owner,
-                     zero_energy, t_level, frequency_mhz, glitch,
-                     attribution):
+                     event_toggles, sim_stats, energies, owner, t_level,
+                     frequency_mhz, glitch, attribution):
     """Fold toggle counts into the :class:`PowerReport`.
 
-    Shared tail of :func:`estimate_power` and
+    Shared tail of :func:`estimate_power_batch` and
     :func:`power_report_from_shards`, so a report assembled from
     independently-executed shard leaves is arithmetic-identical to the
     monolithic run (the toggle counts themselves merge by integer
     summation).
     """
     sim_stats = obs.normalize_sim_stats(sim_stats)
+    zero_energy = sum(t * e for t, e in zip(zero_toggles, energies))
 
     # Effective switched energy: the functional transitions plus the
     # derated share of the extra (glitch) transitions (see
@@ -279,31 +254,19 @@ def _replay(esim, packed_values, t_first, t_last):
     return totals, stats
 
 
-def _event_toggles(module, library, run, n_cycles, workers=0):
-    """Glitch-aware toggle counts accumulated over all cycle transitions."""
-    transitions = n_cycles - 1
-    if workers and workers > 1 and transitions > 1:
-        return _event_toggles_sharded(module, library, run.values,
-                                      n_cycles, workers)
-    esim = shared_event_simulator(module, library)
-    t0 = time.perf_counter()
-    totals, stats = _replay(esim, run.values, 1, transitions)
-    stats["workers"] = 1
-    stats["elapsed_s"] = time.perf_counter() - t0
-    return totals, stats
-
-
-def transition_windows(n_cycles, shards):
-    """Split transitions ``1 .. n_cycles-1`` into contiguous windows.
+def power_shard_plan(n_cycles, max_transitions=16):
+    """Split transitions ``1 .. n_cycles-1`` into replay windows.
 
     Returns ``[(t_first, t_last)]`` pairs covering every transition
-    exactly once, balanced to within one transition.  ``shards`` is
-    clamped to the transition count.
+    exactly once, each at most ``max_transitions`` long and balanced to
+    within one transition, so a Monte Carlo power point decomposes into
+    many small, independently stealable leaves rather than one long
+    pole.
     """
     transitions = n_cycles - 1
     if transitions < 1:
         raise SimulationError("need at least two cycles to measure power")
-    shards = max(1, min(shards, transitions))
+    shards = -(-transitions // max(1, int(max_transitions)))
     base, extra = divmod(transitions, shards)
     windows = []
     t = 1
@@ -314,26 +277,13 @@ def transition_windows(n_cycles, shards):
     return windows
 
 
-def power_shard_plan(n_cycles, max_transitions=16):
-    """Windows for fine-grained stealable replay leaves.
-
-    Sizes each window to at most ``max_transitions`` transitions so a
-    Monte Carlo power point decomposes into many small, independently
-    stealable leaves rather than one long pole.
-    """
-    transitions = max(n_cycles - 1, 1)
-    shards = -(-transitions // max(1, int(max_transitions)))
-    return transition_windows(n_cycles, shards)
-
-
 def power_replay_shard(module, library, stimulus, n_cycles, t_first,
                        t_last):
     """One stealable glitch-replay leaf: transitions ``t_first..t_last``.
 
     Re-runs the (cheap, deterministic) levelized simulation to recover
     the per-net pattern words, then replays only the window.  Returns
-    ``(totals, stats)`` exactly as the in-process shard runner does, so
-    :func:`power_report_from_shards` merges either source identically.
+    ``(totals, stats)`` for :func:`power_report_from_shards`.
     """
     if n_cycles < 2:
         raise SimulationError("need at least two cycles to measure power")
@@ -355,9 +305,8 @@ def merge_shard_results(n_nets, results):
 
     Toggle counts sum element-wise (integer arithmetic — order
     independent); perf counters sum, ``wheel_max_bucket`` takes the
-    max, ``kernel`` last-wins.  Identical rules to the in-process
-    sharded replay, so any partitioning of the transition sequence
-    yields the same merged result.
+    max, ``kernel`` last-wins, so any partitioning of the transition
+    sequence yields the same merged result.
     """
     totals = [0] * n_nets
     merged = {"engine": "wheel", "kernel": "python", "transitions": 0,
@@ -383,102 +332,24 @@ def power_report_from_shards(module, library, stimulus, n_cycles,
 
     ``shard_outputs`` are the ``(totals, stats)`` pairs produced by
     :func:`power_replay_shard` over a full :func:`power_shard_plan`
-    partition.  The zero-delay baseline is recomputed locally (it is a
-    single cheap levelized pass), the glitch toggles come from the
+    partition.  The zero-delay baseline is recomputed locally by the
+    same levelized pass :func:`estimate_power_batch` runs, the glitch
+    toggles come from the
     merged shards — numerically identical to a monolithic
     :func:`estimate_power` run over the same stimulus.
     """
-    if n_cycles < 2:
-        raise SimulationError("need at least two cycles to measure power")
     if not shard_outputs:
         raise SimulationError("power_report_from_shards needs >=1 shard")
-    t_level = time.perf_counter()
-    with obs.span("power:levelized", cat="power", module=module.name,
-                  cycles=n_cycles):
-        sim = LevelizedSimulator(module)
-        run = sim.run(stimulus, n_cycles)
-    t_level = time.perf_counter() - t_level
-
-    energies = net_toggle_energies(module, library)
-    owner = module.block_of_net()
-    zero_toggles = run.toggles_per_net()
-    zero_energy = sum(t * e for t, e in zip(zero_toggles, energies))
-
+    seg, energies, owner, t_level = _zero_delay(
+        module, library, [(stimulus, n_cycles)])
+    zero_toggles = seg.toggles_per_net(0)
     event_toggles, sim_stats = merge_shard_results(module.n_nets,
                                                    shard_outputs)
     sim_stats["workers"] = len(shard_outputs)
     sim_stats["elapsed_s"] = t_level
     return _assemble_report(module, library, n_cycles, zero_toggles,
                             event_toggles, sim_stats, energies, owner,
-                            zero_energy, t_level, frequency_mhz, True,
-                            attribution)
-
-
-def _event_toggles_sharded(module, library, packed_values, n_cycles,
-                           workers):
-    """Shard the transition sequence over worker processes.
-
-    Windows overlap by one cycle: a worker seeds every net from the
-    levelized values of the cycle before its first transition and
-    replays its window, so concatenating the windows reproduces the
-    serial replay transition for transition.
-    """
-    import concurrent.futures
-    import multiprocessing
-
-    transitions = n_cycles - 1
-    workers = min(workers, transitions)
-    windows = transition_windows(n_cycles, workers)
-    workers = len(windows)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:                        # pragma: no cover - non-POSIX
-        ctx = multiprocessing.get_context()
-    t0 = time.perf_counter()
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx,
-            initializer=_shard_init,
-            initargs=(module, library, packed_values)) as pool:
-        results = list(pool.map(_shard_run, windows))
-    elapsed = time.perf_counter() - t0
-
-    for _totals, _stats, obs_payload in results:
-        obs.task_merge(obs_payload)
-    totals, merged = merge_shard_results(
-        module.n_nets, [(t, s) for t, s, _ in results])
-    merged["workers"] = workers
-    merged["elapsed_s"] = elapsed
-    return totals, merged
-
-
-_SHARD_STATE: Dict[str, object] = {}
-
-
-def _shard_init(module, library, packed_values):
-    _SHARD_STATE["esim"] = EventSimulator(module, library)
-    _SHARD_STATE["packed_values"] = packed_values
-
-
-def _shard_run(window):
-    obs.task_begin()
-    t_first, t_last = window
-    t0 = time.perf_counter()
-    with obs.span("power:shard", cat="power", t_first=t_first,
-                  t_last=t_last):
-        totals, stats = _replay(_SHARD_STATE["esim"],
-                                _SHARD_STATE["packed_values"],
-                                t_first, t_last)
-    stats["workers"] = 1
-    stats["elapsed_s"] = time.perf_counter() - t0
-    obs.registry().record(
-        "power.shards",
-        {"t_first": t_first, "t_last": t_last,
-         **obs.normalize_sim_stats(stats)})
-    # Parent merges stats itself; strip the per-shard-only keys so the
-    # deterministic merge sees exactly what the serial path produces.
-    stats = {k: v for k, v in stats.items()
-             if k not in ("workers", "elapsed_s")}
-    return totals, stats, obs.task_collect()
+                            t_level, frequency_mhz, True, attribution)
 
 
 # ----------------------------------------------------------------------

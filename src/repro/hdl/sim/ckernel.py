@@ -8,9 +8,9 @@ from the inner loop entirely: a ~150-line C translation of the event
 algorithm is compiled **once** with the system C compiler (``cc`` /
 ``gcc``, or ``$CC``), cached as a shared library under the repository's
 ``.cache/`` directory, and driven through :mod:`ctypes` — no third-party
-packages, no build system, and a clean fallback to the pure-Python
-engines when no compiler is available (or ``REPRO_NO_CKERNEL=1`` is
-set).
+packages, no build system, and a counted fallback
+(``sim.ckernel.fallback``) to the pure-Python engines when no compiler
+is available (or ``REPRO_NO_CKERNEL=1`` is set).
 
 Bit-identity with the Python engines is structural, not incidental:
 
@@ -43,6 +43,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+from repro import obs
 from repro.errors import SimulationError
 
 #: Transitions per kernel call — one bit of the stimulus words each,
@@ -244,6 +245,9 @@ int64_t sim_replay(
 
 _lib = None
 _load_attempted = False
+#: Why the Python engines replaced the kernel in this process (``None``
+#: while the kernel is in use or not yet loaded).
+fallback_reason = None
 
 
 def _cache_dir():
@@ -308,20 +312,31 @@ def _build_and_load():
 def load_kernel():
     """The loaded kernel library, or ``None`` when unavailable.
 
-    First call compiles (or re-links) the shared library; failures of
-    any kind — no compiler, unwritable cache, compile error — disable
-    the kernel for the process and the Python engines take over.
+    First call compiles (or re-links) the shared library.  When the
+    kernel cannot be used the Python engines take over for the process,
+    never silently: ``sim.ckernel.fallback`` ticks and
+    :data:`fallback_reason` records why — ``disabled``
+    (``REPRO_NO_CKERNEL``), ``no_compiler`` or ``build_failed: <exc>``
+    (unwritable cache, compile or link error).
     """
-    global _lib, _load_attempted
+    global _lib, _load_attempted, fallback_reason
     if _load_attempted:
         return _lib
     _load_attempted = True
     if os.environ.get("REPRO_NO_CKERNEL", ""):
-        return None
-    try:
-        _lib = _build_and_load()
-    except Exception:
-        _lib = None
+        reason = "disabled"
+    else:
+        try:
+            _lib = _build_and_load()
+        except Exception as exc:
+            reason = f"build_failed: {exc}"
+        else:
+            reason = None if _lib is not None else "no_compiler"
+    if reason is not None:
+        fallback_reason = reason
+        reg = obs.registry()
+        reg.inc("sim.ckernel.fallback")
+        reg.record("sim.ckernel.fallback", {"reason": reason})
     return _lib
 
 

@@ -350,7 +350,7 @@ def _tiny_graph(n=3):
 
 
 class TestTraceStitching:
-    @pytest.mark.parametrize("backend", ["fork", "workers"])
+    @pytest.mark.parametrize("backend", ["workers"])
     def test_worker_leaves_stitch_into_one_trace(self, backend):
         from repro.eval.orchestrator import run_graph
 
@@ -520,37 +520,44 @@ class TestPowerAttribution:
 
 
 # ----------------------------------------------------------------------
-# fork safety: Monte Carlo shards and orchestrator workers
+# worker processes: Monte Carlo shard leaves and orchestrator workers
 # ----------------------------------------------------------------------
 
 class TestWorkerMerge:
     def test_sharded_monte_carlo_merges_without_double_count(self):
-        module, stim = _module_and_stim(8)
+        from repro.eval.experiments import table3_power_point
+        from repro.eval.orchestrator import _mc_point_jobs, run_graph
+
+        n_cycles = 18                  # 17 transitions -> two windows
+        module, stim = _module_and_stim(n_cycles)
         lib = default_library()
         reg = obs.registry()
 
-        serial = estimate_power(module, lib, stim, 8)
+        serial = estimate_power(module, lib, stim, n_cycles)
         serial_snap = reg.snapshot()
         reg.reset()
-        sharded = estimate_power(module, lib, stim, 8, workers=2)
+        jobs = _mc_point_jobs(
+            "pt", "repro.eval.experiments:table3_power_point",
+            "repro.eval.experiments:table3_power_shard",
+            "repro.eval.experiments:table3_point_from_shards", 4.0,
+            {"key": "comb_r4", "n_cycles": n_cycles})
+        assert len(jobs) == 3              # two shard leaves + the merge
+        out = run_graph(jobs, workers=2, cache=None, backend="workers")
         sharded_snap = reg.snapshot()
 
-        # Exactly-once merge: both runs replay the same 7 transitions.
-        assert serial_snap["counters"]["sim.replay.transitions"] == 7
-        assert sharded_snap["counters"]["sim.replay.transitions"] == 7
+        # Exactly-once merge: both runs replay the same 17 transitions.
+        assert serial_snap["counters"]["sim.replay.transitions"] == 17
+        assert sharded_snap["counters"]["sim.replay.transitions"] == 17
         assert (sharded_snap["counters"]["sim.replay.events"]
                 == serial_snap["counters"]["sim.replay.events"])
+        assert sharded_snap["counters"]["orchestrator.jobs.worker"] == 2
         shards = sharded_snap["records"]["power.shards"]
         assert len(shards) == 2
-        assert sum(s["transitions"] for s in shards) == 7
-        for s in shards:
-            assert s["workers"] == 1 and s["elapsed_s"] >= 0
+        assert sum(s["transitions"] for s in shards) == 17
         # The headline power merge is untouched by the obs payloads.
-        assert sharded.dynamic_mw == serial.dynamic_mw
-        assert (sharded.sim_stats["events_processed"]
-                == serial.sim_stats["events_processed"])
-        assert sharded.sim_stats["elapsed_s"] > 0
-        assert sharded.sim_stats["transitions_per_s"] > 0
+        assert out["pt"].value == serial.total_mw
+        assert out["pt"].value == table3_power_point(
+            "comb_r4", n_cycles=n_cycles)
 
     def test_orchestrator_workers_merge_job_metrics(self):
         from repro.eval.orchestrator import run_experiment
@@ -560,7 +567,7 @@ class TestWorkerMerge:
         # oversubscribed request to inline on small boxes, but this
         # test is *about* worker-process metrics merging.
         result = run_experiment("table3", workers=2, cache=False,
-                                n_cycles=4, backend="fork")
+                                n_cycles=4, backend="workers")
         snap = reg.snapshot()
         assert set(result.power_mw) \
             == {"comb_r4", "comb_r16", "pipe_r4", "pipe_r16"}
@@ -585,7 +592,7 @@ class TestWorkerMerge:
         serial = reg.snapshot()
         reg.reset()
         run_experiment("table3", workers=2, cache=False, n_cycles=4,
-                       backend="fork")
+                       backend="workers")
         parallel = reg.snapshot()
         for key in ("orchestrator.jobs", "power.estimates",
                     "sim.replay.transitions"):

@@ -205,7 +205,7 @@ def test_parallel_run_counts_oversubscription(monkeypatch):
     assert snap["gauges"]["orchestrator.workers.requested"] == 2
     assert snap["gauges"]["orchestrator.workers.cpu_count"] == 1
     # ...and the auto policy downgrades to inline rather than paying
-    # fork-pool overhead for time slicing on too few cores.
+    # process overhead for time slicing on too few cores.
     assert snap["counters"]["orchestrator.backend.downgraded"] \
         == downgraded_before + 1
     assert outcomes["leaf"].mode == "inline"

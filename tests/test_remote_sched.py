@@ -128,7 +128,6 @@ def test_every_frame_kind_roundtrips_over_a_socketpair():
         wire.cache_pull_envelope("f" * 64),
         wire.cache_object_envelope("f" * 64, {"value": 9}),
         wire.cache_miss_envelope("f" * 64),
-        wire.cache_push_envelope("f" * 64, [3, 4]),
     ]
     a, b = _stream_pair()
     try:
@@ -378,6 +377,31 @@ def test_remote_cache_sync_executes_zero_leaves_when_warm(two_daemons,
     assert second["total"].value == first["total"].value
     assert _counter("sched.remote.jobs") == dispatched
     assert _counter("sched.remote.cache.pulled") == pulled + 6
+
+
+def test_daemon_answers_retired_kinds_as_unknown():
+    """``cache_push`` is gone: a daemon treats it like any unknown kind."""
+    daemon = WorkerDaemon(workers=1, token="sesame").start()
+    stream = None
+    try:
+        sock = socket.create_connection(("127.0.0.1", daemon.port),
+                                        timeout=5.0)
+        stream = wire.FrameStream(sock)
+        wire.client_handshake(stream, "sesame")
+        for kind in ("cache_push", "no_such_kind"):
+            stream.send({"schema": wire.SCHEMA, "kind": kind,
+                         "digest": "f" * 64, "payload": b""})
+            reply = stream.recv()
+            assert reply["kind"] == "error" and reply["name"] == "?"
+            assert f"unexpected frame kind {kind!r}" in reply["error"]
+        # The session keeps serving after the rejection.
+        stream.send(wire.ping_envelope(3))
+        pong = stream.recv()
+        assert pong["kind"] == "pong" and "cache_pushes" not in pong["stats"]
+    finally:
+        if stream is not None:
+            stream.close()
+        daemon.stop()
 
 
 def test_daemon_healthz_reflects_pool_state(tmp_path):

@@ -2,8 +2,9 @@
 
 Load-bearing guarantees:
 
-* every backend (``inline``, ``fork``, work-stealing ``workers``)
-  produces byte-identical graph results at any worker count;
+* every local backend (``inline``, work-stealing ``workers``)
+  produces byte-identical graph results at any worker count, and
+  ``LeafResult.seconds`` means worker-side execution time on each;
 * the ``workers`` backend actually steals under skew and recovers from
   a worker crash by re-queueing the in-flight leaf;
 * the ``repro.sched/1`` wire envelopes round-trip tasks and results;
@@ -52,7 +53,7 @@ def _expected_total(fast=6):
     return sorted(sum(values, []))
 
 
-@pytest.mark.parametrize("backend", ["inline", "fork", "workers"])
+@pytest.mark.parametrize("backend", ["inline", "workers"])
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_backend_parity(backend, workers):
     """Identical results on every backend at every worker count."""
@@ -60,6 +61,32 @@ def test_backend_parity(backend, workers):
                          backend=backend)
     assert outcomes["total"].value == _expected_total()
     assert outcomes["fast0"].value == seeded_leaf(seed=0, size=2)
+
+
+def test_backend_choices_and_auto_policy(monkeypatch):
+    from repro.eval import orchestrator
+    from repro.eval.sched import BACKEND_CHOICES
+
+    assert BACKEND_CHOICES == ("auto", "inline", "workers", "remote")
+    monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 4)
+    resolve = orchestrator._resolve_backend_choice
+    assert resolve("auto", 1) == ("inline", 1)
+    assert resolve("auto", 2) == ("workers", 2)
+    assert resolve("auto", 8) == ("inline", 1)       # oversubscribed
+    with pytest.raises(SimulationError, match="unknown scheduler"):
+        resolve("fork", 2)
+
+
+@pytest.mark.parametrize("backend", ["inline", "workers"])
+def test_leaf_seconds_exclude_queue_wait(backend):
+    """A fast leaf queued behind a slow one reports its own run time."""
+    jobs = [job("slow", "repro.eval.sched.testing:sleepy_leaf",
+                weight=8.0, seconds=0.4, seed=1),
+            job("fast", "repro.eval.sched.testing:seeded_leaf",
+                weight=1.0, seed=2)]
+    out = run_graph(jobs, workers=1, cache=None, backend=backend)
+    assert out["slow"].seconds >= 0.4
+    assert out["fast"].seconds < 0.2
 
 
 def test_workers_backend_steals_under_skew():
@@ -210,18 +237,22 @@ def test_key_digest_is_content_address():
 
 
 def test_transition_windows_partition_exactly():
-    from repro.hdl.power.monte_carlo import (power_shard_plan,
-                                             transition_windows)
+    from repro.hdl.power.monte_carlo import power_shard_plan
 
     for n_cycles in (2, 3, 16, 17, 64, 65):
-        for shards in (1, 2, 3, 7, 100):
-            windows = transition_windows(n_cycles, shards)
+        for max_transitions in (1, 2, 3, 7, 16, 100):
+            windows = power_shard_plan(n_cycles, max_transitions)
             covered = [t for a, b in windows for t in range(a, b + 1)]
             assert covered == list(range(1, n_cycles))
+            sizes = [b - a + 1 for a, b in windows]
+            assert max(sizes) <= max_transitions
+            assert max(sizes) - min(sizes) <= 1
     plan = power_shard_plan(64, max_transitions=16)
     assert len(plan) == 4
     assert all(b - a + 1 <= 16 for a, b in plan)
     assert power_shard_plan(12, max_transitions=16) == [(1, 11)]
+    with pytest.raises(SimulationError, match="two cycles"):
+        power_shard_plan(1)
 
 
 def test_chunk_plan_auto_matches_historic_plans():

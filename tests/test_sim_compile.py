@@ -2,9 +2,9 @@
 
 Every fast path the compiled backend introduced — the codegen levelized
 kernel, the per-gate closures, the truth-table C event kernel, the
-delta-stimulus :meth:`EventSimulator.replay`, the sharded Monte Carlo —
-claims bit-identity with the historic reference implementation it
-replaced.  These tests pin that claim down kind-by-kind, on random
+delta-stimulus :meth:`EventSimulator.replay`, the batched and sharded
+Monte Carlo — claims bit-identity with the historic reference
+implementation it replaced.  These tests pin that claim down kind-by-kind, on random
 netlists, and on the real multipliers.
 """
 
@@ -15,7 +15,15 @@ from repro.errors import NetlistError, SimulationError
 from repro.hdl.cell import CELL_KINDS, cell_eval, cell_num_inputs
 from repro.hdl.library import default_library
 from repro.hdl.module import Gate, Module
-from repro.hdl.power.monte_carlo import estimate_power, shared_event_simulator
+from repro.hdl.power.monte_carlo import (
+    _event_toggles_legacy,
+    estimate_power,
+    estimate_power_batch,
+    power_replay_shard,
+    power_report_from_shards,
+    power_shard_plan,
+    shared_event_simulator,
+)
 from repro.hdl.sim import ckernel
 from repro.hdl.sim.compile import EXPR_TEMPLATES, gate_expr
 from repro.hdl.sim.event import EventSimulator
@@ -282,7 +290,7 @@ class TestToposort:
 
 
 # ----------------------------------------------------------------------
-# Monte Carlo: shared simulator, stats, sharding
+# Monte Carlo: shared simulator, stats, batching, sharding
 # ----------------------------------------------------------------------
 
 def _power_fields(report):
@@ -323,27 +331,106 @@ class TestMonteCarlo:
         flat = estimate_power(module, lib, stim, 4, glitch=False)
         assert flat.sim_stats["engine"] == "zero-delay"
 
-    def test_workers_match_serial(self):
-        module, stim = self._module_and_stim(8)
+    @pytest.mark.parametrize("glitch,attribution",
+                             [(True, False), (False, False), (True, True)])
+    def test_batch_matches_separate_runs(self, glitch, attribution):
+        """Ragged superword segments equal each stimulus run alone."""
+        from repro.eval.workloads import WorkloadGenerator
+
+        module, __ = self._module_and_stim(2)
         lib = default_library()
-        serial = estimate_power(module, lib, stim, 8)
-        sharded = estimate_power(module, lib, stim, 8, workers=2)
-        assert _power_fields(sharded) == _power_fields(serial)
-        assert sharded.sim_stats["workers"] == 2
-        assert (sharded.sim_stats["events_processed"]
-                == serial.sim_stats["events_processed"])
+        jobs = [(WorkloadGenerator(seed).multiplier_stimulus(n), n)
+                for seed, n in ((1, 2), (2, 17), (3, 64))]
+        batch = estimate_power_batch(module, lib, jobs, glitch=glitch,
+                                     attribution=attribution)
+        assert len(batch) == len(jobs)
+        for got, (stim, n) in zip(batch, jobs):
+            alone = estimate_power(module, lib, stim, n, glitch=glitch,
+                                   attribution=attribution)
+            assert _power_fields(got) == _power_fields(alone)
+            assert got.sim_stats["transitions"] == n - 1
+            assert (got.sim_stats.get("events_processed")
+                    == alone.sim_stats.get("events_processed"))
+            if attribution:
+                assert got.attribution.render(top=5) \
+                    == alone.attribution.render(top=5)
+            else:
+                assert got.attribution is None
 
-    def test_workers_env_opt_in(self, monkeypatch):
-        module, stim = self._module_and_stim(4)
-        monkeypatch.setenv("REPRO_POWER_WORKERS", "2")
-        report = estimate_power(module, default_library(), stim, 4)
-        assert report.sim_stats["workers"] == 2
+    def test_batch_glitch_toggles_match_legacy_reference(self):
+        from repro.eval.workloads import WorkloadGenerator
 
-    def test_workers_env_rejects_garbage(self, monkeypatch):
-        module, stim = self._module_and_stim(4)
-        monkeypatch.setenv("REPRO_POWER_WORKERS", "abc")
-        with pytest.raises(SimulationError, match="REPRO_POWER_WORKERS"):
-            estimate_power(module, default_library(), stim, 4)
+        module, __ = self._module_and_stim(2)
+        lib = default_library()
+        jobs = [(WorkloadGenerator(seed).multiplier_stimulus(n), n)
+                for seed, n in ((4, 2), (5, 9))]
+        batch = estimate_power_batch(module, lib, jobs)
+        for got, (stim, n) in zip(batch, jobs):
+            run = LevelizedSimulator(module).run(stim, n)
+            legacy = _event_toggles_legacy(module, lib, run, stim, n)
+            assert got.total_toggles == sum(legacy)
+
+    @pytest.mark.parametrize("n_cycles", [2, 9, 17])
+    def test_shards_match_estimate_power(self, n_cycles):
+        module, stim = self._module_and_stim(n_cycles)
+        lib = default_library()
+        whole = estimate_power(module, lib, stim, n_cycles)
+        plan = power_shard_plan(n_cycles, 4)
+        shards = [power_replay_shard(module, lib, stim, n_cycles, a, b)
+                  for a, b in plan]
+        merged = power_report_from_shards(module, lib, stim, n_cycles,
+                                          shards)
+        assert merged.total_mw == whole.total_mw
+        assert _power_fields(merged) == _power_fields(whole)
+        assert (merged.sim_stats["events_processed"]
+                == whole.sim_stats["events_processed"])
+        assert merged.sim_stats["workers"] == len(plan)
+
+
+# ----------------------------------------------------------------------
+# the compiled kernel's fallback is counted, never silent
+# ----------------------------------------------------------------------
+
+class TestKernelFallback:
+    @pytest.fixture
+    def fresh_loader(self, monkeypatch):
+        from repro import obs
+
+        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+        monkeypatch.setattr(ckernel, "_lib", None)
+        monkeypatch.setattr(ckernel, "_load_attempted", False)
+        monkeypatch.setattr(ckernel, "fallback_reason", None)
+        return obs.registry()
+
+    def _fallbacks(self, reg):
+        return reg.snapshot()["counters"].get("sim.ckernel.fallback", 0)
+
+    def test_build_failure_is_counted_with_reason(self, fresh_loader,
+                                                  monkeypatch):
+        def broken():
+            raise OSError("linker exploded")
+
+        monkeypatch.setattr(ckernel, "_build_and_load", broken)
+        before = self._fallbacks(fresh_loader)
+        assert ckernel.load_kernel() is None
+        assert ckernel.fallback_reason == "build_failed: linker exploded"
+        assert self._fallbacks(fresh_loader) == before + 1
+        rows = fresh_loader.snapshot()["records"]["sim.ckernel.fallback"]
+        assert rows[-1] == {"reason": "build_failed: linker exploded"}
+        # Once per process: a second call neither retries nor recounts.
+        assert ckernel.load_kernel() is None
+        assert self._fallbacks(fresh_loader) == before + 1
+
+    def test_missing_compiler_and_opt_out_reasons(self, fresh_loader,
+                                                  monkeypatch):
+        monkeypatch.setattr(ckernel, "_build_and_load", lambda: None)
+        assert ckernel.load_kernel() is None
+        assert ckernel.fallback_reason == "no_compiler"
+
+        monkeypatch.setattr(ckernel, "_load_attempted", False)
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+        assert ckernel.load_kernel() is None
+        assert ckernel.fallback_reason == "disabled"
 
 
 # ----------------------------------------------------------------------
