@@ -1,7 +1,7 @@
 """Glitch-replay engine: before/after milliseconds per cycle transition.
 
 "Before" is the seed implementation kept verbatim in
-``repro.hdl.power.monte_carlo._event_toggles_legacy``: a fresh heapq
+``tests.oracles.event_heap.event_toggles_legacy``: a fresh heapq
 event simulator per call, full per-cycle stimulus dicts, per-gate
 ``cell_eval`` dispatch.  "After" is the shipping path of
 ``estimate_power``: a shared simulator, delta stimulus straight from the
@@ -11,6 +11,8 @@ compiler is present (pure-Python time wheel otherwise).
 Emits ``BENCH_power_engine.json`` (repro.bench/1 envelope) at the
 repository root with the per-design numbers; the equivalence of per-net
 toggle counts between the two paths is asserted in the same breath.
+Run it from the repository root (``python -m pytest``), which puts the
+``tests`` package on the import path.
 """
 
 import os
@@ -20,12 +22,9 @@ from _bench_io import write_bench
 from repro.eval.experiments import cached_module
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.library import default_library
-from repro.hdl.power.monte_carlo import (
-    _event_toggles_legacy,
-    _replay,
-    shared_event_simulator,
-)
+from repro.hdl.power.monte_carlo import _replay, shared_event_simulator
 from repro.hdl.sim.levelized import LevelizedSimulator
+from tests.oracles.event_heap import event_toggles_legacy
 
 #: Cycles for the engine comparison — small, because the *before* path
 #: is the slow one being measured.
@@ -54,8 +53,8 @@ def test_bench_power_engine(report_sink):
         run = LevelizedSimulator(module).run(stim, N_CYCLES)
 
         t0 = time.perf_counter()
-        before_totals = _event_toggles_legacy(module, lib, run, stim,
-                                              N_CYCLES)
+        before_totals = event_toggles_legacy(module, lib, run, stim,
+                                             N_CYCLES)
         before_s = time.perf_counter() - t0
 
         # Warm the shared simulator (construction is amortized across

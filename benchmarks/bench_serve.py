@@ -56,8 +56,8 @@ ROUNDS = int(os.environ.get("REPRO_SERVE_BENCH_ROUNDS", "3"))
 
 #: Saturating load: large bursts, no inter-burst gap, generous timeout
 #: so words fill rather than flush early.
-LOAD = dict(seed=SEED, burst_mean=64, gap_ms=0.0, specials=0.02,
-            max_wait=0.05, verify=True, warm=False)
+LOAD = dict(seed=SEED, burst_mean=64, specials=0.02, max_wait=0.05,
+            warm=False)
 
 
 def _best_run(**kwargs):

@@ -6,6 +6,7 @@ Usage::
     python -m repro table3 table5        # selected experiments
     python -m repro --cycles 32 table3   # deeper Monte Carlo
     python -m repro export-verilog mfmult out.v
+    python -m repro report --workers 2   # full report (= repro.eval.report)
     python -m repro cache stats          # result-cache maintenance
     python -m repro perf record          # append BENCH_* to perf history
     python -m repro perf check           # gate vs the rolling baseline
@@ -16,7 +17,17 @@ Usage::
 """
 
 import argparse
+import importlib
 import sys
+
+#: Subcommands that delegate to their own module's ``main(argv)``.
+_SUBCOMMANDS = {
+    "report": "repro.eval.report",
+    "cache": "repro.eval.cache",
+    "perf": "repro.eval.perf",
+    "tune": "repro.eval.tune",
+    "worker": "repro.eval.sched.daemon",
+}
 
 
 def _experiment_registry():
@@ -51,60 +62,16 @@ def main(argv=None):
     parser.add_argument("--cycles", type=int, default=16,
                         help="Monte Carlo cycles for the power "
                              "experiments (default 16)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="for 'report': worker processes for the "
-                             "experiment job graph (default serial)")
-    parser.add_argument("--backend", default="auto",
-                        help="for 'report': execution backend "
-                             "(auto/inline/workers/remote)")
-    parser.add_argument("--hosts", default=None,
-                        help="for 'report' with --backend remote: "
-                             "worker daemons as HOST:PORT,... "
-                             "(default REPRO_SCHED_HOSTS)")
-    parser.add_argument("--output", default=None,
-                        help="for 'report': write the markdown report "
-                             "to this path")
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "cache":
-        # Result-cache maintenance: delegate to the cache CLI.
-        from repro.eval.cache import main as cache_main
-
-        return cache_main(argv[1:])
-    if argv and argv[0] == "perf":
-        # Perf-history record/check: delegate to the perf-gate CLI.
-        from repro.eval.perf import main as perf_main
-
-        return perf_main(argv[1:])
-    if argv and argv[0] == "tune":
-        # Superword width auto-tuner: delegate to the tuner CLI.
-        from repro.eval.tune import main as tune_main
-
-        return tune_main(argv[1:])
-    if argv and argv[0] == "worker":
-        # Remote-backend worker daemon: delegate to the daemon CLI.
-        from repro.eval.sched.daemon import main as worker_main
-
-        return worker_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        # Each subcommand owns its CLI; hand it the remaining arguments.
+        module = importlib.import_module(_SUBCOMMANDS[argv[0]])
+        return module.main(argv[1:])
     args = parser.parse_args(argv)
 
     if args.targets and args.targets[0] == "export-verilog":
         return _export_verilog(args.targets[1:])
-    if args.targets and args.targets[0] == "report":
-        # The full orchestrated CLI lives at ``python -m repro.eval.report``;
-        # this short form keeps the historic sections and defaults.
-        from repro.eval.report import generate_report
-
-        text = generate_report(n_cycles=args.cycles,
-                               out_path=args.output,
-                               workers=args.workers,
-                               backend=args.backend,
-                               hosts=args.hosts)
-        if args.output:
-            print(f"wrote report to {args.output}")
-        else:
-            print(text)
-        return 0
 
     registry = _experiment_registry()
     targets = args.targets or list(registry)

@@ -548,13 +548,11 @@ def _fault_jobs_factory(which, default_mutations, default_seed):
         from repro.eval.fault_injection import chunk_plan
 
         p = {"n_mutations": default_mutations, "seed": default_seed,
-             "chunks": None, "mode": "differential",
-             "battery_patterns": None, **params}
+             "chunks": None, "battery_patterns": None, **params}
         plan = chunk_plan(p["n_mutations"], p["seed"], p["chunks"])
         leaves = [job(f"{name}/chunk{i}",
                       "repro.eval.fault_injection:coverage_chunk",
                       which=which, n_mutations=size, seed=chunk_seed,
-                      mode=p["mode"],
                       battery_patterns=p["battery_patterns"], weight=5.0)
                   for i, (chunk_seed, size) in enumerate(plan)]
         return leaves + [job(name, _merge_fault,

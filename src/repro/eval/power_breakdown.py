@@ -34,7 +34,7 @@ FORMAT_ALIASES = {
 
 
 def run_breakdown(module_name="mf", fmt="fp32_dual", n_cycles=64,
-                  seed=2017, frequency_mhz=100.0, glitch=True):
+                  seed=2017):
     """Estimate power with attribution and return ``(report, module)``."""
     module = cached_module(module_name)
     lib = default_library()
@@ -43,9 +43,7 @@ def run_breakdown(module_name="mf", fmt="fp32_dual", n_cycles=64,
         stim = gen.mf_stimulus(fmt, n_cycles)
     else:
         stim = gen.multiplier_stimulus(n_cycles)
-    report = estimate_power(module, lib, stim, n_cycles,
-                            frequency_mhz=frequency_mhz, glitch=glitch,
-                            attribution=True)
+    report = estimate_power(module, lib, stim, n_cycles, attribution=True)
     return report, module
 
 
@@ -90,9 +88,6 @@ def main(argv=None):
     parser.add_argument("--cycles", type=int, default=64,
                         help="Monte Carlo cycles (default 64)")
     parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--frequency-mhz", type=float, default=100.0)
-    parser.add_argument("--no-glitch", action="store_true",
-                        help="zero-delay activity only")
     parser.add_argument("--top", type=int, default=10,
                         help="hot nets to list (default 10)")
     parser.add_argument("--json", action="store_true",
@@ -102,8 +97,7 @@ def main(argv=None):
     fmt = FORMAT_ALIASES[args.format]
     report, module = run_breakdown(
         module_name=args.module, fmt=fmt, n_cycles=args.cycles,
-        seed=args.seed, frequency_mhz=args.frequency_mhz,
-        glitch=not args.no_glitch)
+        seed=args.seed)
     att = report.attribution
 
     if args.json:

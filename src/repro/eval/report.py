@@ -12,8 +12,8 @@ section is an experiment job graph, fanned out over worker processes
 sections rendered in fixed order so the document is byte-identical
 across serial, parallel and cache-served runs.
 
-Exposed on the CLI as ``python -m repro.eval.report`` (see ``--help``)
-and, in short form, as ``python -m repro report``.
+Exposed on the CLI as ``python -m repro.eval.report`` (see ``--help``);
+``python -m repro report`` is the same command.
 """
 
 import argparse
@@ -33,8 +33,7 @@ DEFAULT_OUTPUT = (Path(__file__).resolve().parents[3]
 
 
 def report_sections(n_cycles=12, include_sweeps=True,
-                    include_verification=True, mutations=12,
-                    fault_mode="differential"):
+                    include_verification=True, mutations=12):
     """The ordered ``(title, experiment, params)`` section list."""
     sections: List[Tuple[str, str, Dict]] = [
         ("Table I — radix-16 multiplier", "table1", {}),
@@ -66,16 +65,15 @@ def report_sections(n_cycles=12, include_sweeps=True,
     if include_verification:
         sections += [
             ("Verification — mutation coverage (radix-16)", "fault_r16",
-             {"n_mutations": mutations, "mode": fault_mode}),
+             {"n_mutations": mutations}),
             ("Verification — mutation coverage (MF unit)", "fault_mf",
-             {"n_mutations": mutations, "mode": fault_mode}),
+             {"n_mutations": mutations}),
         ]
     return sections
 
 
 def generate_report(n_cycles=12, out_path=None, include_sweeps=False,
-                    include_verification=False, mutations=12,
-                    fault_mode="differential", workers=0,
+                    include_verification=False, mutations=12, workers=0,
                     cache=True, filters=None, metrics=None,
                     backend="auto", progress=None, hosts=None):
     """Run all experiments; returns the report text (and writes it).
@@ -104,8 +102,7 @@ def generate_report(n_cycles=12, out_path=None, include_sweeps=False,
     sections = report_sections(n_cycles=n_cycles,
                                include_sweeps=include_sweeps,
                                include_verification=include_verification,
-                               mutations=mutations,
-                               fault_mode=fault_mode)
+                               mutations=mutations)
     if filters:
         sections = [s for s in sections
                     if any(f in s[1] or f in s[0] for f in filters)]
@@ -272,12 +269,6 @@ def main(argv=None):
     parser.add_argument("--mutations", type=int, default=12,
                         help="mutations per fault-injection campaign "
                              "(default 12)")
-    parser.add_argument("--fault-mode", default="differential",
-                        choices=("differential", "full"),
-                        help="fault-campaign engine: shared-golden "
-                             "cone propagation (default) or full "
-                             "re-simulation per mutant — coverage "
-                             "results are bit-identical")
     parser.add_argument("--no-sweeps", action="store_true",
                         help="skip the ablation sweep sections")
     parser.add_argument("--no-verification", action="store_true",
@@ -301,7 +292,6 @@ def main(argv=None):
             include_sweeps=not args.no_sweeps,
             include_verification=not args.no_verification,
             mutations=args.mutations,
-            fault_mode=args.fault_mode,
             workers=args.workers,
             cache=not args.no_cache,
             filters=args.filter,

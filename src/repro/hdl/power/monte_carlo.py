@@ -147,11 +147,9 @@ def estimate_power_batch(module, library, jobs, frequency_mhz=100.0,
         if glitch:
             with obs.span("power:glitch_replay", cat="power",
                           module=module.name, workers=1):
-                t0 = time.perf_counter()
                 event_toggles, sim_stats = _replay(
                     esim, seg.values, offset + 1, offset + n_cycles - 1)
                 sim_stats["workers"] = 1
-                sim_stats["elapsed_s"] = time.perf_counter() - t0
         else:
             event_toggles = zero_toggles
             sim_stats = {"engine": "zero-delay", "kernel": "none",
@@ -240,9 +238,11 @@ def _replay(esim, packed_values, t_first, t_last):
 
     ``packed_values`` are the levelized run's per-net pattern words
     (bit ``t`` = value in cycle ``t``).  Returns per-net toggle totals
-    and the replay's perf counters.
+    and the replay's perf counters; ``elapsed_s`` is the replay's own
+    wall time, so it means the same on the batch and the shard path.
     """
     totals = [0] * esim.module.n_nets
+    t0 = time.perf_counter()
     counts = esim.replay(packed_values, t_first, t_last,
                          toggles_out=totals)
     stats = {"engine": esim.engine, "kernel": esim.kernel,
@@ -250,7 +250,8 @@ def _replay(esim, packed_values, t_first, t_last):
              "events_processed": counts.events_processed,
              "cancellations": counts.cancelled,
              "wheel_buckets": counts.wheel_buckets,
-             "wheel_max_bucket": counts.wheel_max_bucket}
+             "wheel_max_bucket": counts.wheel_max_bucket,
+             "elapsed_s": time.perf_counter() - t0}
     return totals, stats
 
 
@@ -304,24 +305,28 @@ def merge_shard_results(n_nets, results):
     """Deterministically merge per-window ``(totals, stats)`` pairs.
 
     Toggle counts sum element-wise (integer arithmetic — order
-    independent); perf counters sum, ``wheel_max_bucket`` takes the
-    max, ``kernel`` last-wins, so any partitioning of the transition
-    sequence yields the same merged result.
+    independent); perf counters and replay time sum,
+    ``wheel_max_bucket`` takes the max, and ``kernel`` is the kernel
+    every shard ran on (``"mixed"`` when they differ), so any
+    partitioning or ordering of the transition sequence yields the same
+    merged result.
     """
     totals = [0] * n_nets
-    merged = {"engine": "wheel", "kernel": "python", "transitions": 0,
+    merged = {"engine": "wheel", "transitions": 0,
               "events_processed": 0, "cancellations": 0,
-              "wheel_buckets": 0, "wheel_max_bucket": 0}
+              "wheel_buckets": 0, "wheel_max_bucket": 0, "elapsed_s": 0.0}
+    kernels = set()
     for window_totals, stats in results:
-        merged["kernel"] = stats["kernel"]
+        kernels.add(stats["kernel"])
         for net, c in enumerate(window_totals):
             if c:
                 totals[net] += c
         for key in ("transitions", "events_processed", "cancellations",
-                    "wheel_buckets"):
+                    "wheel_buckets", "elapsed_s"):
             merged[key] += stats[key]
         if stats["wheel_max_bucket"] > merged["wheel_max_bucket"]:
             merged["wheel_max_bucket"] = stats["wheel_max_bucket"]
+    merged["kernel"] = kernels.pop() if len(kernels) == 1 else "mixed"
     return totals, merged
 
 
@@ -346,40 +351,6 @@ def power_report_from_shards(module, library, stimulus, n_cycles,
     event_toggles, sim_stats = merge_shard_results(module.n_nets,
                                                    shard_outputs)
     sim_stats["workers"] = len(shard_outputs)
-    sim_stats["elapsed_s"] = t_level
     return _assemble_report(module, library, n_cycles, zero_toggles,
                             event_toggles, sim_stats, energies, owner,
                             t_level, frequency_mhz, True, attribution)
-
-
-# ----------------------------------------------------------------------
-# reference implementation (seed algorithm)
-# ----------------------------------------------------------------------
-
-def _event_toggles_legacy(module, library, run, stimulus, n_cycles):
-    """The seed's replay: fresh heapq simulator, full per-cycle dicts.
-
-    Kept verbatim as the independent reference for the equivalence
-    tests and the before/after engine benchmark; not used by
-    :func:`estimate_power`.
-    """
-    esim = EventSimulator(module, library, engine="heap")
-    totals = [0] * module.n_nets
-
-    def cycle_stimulus(t):
-        values = {}
-        for name, bus in module.inputs.items():
-            word = stimulus[name][t] if t < len(stimulus[name]) else 0
-            for i, net in enumerate(bus):
-                values[net] = (word >> i) & 1
-        for reg in module.registers:
-            values[reg.q] = run.net_value(reg.q, t)
-        return values
-
-    esim.initialize(cycle_stimulus(0))
-    for t in range(1, n_cycles):
-        counts = esim.apply(cycle_stimulus(t))
-        for net, c in enumerate(counts.toggles):
-            if c:
-                totals[net] += c
-    return totals

@@ -9,11 +9,13 @@
   which is exact for the feed-forward pipelines used here.
 * :mod:`repro.hdl.sim.event` — event-driven with per-gate load-dependent
   delays: counts *all* transitions including glitches, the quantity the
-  paper's combinational-vs-pipelined power comparison hinges on.  The
-  default engine is a bucketed time wheel; the historic heapq engine
-  remains as the reference implementation.
+  paper's combinational-vs-pipelined power comparison hinges on.  It
+  runs a bucketed time wheel, with an optional C kernel for replays.
 * :mod:`repro.hdl.sim.toposort` — the shared Kahn topological ordering
   everything above (and timing/pipelining) builds on.
+
+The reference engines these must match bit-for-bit live in
+``tests/oracles/``, not here.
 """
 
 from repro.hdl.sim.compile import CompiledModule, compile_module, compiled_module

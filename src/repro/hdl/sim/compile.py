@@ -147,10 +147,6 @@ class CompiledModule:
     n_nets: int
     n_gates: int
     n_registers: int
-    #: Levelized node order: gate indices >= 0, registers as -1 - ridx.
-    order: List[int]
-    #: Combinational-only gate order (register q nets act as sources).
-    gate_order: List[int]
     _tag: str = "module"
     _level_stmts: List[str] = field(repr=False, default_factory=list)
     _settle_stmts: List[str] = field(repr=False, default_factory=list)
@@ -243,13 +239,11 @@ def compile_module(module):
 
 
 def _compile_module(module):
-    order = topo_node_order(module)
-    gate_order = topo_gate_order(module)
     gates = module.gates
     registers = module.registers
 
     level_stmts = []
-    for node in order:
+    for node in topo_node_order(module):
         if node >= 0:
             gate = gates[node]
             level_stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
@@ -257,14 +251,12 @@ def _compile_module(module):
             reg = registers[-node - 1]
             level_stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & R")
     settle_stmts = [f"v[{gates[idx].output}] = {gate_expr(gates[idx])}"
-                    for idx in gate_order]
+                    for idx in topo_gate_order(module)]
 
     return CompiledModule(
         n_nets=module.n_nets,
         n_gates=len(gates),
         n_registers=len(registers),
-        order=order,
-        gate_order=gate_order,
         _tag=module.name or "module",
         _level_stmts=level_stmts,
         _settle_stmts=settle_stmts,

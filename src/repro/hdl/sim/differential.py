@@ -116,7 +116,7 @@ class DifferentialEngine:
     """
 
     def __init__(self, module, stimulus, n_patterns, observation,
-                 compiled=True, golden=None):
+                 golden=None):
         self.module = module
         self.n_patterns = n_patterns
         self.m = mask(n_patterns)
@@ -130,8 +130,8 @@ class DifferentialEngine:
             obs.registry().inc("fault.golden_runs")
             with obs.span("fault:golden", cat="fault", module=module.name,
                           patterns=n_patterns):
-                golden = LevelizedSimulator(module, compiled=compiled).run(
-                    stimulus, n_patterns)
+                golden = LevelizedSimulator(module).run(stimulus,
+                                                        n_patterns)
         self.golden = golden
         self._golden = self.golden.values
         #: The overlay: golden everywhere except a mutant's changed nets
@@ -161,24 +161,9 @@ class DifferentialEngine:
             consumers[reg.d].append(-1 - ridx)
         self._consumers = consumers
 
-        if compiled:
-            self._evals = compiled_module(module).make_masked_gate_evals(
-                self._work, self.m)
-        else:
-            self._evals = self._interpreted_evals()
+        self._evals = compiled_module(module).make_masked_gate_evals(
+            self._work, self.m)
         self._cone_cache: Dict[int, int] = {}
-
-    def _interpreted_evals(self):
-        """Reference closures over ``cell_eval`` (equivalence tests)."""
-        work = self._work
-        m = self.m
-        evals = []
-        for gate in self._gates:
-            fn = cell_eval(gate.kind)
-            ins = gate.inputs
-            evals.append(lambda fn=fn, ins=ins:
-                         fn(m, *[work[n] for n in ins]) & m)
-        return evals
 
     def cone_size(self, gate_index):
         """Static transitive fan-out cone node count (gate included)."""

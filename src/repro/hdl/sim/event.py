@@ -13,27 +13,21 @@ treats register outputs as stimulus nets whose per-cycle values come
 from the exact levelized simulation, which is both faster and exact for
 feed-forward pipelines.
 
-Two event engines are available:
+The engine is a bucketed **time wheel**: pending events are grouped
+by their exact maturity time in a dict of FIFO buckets, with a small
+heap over the *distinct* times only.  Cell delays come from a small
+discrete set, so event times collide massively and the heap holds one
+entry per distinct timestamp instead of one per event.  Gate outputs
+are recomputed through the compiled per-gate closures of
+:mod:`repro.hdl.sim.compile`, and the zero-delay settle in
+:meth:`EventSimulator.initialize` runs the compiled kernel.  Stimulus
+can be a *delta* — just the nets that changed — so callers replaying a
+cycle sequence need not rebuild a full per-cycle dict.
 
-* ``engine="wheel"`` (default) — a bucketed **time wheel**: pending
-  events are grouped by their exact maturity time in a dict of FIFO
-  buckets, with a small heap over the *distinct* times only.  Cell
-  delays come from a small discrete set, so event times collide
-  massively and the heap shrinks from one entry per event to one entry
-  per distinct timestamp.  Gate outputs are recomputed through the
-  compiled per-gate closures of :mod:`repro.hdl.sim.compile`, and the
-  zero-delay settle in :meth:`EventSimulator.initialize` runs the
-  compiled kernel.  Stimulus can be a *delta* — just the nets that
-  changed — so callers replaying a cycle sequence need not rebuild a
-  full per-cycle dict.
-* ``engine="heap"`` — the historic implementation: one global ``heapq``
-  entry per event, per-gate ``cell_eval`` dispatch.  Kept as the
-  independent reference the equivalence tests (and the before/after
-  benchmark) run against.
-
-Both engines process events in the identical order — ascending time,
-insertion order within a timestamp, with the same inertial cancellation
-rule — and therefore produce **bit-identical** ``TransitionCounts``.
+Events are processed in ascending time, insertion order within a
+timestamp, with inertial cancellation — the order of the historic
+one-heap-entry-per-event engine, which ``tests/oracles/event_heap.py``
+keeps as the reference the wheel must match bit-for-bit.
 
 For long cycle replays :meth:`EventSimulator.replay` additionally uses
 the optional compiled C kernel (:mod:`repro.hdl.sim.ckernel`) when a
@@ -62,9 +56,9 @@ class TransitionCounts:
     settle_time_ps: float
     #: Events swallowed by inertial cancellation (subset of processed).
     cancelled: int = 0
-    #: Distinct timestamps the wheel visited (0 for the heap engine).
+    #: Distinct timestamps the wheel visited.
     wheel_buckets: int = 0
-    #: Largest single-timestamp bucket (0 for the heap engine).
+    #: Largest single-timestamp bucket.
     wheel_max_bucket: int = 0
 
     def total(self):
@@ -74,12 +68,12 @@ class TransitionCounts:
 class EventSimulator:
     """Transport-delay simulator over one module's combinational gates."""
 
-    def __init__(self, module, library, engine="wheel"):
-        if engine not in ("wheel", "heap"):
-            raise SimulationError(f"unknown event engine {engine!r}")
+    #: Reported as ``sim_stats["engine"]`` and on ``sim:replay`` spans.
+    engine = "wheel"
+
+    def __init__(self, module, library):
         self.module = module
         self.library = library
-        self.engine = engine
         load = module.load_map(library)
         self._delay = [0.0] * len(module.gates)
         for idx, gate in enumerate(module.gates):
@@ -101,8 +95,7 @@ class EventSimulator:
         self._stimulus_nets = set(self._stim_order)
         self._initialized = False
         self._compiled = compiled_module(module)
-        # Per-gate closures recomputing each output bit from self.values
-        # (wheel engine only; the heap engine keeps cell_eval dispatch).
+        # Per-gate closures recomputing each output bit from self.values.
         # Built on first use: a replay served entirely by the compiled C
         # kernel never needs them.
         self._gate_val = None
@@ -112,10 +105,9 @@ class EventSimulator:
         self._trig_mark = [0] * len(module.gates)
         self._counter = 0
         # Compiled C kernel for replay(), when a compiler is available
-        # and the module fits its evaluation model (wheel engine only —
-        # the heap engine stays a pure-Python reference).
+        # and the module fits its evaluation model.
         self._ck = None
-        if engine == "wheel" and ckernel.supports(module):
+        if ckernel.supports(module):
             lib = ckernel.load_kernel()
             if lib is not None:
                 self._ck = ckernel.CKernel(lib, module, self._delay,
@@ -151,10 +143,7 @@ class EventSimulator:
         for net, val in stimulus.items():
             values[net] = val & 1
         # Zero-delay settle in topological order.
-        if self.engine == "wheel":
-            self._compiled.settle(values)
-        else:
-            self._settle_interpreted(values)
+        self._compiled.settle(values)
         self._initialized = True
 
     def apply(self, stimulus, toggles_out=None):
@@ -173,117 +162,8 @@ class EventSimulator:
         """
         if not self._initialized:
             raise SimulationError("call initialize() before apply()")
-        if self.engine == "wheel":
-            return self._apply_wheel(stimulus, toggles_out)
-        return self._apply_heap(stimulus, toggles_out)
-
-    # ------------------------------------------------------------------
-    # cycle-sequence replay
-    # ------------------------------------------------------------------
-
-    def replay(self, packed_values, t_first, t_last, toggles_out=None):
-        """Replay cycle transitions ``t_first..t_last`` (inclusive).
-
-        ``packed_values`` are a levelized run's per-net pattern words
-        (bit ``t`` = the net's zero-delay value in cycle ``t``), which
-        must cover cycle ``t_last``.  The network seeds itself from
-        cycle ``t_first - 1`` — for feed-forward logic the event
-        simulator's settled state equals the zero-delay state, so no
-        settle pass is needed — then steps the stimulus nets through
-        each cycle's values in the canonical stimulus order.
-
-        Transitions run on the compiled C kernel when available
-        (:attr:`kernel` is ``"c"``) and otherwise on this instance's
-        Python engine, one :meth:`apply` delta per transition.  Both
-        process events in the identical total order by (maturity time,
-        schedule sequence), so the accumulated per-net toggle counts
-        are **bit-identical** across all three paths.
-
-        Returns an aggregate :class:`TransitionCounts` over the whole
-        window (``settle_time_ps`` is the final transition's).  On
-        return the simulator holds cycle ``t_last``'s settled state.
-        """
-        if t_first < 1 or t_last < t_first:
-            raise SimulationError(
-                f"bad transition window [{t_first}, {t_last}]")
-        n_nets = self.module.n_nets
-        if len(packed_values) < n_nets:
-            raise SimulationError("packed_values must cover every net")
-        toggles = toggles_out if toggles_out is not None else [0] * n_nets
-        transitions = t_last - t_first + 1
-        events = cancelled = 0
-        n_buckets = 0
-        max_bucket = 0
-        settle = 0.0
-        t0 = time.perf_counter()
-
-        if self._ck is not None:
-            ck = self._ck
-            ck.zero_toggles()
-            ck.seed(packed_values, t_first - 1)
-            t = t_first
-            while t <= t_last:
-                span = min(ckernel.WINDOW_TRANSITIONS, t_last - t + 1)
-                ev, ca, settle = ck.run(packed_values, t - 1, span)
-                events += ev
-                cancelled += ca
-                t += span
-            # Publish the kernel's state: toggle totals, and the settled
-            # scalar values (cycle t_last), so apply() can continue.
-            ck_toggles = ck.toggles
-            for net in range(n_nets):
-                count = ck_toggles[net]
-                if count:
-                    toggles[net] += count
-            values = self.values
-            ck_values = ck.values
-            for net in range(n_nets):
-                values[net] = ck_values[net]
-            self._initialized = True
-            stats = self.stats
-            stats["applies"] += transitions
-            stats["events"] += events
-            stats["cancelled"] += cancelled
-        else:
-            stim_order = self._stim_order
-            self.initialize({net: (packed_values[net] >> (t_first - 1)) & 1
-                             for net in stim_order})
-            for t in range(t_first, t_last + 1):
-                delta = [(net, (packed_values[net] >> t) & 1)
-                         for net in stim_order
-                         if ((packed_values[net] >> (t - 1))
-                             ^ (packed_values[net] >> t)) & 1]
-                counts = self.apply(delta, toggles_out=toggles)
-                events += counts.events_processed
-                cancelled += counts.cancelled
-                n_buckets += counts.wheel_buckets
-                if counts.wheel_max_bucket > max_bucket:
-                    max_bucket = counts.wheel_max_bucket
-                settle = counts.settle_time_ps
-                # apply() maintains self.stats per transition already.
-
-        reg = obs.registry()
-        reg.inc("sim.replay.calls")
-        reg.inc("sim.replay.transitions", transitions)
-        reg.inc("sim.replay.events", events)
-        reg.inc("sim.replay.cancellations", cancelled)
-        obs.complete_event(
-            "sim:replay", t0, time.perf_counter() - t0, cat="sim",
-            module=self.module.name, kernel=self.kernel,
-            engine=self.engine, transitions=transitions, events=events)
-
-        return TransitionCounts(toggles=toggles, events_processed=events,
-                                settle_time_ps=settle, cancelled=cancelled,
-                                wheel_buckets=n_buckets,
-                                wheel_max_bucket=max_bucket)
-
-    # ------------------------------------------------------------------
-    # wheel engine
-    # ------------------------------------------------------------------
-
-    def _apply_wheel(self, stimulus, toggles_out=None):
-        # Two provably order-preserving optimizations over the heap
-        # engine's schedule-per-trigger discipline:
+        # Two provably order-preserving optimizations over the reference
+        # heap engine's schedule-per-trigger discipline:
         #
         # 1. *Deferred evaluation*: of the several evaluations a gate
         #    gets while one timestamp's bucket drains (one per changed
@@ -401,91 +281,101 @@ class EventSimulator:
                                 wheel_max_bucket=max_bucket)
 
     # ------------------------------------------------------------------
-    # heap engine (reference implementation)
+    # cycle-sequence replay
     # ------------------------------------------------------------------
 
-    def _settle_interpreted(self, values):
-        for idx in self._compiled.gate_order:
-            gate = self.module.gates[idx]
-            ins = gate.inputs
-            fn = self._eval[idx]
-            if len(ins) == 1:
-                values[gate.output] = fn(1, values[ins[0]]) & 1
-            elif len(ins) == 2:
-                values[gate.output] = fn(1, values[ins[0]], values[ins[1]]) & 1
-            elif len(ins) == 3:
-                values[gate.output] = fn(1, values[ins[0]], values[ins[1]],
-                                         values[ins[2]]) & 1
-            else:
-                values[gate.output] = fn(1, *[values[n] for n in ins]) & 1
+    def replay(self, packed_values, t_first, t_last, toggles_out=None):
+        """Replay cycle transitions ``t_first..t_last`` (inclusive).
 
-    def _apply_heap(self, stimulus, toggles_out=None):
-        values = self.values
-        gates = self.module.gates
-        fanout = self._fanout
-        delay = self._delay
-        evals = self._eval
-        toggles = (toggles_out if toggles_out is not None
-                   else [0] * self.module.n_nets)
-        heap = []
-        counter = 0
-        events = 0
-        cancelled = 0
-        # Inertial delay: only the *latest* scheduled evaluation of a net
-        # is live; re-evaluating a gate before its pending output event
-        # matures cancels that event (pulses narrower than the gate delay
-        # are swallowed, as in real cells and in HDL simulators' default
-        # inertial mode).
-        live_seq = [0] * self.module.n_nets
+        ``packed_values`` are a levelized run's per-net pattern words
+        (bit ``t`` = the net's zero-delay value in cycle ``t``), which
+        must cover cycle ``t_last``.  The network seeds itself from
+        cycle ``t_first - 1`` — for feed-forward logic the event
+        simulator's settled state equals the zero-delay state, so no
+        settle pass is needed — then steps the stimulus nets through
+        each cycle's values in the canonical stimulus order.
 
-        def schedule_fanout(net, t):
-            nonlocal counter
-            for gidx in fanout[net]:
-                gate = gates[gidx]
-                ins = gate.inputs
-                fn = evals[gidx]
-                if len(ins) == 1:
-                    val = fn(1, values[ins[0]]) & 1
-                elif len(ins) == 2:
-                    val = fn(1, values[ins[0]], values[ins[1]]) & 1
-                elif len(ins) == 3:
-                    val = fn(1, values[ins[0]], values[ins[1]],
-                             values[ins[2]]) & 1
-                else:
-                    val = fn(1, *[values[n] for n in ins]) & 1
-                counter += 1
-                out = gate.output
-                live_seq[out] = counter
-                heapq.heappush(heap, (t + delay[gidx], counter, out, val))
+        Transitions run on the compiled C kernel when available
+        (:attr:`kernel` is ``"c"``) and otherwise on the Python wheel,
+        one :meth:`apply` delta per transition — the fallback when no C
+        compiler is available.  Both process events in the identical
+        total order by (maturity time, schedule sequence), so the
+        accumulated per-net toggle counts are **bit-identical**.
 
-        # Apply all stimulus changes simultaneously at t = 0.
-        items = stimulus.items() if hasattr(stimulus, "items") else stimulus
-        changed = []
-        for net, val in items:
-            val &= 1
-            if values[net] != val:
-                values[net] = val
-                toggles[net] += 1
-                changed.append(net)
+        Returns an aggregate :class:`TransitionCounts` over the whole
+        window (``settle_time_ps`` is the final transition's).  On
+        return the simulator holds cycle ``t_last``'s settled state.
+        """
+        if t_first < 1 or t_last < t_first:
+            raise SimulationError(
+                f"bad transition window [{t_first}, {t_last}]")
+        n_nets = self.module.n_nets
+        if len(packed_values) < n_nets:
+            raise SimulationError("packed_values must cover every net")
+        toggles = toggles_out if toggles_out is not None else [0] * n_nets
+        transitions = t_last - t_first + 1
+        events = cancelled = 0
+        n_buckets = 0
+        max_bucket = 0
         settle = 0.0
-        for net in changed:
-            schedule_fanout(net, 0.0)
+        t0 = time.perf_counter()
 
-        while heap:
-            t, seq, net, val = heapq.heappop(heap)
-            events += 1
-            if seq != live_seq[net]:
-                cancelled += 1
-                continue            # cancelled by a newer evaluation
-            if values[net] == val:
-                continue
-            values[net] = val
-            toggles[net] += 1
-            settle = t
-            schedule_fanout(net, t)
-        stats = self.stats
-        stats["applies"] += 1
-        stats["events"] += events
-        stats["cancelled"] += cancelled
+        if self._ck is not None:
+            ck = self._ck
+            ck.zero_toggles()
+            ck.seed(packed_values, t_first - 1)
+            t = t_first
+            while t <= t_last:
+                span = min(ckernel.WINDOW_TRANSITIONS, t_last - t + 1)
+                ev, ca, settle = ck.run(packed_values, t - 1, span)
+                events += ev
+                cancelled += ca
+                t += span
+            # Publish the kernel's state: toggle totals, and the settled
+            # scalar values (cycle t_last), so apply() can continue.
+            ck_toggles = ck.toggles
+            for net in range(n_nets):
+                count = ck_toggles[net]
+                if count:
+                    toggles[net] += count
+            values = self.values
+            ck_values = ck.values
+            for net in range(n_nets):
+                values[net] = ck_values[net]
+            self._initialized = True
+            stats = self.stats
+            stats["applies"] += transitions
+            stats["events"] += events
+            stats["cancelled"] += cancelled
+        else:
+            stim_order = self._stim_order
+            self.initialize({net: (packed_values[net] >> (t_first - 1)) & 1
+                             for net in stim_order})
+            for t in range(t_first, t_last + 1):
+                delta = [(net, (packed_values[net] >> t) & 1)
+                         for net in stim_order
+                         if ((packed_values[net] >> (t - 1))
+                             ^ (packed_values[net] >> t)) & 1]
+                counts = self.apply(delta, toggles_out=toggles)
+                events += counts.events_processed
+                cancelled += counts.cancelled
+                n_buckets += counts.wheel_buckets
+                if counts.wheel_max_bucket > max_bucket:
+                    max_bucket = counts.wheel_max_bucket
+                settle = counts.settle_time_ps
+                # apply() maintains self.stats per transition already.
+
+        reg = obs.registry()
+        reg.inc("sim.replay.calls")
+        reg.inc("sim.replay.transitions", transitions)
+        reg.inc("sim.replay.events", events)
+        reg.inc("sim.replay.cancellations", cancelled)
+        obs.complete_event(
+            "sim:replay", t0, time.perf_counter() - t0, cat="sim",
+            module=self.module.name, kernel=self.kernel,
+            engine=self.engine, transitions=transitions, events=events)
+
         return TransitionCounts(toggles=toggles, events_processed=events,
-                                settle_time_ps=settle, cancelled=cancelled)
+                                settle_time_ps=settle, cancelled=cancelled,
+                                wheel_buckets=n_buckets,
+                                wheel_max_bucket=max_bucket)

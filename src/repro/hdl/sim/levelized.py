@@ -11,16 +11,10 @@ pipeline (cycle ``t`` sees the previous cycle's ``d``).  Pattern ``t``
 of a primary input is therefore the word applied at cycle ``t``, and an
 ``L``-stage unit's outputs line up with inputs ``L - 1`` cycles earlier.
 
-Two evaluation kernels exist:
-
-* the default **compiled** kernel (see :mod:`repro.hdl.sim.compile`)
-  runs straight-line generated code — one statement per gate — and is
-  what every hot path uses;
-* the historic **interpreted** kernel (``compiled=False``) dispatches
-  through ``cell_eval`` per gate; it is kept as the independent
-  reference implementation the equivalence tests compare against.
-
-Both produce bit-identical values.
+Gates are evaluated by the compiled kernel of
+:mod:`repro.hdl.sim.compile`: straight-line generated code, one
+statement per gate.  The historic per-gate ``cell_eval`` interpreter it
+must match bit-for-bit lives in ``tests/oracles/levelized.py``.
 """
 
 from dataclasses import dataclass
@@ -28,9 +22,7 @@ from typing import Dict, List, Tuple
 
 from repro.bits.utils import mask, popcount
 from repro.errors import SimulationError
-from repro.hdl.cell import cell_eval
 from repro.hdl.sim.compile import compiled_module
-from repro.hdl.sim.toposort import topo_node_order
 
 _M64 = (1 << 64) - 1
 _Z8 = bytes(8)
@@ -238,11 +230,9 @@ def segment_plan(lengths):
 class LevelizedSimulator:
     """Topologically ordered bit-parallel evaluator for one module."""
 
-    def __init__(self, module, compiled=True):
+    def __init__(self, module):
         self.module = module
-        self._kernel = compiled_module(module) if compiled else None
-        self._order = (self._kernel.order if self._kernel is not None
-                       else topo_node_order(module))
+        self._kernel = compiled_module(module)
 
     def run(self, stimulus, n_patterns):
         """Simulate ``n_patterns`` patterns.
@@ -265,10 +255,7 @@ class LevelizedSimulator:
         for net, cval in module.constants.items():
             values[net] = m if cval else 0
 
-        if self._kernel is not None:
-            self._kernel.run_levelized(values, m)
-        else:
-            self._run_interpreted(values, m)
+        self._kernel.run_levelized(values, m)
         return SimRun(n_patterns=n_patterns, values=values)
 
     def run_segments(self, jobs):
@@ -309,35 +296,5 @@ class LevelizedSimulator:
         for net, cval in module.constants.items():
             values[net] = m if cval else 0
 
-        if self._kernel is not None:
-            self._kernel.run_levelized(values, m, reg_mask)
-        else:
-            self._run_interpreted(values, m, reg_mask)
+        self._kernel.run_levelized(values, m, reg_mask)
         return SegmentedRun(segments=segments, values=values)
-
-    def _run_interpreted(self, values, m, reg_mask=None):
-        """Per-gate ``cell_eval`` dispatch — the reference kernel."""
-        gates = self.module.gates
-        registers = self.module.registers
-        if reg_mask is None:
-            reg_mask = m
-        for node in self._order:
-            if node >= 0:
-                gate = gates[node]
-                fn = cell_eval(gate.kind)
-                ins = gate.inputs
-                if len(ins) == 1:
-                    values[gate.output] = fn(m, values[ins[0]]) & m
-                elif len(ins) == 2:
-                    values[gate.output] = fn(m, values[ins[0]],
-                                             values[ins[1]]) & m
-                elif len(ins) == 3:
-                    values[gate.output] = fn(m, values[ins[0]],
-                                             values[ins[1]],
-                                             values[ins[2]]) & m
-                else:
-                    values[gate.output] = fn(
-                        m, *[values[n] for n in ins]) & m
-            else:
-                reg = registers[-node - 1]
-                values[reg.q] = (values[reg.d] << 1) & reg_mask

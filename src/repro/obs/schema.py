@@ -12,8 +12,8 @@ from typing import Dict
 #: Every key a ``PowerReport.sim_stats`` dict carries, with the value
 #: used when an engine has nothing to report for it.
 SIM_STATS_DEFAULTS: Dict[str, object] = {
-    "engine": "unknown",          # "wheel" | "heap" | "zero-delay"
-    "kernel": "none",             # "c" | "python" | "none"
+    "engine": "unknown",          # "wheel" | "zero-delay"
+    "kernel": "none",             # "c" | "python" | "mixed" | "none"
     "workers": 1,
     "transitions": 0,
     "events_processed": 0,

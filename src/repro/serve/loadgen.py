@@ -1,16 +1,15 @@
 """Seeded mixed-format load generator for the simulation service.
 
 Models a population of independent callers hitting the server with
-bursty arrivals: requests come in geometric bursts (back-to-back
-submissions) separated by configurable gaps, drawn from a seeded RNG so
-every run is reproducible.  The traffic mix spans all five lanes —
+bursty arrivals: requests come in geometric bursts of back-to-back
+submissions, drawn from a seeded RNG so every run is reproducible.  The traffic mix spans all five lanes —
 int64, fp64, dual fp32, quad fp16 multiplies and fp64->fp32 reduction
 probes — with optional IEEE special values sprinkled in to exercise the
 software-envelope path.
 
 Every completed transaction is checked bit-for-bit against
-:func:`repro.serve.transactions.reference_result` (``--no-verify`` to
-skip), so a load run is also a correctness campaign.
+:func:`repro.serve.transactions.reference_result`, so a load run is
+also a correctness campaign.
 
 CLI::
 
@@ -152,9 +151,8 @@ def warm_engines(mix=None):
             break
 
 
-def run_load(requests=256, seed=2017, baseline=False, max_batch=None,
-             max_wait=0.02, max_depth=None, burst_mean=16, gap_ms=0.0,
-             specials=0.02, mix=None, verify=True, warm=True,
+def run_load(requests=256, seed=2017, baseline=False, max_wait=0.02,
+             burst_mean=16, specials=0.02, mix=None, warm=True,
              telemetry_port=None, before_stop=None,
              word_patterns=WORD_PATTERNS):
     """Drive one load run; returns the result record (JSON-ready).
@@ -162,8 +160,8 @@ def run_load(requests=256, seed=2017, baseline=False, max_batch=None,
     ``baseline=True`` is the one-transaction-per-word configuration:
     every word carries a single pattern, so the requests/sec it sustains
     is the unbatched floor the coalescing server is measured against.
-    ``word_patterns`` (a multiple of 64) widens the simulation word;
-    ``max_batch=None`` coalesces up to the full word.
+    Otherwise words coalesce up to ``word_patterns`` (a multiple of
+    64) transactions.
 
     ``telemetry_port`` (0 = ephemeral) starts the server's HTTP
     telemetry endpoint for the run; ``before_stop(server)`` is called
@@ -186,8 +184,7 @@ def run_load(requests=256, seed=2017, baseline=False, max_batch=None,
     occ_before = reg.aggregate("serve.batch.occupancy")
     occ_buckets_before = (occ_before or {}).get("buckets", {})
 
-    server = Server(max_batch=1 if baseline else max_batch,
-                    max_wait=max_wait, max_depth=max_depth,
+    server = Server(max_batch=1 if baseline else None, max_wait=max_wait,
                     telemetry_port=telemetry_port,
                     word_patterns=word_patterns)
     tickets = []
@@ -199,8 +196,6 @@ def run_load(requests=256, seed=2017, baseline=False, max_batch=None,
                 break
             tickets.append(server.submit(txs[i]))
             i += 1
-        if gap_ms:
-            time.sleep(gap_ms / 1000.0)
     server.drain()
     wall_s = time.perf_counter() - t0
     if before_stop is not None:
@@ -215,7 +210,7 @@ def run_load(requests=256, seed=2017, baseline=False, max_batch=None,
         result = ticket.result(timeout=0)
         latencies_ms.append(ticket.latency_s * 1e3)
         per_lane[tx.lane] = per_lane.get(tx.lane, 0) + 1
-        if verify and result != reference_result(tx):
+        if result != reference_result(tx):
             mismatches += 1
     latencies_ms.sort()
 
@@ -273,11 +268,9 @@ def run_load(requests=256, seed=2017, baseline=False, max_batch=None,
         "requests": requests,
         "seed": seed,
         "mode": "baseline" if baseline else "coalesced",
-        "max_batch": 1 if baseline else (max_batch if max_batch is not None
-                                         else word_patterns),
+        "max_batch": 1 if baseline else word_patterns,
         "max_wait_s": max_wait,
         "burst_mean": burst_mean,
-        "gap_ms": gap_ms,
         "specials_fraction": specials,
         "wall_s": round(wall_s, 6),
         "requests_per_s": round(requests / wall_s, 3) if wall_s else None,
@@ -295,8 +288,7 @@ def run_load(requests=256, seed=2017, baseline=False, max_batch=None,
         "latency_ms": latency_ms,
         "latency_quantile_source": ("sketch" if sketch.count else "exact"),
         "software_lanes": counters.get("serve.software_lanes", 0),
-        "verified": bool(verify),
-        "mismatches": mismatches if verify else None,
+        "mismatches": mismatches,
     }
     return record
 
@@ -368,23 +360,13 @@ def main(argv=None):
                         help="simulation word capacity, a multiple of 64 "
                              "(default 64); 'auto' reads the per-design "
                              "width cached by 'python -m repro tune width'")
-    parser.add_argument("--max-batch", type=int, default=None,
-                        help="patterns coalesced per word (default: the "
-                             "full word)")
     parser.add_argument("--max-wait", type=float, default=0.02,
                         metavar="SECONDS")
-    parser.add_argument("--max-depth", type=int, default=None,
-                        help="per-lane queue bound (default: scales with "
-                             "--word-patterns, at least 4096)")
     parser.add_argument("--burst", type=int, default=16, metavar="MEAN",
                         help="mean geometric burst size (arrivals)")
-    parser.add_argument("--gap-ms", type=float, default=0.0,
-                        help="pause between bursts (0 = saturating load)")
     parser.add_argument("--specials", type=float, default=0.02,
                         help="fraction of FP operands drawn from "
                              "zero/subnormal/inf/NaN")
-    parser.add_argument("--no-verify", action="store_true",
-                        help="skip the per-transaction reference check")
     parser.add_argument("--slo-p99-ms", type=float, default=None,
                         metavar="MS",
                         help="exit nonzero when the sketch p99 latency "
@@ -423,10 +405,8 @@ def main(argv=None):
         obs.start_trace()
     record = run_load(
         requests=args.requests, seed=args.seed, baseline=args.baseline,
-        max_batch=args.max_batch, max_wait=args.max_wait,
-        max_depth=args.max_depth, burst_mean=args.burst, gap_ms=args.gap_ms,
-        specials=args.specials, verify=not args.no_verify,
-        telemetry_port=telemetry_port, before_stop=before_stop,
+        max_wait=args.max_wait, burst_mean=args.burst,
+        specials=args.specials, telemetry_port=telemetry_port, before_stop=before_stop,
         word_patterns=word_patterns)
     if args.trace:
         obs.write_trace(args.trace)
@@ -462,10 +442,9 @@ def main(argv=None):
         print(f"latency ms ({record['latency_quantile_source']}): "
               f"p50={lat['p50']:.2f} p95={lat['p95']:.2f} "
               f"p99={lat['p99']:.2f} max={lat['max']:.2f}")
-        if record["verified"]:
-            print(f"verified bit-identical vs reference: "
-                  f"{record['mismatches']} mismatches")
-    status = 0 if (not record["verified"] or record["mismatches"] == 0) else 1
+        print(f"verified bit-identical vs reference: "
+              f"{record['mismatches']} mismatches")
+    status = 0 if record["mismatches"] == 0 else 1
     if args.slo_p99_ms is not None:
         p99 = record["latency_ms"]["p99"]
         if p99 is None or p99 > args.slo_p99_ms:

@@ -32,6 +32,8 @@ from repro.hdl.sim.differential import (
     output_observation,
 )
 from repro.hdl.sim.levelized import LevelizedSimulator
+from tests.oracles.differential import interpreted_masked_evals
+from tests.oracles.levelized import interpreted_run
 
 
 def _toy_module():
@@ -96,18 +98,25 @@ class TestExhaustiveToy:
     def test_every_mutant_matches_full_resim(self, compiled):
         module = _toy_module()
         battery = _toy_battery(module)
+        golden = None
+        if not compiled:
+            golden = interpreted_run(module, battery.stimulus,
+                                     battery.n_patterns)
         engine = DifferentialEngine(module, battery.stimulus,
                                     battery.n_patterns,
                                     battery.observation(module),
-                                    compiled=compiled)
+                                    golden=golden)
+        if not compiled:
+            engine._evals = interpreted_masked_evals(module, engine._work,
+                                                     engine.m)
         assert battery.check_run(module, engine.golden)
         checked = 0
         for idx, mutant in _all_mutants(module):
             verdict = engine.run_mutant(idx, mutant)
             twin = clone_module(module)
             twin.gates[idx] = mutant
-            full_run = LevelizedSimulator(twin, compiled=False).run(
-                battery.stimulus, battery.n_patterns)
+            full_run = interpreted_run(twin, battery.stimulus,
+                                       battery.n_patterns)
             assert verdict.detected == \
                 (not battery.check_run(twin, full_run)), \
                 f"mutant {idx}: {mutant.kind} verdict diverged"

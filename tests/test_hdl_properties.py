@@ -23,13 +23,29 @@ KINDS = sorted(CELL_KINDS)
 
 
 @st.composite
-def random_module(draw, max_gates=30, n_inputs=6):
-    """A random acyclic gate network with some constants mixed in."""
+def random_module(draw, max_gates=30, n_inputs=6, max_registers=0):
+    """A random acyclic gate network with some constants mixed in.
+
+    ``max_registers > 0`` also inserts 1..``max_registers`` pipeline
+    registers on random nets between the gates; each q net joins the
+    pool, so later gates (and registers) may consume it.
+    """
     m = Module("random")
     a = m.input("a", n_inputs)
     nets = list(a) + [m.const(0), m.const(1)]
     n_gates = draw(st.integers(min_value=1, max_value=max_gates))
-    for __ in range(n_gates):
+    reg_steps = []
+    if max_registers:
+        n_regs = draw(st.integers(min_value=1, max_value=max_registers))
+        reg_steps = sorted(draw(st.integers(0, n_gates))
+                           for __ in range(n_regs))
+    for step in range(n_gates + 1):
+        while reg_steps and reg_steps[0] == step:
+            reg_steps.pop(0)
+            d = nets[draw(st.integers(0, len(nets) - 1))]
+            nets.append(m.register(d, stage=1))
+        if step == n_gates:
+            break
         kind = draw(st.sampled_from(KINDS))
         arity = cell_num_inputs(kind)
         ins = [nets[draw(st.integers(0, len(nets) - 1))]
@@ -44,11 +60,16 @@ def random_module(draw, max_gates=30, n_inputs=6):
 
 
 @st.composite
-def module_and_patterns(draw, n_patterns=6):
-    m = draw(random_module())
+def module_and_patterns(draw, n_patterns=6, max_registers=0):
+    m = draw(random_module(max_registers=max_registers))
     patterns = [draw(st.integers(0, (1 << 6) - 1))
                 for __ in range(n_patterns)]
     return m, patterns
+
+
+def registered_module_and_patterns(n_patterns=6):
+    """:func:`module_and_patterns` over netlists with 1-8 registers."""
+    return module_and_patterns(n_patterns=n_patterns, max_registers=8)
 
 
 def _out_words(module, run, n):

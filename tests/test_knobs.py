@@ -1,9 +1,12 @@
-"""Every environment knob earns its place.
+"""Every environment knob and CLI flag earns its place.
 
 The set of ``REPRO_*`` variables that ``src/`` reads must equal the
-"Environment knobs" table of ``docs/api.md`` — a knob added without a
-documented row, or a row left behind for a deleted knob, fails here.
-Knobs that no other test exercises get a behaviour test below.
+"Environment knobs" table of ``docs/api.md``, and the ``--flags`` each
+``src/`` program declares must equal its "CLI flags" table — an option
+added without a documented row (naming its user), or a row left behind
+for a deleted option, fails here.  Knobs and flags that no other test
+exercises get a behaviour test below.  ``src/`` must also never import
+``tests`` (the reference oracles live there, not in the library).
 """
 
 import json
@@ -13,12 +16,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.eval.cache import ResultCache
 from repro.hdl.sim import ckernel
 from repro.obs.metrics import MetricsRegistry
 
 ROOT = Path(__file__).resolve().parents[1]
 KNOB = re.compile(r"REPRO_[A-Z_]+")
+FLAG = re.compile(r'add_argument\(\s*"(--[a-z0-9-]+)"')
+PROG = re.compile(r'prog="([^"]+)"')
 
 
 def _source_knobs():
@@ -28,9 +35,13 @@ def _source_knobs():
     return knobs
 
 
-def _documented_knobs():
+def _api_section(title):
     text = (ROOT / "docs" / "api.md").read_text()
-    section = text.split("## Environment knobs", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def _documented_knobs():
+    section = _api_section("Environment knobs")
     rows = {}
     for line in section.splitlines():
         match = re.match(r"\| `(REPRO_[A-Z_]+)` \|(.*)\|(.*)\|$", line)
@@ -45,6 +56,44 @@ def test_every_source_knob_is_documented_and_vice_versa():
     assert _source_knobs() == set(documented)
     for name, (what, used_by) in documented.items():
         assert what and used_by, name
+
+
+def _source_flags():
+    """``(program, --flag)`` for every flag a ``src/`` parser declares."""
+    flags = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        text = path.read_text()
+        found = FLAG.findall(text)
+        prog = PROG.search(text)
+        assert prog or not found, f"{path}: flags without a prog= name"
+        flags.update((prog.group(1), flag) for flag in found)
+    return flags
+
+
+def _documented_flags():
+    rows = {}
+    for line in _api_section("CLI flags").splitlines():
+        match = re.match(r"\| `([^`]+)` \| `(--[a-z0-9-]+)` \|(.*)\|$",
+                         line)
+        if match:
+            rows[(match.group(1), match.group(2))] = match.group(3).strip()
+    return rows
+
+
+def test_every_cli_flag_is_documented_with_a_user_and_vice_versa():
+    documented = _documented_flags()
+    assert _source_flags() == set(documented)
+    for key, used_by in documented.items():
+        assert used_by, key
+
+
+def test_src_never_imports_tests():
+    imports_tests = re.compile(
+        r"^\s*(from|import)\s+tests\b|[\"']tests\.", re.M)
+    offenders = [str(path.relative_to(ROOT))
+                 for path in (ROOT / "src").rglob("*.py")
+                 if imports_tests.search(path.read_text())]
+    assert offenders == []
 
 
 def test_no_obs_starts_registries_disabled(monkeypatch):
@@ -85,3 +134,97 @@ def test_trace_env_writes_a_trace_at_exit(tmp_path):
                    timeout=60)
     names = {ev["name"] for ev in json.loads(out.read_text())["traceEvents"]}
     assert "knob:probe" in names
+
+
+# ----------------------------------------------------------------------
+# flags no other test exercises
+# ----------------------------------------------------------------------
+
+def test_loadgen_specials_flag(capsys):
+    from repro.serve.loadgen import main
+
+    assert main(["--requests", "8", "--burst", "4", "--specials", "0.5",
+                 "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["specials_fraction"] == 0.5
+    assert record["mismatches"] == 0
+
+
+def test_power_breakdown_seed_and_top_flags(capsys):
+    from repro.eval.power_breakdown import main
+
+    assert main(["--module", "r4", "--cycles", "4", "--seed", "7",
+                 "--top", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "4 cycles, seed 7" in out
+    assert "-- top 2 hot nets" in out
+
+
+def test_cache_stats_json_flag(tmp_path, capsys):
+    from repro.eval import cache as cache_cli
+
+    assert cache_cli.main(["--root", str(tmp_path), "stats", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == 0
+
+
+def test_perf_check_window_flag(tmp_path, capsys):
+    from repro.eval import perf
+
+    hist = tmp_path / "history"
+    for speedup in (30.0, 30.0, 9.0):
+        perf.record("serve", {"speedup": speedup}, history_dir=hist)
+    doc = {"schema": "repro.bench/1", "bench": "serve",
+           "results": {"speedup": 9.0}}
+    (tmp_path / "BENCH_serve.json").write_text(json.dumps(doc))
+    argv = ["check", "serve", "--root", str(tmp_path), "--history",
+            str(hist)]
+    # The 3-run median (30) flags 9.0 as a regression; a 1-run window
+    # compares against the latest run (9.0) only.
+    assert perf.main(argv) == 1
+    assert perf.main(argv + ["--window", "1"]) == 0
+
+
+def test_tune_width_seed_repeats_no_cache_json_flags(monkeypatch, capsys):
+    from repro.eval import tune
+
+    calls = []
+
+    def fake_profile(design, widths, seed, repeats, clock):
+        calls.append((design, seed, repeats))
+        return [{"width": w, "patterns": w * 64, "ms": 1.0,
+                 "ms_per_pattern": 1.0 / w} for w in widths]
+
+    monkeypatch.setattr(tune, "profile_widths", fake_profile)
+    assert tune.main(["width", "--design", "r4", "--seed", "5",
+                      "--repeats", "1", "--no-cache", "--json"]) == 0
+    assert calls == [("r4", 5, 1)]
+    (result,) = json.loads(capsys.readouterr().out)
+    assert result["width"] == max(tune.WIDTHS)
+
+
+def test_worker_no_cache_and_telemetry_port_flags(monkeypatch, tmp_path):
+    from repro.eval.sched import daemon
+
+    class Started(Exception):
+        pass
+
+    caches = []
+
+    class FakeDaemon:
+        def __init__(self, bind, workers, cache, label):
+            caches.append(cache)
+
+        def start(self):
+            pass
+
+        def start_telemetry(self, port):
+            assert port == 0
+            raise Started
+
+    monkeypatch.setattr(daemon, "WorkerDaemon", FakeDaemon)
+    for argv in (["serve", "--no-cache"],
+                 ["serve", "--cache-root", str(tmp_path)]):
+        with pytest.raises(Started):
+            daemon.main(argv + ["--telemetry-port", "0"])
+    assert caches[0] is None
+    assert caches[1] is not None and caches[1].root == tmp_path

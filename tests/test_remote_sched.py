@@ -35,7 +35,7 @@ from repro.eval.sched import wire
 from repro.eval.sched.base import LeafResult, LeafTask
 from repro.eval.sched.daemon import WorkerDaemon
 from repro.eval.sched.remote import parse_hosts
-from repro.eval.sched.testing import seeded_leaf, sleepy_leaf
+from tests.oracles.sched_leaves import seeded_leaf, sleepy_leaf
 
 
 def _counter(name):
@@ -44,9 +44,9 @@ def _counter(name):
 
 def _mini_graph(fast=6, slow_seconds=0.0):
     """A small skewed graph: one heavy leaf, several light ones, a merge."""
-    jobs = [job("slow", "repro.eval.sched.testing:sleepy_leaf",
+    jobs = [job("slow", "tests.oracles.sched_leaves:sleepy_leaf",
                 weight=8.0, seconds=slow_seconds, seed=99, size=3)]
-    jobs += [job(f"fast{i}", "repro.eval.sched.testing:seeded_leaf",
+    jobs += [job(f"fast{i}", "tests.oracles.sched_leaves:seeded_leaf",
                  weight=1.0, seed=i, size=2)
              for i in range(fast)]
     leaf_names = tuple(j.name for j in jobs)
@@ -109,7 +109,7 @@ def _stream_pair():
 
 def test_every_frame_kind_roundtrips_over_a_socketpair():
     task = LeafTask(name="leafy",
-                    fn="repro.eval.sched.testing:seeded_leaf",
+                    fn="tests.oracles.sched_leaves:seeded_leaf",
                     params=(("seed", 3),), fingerprint="f" * 64,
                     trace_ctx={"trace": "t", "span": "s", "flow": "w"})
     result = LeafResult(name="leafy", value=[1, 2], seconds=0.5, worker=1)
@@ -241,7 +241,7 @@ def test_worker_loop_survives_malformed_frames():
         assert reply["kind"] == "error" and "ping" in reply["error"]
         # ...and the loop is still alive to run a real job.
         task = LeafTask(name="after",
-                        fn="repro.eval.sched.testing:seeded_leaf",
+                        fn="tests.oracles.sched_leaves:seeded_leaf",
                         params=(("seed", 4), ("size", 2)))
         parent.send_bytes(wire.pack_frame(wire.job_envelope(task)))
         result = wire.result_from_envelope(
@@ -260,7 +260,7 @@ def test_poison_leaf_fails_instead_of_respawning_forever():
     from repro.eval.sched.stealing import MAX_TASK_CRASHES
 
     crashes = _counter("orchestrator.worker.crashes")
-    jobs = [job("poison", "repro.eval.sched.testing:poison_leaf", seed=1)]
+    jobs = [job("poison", "tests.oracles.sched_leaves:poison_leaf", seed=1)]
     with pytest.raises(SimulationError, match="crashed"):
         run_graph(jobs, workers=2, cache=None, backend="workers")
     assert (_counter("orchestrator.worker.crashes") - crashes
@@ -344,7 +344,7 @@ def test_remote_handshake_rejects_wrong_token(tmp_path, monkeypatch):
 def test_remote_survives_losing_a_daemon_with_zero_lost_leaves(two_daemons):
     daemons, hosts = two_daemons
     lost = _counter("sched.remote.hosts.lost")
-    jobs = [job(f"leaf{i}", "repro.eval.sched.testing:sleepy_leaf",
+    jobs = [job(f"leaf{i}", "tests.oracles.sched_leaves:sleepy_leaf",
                 seconds=0.25, seed=i) for i in range(8)]
     killer = threading.Timer(0.4, daemons[1].stop)
     killer.start()

@@ -28,7 +28,8 @@ class TestReportGenerator:
         from repro.__main__ import main
 
         out = tmp_path / "r.md"
-        assert main(["--cycles", "4", "--output", str(out), "report"]) == 0
+        assert main(["report", "--cycles", "4", "--no-sweeps",
+                     "--no-verification", "--output", str(out)]) == 0
         assert "Table V" in out.read_text()
 
 

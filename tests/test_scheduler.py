@@ -26,7 +26,7 @@ from repro.errors import SimulationError
 from repro.eval.cache import ResultCache, key_digest
 from repro.eval.orchestrator import Job, job, run_graph
 from repro.eval.sched import make_backend
-from repro.eval.sched.testing import seeded_leaf
+from tests.oracles.sched_leaves import seeded_leaf
 
 
 def _counter(name):
@@ -35,9 +35,9 @@ def _counter(name):
 
 def _mini_graph(fast=6, slow_seconds=0.0):
     """A small skewed graph: one heavy leaf, several light ones, a merge."""
-    jobs = [job("slow", "repro.eval.sched.testing:sleepy_leaf",
+    jobs = [job("slow", "tests.oracles.sched_leaves:sleepy_leaf",
                 weight=8.0, seconds=slow_seconds, seed=99, size=3)]
-    jobs += [job(f"fast{i}", "repro.eval.sched.testing:seeded_leaf",
+    jobs += [job(f"fast{i}", "tests.oracles.sched_leaves:seeded_leaf",
                  weight=1.0, seed=i, size=2)
              for i in range(fast)]
     leaf_names = tuple(j.name for j in jobs)
@@ -80,9 +80,9 @@ def test_backend_choices_and_auto_policy(monkeypatch):
 @pytest.mark.parametrize("backend", ["inline", "workers"])
 def test_leaf_seconds_exclude_queue_wait(backend):
     """A fast leaf queued behind a slow one reports its own run time."""
-    jobs = [job("slow", "repro.eval.sched.testing:sleepy_leaf",
+    jobs = [job("slow", "tests.oracles.sched_leaves:sleepy_leaf",
                 weight=8.0, seconds=0.4, seed=1),
-            job("fast", "repro.eval.sched.testing:seeded_leaf",
+            job("fast", "tests.oracles.sched_leaves:seeded_leaf",
                 weight=1.0, seed=2)]
     out = run_graph(jobs, workers=1, cache=None, backend=backend)
     assert out["slow"].seconds >= 0.4
@@ -100,9 +100,9 @@ def test_workers_backend_steals_under_skew():
 def test_workers_backend_recovers_from_crash(tmp_path):
     sentinel = str(tmp_path / "crashed-once")
     before = _counter("orchestrator.worker.crashes")
-    jobs = [job("boom", "repro.eval.sched.testing:crashy_leaf",
+    jobs = [job("boom", "tests.oracles.sched_leaves:crashy_leaf",
                 weight=4.0, sentinel=sentinel, seed=5)]
-    jobs += [job(f"ok{i}", "repro.eval.sched.testing:seeded_leaf",
+    jobs += [job(f"ok{i}", "tests.oracles.sched_leaves:seeded_leaf",
                  seed=i, size=2) for i in range(3)]
     outcomes = run_graph(jobs, workers=2, cache=None, backend="workers")
     assert outcomes["boom"].value == seeded_leaf(seed=5, size=2)
@@ -113,7 +113,7 @@ def test_workers_backend_recovers_from_crash(tmp_path):
 
 
 def test_workers_backend_leaf_error_propagates():
-    jobs = [job("bad", "repro.eval.sched.testing:seeded_leaf",
+    jobs = [job("bad", "tests.oracles.sched_leaves:seeded_leaf",
                 seed="not-an-int", size=None)]
     with pytest.raises(Exception):
         run_graph(jobs, workers=2, cache=None, backend="workers")
@@ -129,7 +129,7 @@ def test_make_backend_rejects_unknown():
 def test_wire_envelopes_roundtrip():
     from repro.eval.sched import LeafTask, wire
 
-    task = LeafTask(name="leafy", fn="repro.eval.sched.testing:seeded_leaf",
+    task = LeafTask(name="leafy", fn="tests.oracles.sched_leaves:seeded_leaf",
                     params=(("seed", 3), ("size", 2)), weight=2.0,
                     fingerprint="abc123")
     env = wire.job_envelope(task)
@@ -174,7 +174,7 @@ def test_cache_export_import_roundtrip_zero_leaf_executions(tmp_path):
 
 def test_cache_import_skips_corrupt_entries(tmp_path):
     src = ResultCache(root=str(tmp_path / "src"), fingerprint="fp-x")
-    jb = job("unit", "repro.eval.sched.testing:seeded_leaf", seed=1, size=2)
+    jb = job("unit", "tests.oracles.sched_leaves:seeded_leaf", seed=1, size=2)
     run_graph([jb], workers=0, cache=src)
     objects = tmp_path / "src" / "objects"
     (entry,) = os.listdir(objects)

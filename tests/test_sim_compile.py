@@ -4,9 +4,12 @@ Every fast path the compiled backend introduced — the codegen levelized
 kernel, the per-gate closures, the truth-table C event kernel, the
 delta-stimulus :meth:`EventSimulator.replay`, the batched and sharded
 Monte Carlo — claims bit-identity with the historic reference
-implementation it replaced.  These tests pin that claim down kind-by-kind, on random
-netlists, and on the real multipliers.
+implementation it replaced (kept in ``tests/oracles/``).  These tests
+pin that claim down kind-by-kind, on random netlists (registered ones
+included), and on the real multipliers.
 """
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +19,9 @@ from repro.hdl.cell import CELL_KINDS, cell_eval, cell_num_inputs
 from repro.hdl.library import default_library
 from repro.hdl.module import Gate, Module
 from repro.hdl.power.monte_carlo import (
-    _event_toggles_legacy,
     estimate_power,
     estimate_power_batch,
+    merge_shard_results,
     power_replay_shard,
     power_report_from_shards,
     power_shard_plan,
@@ -29,7 +32,12 @@ from repro.hdl.sim.compile import EXPR_TEMPLATES, gate_expr
 from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
-from tests.test_hdl_properties import module_and_patterns
+from tests.oracles.event_heap import HeapEventSimulator, event_toggles_legacy
+from tests.oracles.levelized import interpreted_run, interpreted_run_segments
+from tests.test_hdl_properties import (
+    module_and_patterns,
+    registered_module_and_patterns,
+)
 
 KINDS = sorted(CELL_KINDS)
 
@@ -101,8 +109,7 @@ class TestCompiledLevelized:
         module, patterns = case
         n = len(patterns)
         compiled = LevelizedSimulator(module).run({"a": patterns}, n)
-        interp = LevelizedSimulator(module, compiled=False).run(
-            {"a": patterns}, n)
+        interp = interpreted_run(module, {"a": patterns}, n)
         # Net-for-net, every pattern word identical.
         assert compiled.values == interp.values
 
@@ -113,7 +120,7 @@ class TestCompiledLevelized:
         module = cached_module("r16")
         stim = WorkloadGenerator(7).multiplier_stimulus(4)
         compiled = LevelizedSimulator(module).run(stim, 4)
-        interp = LevelizedSimulator(module, compiled=False).run(stim, 4)
+        interp = interpreted_run(module, stim, 4)
         assert compiled.values == interp.values
 
 
@@ -127,8 +134,8 @@ class TestWheelMatchesHeap:
     def test_identical_transition_counts(self, case):
         module, patterns = case
         lib = default_library()
-        wheel = EventSimulator(module, lib, engine="wheel")
-        heap = EventSimulator(module, lib, engine="heap")
+        wheel = EventSimulator(module, lib)
+        heap = HeapEventSimulator(module, lib)
         wheel.initialize(_input_stim(module, patterns, 0))
         heap.initialize(_input_stim(module, patterns, 0))
         assert wheel.values == heap.values
@@ -138,13 +145,6 @@ class TestWheelMatchesHeap:
             assert cw.toggles == ch.toggles
             assert cw.settle_time_ps == ch.settle_time_ps
             assert wheel.values == heap.values
-
-    def test_unknown_engine_rejected(self):
-        m = Module("demo")
-        a = m.input("a", 1)
-        m.output("o", [m.gate("INV", a[0])])
-        with pytest.raises(SimulationError, match="engine"):
-            EventSimulator(m, default_library(), engine="wheelbarrow")
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +163,7 @@ class TestReplay:
         esim = EventSimulator(module, lib)
         counts = esim.replay(run.values, 1, n - 1)
 
-        heap = EventSimulator(module, lib, engine="heap")
+        heap = HeapEventSimulator(module, lib)
         heap.initialize(_input_stim(module, patterns, 0))
         totals = [0] * module.n_nets
         last = None
@@ -241,6 +241,51 @@ class TestReplay:
         assert counts.toggles == [flips] * m.n_nets
         for net_id in range(m.n_nets):
             assert esim.values[net_id] == run.net_value(net_id, n - 1)
+
+
+# ----------------------------------------------------------------------
+# registered random netlists: register shift, segment mask, replay
+# ----------------------------------------------------------------------
+
+class TestRegisteredNetlists:
+    @given(registered_module_and_patterns())
+    @settings(max_examples=40, deadline=None)
+    def test_run_matches_interpreter(self, case):
+        module, patterns = case
+        n = len(patterns)
+        compiled = LevelizedSimulator(module).run({"a": patterns}, n)
+        assert compiled.values == interpreted_run(module, {"a": patterns},
+                                                  n).values
+
+    @given(registered_module_and_patterns(n_patterns=85))
+    @settings(max_examples=25, deadline=None)
+    def test_ragged_segments_match_interpreter(self, case):
+        module, patterns = case
+        jobs = []
+        off = 0
+        for n in (1, 7, 64, 13):
+            jobs.append(({"a": patterns[off:off + n]}, n))
+            off += n
+        fast = LevelizedSimulator(module).run_segments(jobs)
+        ref = interpreted_run_segments(module, jobs)
+        assert fast.segments == ref.segments
+        assert fast.values == ref.values
+
+    @given(registered_module_and_patterns(n_patterns=8))
+    @settings(max_examples=30, deadline=None)
+    def test_replay_matches_legacy_on_both_kernels(self, case):
+        module, patterns = case
+        n = len(patterns)
+        lib = default_library()
+        stim = {"a": patterns}
+        run = LevelizedSimulator(module).run(stim, n)
+        legacy = event_toggles_legacy(module, lib, run, stim, n)
+        for c_kernel in (True, False):
+            esim = EventSimulator(module, lib)
+            if not c_kernel:
+                esim._ck = None     # the pure-Python wheel replay
+            counts = esim.replay(run.values, 1, n - 1)
+            assert counts.toggles == legacy, esim.kernel
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +412,7 @@ class TestMonteCarlo:
         batch = estimate_power_batch(module, lib, jobs)
         for got, (stim, n) in zip(batch, jobs):
             run = LevelizedSimulator(module).run(stim, n)
-            legacy = _event_toggles_legacy(module, lib, run, stim, n)
+            legacy = event_toggles_legacy(module, lib, run, stim, n)
             assert got.total_toggles == sum(legacy)
 
     @pytest.mark.parametrize("n_cycles", [2, 9, 17])
@@ -385,6 +430,41 @@ class TestMonteCarlo:
         assert (merged.sim_stats["events_processed"]
                 == whole.sim_stats["events_processed"])
         assert merged.sim_stats["workers"] == len(plan)
+
+    def test_sharded_elapsed_is_replay_time(self, monkeypatch):
+        """``elapsed_s`` sums the shards' replay time on the shard path,
+        as it is the replay time on the batch path."""
+        module, stim = self._module_and_stim(9)
+        lib = default_library()
+        replay = EventSimulator.replay
+
+        def slow_replay(self, *args, **kwargs):
+            time.sleep(0.02)
+            return replay(self, *args, **kwargs)
+
+        monkeypatch.setattr(EventSimulator, "replay", slow_replay)
+        plan = power_shard_plan(9, 2)
+        assert len(plan) == 4
+        shards = [power_replay_shard(module, lib, stim, 9, a, b)
+                  for a, b in plan]
+        merged = power_report_from_shards(module, lib, stim, 9, shards)
+        assert merged.sim_stats["elapsed_s"] >= 0.08
+        whole = estimate_power(module, lib, stim, 9)
+        assert whole.sim_stats["elapsed_s"] >= 0.02
+
+    def test_merge_is_order_independent_across_kernels(self):
+        module, stim = self._module_and_stim(9)
+        lib = default_library()
+        c_shard, py_shard = [power_replay_shard(module, lib, stim, 9, a, b)
+                             for a, b in power_shard_plan(9, 4)]
+        c_shard[1]["kernel"] = "c"
+        py_shard[1]["kernel"] = "python"
+        forward = merge_shard_results(module.n_nets, [c_shard, py_shard])
+        backward = merge_shard_results(module.n_nets, [py_shard, c_shard])
+        assert forward == backward
+        assert forward[1]["kernel"] == "mixed"
+        same = merge_shard_results(module.n_nets, [c_shard, c_shard])
+        assert same[1]["kernel"] == "c"
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ layer —
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.serve import Server, WORD_PATTERNS, reference_result
 from repro.serve.loadgen import TrafficGenerator
 from repro.serve.queueing import BatchingQueue
 from repro.serve.transactions import validate_word_patterns
+from tests.oracles.levelized import interpreted_run, interpreted_run_segments
 
 
 def _stream(n, seed, specials=0.15):
@@ -61,18 +63,24 @@ def _random_stimulus(module, n, rng):
 
 @pytest.mark.parametrize("compiled", [True, False])
 def test_run_segments_bit_identical_to_independent_runs(compiled):
-    """Ragged segments through a registered datapath, both kernels."""
+    """Ragged segments through a registered datapath, on the compiled
+    kernel and on the interpreted oracle."""
     from repro.circuits.mult_radix4 import radix4_multiplier
 
     module = radix4_multiplier()
-    sim = LevelizedSimulator(module, compiled=compiled)
+    if compiled:
+        sim = LevelizedSimulator(module)
+        run_segments, run = sim.run_segments, sim.run
+    else:
+        run_segments = partial(interpreted_run_segments, module)
+        run = partial(interpreted_run, module)
     rng = random.Random(1709)
     lengths = [1, 7, 64, 13, 100]          # ragged: boundaries mid-limb
     jobs = [(_random_stimulus(module, n, rng), n) for n in lengths]
-    seg = sim.run_segments(jobs)
+    seg = run_segments(jobs)
     assert seg.n_patterns == sum(lengths)
     for i, (stimulus, n) in enumerate(jobs):
-        solo = sim.run(stimulus, n)
+        solo = run(stimulus, n)
         assert seg.segment_run(i).values == solo.values, i
         assert seg.toggles_per_net(i) == solo.toggles_per_net(), i
 
