@@ -30,7 +30,8 @@ from repro.eval.fault_injection import (
     campaign_battery,
     chunk_plan,
     clear_campaign_cache,
-    experiment_fault_coverage,
+    coverage_chunk,
+    merge_coverage,
     mutation_coverage,
     propose_mutation,
 )
@@ -120,20 +121,23 @@ def test_bench_fault_sim_race(report_sink):
     clear_campaign_cache()
     reg = obs.registry()
     golden_before = reg.counter_value("fault.golden_runs") or 0
-    wide = experiment_fault_coverage(
-        "r16", n_mutations=40, seed=seed,
-        battery_patterns=BATTERY_PATTERNS)
+    # No result cache: a warm cache would serve the campaign and
+    # ``fault.golden_runs`` would read 0.
+    wide = run_experiment(
+        "fault_r16", n_mutations=40, seed=seed,
+        battery_patterns=BATTERY_PATTERNS, cache=False, backend="inline")
     golden_runs = (reg.counter_value("fault.golden_runs") or 0) \
         - golden_before
     chunks = len(chunk_plan(40, seed, None))
     invocation_reduction = chunks / golden_runs if golden_runs \
         else float("inf")
-    wide_full = experiment_fault_coverage(
-        "r16", n_mutations=8, seed=seed, mode="full",
-        battery_patterns=BATTERY_PATTERNS)
-    wide_diff = experiment_fault_coverage(
-        "r16", n_mutations=8, seed=seed,
-        battery_patterns=BATTERY_PATTERNS)
+    wide_full = merge_coverage(
+        [coverage_chunk("r16", n, s, mode="full",
+                        battery_patterns=BATTERY_PATTERNS)
+         for s, n in chunk_plan(8, seed)])
+    wide_diff = run_experiment(
+        "fault_r16", n_mutations=8, seed=seed,
+        battery_patterns=BATTERY_PATTERNS, cache=False, backend="inline")
     assert (wide_full.attempted, wide_full.detected) \
         == (wide_diff.attempted, wide_diff.detected), \
         "wide-battery differential diverged from full re-simulation"

@@ -11,12 +11,7 @@ for — the paper's Tables I-III are three points of this space.
 
 import sys
 
-from repro.eval.sweep import (
-    sweep_cpa_style,
-    sweep_pipeline_cut,
-    sweep_radix,
-    sweep_tree_style,
-)
+from repro.eval.orchestrator import run_experiment
 
 
 def main():
@@ -24,13 +19,14 @@ def main():
     if power_cycles:
         print("(including Monte Carlo power; this takes a minute)\n")
 
-    for sweep in (sweep_radix, sweep_cpa_style, sweep_pipeline_cut,
-                  sweep_tree_style):
-        result = sweep(power_cycles=power_cycles)
+    sweeps = {name: run_experiment(name, power_cycles=power_cycles)
+              for name in ("sweep_radix", "sweep_cpa", "sweep_pipeline_cut",
+                           "sweep_tree")}
+    for result in sweeps.values():
         print(result.render())
         print()
 
-    radix = {p.label: p for p in sweep_radix().points}
+    radix = {p.label: p for p in sweeps["sweep_radix"].points}
     print("Findings (cf. Sec. II-A):")
     print(f"  * radix-4 is the fastest combinationally "
           f"({radix['radix-4'].latency_ps:.0f} ps vs "

@@ -2,10 +2,12 @@
 
 Usage::
 
-    python -m repro                      # everything (fast settings)
+    python -m repro                      # the paper's tables and figures
     python -m repro table3 table5        # selected experiments
     python -m repro --cycles 32 table3   # deeper Monte Carlo
-    python -m repro export-verilog mfmult out.v
+    python -m repro sweep_radix fault_r16
+                                         # any name in experiment_names()
+    python -m repro export-verilog mf out.v
     python -m repro report --workers 2   # full report (= repro.eval.report)
     python -m repro cache stats          # result-cache maintenance
     python -m repro perf record          # append BENCH_* to perf history
@@ -14,6 +16,11 @@ Usage::
     python -m repro worker serve --bind 0.0.0.0:9700 --workers 8
                                          # serve this box's cores to
                                          # --backend remote coordinators
+
+Experiment targets are the orchestrator's ``experiment_names()``; they
+run as one inline ``run_experiments`` batch over the default result
+cache, with the params of their section in the full report, so each
+printed body equals that report section at the same ``--cycles``.
 """
 
 import argparse
@@ -30,25 +37,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _experiment_registry():
-    from repro.eval import experiments as ex
-
-    return {
-        "table1": lambda args: ex.experiment_table1(),
-        "table2": lambda args: ex.experiment_table2(),
-        "table3": lambda args: ex.experiment_table3(n_cycles=args.cycles),
-        "table4": lambda args: ex.experiment_table4(),
-        "table5": lambda args: ex.experiment_table5(n_cycles=args.cycles),
-        "fig1": lambda args: ex.experiment_fig1_ppgen(),
-        "fig2": lambda args: ex.experiment_fig2_multiplier(),
-        "fig3": lambda args: ex.experiment_fig3_normround(),
-        "fig4": lambda args: ex.experiment_fig4_dual_lane(),
-        "fig5": lambda args: ex.experiment_fig5_pipeline(),
-        "fig6": lambda args: ex.experiment_fig6_reduction(),
-        "section4": lambda args: ex.experiment_section4_savings(),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -56,7 +44,8 @@ def main(argv=None):
                     "'A Multi-Format Floating-Point Multiplier for "
                     "Power-Efficient Operations', SOCC 2017.")
     parser.add_argument("targets", nargs="*",
-                        help="experiments to run (default: all); or "
+                        help="experiments to run (default: the paper's "
+                             "tables and figures); or "
                              "'export-verilog <which> <path>' where "
                              "<which> is one of r4/r8/r16/mf/reducer")
     parser.add_argument("--cycles", type=int, default=16,
@@ -73,16 +62,25 @@ def main(argv=None):
     if args.targets and args.targets[0] == "export-verilog":
         return _export_verilog(args.targets[1:])
 
-    registry = _experiment_registry()
-    targets = args.targets or list(registry)
-    unknown = [t for t in targets if t not in registry]
+    from repro.eval.orchestrator import experiment_names, run_experiments
+    from repro.eval.report import report_sections
+
+    # The report's section table gives every experiment its params, so
+    # each body printed here is byte-identical to its report section.
+    params = {name: p for __, name, p in report_sections(
+        n_cycles=args.cycles, include_sweeps=True,
+        include_verification=True)}
+    targets = args.targets or [name for __, name, ___ in report_sections(
+        include_sweeps=False, include_verification=False)]
+    known = experiment_names()
+    unknown = [t for t in targets if t not in known]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}; "
-                     f"choose from {', '.join(registry)}")
+                     f"choose from {', '.join(known)}")
+    results, __ = run_experiments([(t, params[t]) for t in targets])
     for target in targets:
         print(f"===== {target} =====")
-        result = registry[target](args)
-        print(result.render())
+        print(results[target].render())
         print()
     return 0
 

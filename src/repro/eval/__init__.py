@@ -1,11 +1,14 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-Each ``experiment_*`` function in :mod:`repro.eval.experiments` returns a
-structured result object and can render itself as text in the paper's
-own format; the benchmarks call these and print paper-vs-measured rows.
+Every experiment — tables, figures, the Sec. III-E activity
+decomposition, the ablation sweeps and the fault campaigns — is one
+entry of the orchestrator registry: run it with
+``repro.eval.orchestrator.run_experiment(name, **params)`` over
+``experiment_names()``.  Each returns a structured result object that
+renders itself as text in the paper's own format; the benchmarks call
+these and print paper-vs-measured rows.
 """
 
-from repro.eval.activity import experiment_activity
 from repro.eval.fault_injection import mutation_coverage
 from repro.eval.traces import TRACES, generate_trace, reducibility
 from repro.eval.experiments import (
@@ -18,9 +21,7 @@ from repro.eval.experiments import (
     experiment_section4_savings,
     experiment_table1,
     experiment_table2,
-    experiment_table3,
     experiment_table4,
-    experiment_table5,
 )
 from repro.eval.workloads import WorkloadGenerator
 
@@ -37,7 +38,6 @@ def __getattr__(name):
 
 __all__ = [
     "WorkloadGenerator",
-    "experiment_activity",
     "experiment_fig1_ppgen",
     "experiment_fig2_multiplier",
     "experiment_fig3_normround",
@@ -47,9 +47,7 @@ __all__ = [
     "experiment_section4_savings",
     "experiment_table1",
     "experiment_table2",
-    "experiment_table3",
     "experiment_table4",
-    "experiment_table5",
     "generate_report",
     "generate_trace",
     "mutation_coverage",

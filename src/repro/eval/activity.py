@@ -11,7 +11,10 @@ The paper explains Table V's numbers structurally:
 This module reproduces that decomposition from our per-block power
 breakdown: the significand datapath (pre-computation, recoder, PPGEN,
 TREE, normalize/round CPAs) vs the sign-and-exponent handling and
-formatters, per operating format.
+formatters, per operating format.  :func:`activity_point` measures one
+format and :func:`breakdown_from_points` merges them; the orchestrator's
+``activity`` experiment composes the two
+(``run_experiment("activity", n_cycles=16)``).
 """
 
 from dataclasses import dataclass
@@ -104,10 +107,3 @@ def breakdown_from_points(points):
         totals[fmt], significand[fmt], seh[fmt] = points[fmt]
     return ActivityBreakdown(total_mw=totals, significand_mw=significand,
                              seh_mw=seh)
-
-
-def experiment_activity(n_cycles=16, seed=2017):
-    """Measure the per-block decomposition on the multi-format unit."""
-    return breakdown_from_points(
-        {fmt: activity_point(fmt, n_cycles=n_cycles, seed=seed)
-         for fmt in ACTIVITY_FORMATS})

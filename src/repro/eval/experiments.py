@@ -1,10 +1,14 @@
 """The per-table / per-figure experiment harness.
 
-Every public ``experiment_*`` function regenerates one table or figure
-of the paper and returns a result object with the measured values, the
-paper's published values, and a ``render()`` method producing the
-paper-vs-measured report.  DESIGN.md's experiment index maps each to its
-benchmark entry point.
+The leaf jobs of the experiment graphs in
+:mod:`repro.eval.orchestrator`: each single-leaf ``experiment_*``
+function regenerates one table or figure, and the ``table3_*`` /
+``table5_*`` functions are the per-point leaves, shards and merges of
+the Monte Carlo power tables.  Each experiment ends in a result object
+with the measured values, the paper's published values, and a
+``render()`` method producing the paper-vs-measured report.  Run one
+with ``run_experiment(name, **params)``; DESIGN.md's experiment index
+maps each to its benchmark entry point.
 
 Modules are built once and cached — netlist construction is a second or
 two each, and the benchmarks call these functions repeatedly.  The
@@ -44,7 +48,6 @@ from repro.hdl.area.model import area_report
 from repro.hdl.library import FO4_PS, default_library
 from repro.hdl.power.monte_carlo import (
     estimate_power,
-    estimate_power_batch,
     power_replay_shard,
     power_report_from_shards,
 )
@@ -293,25 +296,6 @@ def table3_point_from_shards(key, shards, n_cycles=64, seed=2017):
                                     shards).total_mw
 
 
-def experiment_table3(n_cycles=64, seed=2017):
-    """Table III: Monte Carlo power of both multipliers, both styles.
-
-    Each configuration's stimulus battery goes through the batched
-    superword API — one settle pass per netlist (the four
-    configurations are four *distinct* netlists, so they cannot share a
-    word the way Table V's formats do).
-    """
-    lib = default_library()
-    results = {}
-    for key, which in TABLE3_CONFIGS:
-        gen = WorkloadGenerator(seed)
-        stim = gen.multiplier_stimulus(n_cycles)
-        rep = estimate_power_batch(cached_module(which), lib,
-                                   [(stim, n_cycles)])[0]
-        results[key] = rep.total_mw
-    return Table3Result(power_mw=results, paper=PAPER["table3"])
-
-
 # ----------------------------------------------------------------------
 # Table IV — IEEE 754 binary format parameters
 # ----------------------------------------------------------------------
@@ -433,32 +417,6 @@ def mf_max_freq_mhz():
     """STA-derived maximum clock of the multi-format unit (a leaf job)."""
     timing = analyze(cached_module("mf"), default_library())
     return 1e6 / timing.clock_period_ps
-
-
-def experiment_table5(n_cycles=64, seed=2017, issue_mhz=880.0):
-    """Table V: power per format on the pipelined multi-format unit.
-
-    Throughput follows the paper: one operation per cycle (two for the
-    dual binary32 mode) at the unit's maximum clock (the paper uses its
-    880 MHz; we use ours, reported alongside).
-
-    All four formats' stimulus sweeps run in **one** W×64-pattern
-    superword settle pass — they share the ``mf`` netlist, so the
-    per-format sequences concatenate into segments of a single
-    levelized run (registers masked at segment boundaries) instead of
-    four separate kernel invocations.
-    """
-    lib = default_library()
-    module = cached_module("mf")
-    jobs = []
-    for fmt in TABLE5_FLOPS:
-        gen = WorkloadGenerator(seed)
-        jobs.append((gen.mf_stimulus(fmt, n_cycles), n_cycles))
-    reports = estimate_power_batch(module, lib, jobs)
-    measured = {fmt: _table5_triple(fmt, rep, issue_mhz)
-                for fmt, rep in zip(TABLE5_FLOPS, reports)}
-    return Table5Result(measured=measured, paper=PAPER["table5"],
-                        max_freq_mhz=mf_max_freq_mhz())
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,11 @@ raced against each other in CI:
   speedup ``benchmarks/bench_fault_injection.py`` records in
   ``BENCH_fault_sim.json``.
 
-The battery itself is data now (:class:`Battery`: stimulus + expected
+The battery itself is data (:class:`Battery`: stimulus + expected
 output words per pattern), so both modes derive their verdicts from the
-same comparisons; the legacy callable checkers remain as thin wrappers.
+same comparisons.  The orchestrator's ``fault_r16``/``fault_mf``
+experiments shard a campaign into :func:`coverage_chunk` leaves along
+:func:`chunk_plan` and merge them with :func:`merge_coverage`.
 """
 
 import random
@@ -238,7 +240,7 @@ def mf_battery(operations):
 
     Mirrors :meth:`repro.core.pipeline_unit.MFMultUnit.run_batch`'s
     stimulus (pipeline flush cycles padded with the last operation) and
-    checks exactly the words the legacy checker compared.
+    checks the ``ph``/``pl`` words of every issued operation.
     """
     from repro.core.mfmult import MFMult
     from repro.core.pipeline_unit import FRMT_OF, LATENCY
@@ -266,22 +268,19 @@ def mf_battery(operations):
 # campaigns
 # ----------------------------------------------------------------------
 
-def mutation_coverage(module, checker=None, n_mutations=40, seed=2017,
-                      mode="full", battery=None, engine=None):
-    """Run a campaign: mutate, check, count detections.
+def mutation_coverage(module, battery, n_mutations=40, seed=2017,
+                      mode="full", engine=None):
+    """Run a campaign: mutate, check against ``battery``, count detections.
 
-    ``mode="full"`` clones and fully re-simulates per mutation;
-    ``checker(module) -> bool`` returns True when the (possibly broken)
-    module still passes the battery — i.e. the mutation *survived*.
-    When a :class:`Battery` is given instead of a checker, the full-mode
-    checker derives from it.
+    ``mode="full"`` clones and fully re-simulates each mutant through
+    ``battery.checker()``; a mutant that still passes *survived*.
 
-    ``mode="differential"`` (requires ``battery``) shares one golden
-    simulation across all mutations and re-evaluates fan-out cones only
-    — same :class:`CoverageResult`, measured fraction of the work.  In
-    the degenerate case where the golden module itself fails its
-    battery, the campaign silently falls back to full mode (where every
-    mutant fails too), so the modes never diverge.
+    ``mode="differential"`` shares one golden simulation across all
+    mutations and re-evaluates fan-out cones only — same
+    :class:`CoverageResult`, measured fraction of the work.  In the
+    degenerate case where the golden module itself fails its battery,
+    the campaign silently falls back to full mode (where every mutant
+    fails too), so the modes never diverge.
 
     A prebuilt ``engine`` (see :func:`campaign_engine`) skips the
     golden run entirely: campaigns chunked over the same module and
@@ -299,8 +298,6 @@ def mutation_coverage(module, checker=None, n_mutations=40, seed=2017,
     if mode != "differential":
         engine = None
     elif engine is None:
-        if battery is None:
-            raise SimulationError("differential mode needs a battery")
         from repro.hdl.sim.differential import DifferentialEngine
 
         engine = DifferentialEngine(module, battery.stimulus,
@@ -310,10 +307,7 @@ def mutation_coverage(module, checker=None, n_mutations=40, seed=2017,
             reg.inc("fault.golden_mismatch")
             mode = "full"
             engine = None
-    if mode == "full" and checker is None:
-        if battery is None:
-            raise SimulationError("full mode needs a checker or battery")
-        checker = battery.checker()
+    checker = battery.checker()
 
     result = CoverageResult(attempted=0, detected=0)
     with obs.span("fault:campaign", cat="fault", module=module.name,
@@ -339,24 +333,6 @@ def mutation_coverage(module, checker=None, n_mutations=40, seed=2017,
                 result.detected += 1
                 reg.inc("fault.detected")
     return result
-
-
-def multiplier_checker(cases):
-    """A checker comparing a 64x64 multiplier module against ``*``."""
-    from repro.hdl.sim.levelized import LevelizedSimulator
-
-    def check(module):
-        stim = {"x": [c[0] for c in cases], "y": [c[1] for c in cases]}
-        run = LevelizedSimulator(module).run(stim, len(cases))
-        latency = module.stage_count() - 1
-        words = run.bus_words(module.outputs["p"])
-        for t in range(len(cases) - latency):
-            x, y = cases[t]
-            if words[t + latency] != x * y:
-                return False
-        return True
-
-    return check
 
 
 def r16_cases(n=16, case_seed=1):
@@ -510,12 +486,13 @@ CHUNK_TARGET_MUTATIONS = 10
 def chunk_plan(n_mutations, seed, chunks=None):
     """Deterministic ``(chunk_seed, chunk_size)`` split of a campaign.
 
-    Both the serial entry point and the orchestrator's sharded graph
-    use this plan, so their merged results are identical.
-    ``chunks=None`` auto-sizes toward :data:`CHUNK_TARGET_MUTATIONS`
-    mutations per chunk, floored at the historic 4 chunks — campaigns
-    of up to 40 mutations keep their exact historic shard seeds, while
-    larger ones refine into more stealable leaves.
+    The orchestrator's campaign graph shards along this plan, so any
+    backend, or a caller merging the chunks itself, gets the same
+    result.  ``chunks=None`` auto-sizes toward
+    :data:`CHUNK_TARGET_MUTATIONS` mutations per chunk, floored at the
+    historic 4 chunks — campaigns of up to 40 mutations keep their
+    exact historic shard seeds, while larger ones refine into more
+    stealable leaves.
     """
     if chunks is None:
         target = -(-n_mutations // CHUNK_TARGET_MUTATIONS)
@@ -534,44 +511,3 @@ def merge_coverage(results):
         merged.detected += chunk.detected
         merged.survivors.extend(chunk.survivors)
     return merged
-
-
-def experiment_fault_coverage(which="r16", n_mutations=40, seed=7,
-                              chunks=None, mode="differential",
-                              battery_patterns=None):
-    """Mutation coverage of the co-simulation battery for ``which``.
-
-    The campaign is split into independently seeded shards (see
-    :func:`chunk_plan`; ``chunks=None`` auto-sizes them); running them
-    serially here or in parallel through the orchestrator yields the
-    same merged result, as does either campaign ``mode``.  All shards
-    share one golden run (one kernel invocation per campaign);
-    ``battery_patterns`` runs the campaign over a wider battery
-    superword.
-    """
-    return merge_coverage(
-        [coverage_chunk(which=which, n_mutations=size, seed=chunk_seed,
-                        mode=mode, battery_patterns=battery_patterns)
-         for chunk_seed, size in chunk_plan(n_mutations, seed, chunks)])
-
-
-def mf_unit_checker(operations):
-    """A checker comparing the MF unit against the functional model."""
-    from repro.core.mfmult import MFMult
-    from repro.core.pipeline_unit import MFMultUnit
-
-    mf = MFMult(fidelity="fast")
-    expected = [mf.multiply(bundle, fmt) for bundle, fmt in operations]
-
-    def check(module):
-        unit = MFMultUnit(module=module)
-        try:
-            results = unit.run_batch(operations)
-        except Exception:
-            return False
-        for res, exp in zip(results, expected):
-            if (res.ph, res.pl) != (exp.ph, exp.pl):
-                return False
-        return True
-
-    return check

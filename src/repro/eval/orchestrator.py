@@ -1,38 +1,34 @@
-"""Parallel experiment orchestration with a persistent result cache.
+"""Experiment orchestration with a persistent result cache.
 
-The evaluation surface of this repository — every ``experiment_*``
-table/figure, the ``sweep_*`` ablations, the Sec. III-E activity
-decomposition and the fault-injection campaigns — used to be a strictly
-serial walk over ~19 entry points that each rebuilt stimulus and reran
-Monte Carlo from scratch.  This module turns that walk into a
-**dependency-aware job graph**:
+This module is the **one place an experiment is composed and run**.
+Every evaluation entry point — the table/figure experiments, the
+ablation sweeps, the Sec. III-E activity decomposition and the
+fault-injection campaigns — is a **dependency-aware job graph** built
+by the registry here (:func:`experiment_names`, :func:`build_jobs`):
 
 * **leaf jobs** are module-level functions addressed as
   ``"module.path:function"`` with keyword params — picklable, so they
-  fan out over worker processes (forked, sharing the parent's warm
-  module caches);
+  fan out over worker processes;
 * **merge jobs** run in the parent as soon as their dependencies
-  complete and assemble leaf values into the exact result objects the
-  serial entry points return — same seeds, bit-identical tables.
+  complete and assemble leaf values into the experiment's result
+  object — merges are keyed by job name, so every backend, worker count
+  and steal schedule renders byte-identical tables.
 
-This module is the **scheduler core**: graph checking, cache probes,
-deterministic merges, and the pump loop that feeds cache-missing leaves
-to a pluggable **execution backend** (:mod:`repro.eval.sched`):
+The **scheduler core** checks the graph, probes the cache, runs merges
+and drives one pump loop that feeds cache-missing leaves to a
+pluggable **execution backend** (:mod:`repro.eval.sched`):
 
-* ``inline`` — zero-overhead serial execution, auto-selected whenever
-  the request cannot actually run in parallel (``workers <= 1``, or an
-  oversubscribed request — more workers than cores — which is counted
-  as ``orchestrator.backend.downgraded`` instead of paying process
+* ``inline`` — serial execution in this process, one queued leaf per
+  ``next_result``; auto-selected whenever the request cannot actually
+  run in parallel (``workers <= 1``, or an oversubscribed request —
+  more workers than cores — which is counted as
+  ``orchestrator.backend.downgraded`` instead of paying process
   overhead for time slicing);
 * ``workers`` — long-lived worker processes under deque-based work
   stealing, speaking the ``repro.sched/1`` wire protocol with live
   result streaming and crash recovery (what ``auto`` picks for
   parallel requests);
 * ``remote`` — the same protocol over TCP to worker daemons.
-
-Results stay byte-identical to a serial run on every backend at any
-worker count and steal schedule, because merges are keyed by job name
-and run in the parent.
 
 Finished leaves persist in the **content-addressed result store** of
 :mod:`repro.eval.cache` — ``sha256(key)``-named entries keyed by
@@ -46,11 +42,11 @@ disables).
 
 Entry points:
 
-* :func:`run_experiment` — one experiment through the graph (what the
-  benchmark drivers call, so repeated benchmark processes share warm
-  caches instead of private ones);
+* :func:`run_experiment` — one experiment by name (what users, the
+  examples and the benchmark drivers call);
 * :func:`run_experiments` — a batch with a shared backend and cache
-  (what the full-report CLI of :mod:`repro.eval.report` drives);
+  (what ``python -m repro`` and the full-report CLI of
+  :mod:`repro.eval.report` drive);
 * :func:`run_graph` — the raw scheduler, for custom graphs.
 """
 
@@ -64,7 +60,6 @@ from repro.errors import SimulationError
 from repro.eval.cache import ResultCache, job_key, key_digest, resolve_cache
 from repro.eval.sched import (
     LeafTask,
-    call_leaf,
     make_backend,
     raise_leaf_failure,
     resolve_fn,
@@ -122,12 +117,6 @@ class JobOutcome:
 # the scheduler core
 # ----------------------------------------------------------------------
 
-# Back-compat aliases: graph builders and external callers used these
-# names when execution lived in this module.
-_resolve_fn = resolve_fn
-_execute_leaf = call_leaf
-
-
 def _note_outcome(outcome):
     """Fold one finished job into the metrics registry + trace."""
     reg = obs.registry()
@@ -173,34 +162,6 @@ def _check_graph(jobs):
     if len(order) != len(by_name):
         raise SimulationError("job graph has a dependency cycle")
     return by_name, order, dependents
-
-
-def _finish(jb, results, cache):
-    """Run one job in the parent (cache-served, merge, or inline leaf)."""
-    t0 = time.perf_counter()
-    outcome = _finish_inner(jb, results, cache, t0)
-    obs.complete_event(f"job:{jb.name}", t0, outcome.seconds,
-                       cat="orchestrator", mode=outcome.mode,
-                       cached=outcome.cached)
-    _note_outcome(outcome)
-    return outcome
-
-
-def _finish_inner(jb, results, cache, t0):
-    if jb.cacheable and cache is not None and not jb.deps:
-        hit, value = cache.load(jb)
-        if hit:
-            return JobOutcome(jb.name, value, time.perf_counter() - t0,
-                              cached=True, mode="cache")
-    if jb.deps:
-        deps = {dep: results[dep] for dep in jb.deps}
-        value = _resolve_fn(jb.fn)(deps, **dict(jb.params))
-    else:
-        value = _execute_leaf(jb.fn, jb.params)
-        if jb.cacheable and cache is not None:
-            cache.store(jb, value)
-    return JobOutcome(jb.name, value, time.perf_counter() - t0,
-                      cached=False, mode="inline")
 
 
 def _resolve_backend_choice(backend, workers):
@@ -256,14 +217,14 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
     ``workers``/``remote``; see :func:`_resolve_backend_choice`
     for the ``auto`` policy).  ``hosts`` names the worker daemons of the
     ``remote`` backend (``HOST:PORT,...``; default
-    ``REPRO_SCHED_HOSTS``).  The inline path runs everything in deterministic
-    topological order with zero scheduling overhead; parallel backends
-    fan cache-missing leaf jobs out heaviest-first and stream results
-    back as each leaf finishes.  Merge jobs always run in the parent,
-    as soon as their dependencies complete, so the merged tables are
-    identical to a serial run regardless of backend, worker count or
-    steal schedule.  Cache lookups and stores happen only in the
-    parent — worker processes never touch the cache directory.
+    ``REPRO_SCHED_HOSTS``).  Every backend runs through the same pump
+    loop: cache-missing leaf jobs go to the backend (heaviest-first
+    unless it is serial) and their results stream back one at a time.
+    Merge jobs always run in the parent, as soon as their dependencies
+    complete, so the merged tables are identical regardless of
+    backend, worker count or steal schedule.  Cache lookups and stores
+    happen only in the parent — worker processes never touch the cache
+    directory.
 
     ``progress``, when given, is called after every finished job with a
     dict ``{"name", "mode", "cached", "seconds", "done", "total",
@@ -275,77 +236,62 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
     results: Dict[str, object] = {}
     outcomes: Dict[str, JobOutcome] = {}
     total = len(by_name)
-
-    def notify(outcome, outstanding=0):
-        if progress is None:
-            return
-        progress({"name": outcome.name, "mode": outcome.mode,
-                  "cached": outcome.cached,
-                  "seconds": outcome.seconds,
-                  "done": len(outcomes), "total": total,
-                  "outstanding": outstanding})
-
-    if chosen == "inline":
-        with obs.span("graph:run", cat="orchestrator", jobs=total,
-                      backend=chosen):
-            for name in order:
-                outcome = _finish(by_name[name], results, cache)
-                outcomes[name] = outcome
-                results[name] = outcome.value
-                notify(outcome)
-        return outcomes
-
     waiting = {name: len(by_name[name].deps) for name in by_name}
     ready = [name for name in order if waiting[name] == 0]
-    ready.sort(key=lambda n: -by_name[n].weight)
-
-    def settle(name, outcome):
-        outcomes[name] = outcome
-        results[name] = outcome.value
-        unblocked = []
-        for dependent in dependents[name]:
-            waiting[dependent] -= 1
-            if waiting[dependent] == 0:
-                unblocked.append(dependent)
-        return unblocked
-
     reg = obs.registry()
+
     with make_backend(chosen, eff_workers, hosts=hosts) as pool, \
             obs.span("graph:run", cat="orchestrator", jobs=total,
                      backend=chosen, workers=eff_workers):
+        if not pool.serial:
+            # Heaviest-first shortens a parallel makespan.  A serial
+            # backend gains nothing from it and keeps the declared
+            # order, which also keeps the fault campaigns' cached golden
+            # state out of the power runs' memory peak.
+            ready.sort(key=lambda n: -by_name[n].weight)
+
+        def settle(outcome, t0, **event_args):
+            """Record one finished job, then launch what it unblocks."""
+            name = outcome.name
+            obs.complete_event(f"job:{name}", t0, outcome.seconds,
+                               cat="orchestrator", mode=outcome.mode,
+                               cached=outcome.cached, **event_args)
+            _note_outcome(outcome)
+            outcomes[name] = outcome
+            results[name] = outcome.value
+            if progress is not None:
+                progress({"name": name, "mode": outcome.mode,
+                          "cached": outcome.cached,
+                          "seconds": outcome.seconds,
+                          "done": len(outcomes), "total": total,
+                          "outstanding": pool.outstanding})
+            for dependent in dependents[name]:
+                waiting[dependent] -= 1
+                if waiting[dependent] == 0:
+                    launch(dependent)
 
         def launch(name):
             jb = by_name[name]
+            t0 = time.perf_counter()
             if jb.deps:
                 # Merge: deps are complete by construction when queued.
-                outcome = _finish(jb, results, cache)
-                unblocked = settle(name, outcome)
-                notify(outcome, pool.outstanding)
-                for nxt in unblocked:
-                    launch(nxt)
+                deps = {dep: results[dep] for dep in jb.deps}
+                value = resolve_fn(jb.fn)(deps, **dict(jb.params))
+                settle(JobOutcome(name, value, time.perf_counter() - t0,
+                                  cached=False, mode="inline"), t0)
                 return
             if jb.cacheable and cache is not None:
-                t0 = time.perf_counter()
                 hit, value = cache.load(jb)
                 if hit:
-                    outcome = JobOutcome(name, value,
-                                         time.perf_counter() - t0,
-                                         cached=True, mode="cache")
-                    obs.complete_event(f"job:{name}", t0, outcome.seconds,
-                                       cat="orchestrator", mode="cache",
-                                       cached=True)
-                    _note_outcome(outcome)
-                    unblocked = settle(name, outcome)
-                    notify(outcome, pool.outstanding)
-                    for nxt in unblocked:
-                        launch(nxt)
+                    settle(JobOutcome(name, value, time.perf_counter() - t0,
+                                      cached=True, mode="cache"), t0)
                     return
             fingerprint = key_digest(job_key(
                 cache.fingerprint if cache is not None else "", jb))
             trace_ctx = None
             if obs.is_tracing():
                 # One flow arrow per submitted leaf: tail here (inside
-                # the graph span), head inside the worker's leaf span.
+                # the graph span), head inside the backend's leaf span.
                 trace_ctx = dict(obs.current_context() or {},
                                  flow=obs.new_span_id())
                 obs.flow_start(f"sched:{name}", trace_ctx["flow"],
@@ -370,18 +316,9 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
             jb = by_name[res.name]
             if jb.cacheable and cache is not None:
                 cache.store(jb, res.value)
-            outcome = JobOutcome(res.name, res.value, res.seconds,
-                                 cached=False, mode=pool.mode)
-            obs.complete_event(f"job:{res.name}",
-                               time.perf_counter() - res.seconds,
-                               outcome.seconds, cat="orchestrator",
-                               mode=pool.mode, cached=False,
-                               worker=res.worker)
-            _note_outcome(outcome)
-            unblocked = settle(res.name, outcome)
-            notify(outcome, pool.outstanding)
-            for nxt in unblocked:
-                launch(nxt)
+            settle(JobOutcome(res.name, res.value, res.seconds,
+                              cached=False, mode=pool.mode),
+                   time.perf_counter() - res.seconds, worker=res.worker)
         reg.gauge("orchestrator.leaves.inflight", 0)
     return outcomes
 
@@ -393,7 +330,7 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
 def _merge_keyed(deps, _build=None, _keys=(), _prefix=""):
     """Generic merge: collect ``{prefix}/{key}`` deps, hand to a builder."""
     values = {key: deps[f"{_prefix}/{key}"] for key in _keys}
-    return _resolve_fn(_build)(values)
+    return resolve_fn(_build)(values)
 
 
 def _build_table3(values):
@@ -408,12 +345,6 @@ def _build_table5(values):
     measured = {fmt: values[fmt] for fmt in ex.TABLE5_FLOPS}
     return ex.Table5Result(measured=measured, paper=ex.PAPER["table5"],
                            max_freq_mhz=values["max_freq"])
-
-
-def _build_activity(values):
-    from repro.eval.activity import breakdown_from_points
-
-    return breakdown_from_points(values)
 
 
 def _merge_sweep(deps, _title="", _order=()):
@@ -442,7 +373,7 @@ MC_SHARD_TRANSITIONS = 16
 def _merge_mc_shards(deps, _finish=None, _order=(), **params):
     """Per-point merge: ordered shard outputs into a finish function."""
     shards = [deps[name] for name in _order]
-    return _resolve_fn(_finish)(shards=shards, **params)
+    return resolve_fn(_finish)(shards=shards, **params)
 
 
 def _mc_point_jobs(point_name, leaf_fn, shard_fn, finish_fn, weight,
@@ -522,7 +453,7 @@ def _activity_jobs(name, params):
     return leaves + [job(name, _merge_keyed,
                          deps=[leaf.name for leaf in leaves],
                          cacheable=False,
-                         _build="repro.eval.orchestrator:_build_activity",
+                         _build="repro.eval.activity:breakdown_from_points",
                          _keys=ACTIVITY_FORMATS, _prefix=name)]
 
 

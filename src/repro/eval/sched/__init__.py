@@ -6,9 +6,11 @@ graph; *how* cache-missing leaves actually execute is a backend choice:
 ========  ==========================================================
 backend   what it is
 ========  ==========================================================
-inline    zero-overhead serial execution in the scheduler's process —
-          auto-selected whenever ``effective_workers == 1`` (including
-          the oversubscription downgrade)
+inline    serial execution in the scheduler's process: ``submit``
+          queues, each ``next_result`` runs one leaf — driven by the
+          same pump loop as every backend; auto-selected whenever
+          ``effective_workers == 1`` (including the oversubscription
+          downgrade)
 workers   long-lived worker processes speaking the ``repro.sched/1``
           wire protocol, scheduled by deque-based work stealing with
           crash recovery and live result streaming — what ``auto``

@@ -124,6 +124,8 @@ class Backend:
     #: Registry key and the ``JobOutcome.mode`` label of its results.
     name = "?"
     mode = "worker"
+    #: True when leaves run one at a time in submission order.
+    serial = False
 
     def submit(self, task):
         raise NotImplementedError

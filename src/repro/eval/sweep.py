@@ -6,7 +6,13 @@ sweep; we do:
 * **radix** — 4 vs 8 vs 16 (Sec. II-A argues radix-8 is dominated);
 * **final CPA style** — ripple / Brent-Kung / Kogge-Stone / carry-select;
 * **pipeline cut** — after the pre-computation vs after PPGEN;
-* **tree style** — Dadda 3:2 vs 4:2-compressor-first.
+* **tree style** — Dadda 3:2 vs 4:2-compressor-first;
+* **format specialization** — the MF unit tied to one format.
+
+Each ``*_point`` function measures one design point; the orchestrator
+composes them into the ``sweep_radix``, ``sweep_cpa``,
+``sweep_pipeline_cut``, ``sweep_tree`` and ``sweep_specialization``
+experiments (``run_experiment("sweep_radix", power_cycles=10)``).
 """
 
 from dataclasses import dataclass
@@ -91,8 +97,8 @@ def measure_design_point(label, module, power_cycles=0, seed=2017,
     )
 
 
-#: The swept configurations, in rendering order.  Each sweep's leaf
-#: function below measures exactly one of these — module-level and
+#: The swept configurations, in rendering order.  Each leaf function
+#: below measures exactly one of these — module-level and
 #: keyword-addressable so the orchestrator can fan the points out over
 #: worker processes and merge them back deterministically.
 RADIX_POINTS = ((2, "radix-4"), (3, "radix-8"), (4, "radix-16"))
@@ -167,50 +173,3 @@ def specialization_point(label):
         latency_ps=timing.latency_ps,
         clock_ps=timing.clock_period_ps,
         area_knand2=area.total_nand2_eq / 1000.0)
-
-
-def sweep_radix(power_cycles=0):
-    """Radix 4 / 8 / 16, combinational (the Sec. II-A trade-off)."""
-    return SweepResult(
-        title="Ablation: radix",
-        points=[radix_point(k, power_cycles=power_cycles)
-                for k, __ in RADIX_POINTS])
-
-
-def sweep_cpa_style(radix_log2=4, power_cycles=0):
-    """Final CPA style on the radix-16 multiplier."""
-    return SweepResult(
-        title="Ablation: CPA style",
-        points=[cpa_point(style, radix_log2=radix_log2,
-                          power_cycles=power_cycles)
-                for style in CPA_STYLES])
-
-
-def sweep_pipeline_cut(radix_log2=4, power_cycles=0):
-    """Register placement for the 2-stage multiplier (Sec. III-D theme)."""
-    return SweepResult(
-        title="Ablation: pipeline cut",
-        points=[cut_point(cut, radix_log2=radix_log2,
-                          power_cycles=power_cycles)
-                for cut in PIPELINE_CUTS])
-
-
-def sweep_specialization():
-    """The cost of multi-format flexibility.
-
-    Ties the MF unit's ``frmt`` input to each single format and lets the
-    optimizer reap the other formats' logic; the cell-count delta vs the
-    full unit bounds what the paper's flexibility costs.
-    """
-    return SweepResult(
-        title="Ablation: format specialization",
-        points=[specialization_point(label)
-                for label in SPECIALIZATION_LABELS])
-
-
-def sweep_tree_style(power_cycles=0):
-    """Dadda 3:2 vs 4:2-first reduction, radix-4 and radix-16."""
-    return SweepResult(
-        title="Ablation: tree style",
-        points=[tree_point(k, use42, power_cycles=power_cycles)
-                for k, __, use42 in TREE_POINTS])

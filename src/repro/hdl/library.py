@@ -15,7 +15,8 @@ loads).  Energy model: each output toggle switches the cell's internal
 capacitance (proportional to area) plus the wire/input load it drives;
 the single global scale :attr:`CellLibrary.energy_fj_per_unit` converts
 that capacitance measure to femtojoules and is the one calibrated
-constant of the power flow (see ``repro.eval.calibration``).
+constant of the power flow (see docs/power_model.md; the calibration
+test in ``tests/test_eval.py`` re-derives its anchors).
 """
 
 from dataclasses import dataclass, replace

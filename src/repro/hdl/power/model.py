@@ -13,7 +13,8 @@ paper's tooling uses:
 * **leakage**: proportional to total area.
 
 ``scale`` (``CellLibrary.energy_fj_per_unit``) is the single calibrated
-constant — see DESIGN.md and ``repro.eval.calibration``.
+constant — see docs/power_model.md and the calibration test in
+``tests/test_eval.py``.
 """
 
 from dataclasses import dataclass, field

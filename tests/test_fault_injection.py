@@ -11,7 +11,7 @@ from repro.eval.fault_injection import (
     Mutation,
     clone_module,
     inject_mutation,
-    multiplier_checker,
+    multiplier_battery,
     mutation_coverage,
 )
 from repro.hdl.sim.levelized import LevelizedSimulator
@@ -85,7 +85,7 @@ class TestCoverage:
         rng = random.Random(1)
         cases = [(rng.getrandbits(64), rng.getrandbits(64))
                  for __ in range(16)]
-        result = mutation_coverage(r16, multiplier_checker(cases),
+        result = mutation_coverage(r16, multiplier_battery(r16, cases),
                                    n_mutations=30, seed=7)
         # Most mutations must be caught; the known survivors are
         # equivalence classes (one-hot OR==XOR, prefix g/p exclusivity).
@@ -98,16 +98,16 @@ class TestCoverage:
         rng = random.Random(1)
         cases = [(rng.getrandbits(64), rng.getrandbits(64))
                  for __ in range(16)]
-        checker = multiplier_checker(cases)
-        result = mutation_coverage(r16, checker, n_mutations=10, seed=3)
-        assert checker(r16)                 # the original passes
+        battery = multiplier_battery(r16, cases)
+        result = mutation_coverage(r16, battery, n_mutations=10, seed=3)
+        assert battery.checker()(r16)       # the original passes
         assert result.detected >= 1
 
     def test_render(self, r16):
         rng = random.Random(1)
         cases = [(rng.getrandbits(64), rng.getrandbits(64))
                  for __ in range(4)]
-        result = mutation_coverage(r16, multiplier_checker(cases),
+        result = mutation_coverage(r16, multiplier_battery(r16, cases),
                                    n_mutations=5, seed=9)
         text = result.render()
         assert "mutations injected : 5" in text

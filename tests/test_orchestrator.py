@@ -7,7 +7,9 @@ The load-bearing guarantees tested here:
 * the persistent result cache hits on identical ``(fingerprint,
   experiment, params)`` keys, misses when the fingerprint moves, and
   silently recomputes over corrupt entries;
-* the job-graph checker rejects cycles and conflicting duplicates.
+* the job-graph checker rejects cycles and conflicting duplicates;
+* ``python -m repro`` runs the same registry with the report's params,
+  so each printed body equals that experiment's report section.
 """
 
 import os
@@ -186,6 +188,47 @@ def test_report_cli_smoke(tmp_path, capsys):
     text = out.read_text()
     assert "Table IV" in text
     assert "Fig. 2" in text
+
+
+def _cli_bodies(out):
+    """``{name: body}`` of the CLI's ``===== name =====`` blocks."""
+    bodies, name = {}, None
+    for line in out.splitlines(keepends=True):
+        if line.startswith("===== ") and line.rstrip().endswith(" ====="):
+            name = line.strip()[6:-6]
+            bodies[name] = ""
+        else:
+            bodies[name] += line
+    return {k: v[:-2] for k, v in bodies.items()}    # drop "\n\n"
+
+
+def test_cli_bodies_match_report_sections(tmp_path, monkeypatch, capsys):
+    """``python -m repro`` runs the registry with the report's params:
+    each body is byte-identical to a direct ``run_experiment``."""
+    from repro.__main__ import main
+    from repro.eval.report import report_sections
+
+    monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+    assert main(["table3", "table4", "activity", "--cycles", "4"]) == 0
+    bodies = _cli_bodies(capsys.readouterr().out)
+    assert list(bodies) == ["table3", "table4", "activity"]
+    params = {name: p for __, name, p in report_sections(n_cycles=4)}
+    for name, body in bodies.items():
+        assert body == run_experiment(name, cache=False,
+                                      **params[name]).render()
+
+
+def test_cli_targets_are_the_registry(capsys):
+    """Every registry experiment has a report section (the CLI's params),
+    and an unknown target is rejected with the registry's names."""
+    from repro.__main__ import main
+    from repro.eval.report import report_sections
+
+    assert [name for __, name, ___ in report_sections()] \
+        == list(experiment_names())
+    with pytest.raises(SystemExit):
+        main(["table9"])
+    assert "sweep_radix" in capsys.readouterr().err
 
 
 def test_parallel_run_counts_oversubscription(monkeypatch):

@@ -3,8 +3,12 @@
 Load-bearing guarantees:
 
 * every local backend (``inline``, work-stealing ``workers``)
-  produces byte-identical graph results at any worker count, and
-  ``LeafResult.seconds`` means worker-side execution time on each;
+  produces byte-identical graph results at any worker count,
+  ``LeafResult.seconds`` means the leaf's own execution time on each
+  (no queue wait, no cache I/O), and a failing leaf raises its own
+  exception;
+* ``inline`` runs one leaf per ``next_result`` in declared order, so
+  progress streams between leaves;
 * the ``workers`` backend actually steals under skew and recovers from
   a worker crash by re-queueing the in-flight leaf;
 * the ``repro.sched/1`` wire envelopes round-trip tasks and results;
@@ -18,6 +22,7 @@ Load-bearing guarantees:
 
 import os
 import pickle
+import time
 
 import pytest
 
@@ -89,6 +94,48 @@ def test_leaf_seconds_exclude_queue_wait(backend):
     assert out["fast"].seconds < 0.2
 
 
+class _SlowStoreCache(ResultCache):
+    """A result store whose every write takes 0.2 s."""
+
+    def store(self, jb, value):
+        time.sleep(0.2)
+        return super().store(jb, value)
+
+
+@pytest.mark.parametrize("backend", ["inline", "workers"])
+def test_leaf_seconds_exclude_cache_io(backend, tmp_path):
+    """Cache probes and stores happen in the scheduler, outside the
+    leaf's own execution time — on inline exactly as on workers."""
+    cache = _SlowStoreCache(root=tmp_path, fingerprint="fp")
+    jobs = [job("leaf", "tests.oracles.sched_leaves:seeded_leaf", seed=3)]
+    out = run_graph(jobs, workers=1, cache=cache, backend=backend)
+    assert out["leaf"].seconds < 0.2
+    assert out["leaf"].mode == ("inline" if backend == "inline"
+                                else "worker")
+
+
+def test_inline_progress_streams_between_leaves():
+    """``--live`` sees leaf *k* finish before leaf *k+1* starts, and a
+    serial backend keeps the declared order instead of heaviest-first."""
+    events = []
+
+    def leaf(tag):
+        events.append(("run", tag))
+        return tag
+
+    jobs = [job(f"leaf{i}", leaf, weight=1 + i, tag=i) for i in range(3)]
+    jobs.append(Job(name="total", fn=lambda deps: sorted(deps.values()),
+                    deps=tuple(jb.name for jb in jobs)))
+    out = run_graph(jobs, cache=None, backend="inline",
+                    progress=lambda info: events.append(("done",
+                                                         info["name"])))
+    assert out["total"].value == [0, 1, 2]
+    assert events == [("run", 0), ("done", "leaf0"),
+                      ("run", 1), ("done", "leaf1"),
+                      ("run", 2), ("done", "leaf2"),
+                      ("done", "total")]
+
+
 def test_workers_backend_steals_under_skew():
     before = _counter("orchestrator.steals")
     outcomes = run_graph(_mini_graph(fast=8, slow_seconds=0.4),
@@ -112,11 +159,13 @@ def test_workers_backend_recovers_from_crash(tmp_path):
     assert os.path.exists(sentinel)
 
 
-def test_workers_backend_leaf_error_propagates():
+@pytest.mark.parametrize("backend", ["inline", "workers"])
+def test_workers_backend_leaf_error_propagates(backend):
+    """A failing leaf re-raises its own exception in the caller."""
     jobs = [job("bad", "tests.oracles.sched_leaves:seeded_leaf",
                 seed="not-an-int", size=None)]
-    with pytest.raises(Exception):
-        run_graph(jobs, workers=2, cache=None, backend="workers")
+    with pytest.raises(TypeError):
+        run_graph(jobs, workers=2, cache=None, backend=backend)
 
 
 def test_make_backend_rejects_unknown():
