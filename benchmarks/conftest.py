@@ -1,8 +1,12 @@
-"""Shared helpers for the reproduction benchmarks.
+"""Shared helpers for the performance benchmarks.
 
-Every benchmark regenerates one table or figure of the paper, prints the
-paper-vs-measured report, and records it under ``benchmarks/results/``
-so the numbers survive the run (EXPERIMENTS.md references them).
+The benchmarks here measure the engines (power replay, fault
+simulation, serving, the report pipeline, telemetry overhead); each
+prints its summary and records it under ``benchmarks/results/``.  The
+paper's tables and figures are not regenerated here: the full report
+(``python -m repro.eval.report``) writes them to
+``benchmarks/results/full_report.txt``, and ``tests/test_paper_claims.py``
+checks their claims.
 """
 
 import os

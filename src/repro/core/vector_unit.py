@@ -14,8 +14,9 @@ exactly that pipeline front-end:
 * per-cycle energy is taken from a :class:`FormatPowerTable` so the same
   model can be driven by the paper's numbers or by our measured ones.
 
-This is the machinery behind ``benchmarks/bench_section4_savings.py``
-and the ``precision_autotuner`` example.
+This is the machinery behind the Sec. IV experiment (``section4``),
+its claims in ``tests/test_paper_claims.py`` and the
+``precision_autotuner`` example.
 """
 
 from dataclasses import dataclass, field

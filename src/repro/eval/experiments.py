@@ -8,7 +8,7 @@ the Monte Carlo power tables.  Each experiment ends in a result object
 with the measured values, the paper's published values, and a
 ``render()`` method producing the paper-vs-measured report.  Run one
 with ``run_experiment(name, **params)``; DESIGN.md's experiment index
-maps each to its benchmark entry point.
+maps each to its claims in ``tests/test_paper_claims.py``.
 
 Modules are built once and cached — netlist construction is a second or
 two each, and the benchmarks call these functions repeatedly.  The

@@ -273,9 +273,29 @@ def main(argv=None):
                         help="skip the ablation sweep sections")
     parser.add_argument("--no-verification", action="store_true",
                         help="skip the mutation-coverage sections")
-    parser.add_argument("--output", default=str(DEFAULT_OUTPUT),
-                        help=f"report path (default {DEFAULT_OUTPUT})")
+    parser.add_argument("--output", default=None,
+                        help=f"report path (default {DEFAULT_OUTPUT}, "
+                             "the committed report: only a run of every "
+                             "section at the default --cycles and "
+                             "--mutations may write it)")
     args = parser.parse_args(argv)
+    if args.output is None:
+        # The default path holds the committed CLI-defaults report; a
+        # partial or re-parameterized run must not overwrite it.
+        changed = [flag for flag, differs in (
+            ("--filter", args.filter),
+            ("--no-sweeps", args.no_sweeps),
+            ("--no-verification", args.no_verification),
+            ("--cycles", args.cycles != parser.get_default("cycles")),
+            ("--mutations",
+             args.mutations != parser.get_default("mutations")),
+        ) if differs]
+        if changed:
+            parser.error(f"a run with {', '.join(changed)} differs from "
+                         f"the committed report; pass --output PATH (the "
+                         f"default {DEFAULT_OUTPUT} is the committed "
+                         "CLI-defaults report)")
+        args.output = str(DEFAULT_OUTPUT)
 
     if args.trace:
         obs.start_trace()

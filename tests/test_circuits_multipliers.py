@@ -24,6 +24,7 @@ BUILDERS = {
 EDGE_CASES = [
     (0, 0), (1, 1), (0, mask(64)), (mask(64), 0),
     (mask(64), mask(64)), (1 << 63, 1 << 63), (1 << 63, mask(64)),
+    (1, mask(64)), (mask(64), 1),
     (0x8888888888888888, 0x8888888888888888),   # all digits -8
     (0x7777777777777777, 0x7777777777777777),   # all digits +7
     (0xAAAAAAAAAAAAAAAA, 0x5555555555555555),

@@ -1,8 +1,9 @@
 """Seed-robustness of the headline reproduction claims.
 
-The benchmarks assert the paper's shape claims for one committed seed;
-these tests re-check the claims across several stimulus seeds and
-Monte Carlo depths, so the reproduction cannot hinge on a lucky draw.
+The claim registry (``tests/test_paper_claims.py``) asserts the paper's
+shape claims for one committed seed; these tests re-check the claims
+across several stimulus seeds and Monte Carlo depths, so the
+reproduction cannot hinge on a lucky draw.
 Kept at modest cycle counts — direction, not precision.
 """
 

@@ -32,6 +32,27 @@ class TestReportGenerator:
                      "--no-verification", "--output", str(out)]) == 0
         assert "Table V" in out.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["--filter", "table4"], ["--no-sweeps"], ["--no-verification"],
+        ["--cycles", "4"], ["--mutations", "4"]])
+    def test_changed_run_refuses_the_default_output(self, argv, tmp_path,
+                                                    monkeypatch, capsys):
+        from repro.eval import report
+
+        default = tmp_path / "full_report.txt"
+        monkeypatch.setattr(report, "DEFAULT_OUTPUT", default)
+        with pytest.raises(SystemExit):
+            report.main(argv + ["--no-cache"])
+        assert "pass --output PATH" in capsys.readouterr().err
+        assert not default.exists()
+
+    def test_committed_report_has_every_section_in_order(self):
+        from repro.eval.report import DEFAULT_OUTPUT, report_sections
+
+        titles = [line[3:] for line in DEFAULT_OUTPUT.read_text().splitlines()
+                  if line.startswith("## ")]
+        assert titles == [title for title, __, ___ in report_sections()]
+
 
 class TestCombinedUnitOptions:
     """RNE + reducer + operand isolation composed in one build."""
@@ -61,6 +82,19 @@ class TestCombinedUnitOptions:
             assert res.reduced == (1 if decision.reduced else 0)
             if decision.reduced:
                 assert res.pl == decision.encoding32
+
+    def test_isolation_alone_keeps_fp64_exact(self):
+        """S&EH operand isolation without RNE or the reducer: paper-mode
+        binary64 products unchanged."""
+        unit = MFMultUnit(operand_isolation=True)
+        mf = MFMult(fidelity="fast")
+        rng = random.Random(40)
+        ops = [(OperandBundle.fp64(
+            BINARY64.pack(0, rng.randint(1, 2046), rng.getrandbits(52)),
+            BINARY64.pack(0, rng.randint(1, 2046), rng.getrandbits(52))),
+            MFFormat.FP64) for __ in range(6)]
+        for (bundle, fmt), res in zip(ops, unit.run_batch(ops)):
+            assert res.ph == mf.multiply(bundle, fmt).ph
 
     def test_int64_still_exact(self, unit):
         rng = random.Random(51)
