@@ -69,7 +69,7 @@ def main():
             xs.append(rng.uniform(-10, 10))
             ys.append(rng.uniform(-10, 10))
 
-    mf = MFMult(fidelity="fast")
+    mf = MFMult()
     table = FormatPowerTable()              # the paper's Table V prices
     exact = sum(a * b for a, b in zip(xs, ys))
 

@@ -25,7 +25,7 @@ from repro.core.reduction import (
     PeriodicReducer,
     reduce_binary64,
 )
-from repro.core.vector_unit import FormatPowerTable, IssueStats
+from repro.core.vector_unit import FormatPowerTable, IssueStats, product_fits
 
 
 class _ExactPolicy:
@@ -44,7 +44,7 @@ def autotune(pairs, policy, table):
         dx = policy.reduce(xe)
         dy = policy.reduce(ye)
         exact = decode(xe, BINARY64) * decode(ye, BINARY64)
-        if dx.reduced and dy.reduced and _fits(dx, dy):
+        if dx.reduced and dy.reduced and product_fits(dx, dy):
             got = (decode(dx.encoding32, BINARY32)
                    * decode(dy.encoding32, BINARY32))
             demoted.append(True)
@@ -58,11 +58,6 @@ def autotune(pairs, policy, table):
     stats.fp32_dual_cycles = stats.demoted_operations // 2
     stats.fp32_single_cycles = stats.demoted_operations % 2
     return stats, worst
-
-
-def _fits(dx, dy):
-    predicted = dx.e32 + dy.e32 - 127
-    return 1 <= predicted and predicted + 1 <= 254
 
 
 def build_workload(n, rng):

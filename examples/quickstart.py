@@ -14,7 +14,9 @@ from repro.core.pipeline_unit import MFMultUnit
 
 
 def main():
-    mf = MFMult()        # paper mode: the silicon's exact behaviour
+    # Paper mode: the silicon's exact results, computed with integer
+    # arithmetic (the PP-array/tree/Fig. 3 mirror is a test oracle).
+    mf = MFMult()
 
     print("== int64: 64x64 -> 128-bit unsigned product ==")
     x, y = 0xDEADBEEFCAFEBABE, 0x123456789ABCDEF1

@@ -4,7 +4,8 @@
 by :mod:`repro.core.pipeline_unit` (the structural 3-stage unit of
 Fig. 5).  :mod:`repro.core.reduction` implements the binary64 ->
 binary32 demotion of Sec. IV, and :mod:`repro.core.vector_unit` the
-issue-level scheduling that turns demotion into power savings.
+issue-level scheduling that turns demotion into power savings;
+:mod:`repro.core.accelerator` runs its kernels through that scheduler.
 """
 
 from repro.core.accelerator import Accelerator, KernelReport
@@ -15,7 +16,7 @@ from repro.core.formats import (
     ResultBundle,
     RoundingMode,
 )
-from repro.core.mfmult import DatapathTrace, MFMult
+from repro.core.mfmult import MFMult
 from repro.core.reduction import (
     LossyReducer,
     PeriodicReducer,
@@ -34,7 +35,6 @@ from repro.core.vector_unit import (
 __all__ = [
     "Accelerator",
     "BatchResult",
-    "DatapathTrace",
     "KernelReport",
     "Flag",
     "FormatPowerTable",

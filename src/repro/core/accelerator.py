@@ -10,19 +10,22 @@ the Fig. 6 reducer, and accounts cycles and energy with a per-format
 power table (the paper's Table V or our measured one).
 
 The model is issue-accurate, not netlist-level: each lane is the
-3-stage pipelined unit (throughput 1 op/cycle, 2 for dual binary32),
-and results are numerically produced by the functional MFMult so the
-accuracy impact of demotion is real, not estimated.
+3-stage pipelined unit (throughput 1 op/cycle, 2 for dual binary32).
+Every kernel issues through :class:`~repro.core.vector_unit.VectorMultiplier`
+(demote, pair, fall back to binary64), so the results are numerically
+produced by the functional MFMult and the accuracy impact of demotion
+is real, not estimated.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 from repro.bits.ieee754 import BINARY64, decode, encode
-from repro.core.mfmult import MFMult
-from repro.core.reduction import reduce_binary64, widen_binary32
-from repro.core.vector_unit import FormatPowerTable, IssueStats
-from repro.core.formats import MFFormat, OperandBundle
+from repro.core.vector_unit import (
+    FormatPowerTable,
+    IssueStats,
+    VectorMultiplier,
+)
 from repro.errors import FormatError
 
 
@@ -62,9 +65,8 @@ class Accelerator:
         if lanes < 1:
             raise FormatError("an accelerator needs at least one lane")
         self.lanes = lanes
-        self.use_reduction = use_reduction
         self.power_table = power_table or FormatPowerTable()
-        self._mf = MFMult(mode="paper", fidelity="fast")
+        self._scheduler = VectorMultiplier(use_reduction=use_reduction)
 
     # ------------------------------------------------------------------
 
@@ -77,46 +79,11 @@ class Accelerator:
         """
         if len(xs) != len(ys):
             raise FormatError("operand vectors must have equal length")
-        report = KernelReport(lanes=self.lanes)
-        report.stats.total_operations = len(xs)
-        slots: List[Optional[float]] = [None] * len(xs)
-        demote_queue = []
-
-        for i, (a, b) in enumerate(zip(xs, ys)):
-            xe, ye = encode(a, BINARY64), encode(b, BINARY64)
-            if self.use_reduction:
-                dx, dy = reduce_binary64(xe), reduce_binary64(ye)
-                if dx.reduced and dy.reduced and self._fits(dx, dy):
-                    demote_queue.append((i, dx.encoding32, dy.encoding32))
-                    report.stats.demoted_operations += 1
-                    continue
-            out = self._mf.multiply(OperandBundle.fp64(xe, ye),
-                                    MFFormat.FP64)
-            slots[i] = decode(out.fp64_encoding, BINARY64)
-            report.stats.fp64_cycles += 1
-
-        for j in range(0, len(demote_queue) - 1, 2):
-            (i0, x0, y0), (i1, x1, y1) = demote_queue[j], demote_queue[j + 1]
-            out = self._mf.multiply(
-                OperandBundle.fp32_pair(x0, y0, x1, y1), MFFormat.FP32X2)
-            slots[i0] = decode(widen_binary32(out.fp32_encoding(0)),
-                               BINARY64)
-            slots[i1] = decode(widen_binary32(out.fp32_encoding(1)),
-                               BINARY64)
-            report.stats.fp32_dual_cycles += 1
-        if len(demote_queue) % 2:
-            i0, x0, y0 = demote_queue[-1]
-            one = 0x3F800000
-            out = self._mf.multiply(
-                OperandBundle.fp32_pair(x0, y0, one, one), MFFormat.FP32X2)
-            slots[i0] = decode(widen_binary32(out.fp32_encoding(0)),
-                               BINARY64)
-            report.stats.fp32_single_cycles += 1
-
-        report.results = [s for s in slots]
-        if any(s is None for s in report.results):
-            raise FormatError("kernel scheduler lost elements")
-        return report
+        batch = self._scheduler.run([(encode(a, BINARY64), encode(b, BINARY64))
+                                     for a, b in zip(xs, ys)])
+        return KernelReport(lanes=self.lanes, stats=batch.stats,
+                            results=[decode(p, BINARY64)
+                                     for p in batch.products64])
 
     def dot(self, xs, ys):
         """Dot product; returns ``(value, KernelReport)``.
@@ -161,11 +128,6 @@ class Accelerator:
             "baseline_pj": report.stats.baseline_energy_pj(table),
             "savings": report.stats.savings_fraction(table),
         }
-
-    @staticmethod
-    def _fits(dx, dy):
-        predicted = dx.e32 + dy.e32 - 127
-        return 1 <= predicted and predicted + 1 <= 254
 
 
 def _merge(into, other):

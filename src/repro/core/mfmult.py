@@ -1,25 +1,18 @@
 """Functional model of the multi-format multiplier (Sec. III, Fig. 5).
 
-``MFMult`` mirrors the paper's datapath step by step:
+``MFMult`` computes what the paper's datapath computes, one format per
+call: the int64 product on both ports, or one binary64, two binary32 or
+four binary16 (extension) products per issue, each lane rounded by
+injection (Fig. 3) with its biased exponent incremented when the
+product's leading one lands high.  It does so with plain integer
+arithmetic on the unpacked significands — one model, used by every
+caller.
 
-1.  **input formatter** — unpack the 64-bit operand words per format;
-2.  **recoding & PP generation** — radix-16 minimally redundant recoding
-    and the encoded partial product array (single window for
-    int64/binary64, dual-lane windows for binary32, Fig. 4);
-3.  **TREE** — Dadda reduction to a carry-save pair with lane-boundary
-    carry kill;
-4.  **normalize & round** — the speculative dual-CPA scheme of Fig. 3;
-5.  **sign & exponent handling** — XOR sign, biased exponent add with
-    speculative increment (Sec. III-C);
-6.  **output formatter** — pack the result word(s).
-
-Two fidelity levels are provided:
-
-* ``fidelity="datapath"`` (default) runs the real PP/tree/Fig.-3 flow, so
-  every intermediate value a hardware test would observe is available in
-  :attr:`MFMult.last_trace`;
-* ``fidelity="fast"`` computes the same results with plain integer
-  arithmetic (property-tested equal) for high-volume software use.
+The step-by-step mirror of the hardware (radix-16 PP array, Dadda
+reduction, the speculative dual-CPA rounding of Fig. 3) is the test
+oracle ``tests/oracles/mf_datapath.py``, property-tested bit-identical
+to ``MFMult(mode="paper")``; the gate-level unit
+(:mod:`repro.core.pipeline_unit`) is co-simulated against this model.
 
 Two behavioural modes:
 
@@ -33,27 +26,18 @@ Two behavioural modes:
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
-from repro.arith.partial_products import (
-    PPArray,
-    build_dual_lane_pp_array,
-    build_pp_array,
+from repro.bits.ieee754 import (
+    BINARY16,
+    BINARY32,
+    BINARY64,
+    decode,
+    encode,
+    round_significand,
 )
-from repro.arith.rounding import (
-    FP32_HIGH_LANE,
-    FP32_LOW_LANE,
-    FP64_LANE,
-    NormRoundResult,
-    injection_vectors,
-    int64_product,
-    normalize_round_lane,
-    speculative_sums,
-)
-from repro.arith.trees import reduce_pp_array
-from repro.bits.ieee754 import BINARY32, BINARY64, round_significand
-from repro.bits.utils import mask
+from repro.bits.utils import mask, to_twos_complement
 from repro.core.formats import (
+    FORMAT_OF,
     Flag,
     MFFormat,
     OperandBundle,
@@ -61,21 +45,6 @@ from repro.core.formats import (
     RoundingMode,
 )
 from repro.errors import FormatError, UnsupportedOperationError
-
-
-@dataclass
-class DatapathTrace:
-    """Intermediate values of the last datapath-fidelity multiplication."""
-
-    fmt: Optional[MFFormat] = None
-    pp_array: Optional[PPArray] = None
-    tree_sum: int = 0
-    tree_carry: int = 0
-    p1: int = 0
-    p0: int = 0
-    lane_results: Tuple[NormRoundResult, ...] = ()
-    exponents: Tuple[int, ...] = ()
-    flags: Tuple[Flag, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -95,26 +64,17 @@ class MFMult:
         extensions enabled).
     rounding:
         :class:`RoundingMode`; the paper mode default is ``INJECTION``.
-    fidelity:
-        ``"datapath"`` (mirror the hardware structures) or ``"fast"``.
     """
 
-    def __init__(self, mode="paper", rounding=RoundingMode.INJECTION,
-                 fidelity="datapath"):
+    def __init__(self, mode="paper", rounding=RoundingMode.INJECTION):
         if mode not in ("paper", "full"):
             raise FormatError(f"mode must be 'paper' or 'full', got {mode!r}")
-        if fidelity not in ("datapath", "fast"):
-            raise FormatError(
-                f"fidelity must be 'datapath' or 'fast', got {fidelity!r}"
-            )
         if mode == "paper" and rounding is RoundingMode.RNE:
             raise UnsupportedOperationError(
                 "the paper's unit has no sticky bit: RNE needs mode='full'"
             )
         self.mode = mode
         self.rounding = rounding
-        self.fidelity = fidelity
-        self.last_trace = DatapathTrace()
 
     # ------------------------------------------------------------------
     # Public API
@@ -126,12 +86,8 @@ class MFMult:
             raise FormatError("operands must be an OperandBundle")
         if fmt is MFFormat.INT64:
             return self._multiply_int64(operands)
-        if fmt is MFFormat.FP64:
-            return self._multiply_fp64(operands)
-        if fmt is MFFormat.FP32X2:
-            return self._multiply_fp32x2(operands)
-        if fmt is MFFormat.FP16X4:
-            return self._multiply_fp16x4(operands)
+        if fmt in FORMAT_OF:
+            return self._multiply_fp(operands, fmt)
         raise FormatError(f"unknown format {fmt!r}")
 
     def mul_int64(self, x, y):
@@ -142,31 +98,17 @@ class MFMult:
         """Signed 64x64 -> 128-bit product (extension, see
         :func:`repro.arith.partial_products.build_signed_pp_array`).
 
-        Accepts and returns Python signed integers; the datapath runs on
-        two's complement patterns with the recoder's final transfer digit
+        Accepts and returns Python signed integers, range-checked as
+        64-bit two's complement; the datapath runs them as two's
+        complement patterns with the recoder's final transfer digit
         dropped — the classic Booth signed-multiplication property.
         """
-        from repro.arith.partial_products import build_signed_pp_array
-        from repro.bits.utils import from_twos_complement, to_twos_complement
-
-        xe = to_twos_complement(x, 64)
-        ye = to_twos_complement(y, 64)
-        if self.fidelity == "fast":
-            return x * y
-        array = build_signed_pp_array(xe, ye, width=64, radix_log2=4,
-                                      product_width=128)
-        s, c, __ = reduce_pp_array(array)
-        product = int64_product(s, c)
-        self.last_trace = DatapathTrace(
-            fmt=MFFormat.INT64, pp_array=array, tree_sum=s, tree_carry=c,
-            p1=product, p0=product,
-        )
-        return from_twos_complement(product, 128)
+        to_twos_complement(x, 64)
+        to_twos_complement(y, 64)
+        return x * y
 
     def mul_fp64(self, x, y):
         """Convenience: multiply two Python floats through the fp64 path."""
-        from repro.bits.ieee754 import decode, encode
-
         bundle = OperandBundle.fp64(encode(x, BINARY64), encode(y, BINARY64))
         result = self.multiply(bundle, MFFormat.FP64)
         return decode(result.fp64_encoding, BINARY64)
@@ -177,8 +119,6 @@ class MFMult:
         ``pair_a = (x0, x1)`` and ``pair_b = (y0, y1)`` as Python floats;
         returns ``(x0*y0, x1*y1)`` computed by the dual-lane path.
         """
-        from repro.bits.ieee754 import decode, encode
-
         x0, x1 = pair_a
         y0, y1 = pair_b
         bundle = OperandBundle.fp32_pair(
@@ -197,8 +137,6 @@ class MFMult:
         ``xs``/``ys`` are 4-tuples of Python floats; returns the four
         products as Python floats.
         """
-        from repro.bits.ieee754 import BINARY16, decode, encode
-
         bundle = OperandBundle.fp16_quad(
             [encode(v, BINARY16) for v in xs],
             [encode(v, BINARY16) for v in ys],
@@ -208,58 +146,48 @@ class MFMult:
                      for k in range(4))
 
     # ------------------------------------------------------------------
-    # int64
+    # the per-format paths
     # ------------------------------------------------------------------
 
     def _multiply_int64(self, operands):
-        if self.fidelity == "fast":
-            product = operands.x * operands.y
-            self.last_trace = DatapathTrace(fmt=MFFormat.INT64)
-        else:
-            array = build_pp_array(operands.x, operands.y, width=64,
-                                   radix_log2=4, product_width=128)
-            s, c, _schedule = reduce_pp_array(array)
-            product = int64_product(s, c)
-            self.last_trace = DatapathTrace(
-                fmt=MFFormat.INT64, pp_array=array, tree_sum=s, tree_carry=c,
-                p1=product, p0=product,
-            )
+        product = operands.x * operands.y
         return ResultBundle(ph=product >> 64, pl=product & mask(64),
                             fmt=MFFormat.INT64)
 
-    # ------------------------------------------------------------------
-    # binary64
-    # ------------------------------------------------------------------
+    def _multiply_fp(self, operands, fmt):
+        """Every FP format: ``flops_per_cycle`` independent lanes.
 
-    def _multiply_fp64(self, operands):
-        special = self._special_product(operands.x, operands.y, BINARY64)
-        if special is not None:
-            return ResultBundle(ph=special, pl=0, fmt=MFFormat.FP64)
-        ux = self._unpack(operands.x, BINARY64)
-        uy = self._unpack(operands.y, BINARY64)
+        Lane ``k`` of a ``w``-bit format sits in bits ``[w*k, w*k + w)``
+        of each port (binary64 is the one-lane case); flags concatenate
+        in lane order.
+        """
+        ieee = FORMAT_OF[fmt]
+        width = 64 // fmt.flops_per_cycle
+        lane_mask = mask(width)
+        core = self._fp_exact if self.mode == "full" else self._paper_round
+        ph = 0
+        flags = []
+        for k in range(fmt.flops_per_cycle):
+            xe = (operands.x >> (width * k)) & lane_mask
+            ye = (operands.y >> (width * k)) & lane_mask
+            encoding = self._special_product(xe, ye, ieee)
+            if encoding is None:
+                ux, uy = self._unpack(xe, ieee), self._unpack(ye, ieee)
+                sig, exponent, lane_flags = core(ux, uy, ieee)
+                flags.extend(lane_flags)
+                encoding = ieee.pack(
+                    ux.sign ^ uy.sign, exponent & ieee.exponent_mask,
+                    sig & mask(ieee.trailing_significand_bits))
+            ph |= encoding << (width * k)
+        return ResultBundle(ph=ph, pl=0, fmt=fmt, flags=tuple(flags))
 
-        result, exponent, flags = self._fp_core_single(ux, uy, BINARY64)
-        encoding = BINARY64.pack(
-            ux.sign ^ uy.sign, exponent & BINARY64.exponent_mask,
-            result & mask(52),
-        )
-        return ResultBundle(ph=encoding, pl=0, fmt=MFFormat.FP64, flags=flags)
-
-    def _fp_core_single(self, ux, uy, fmt):
-        """The shared normalized-operand core for one full-width lane."""
-        if self.mode == "full":
-            return self._fp_exact(ux, uy, fmt)
-        if self.fidelity == "fast":
-            return self._fast_round(ux.significand * uy.significand,
-                                    ux, uy, fmt)
-        return self._fp_datapath_fp64(ux, uy)
-
-    def _fast_round(self, product, ux, uy, fmt):
-        """Paper-mode rounding without the datapath structures.
+    def _paper_round(self, ux, uy, fmt):
+        """The paper's rounding on the exact significand product.
 
         Matches the Fig. 3 outcome bit for bit: injection rounding with
         renormalization when the low-case rounding carries up.
         """
+        product = ux.significand * uy.significand
         p = fmt.precision
         high = (product >> (2 * p - 1)) & 1
         rounded, carry = round_significand(product, p, mode="injection")
@@ -267,155 +195,6 @@ class MFMult:
         exponent = ux.exponent + uy.exponent - fmt.bias + increment
         flags = self._range_flags(exponent, fmt)
         return rounded, exponent, flags
-
-    def _fp_datapath_fp64(self, ux, uy):
-        array = build_pp_array(ux.significand, uy.significand, width=64,
-                               radix_log2=4, product_width=128)
-        s, c, _schedule = reduce_pp_array(array)
-        r1, r0 = injection_vectors([FP64_LANE])
-        p1, p0 = speculative_sums(s, c, r1, r0, split=False)
-        lane = normalize_round_lane(p1, p0, FP64_LANE)
-        exponent = (ux.exponent + uy.exponent - BINARY64.bias
-                    + lane.exponent_increment)
-        flags = self._range_flags(exponent, BINARY64)
-        self.last_trace = DatapathTrace(
-            fmt=MFFormat.FP64, pp_array=array, tree_sum=s, tree_carry=c,
-            p1=p1, p0=p0, lane_results=(lane,), exponents=(exponent,),
-            flags=flags,
-        )
-        return lane.significand, exponent, flags
-
-    # ------------------------------------------------------------------
-    # dual binary32
-    # ------------------------------------------------------------------
-
-    def _multiply_fp32x2(self, operands):
-        unpacked = []
-        for lane in (0, 1):
-            xe, ye = operands.lane32(lane)
-            special = self._special_product(xe, ye, BINARY32)
-            if special is not None:
-                unpacked.append((None, None, special))
-                continue
-            ux = self._unpack(xe, BINARY32)
-            uy = self._unpack(ye, BINARY32)
-            unpacked.append((ux, uy, None))
-
-        if self.mode == "full" or self.fidelity == "fast":
-            encodings = []
-            all_flags = []
-            for ux, uy, special in unpacked:
-                if special is not None:
-                    encodings.append(special)
-                    all_flags.append(())
-                    continue
-                if self.mode == "full":
-                    sig, exponent, flags = self._fp_exact(ux, uy, BINARY32)
-                else:
-                    sig, exponent, flags = self._fast_round(
-                        ux.significand * uy.significand, ux, uy, BINARY32)
-                encodings.append(BINARY32.pack(
-                    ux.sign ^ uy.sign, exponent & BINARY32.exponent_mask,
-                    sig & mask(23)))
-                all_flags.append(flags)
-            ph = (encodings[1] << 32) | encodings[0]
-            return ResultBundle(ph=ph, pl=0, fmt=MFFormat.FP32X2,
-                                flags=tuple(f for fl in all_flags for f in fl))
-
-        (ux0, uy0, _s0), (ux1, uy1, _s1) = unpacked
-        array = build_dual_lane_pp_array(
-            ux0.significand, uy0.significand,
-            ux1.significand, uy1.significand,
-        )
-        s, c, _schedule = reduce_pp_array(array)
-        r1, r0 = injection_vectors([FP32_LOW_LANE, FP32_HIGH_LANE])
-        p1, p0 = speculative_sums(s, c, r1, r0, split=True)
-        low = normalize_round_lane(p1, p0, FP32_LOW_LANE)
-        high = normalize_round_lane(p1, p0, FP32_HIGH_LANE)
-
-        encodings = []
-        exponents = []
-        flags = []
-        for lane_result, (ux, uy) in ((low, (ux0, uy0)), (high, (ux1, uy1))):
-            exponent = (ux.exponent + uy.exponent - BINARY32.bias
-                        + lane_result.exponent_increment)
-            flags.extend(self._range_flags(exponent, BINARY32))
-            exponents.append(exponent)
-            encodings.append(BINARY32.pack(
-                ux.sign ^ uy.sign, exponent & BINARY32.exponent_mask,
-                lane_result.significand & mask(23)))
-        self.last_trace = DatapathTrace(
-            fmt=MFFormat.FP32X2, pp_array=array, tree_sum=s, tree_carry=c,
-            p1=p1, p0=p0, lane_results=(low, high),
-            exponents=tuple(exponents), flags=tuple(flags),
-        )
-        ph = (encodings[1] << 32) | encodings[0]
-        return ResultBundle(ph=ph, pl=0, fmt=MFFormat.FP32X2,
-                            flags=tuple(flags))
-
-    # ------------------------------------------------------------------
-    # quad binary16 (extension format)
-    # ------------------------------------------------------------------
-
-    def _multiply_fp16x4(self, operands):
-        """Four binary16 products per issue (beyond the paper's formats).
-
-        Shares all the machinery: the quad-lane PP array at 32-bit
-        pitch, the multi-window Fig. 3 flow, per-lane exponent paths.
-        """
-        from repro.arith.partial_products import build_quad_lane_pp_array
-        from repro.arith.rounding import FP16_LANES, normalize_round_fp16_quad
-        from repro.bits.ieee754 import BINARY16
-
-        unpacked = []
-        for lane in range(4):
-            xe, ye = operands.lane16(lane)
-            special = self._special_product(xe, ye, BINARY16)
-            if special is not None:
-                unpacked.append((None, None, special))
-                continue
-            ux = self._unpack(xe, BINARY16)
-            uy = self._unpack(ye, BINARY16)
-            unpacked.append((ux, uy, None))
-
-        encodings = []
-        flags: list = []
-        if self.mode == "full" or self.fidelity == "fast":
-            for ux, uy, special in unpacked:
-                if special is not None:
-                    encodings.append(special)
-                    continue
-                if self.mode == "full":
-                    sig, exponent, lane_flags = self._fp_exact(ux, uy,
-                                                               BINARY16)
-                else:
-                    sig, exponent, lane_flags = self._fast_round(
-                        ux.significand * uy.significand, ux, uy, BINARY16)
-                flags.extend(lane_flags)
-                encodings.append(BINARY16.pack(
-                    ux.sign ^ uy.sign, exponent & BINARY16.exponent_mask,
-                    sig & mask(10)))
-        else:
-            sigs_x = [u[0].significand for u in unpacked]
-            sigs_y = [u[1].significand for u in unpacked]
-            array = build_quad_lane_pp_array(sigs_x, sigs_y)
-            s, c, __ = reduce_pp_array(array)
-            lanes = normalize_round_fp16_quad(s, c)
-            for (ux, uy, __unused), lane_result in zip(unpacked, lanes):
-                exponent = (ux.exponent + uy.exponent - BINARY16.bias
-                            + lane_result.exponent_increment)
-                flags.extend(self._range_flags(exponent, BINARY16))
-                encodings.append(BINARY16.pack(
-                    ux.sign ^ uy.sign, exponent & BINARY16.exponent_mask,
-                    lane_result.significand & mask(10)))
-            self.last_trace = DatapathTrace(
-                fmt=MFFormat.FP16X4, pp_array=array, tree_sum=s,
-                tree_carry=c, lane_results=tuple(lanes),
-                flags=tuple(flags),
-            )
-        ph = sum(enc << (16 * k) for k, enc in enumerate(encodings))
-        return ResultBundle(ph=ph, pl=0, fmt=MFFormat.FP16X4,
-                            flags=tuple(flags))
 
     # ------------------------------------------------------------------
     # operand unpacking and the full-mode IEEE envelope

@@ -500,6 +500,23 @@ class _Registrar:
 # batch driver
 # ----------------------------------------------------------------------
 
+def issue_stimulus(operations):
+    """The ``x``/``y``/``frmt`` pattern words issuing ``operations``.
+
+    One pattern per ``(OperandBundle, MFFormat)``, then ``LATENCY``
+    pipeline-flush patterns repeating the last operation, so operation
+    ``t``'s result is on ``ph``/``pl`` at pattern ``t + LATENCY``.  The
+    one layout :meth:`MFMultUnit.run_batch` and the fault-campaign
+    battery (:func:`repro.eval.fault_injection.mf_battery`) both drive.
+    """
+    xs = [bundle.x for bundle, __ in operations]
+    ys = [bundle.y for bundle, __ in operations]
+    fs = [FRMT_OF[fmt] for __, fmt in operations]
+    return {"x": xs + xs[-1:] * LATENCY,
+            "y": ys + ys[-1:] * LATENCY,
+            "frmt": fs + fs[-1:] * LATENCY}
+
+
 @dataclass
 class UnitResult:
     """One operation's output words."""
@@ -528,34 +545,21 @@ class MFMultUnit:
         """Run ``[(OperandBundle, MFFormat), ...]``; returns UnitResults."""
         if not operations:
             return []
-        n = len(operations) + LATENCY
-        xs, ys, fs = [], [], []
-        for bundle, fmt in operations:
-            if fmt is MFFormat.FP16X4 and not self.supports_fp16:
-                raise SimulationError(
-                    "this unit was built without quad_fp16=True"
-                )
-            xs.append(bundle.x)
-            ys.append(bundle.y)
-            fs.append(FRMT_OF[fmt])
-        # Pad the pipeline flush cycles with repeats of the last op.
-        xs += [xs[-1]] * LATENCY
-        ys += [ys[-1]] * LATENCY
-        fs += [fs[-1]] * LATENCY
-        run = self._sim.run({"x": xs, "y": ys, "frmt": fs}, n)
-        ph_words = run.bus_words(self.module.outputs["ph"])
-        pl_words = run.bus_words(self.module.outputs["pl"])
-        reduced_words = (run.bus_words(self.module.outputs["reduced"])
-                         if self.has_reducer else None)
-        results = []
-        for t in range(len(operations)):
-            results.append(UnitResult(
-                ph=ph_words[t + LATENCY],
-                pl=pl_words[t + LATENCY],
-                reduced=(None if reduced_words is None
-                         else reduced_words[t + LATENCY]),
-            ))
-        return results
+        if not self.supports_fp16 and any(fmt is MFFormat.FP16X4
+                                          for __, fmt in operations):
+            raise SimulationError(
+                "this unit was built without quad_fp16=True"
+            )
+        stimulus = issue_stimulus(operations)
+        run = self._sim.run(stimulus, len(stimulus["x"]))
+        outputs = self.module.outputs
+        ph_words = run.bus_words(outputs["ph"])[LATENCY:]
+        pl_words = run.bus_words(outputs["pl"])[LATENCY:]
+        reduced_words = (run.bus_words(outputs["reduced"])[LATENCY:]
+                         if self.has_reducer else [None] * len(operations))
+        return [UnitResult(ph=ph, pl=pl, reduced=reduced)
+                for ph, pl, reduced in zip(ph_words, pl_words,
+                                           reduced_words)]
 
     def multiply(self, bundle, fmt):
         """Single-operation convenience wrapper."""

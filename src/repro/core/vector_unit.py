@@ -87,6 +87,20 @@ class IssueStats:
         return 1.0 - self.energy_pj(table) / baseline
 
 
+def product_fits(dx, dy):
+    """Conservative check that a demoted binary32 product stays normal.
+
+    ``dx``/``dy`` are the operands' reduction decisions (anything with
+    the binary32 biased exponent ``e32``).  The demoted multiplication
+    runs on the paper-mode unit, which has no overflow/underflow
+    handling, so a scheduler only demotes when the predicted biased
+    exponent (including a possible +1 normalization increment) stays
+    strictly inside [1, 254].
+    """
+    predicted = dx.e32 + dy.e32 - 127
+    return 1 <= predicted and predicted + 1 <= 254
+
+
 @dataclass
 class BatchResult:
     """Results and accounting for one :meth:`VectorMultiplier.run` call."""
@@ -102,10 +116,9 @@ class VectorMultiplier:
     everything as binary64.
     """
 
-    def __init__(self, use_reduction=True, multiplier=None):
+    def __init__(self, use_reduction=True):
         self.use_reduction = use_reduction
-        self.mf = multiplier if multiplier is not None else MFMult(
-            mode="paper", fidelity="fast")
+        self.mf = MFMult(mode="paper")
 
     def run(self, operand_pairs):
         """Multiply ``[(x64_encoding, y64_encoding), ...]``.
@@ -123,7 +136,7 @@ class VectorMultiplier:
             if self.use_reduction:
                 dx = reduce_binary64(xe)
                 dy = reduce_binary64(ye)
-                if dx.reduced and dy.reduced and self._product_fits(dx, dy):
+                if dx.reduced and dy.reduced and product_fits(dx, dy):
                     reduced_queue.append((index, dx.encoding32, dy.encoding32))
                     result.stats.demoted_operations += 1
                     continue
@@ -154,15 +167,3 @@ class VectorMultiplier:
             raise FormatError(f"scheduler lost items at indices {missing}")
         result.products64 = slots
         return result
-
-    @staticmethod
-    def _product_fits(dx, dy):
-        """Conservative check that the binary32 product stays normal.
-
-        The demoted multiplication runs on the paper-mode unit, which
-        has no overflow/underflow handling, so the scheduler only
-        demotes when the predicted biased exponent (including a possible
-        +1 normalization increment) stays strictly inside [1, 254].
-        """
-        predicted = dx.e32 + dy.e32 - 127
-        return 1 <= predicted and predicted + 1 <= 254

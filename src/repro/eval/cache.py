@@ -51,6 +51,7 @@ import time
 from pathlib import Path
 
 from repro import obs
+from repro.errors import ReproError
 
 #: Store schema; bump on incompatible layout changes.
 SCHEMA = "repro.cache/1"
@@ -75,7 +76,9 @@ def _default_max_bytes():
     try:
         return int(float(env) * 1024 * 1024)
     except ValueError:
-        return None
+        raise ReproError(
+            f"REPRO_RESULT_CACHE_MB={env!r} is not a number of megabytes"
+        ) from None
 
 
 def job_key(fingerprint, jb):

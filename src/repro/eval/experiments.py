@@ -23,7 +23,6 @@ import functools
 import hashlib
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -42,6 +41,7 @@ from repro.circuits.reducer import build_reducer
 from repro.core.pipeline_unit import build_mf_multiplier
 from repro.core.reduction import reduce_binary64, widen_binary32
 from repro.core.vector_unit import FormatPowerTable, VectorMultiplier
+from repro.eval.cache import _atomic_write
 from repro.eval.tables import paper_vs_measured, render_table
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
@@ -117,7 +117,9 @@ def cached_module(which):
     """Build-once cache for the experiment netlists.
 
     Backed by the on-disk pickle cache described in the module
-    docstring; a corrupt or stale cache entry silently rebuilds.
+    docstring.  A missing or stale entry is a ``module_cache.misses``;
+    an unreadable one also ticks ``module_cache.corrupt``.  Both
+    rebuild and rewrite the entry.
     """
     builders = {
         "r16": lambda: radix16_multiplier(),
@@ -143,17 +145,16 @@ def cached_module(which):
                 module = pickle.load(fh)
         reg.inc("module_cache.hits")
         return module
-    except Exception:
+    except FileNotFoundError:
         pass
+    except Exception:
+        reg.inc("module_cache.corrupt")
     reg.inc("module_cache.misses")
     with obs.span(f"module:build:{which}", cat="module"):
         module = builder()
     try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(module, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        _atomic_write(path, pickle.dumps(module,
+                                         protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
         pass                    # caching is best-effort
     return module

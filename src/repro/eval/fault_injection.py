@@ -238,30 +238,20 @@ def multiplier_battery(module, cases):
 def mf_battery(operations):
     """The MF-unit battery: ``ph``/``pl`` vs the functional model.
 
-    Mirrors :meth:`repro.core.pipeline_unit.MFMultUnit.run_batch`'s
-    stimulus (pipeline flush cycles padded with the last operation) and
+    Drives :func:`repro.core.pipeline_unit.issue_stimulus` — the layout
+    :meth:`~repro.core.pipeline_unit.MFMultUnit.run_batch` issues — and
     checks the ``ph``/``pl`` words of every issued operation.
     """
     from repro.core.mfmult import MFMult
-    from repro.core.pipeline_unit import FRMT_OF, LATENCY
+    from repro.core.pipeline_unit import LATENCY, issue_stimulus
 
-    mf = MFMult(fidelity="fast")
-    n = len(operations) + LATENCY
-    xs = [bundle.x for bundle, __ in operations]
-    ys = [bundle.y for bundle, __ in operations]
-    fs = [FRMT_OF[fmt] for __, fmt in operations]
-    xs += [xs[-1]] * LATENCY
-    ys += [ys[-1]] * LATENCY
-    fs += [fs[-1]] * LATENCY
-    exp_ph: List[Optional[int]] = [None] * n
-    exp_pl: List[Optional[int]] = [None] * n
-    for t, (bundle, fmt) in enumerate(operations):
-        res = mf.multiply(bundle, fmt)
-        exp_ph[t + LATENCY] = res.ph
-        exp_pl[t + LATENCY] = res.pl
-    return Battery(stimulus={"x": xs, "y": ys, "frmt": fs},
-                   n_patterns=n,
-                   expected={"ph": exp_ph, "pl": exp_pl})
+    mf = MFMult()
+    results = [mf.multiply(bundle, fmt) for bundle, fmt in operations]
+    flush: List[Optional[int]] = [None] * LATENCY
+    return Battery(stimulus=issue_stimulus(operations),
+                   n_patterns=len(operations) + LATENCY,
+                   expected={"ph": flush + [r.ph for r in results],
+                             "pl": flush + [r.pl for r in results]})
 
 
 # ----------------------------------------------------------------------

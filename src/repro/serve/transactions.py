@@ -216,14 +216,12 @@ def special_lanes(tx):
 
 @functools.lru_cache(maxsize=1)
 def _paper_model():
-    return MFMult(mode="paper", rounding=RoundingMode.INJECTION,
-                  fidelity="fast")
+    return MFMult(mode="paper", rounding=RoundingMode.INJECTION)
 
 
 @functools.lru_cache(maxsize=1)
 def _full_model():
-    return MFMult(mode="full", rounding=RoundingMode.INJECTION,
-                  fidelity="fast")
+    return MFMult(mode="full", rounding=RoundingMode.INJECTION)
 
 
 def software_lane_result(kind, xe, ye):

@@ -4,7 +4,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.arith.adders_ref import multi_window_add
 from repro.arith.partial_products import build_quad_lane_pp_array
@@ -15,6 +15,7 @@ from repro.bits.utils import mask
 from repro.core.formats import MFFormat, OperandBundle
 from repro.core.mfmult import MFMult
 from repro.errors import BitWidthError, FormatError
+from tests.oracles.mf_datapath import datapath_multiply
 
 SIG11 = st.integers(min_value=1 << 10, max_value=(1 << 11) - 1)
 U11 = st.integers(min_value=0, max_value=(1 << 11) - 1)
@@ -87,17 +88,17 @@ class TestQuadArray:
 
 class TestMFMultFP16:
     @given(MID16, MID16, MID16, MID16)
+    @example(*[BINARY16.pack(0, 15, 1 << 9)] * 4)      # 1.5: high-leading
     @settings(max_examples=40)
     def test_datapath_equals_fast(self, a, b, c, d):
         bundle = OperandBundle.fp16_quad([a, b, c, d], [d, c, b, a])
-        dp = MFMult().multiply(bundle, MFFormat.FP16X4)
-        fast = MFMult(fidelity="fast").multiply(bundle, MFFormat.FP16X4)
-        assert dp.ph == fast.ph
+        ref, __ = datapath_multiply(bundle, MFFormat.FP16X4)
+        assert ref == MFMult().multiply(bundle, MFFormat.FP16X4)
 
     @given(MID16, MID16)
     @settings(max_examples=60)
     def test_lane_rounding_near_ieee(self, xe, ye):
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         bundle = OperandBundle.fp16_quad([xe] * 4, [ye] * 4)
         result = mf.multiply(bundle, MFFormat.FP16X4)
         ieee = encode(decode(xe, BINARY16) * decode(ye, BINARY16),
@@ -137,10 +138,11 @@ class TestMFMultFP16:
                 assert got == 0.0
 
     def test_trace_has_four_lanes(self):
-        mf = MFMult()
-        mf.mul_fp16_quad((1.5, 2.0, 3.0, 4.0), (1.5, 2.0, 3.0, 4.0))
-        assert len(mf.last_trace.lane_results) == 4
-        assert len(mf.last_trace.pp_array.windows) == 4
+        values = [encode(v, BINARY16) for v in (1.5, 2.0, 3.0, 4.0)]
+        __, trace = datapath_multiply(
+            OperandBundle.fp16_quad(values, values), MFFormat.FP16X4)
+        assert len(trace.lane_results) == 4
+        assert len(trace.pp_array.windows) == 4
 
     def test_bundle_validation(self):
         with pytest.raises(BitWidthError):

@@ -129,7 +129,7 @@ class TestFormatSpecialization:
         optimize(m)
         validate(m)
         rng = random.Random(10)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         cases = [(BINARY64.pack(rng.getrandbits(1), rng.randint(1, 2046),
                                 rng.getrandbits(52)),
                   BINARY64.pack(rng.getrandbits(1), rng.randint(1, 2046),

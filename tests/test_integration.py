@@ -44,7 +44,7 @@ class TestStructuralFunctionalEquivalence:
     @given(NORMAL64, NORMAL64)
     @settings(max_examples=25, deadline=None)
     def test_fp64(self, unit, xe, ye):
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         bundle = OperandBundle.fp64(xe, ye)
         expect = mf.multiply(bundle, MFFormat.FP64)
         got = unit.multiply(bundle, MFFormat.FP64)
@@ -53,7 +53,7 @@ class TestStructuralFunctionalEquivalence:
     @given(NORMAL32, NORMAL32, NORMAL32, NORMAL32)
     @settings(max_examples=25, deadline=None)
     def test_fp32_dual(self, unit, x0, y0, x1, y1):
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         bundle = OperandBundle.fp32_pair(x0, y0, x1, y1)
         expect = mf.multiply(bundle, MFFormat.FP32X2)
         got = unit.multiply(bundle, MFFormat.FP32X2)
@@ -84,7 +84,7 @@ class TestReduceThenMultiplyEndToEnd:
         ye = BINARY64.pack(sy, ey, fy << 29)
         dx, dy = reduce_binary64(xe), reduce_binary64(ye)
         assert dx.reduced and dy.reduced
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         bundle = OperandBundle.fp32_pair(dx.encoding32, dy.encoding32,
                                          dx.encoding32, dy.encoding32)
         out = mf.multiply(bundle, MFFormat.FP32X2)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ReproError
 from repro.eval.cache import ResultCache
 from repro.hdl.sim import ckernel
 from repro.obs.metrics import MetricsRegistry
@@ -113,6 +114,9 @@ def test_result_cache_mb_sets_the_lru_budget(monkeypatch, tmp_path):
     assert cache.max_bytes == 2 * 1024 * 1024
     monkeypatch.delenv("REPRO_RESULT_CACHE_MB")
     assert ResultCache(root=tmp_path, fingerprint="fp").max_bytes is None
+    monkeypatch.setenv("REPRO_RESULT_CACHE_MB", "512MB")
+    with pytest.raises(ReproError, match="REPRO_RESULT_CACHE_MB='512MB'"):
+        ResultCache(root=tmp_path, fingerprint="fp")
 
 
 def test_ckernel_cache_overrides_the_kernel_directory(monkeypatch,

@@ -5,7 +5,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.bits.ieee754 import BINARY32, BINARY64, decode, encode
 from repro.bits.utils import mask
@@ -16,6 +16,7 @@ from repro.errors import (
     FormatError,
     UnsupportedOperationError,
 )
+from tests.oracles.mf_datapath import datapath_multiply
 
 U64 = st.integers(min_value=0, max_value=mask(64))
 NORMAL64 = st.builds(
@@ -30,6 +31,11 @@ NORMAL32 = st.builds(
     st.integers(min_value=1, max_value=254),
     st.integers(min_value=0, max_value=mask(23)),
 )
+ONE_HALF64 = BINARY64.pack(0, 1023, 1 << 51)                 # 1.5
+ONE_HALF32 = BINARY32.pack(0, 127, 1 << 22)                  # 1.5
+# 1.5 * CARRY64 has significand product 2**105 - 2**51: the low-case
+# injection rounds up to 2**53 and renormalizes.
+CARRY64 = BINARY64.pack(0, 1023, ((1 << 54) - 1) // 3 - (1 << 52))
 # Exponents kept central so results stay in range (paper mode has no
 # overflow handling; range flags are tested separately).
 MID64 = st.builds(
@@ -50,15 +56,18 @@ class TestInt64:
     @given(U64, U64)
     @settings(max_examples=30)
     def test_datapath_exact(self, x, y):
-        assert MFMult().mul_int64(x, y) == x * y
+        bundle = OperandBundle.int64(x, y)
+        ref, __ = datapath_multiply(bundle, MFFormat.INT64)
+        assert ref == MFMult().multiply(bundle, MFFormat.INT64)
+        assert ref.int128 == x * y
 
     @given(U64, U64)
     def test_fast_exact(self, x, y):
-        assert MFMult(fidelity="fast").mul_int64(x, y) == x * y
+        assert MFMult().mul_int64(x, y) == x * y
 
     def test_result_ports(self):
         """int64 presents the product on both ports (PH | PL)."""
-        r = MFMult(fidelity="fast").multiply(
+        r = MFMult().multiply(
             OperandBundle.int64(mask(64), mask(64)), MFFormat.INT64)
         product = mask(64) ** 2
         assert r.ph == product >> 64
@@ -66,7 +75,7 @@ class TestInt64:
         assert r.int128 == product
 
     def test_port_accessors_guarded(self):
-        r = MFMult(fidelity="fast").multiply(
+        r = MFMult().multiply(
             OperandBundle.int64(1, 1), MFFormat.INT64)
         with pytest.raises(FormatError):
             __ = r.fp64_encoding
@@ -75,13 +84,17 @@ class TestInt64:
 
 
 class TestFP64PaperMode:
-    @given(MID64, MID64)
+    @given(NORMAL64, NORMAL64)
+    @example(ONE_HALF64, ONE_HALF64)                # high-leading case
+    @example(ONE_HALF64, CARRY64)                   # rounding carry-out
     @settings(max_examples=40)
     def test_datapath_equals_fast(self, xe, ye):
+        """The PP/tree/Fig. 3 oracle and MFMult agree bit for bit,
+        range flags included.  Shrinking favours small fractions (the
+        low-leading case), hence the pinned examples."""
         bundle = OperandBundle.fp64(xe, ye)
-        a = MFMult().multiply(bundle, MFFormat.FP64)
-        b = MFMult(fidelity="fast").multiply(bundle, MFFormat.FP64)
-        assert a.ph == b.ph
+        ref, __ = datapath_multiply(bundle, MFFormat.FP64)
+        assert ref == MFMult().multiply(bundle, MFFormat.FP64)
 
     @given(MID64, MID64)
     @settings(max_examples=200)
@@ -89,7 +102,7 @@ class TestFP64PaperMode:
         """Injection rounding is round-to-nearest (ties away): the result
         is always within half an ulp of the exact product."""
         bundle = OperandBundle.fp64(xe, ye)
-        r = MFMult(fidelity="fast").multiply(bundle, MFFormat.FP64)
+        r = MFMult().multiply(bundle, MFFormat.FP64)
         got = decode(r.fp64_encoding, BINARY64)
         # Measure against the infinitely precise product: a float
         # "exact" is itself RNE-rounded, so an exact tie (which the
@@ -104,13 +117,13 @@ class TestFP64PaperMode:
     @settings(max_examples=100)
     def test_differs_from_rne_only_on_ties(self, xe, ye):
         bundle = OperandBundle.fp64(xe, ye)
-        ours = MFMult(fidelity="fast").multiply(bundle, MFFormat.FP64)
+        ours = MFMult().multiply(bundle, MFFormat.FP64)
         ieee = encode(decode(xe, BINARY64) * decode(ye, BINARY64), BINARY64)
         # Equal, or one ulp up (tie rounded away instead of to even).
         assert ours.ph in (ieee, ieee + 1)
 
     def test_sign_rule(self):
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         assert mf.mul_fp64(-2.0, 3.0) == -6.0
         assert mf.mul_fp64(-2.0, -3.0) == 6.0
         assert mf.mul_fp64(2.0, 3.0) == 6.0
@@ -130,14 +143,12 @@ class TestFP64PaperMode:
 
     def test_overflow_flag(self):
         big = BINARY64.pack(0, 2046, 0)
-        r = MFMult(fidelity="fast").multiply(OperandBundle.fp64(big, big),
-                                             MFFormat.FP64)
+        r = MFMult().multiply(OperandBundle.fp64(big, big), MFFormat.FP64)
         assert Flag.OVERFLOW in r.flags
 
     def test_underflow_flag(self):
         tiny = BINARY64.pack(0, 1, 0)
-        r = MFMult(fidelity="fast").multiply(OperandBundle.fp64(tiny, tiny),
-                                             MFFormat.FP64)
+        r = MFMult().multiply(OperandBundle.fp64(tiny, tiny), MFFormat.FP64)
         assert Flag.UNDERFLOW in r.flags
 
     @pytest.mark.parametrize("encoding, kind", [
@@ -154,19 +165,19 @@ class TestFP64PaperMode:
 
 
 class TestFP32DualPaperMode:
-    @given(MID32, MID32, MID32, MID32)
+    @given(NORMAL32, NORMAL32, NORMAL32, NORMAL32)
+    @example(ONE_HALF32, ONE_HALF32, ONE_HALF32, ONE_HALF32)
     @settings(max_examples=40)
     def test_datapath_equals_fast(self, x0, y0, x1, y1):
         bundle = OperandBundle.fp32_pair(x0, y0, x1, y1)
-        a = MFMult().multiply(bundle, MFFormat.FP32X2)
-        b = MFMult(fidelity="fast").multiply(bundle, MFFormat.FP32X2)
-        assert a.ph == b.ph
+        ref, __ = datapath_multiply(bundle, MFFormat.FP32X2)
+        assert ref == MFMult().multiply(bundle, MFFormat.FP32X2)
 
     @given(MID32, MID32, MID32, MID32)
     @settings(max_examples=100)
     def test_lanes_are_independent(self, x0, y0, x1, y1):
         """Changing lane 1 operands must not affect lane 0's result."""
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         one = encode(1.0, BINARY32)
         a = mf.multiply(OperandBundle.fp32_pair(x0, y0, x1, y1),
                         MFFormat.FP32X2)
@@ -178,7 +189,7 @@ class TestFP32DualPaperMode:
     @settings(max_examples=60)
     def test_lane_matches_scalar_semantics(self, xe, ye):
         """Each lane rounds exactly like a standalone binary32 multiply."""
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         r = mf.multiply(OperandBundle.fp32_pair(xe, ye, xe, ye),
                         MFFormat.FP32X2)
         assert r.fp32_encoding(0) == r.fp32_encoding(1)
@@ -255,8 +266,8 @@ class TestConfiguration:
     def test_bad_mode(self):
         with pytest.raises(FormatError):
             MFMult(mode="silicon")
-        with pytest.raises(FormatError):
-            MFMult(fidelity="quantum")
+        with pytest.raises(TypeError):
+            MFMult(fidelity="datapath")     # one engine, no fidelity knob
 
     def test_operand_bundle_validation(self):
         with pytest.raises(BitWidthError):
@@ -272,10 +283,12 @@ class TestConfiguration:
 
 
 class TestTrace:
+    """The oracle exposes the datapath's intermediate values."""
+
     def test_datapath_trace_populated(self):
-        mf = MFMult()
-        mf.mul_fp64(1.5, 2.5)
-        trace = mf.last_trace
+        bundle = OperandBundle.fp64(encode(1.5, BINARY64),
+                                    encode(2.5, BINARY64))
+        __, trace = datapath_multiply(bundle, MFFormat.FP64)
         assert trace.fmt is MFFormat.FP64
         assert trace.pp_array is not None
         assert len(trace.lane_results) == 1
@@ -283,7 +296,9 @@ class TestTrace:
             == (3 << 51) * (5 << 50)
 
     def test_fp32_trace_has_two_lanes(self):
-        mf = MFMult()
-        mf.mul_fp32_pair((1.5, 2.0), (2.0, 3.0))
-        assert len(mf.last_trace.lane_results) == 2
-        assert len(mf.last_trace.pp_array.windows) == 2
+        bundle = OperandBundle.fp32_pair(
+            encode(1.5, BINARY32), encode(2.0, BINARY32),
+            encode(2.0, BINARY32), encode(3.0, BINARY32))
+        __, trace = datapath_multiply(bundle, MFFormat.FP32X2)
+        assert len(trace.lane_results) == 2
+        assert len(trace.pp_array.windows) == 2

@@ -53,7 +53,7 @@ class TestCoSimulation:
 
     def test_fp64_matches_functional(self, unit):
         rng = random.Random(2)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         ops = [(OperandBundle.fp64(_norm64(rng), _norm64(rng)),
                 MFFormat.FP64) for __ in range(30)]
         results = unit.run_batch(ops)
@@ -64,7 +64,7 @@ class TestCoSimulation:
 
     def test_fp32_dual_matches_functional(self, unit):
         rng = random.Random(3)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         ops = []
         for __ in range(30):
             ops.append((OperandBundle.fp32_pair(
@@ -79,7 +79,7 @@ class TestCoSimulation:
         """Back-to-back format changes must not corrupt the pipeline —
         each in-flight operation carries its own registered controls."""
         rng = random.Random(4)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         ops = []
         for __ in range(12):
             ops.append((OperandBundle.int64(rng.getrandbits(64),
@@ -97,7 +97,7 @@ class TestCoSimulation:
 
     def test_rounding_boundary_cases(self, unit):
         """The renormalization window (mantissas near all-ones)."""
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         all_ones = BINARY64.pack(0, 1023, mask(52))
         near = BINARY64.pack(0, 1023, mask(52) - 1)
         one_and_half = BINARY64.pack(0, 1023, 1 << 51)
@@ -114,7 +114,7 @@ class TestCoSimulation:
             assert res.ph == expect.ph
 
     def test_fp32_rounding_boundaries(self, unit):
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         all_ones = BINARY32.pack(0, 127, mask(23))
         half = BINARY32.pack(0, 127, 1 << 22)
         one = BINARY32.pack(0, 127, 0)

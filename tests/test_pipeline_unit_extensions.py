@@ -83,7 +83,7 @@ class TestStructuralRNE:
 
     def test_fp64_ties_round_to_even(self, rne_unit):
         mf = MFMult(mode="full", rounding=RoundingMode.RNE)
-        injection = MFMult(fidelity="fast")
+        injection = MFMult()
         ops = [(OperandBundle.fp64(a, b), MFFormat.FP64)
                for a, b in _tie64_cases()]
         results = rne_unit.run_batch(ops)
@@ -135,7 +135,7 @@ class TestStructuralRNE:
 
 class TestIntegratedReducer:
     def test_reduced_flag_and_payload(self, reducer_unit):
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         rng = random.Random(24)
         ops = [(OperandBundle.fp64(_mid64(rng), _mid64(rng)), MFFormat.FP64)
                for __ in range(15)]

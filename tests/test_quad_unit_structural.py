@@ -49,7 +49,7 @@ class TestQuadUnit:
 
     def test_fp16_quad_matches_functional(self, quad_unit):
         rng = random.Random(61)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         ops = [(OperandBundle.fp16_quad([_n16(rng) for __ in range(4)],
                                         [_n16(rng) for __ in range(4)]),
                 MFFormat.FP16X4) for __ in range(25)]
@@ -59,7 +59,7 @@ class TestQuadUnit:
 
     def test_legacy_formats_still_exact(self, quad_unit):
         rng = random.Random(62)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         ops = []
         for __ in range(10):
             ops.append((OperandBundle.int64(rng.getrandbits(64),
@@ -76,7 +76,7 @@ class TestQuadUnit:
 
     def test_interleaved_all_four_formats(self, quad_unit):
         rng = random.Random(63)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         ops = []
         for i in range(16):
             pick = i % 4
@@ -101,7 +101,7 @@ class TestQuadUnit:
 
     def test_fp16_rounding_boundaries(self, quad_unit):
         """All-ones mantissas: the renormalization window per lane."""
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         all_ones = BINARY16.pack(0, 15, (1 << 10) - 1)
         half = BINARY16.pack(0, 15, 1 << 9)
         one = BINARY16.pack(0, 15, 0)
@@ -117,7 +117,7 @@ class TestQuadUnit:
     def test_lane_isolation(self, quad_unit):
         """Changing one lane's operands must not disturb the others."""
         rng = random.Random(64)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         base_x = [_n16(rng) for __ in range(4)]
         base_y = [_n16(rng) for __ in range(4)]
         ops = [(OperandBundle.fp16_quad(base_x, base_y), MFFormat.FP16X4)]

@@ -87,7 +87,7 @@ class TestCombinedUnitOptions:
         """S&EH operand isolation without RNE or the reducer: paper-mode
         binary64 products unchanged."""
         unit = MFMultUnit(operand_isolation=True)
-        mf = MFMult(fidelity="fast")
+        mf = MFMult()
         rng = random.Random(40)
         ops = [(OperandBundle.fp64(
             BINARY64.pack(0, rng.randint(1, 2046), rng.getrandbits(52)),

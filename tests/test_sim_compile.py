@@ -537,6 +537,30 @@ class TestModuleDiskCache:
             # Don't leave tmp_path-backed entries in the process-wide cache.
             experiments.cached_module.cache_clear()
 
+    def test_corrupt_entry_is_counted_and_replaced(self, tmp_path,
+                                                   monkeypatch):
+        import pickle
+
+        from repro import obs
+        from repro.eval import experiments
+
+        def corrupt():
+            counters = obs.registry().snapshot()["counters"]
+            return counters.get("module_cache.corrupt", 0)
+
+        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
+        path = tmp_path / f"reducer-{experiments._source_fingerprint()}.pkl"
+        path.write_bytes(b"not a pickle")
+        experiments.cached_module.cache_clear()
+        before = corrupt()
+        try:
+            module = experiments.cached_module("reducer")
+        finally:
+            experiments.cached_module.cache_clear()
+        assert corrupt() == before + 1
+        with open(path, "rb") as fh:
+            assert pickle.load(fh).n_nets == module.n_nets
+
     def test_cache_disabled_by_env(self, monkeypatch):
         from repro.eval.experiments import _module_cache_dir
 
