@@ -113,9 +113,11 @@ def _zero_delay(module, library, jobs):
             raise SimulationError(
                 "need at least two cycles to measure power")
     t_level = time.perf_counter()
+    sim = LevelizedSimulator(module)
     with obs.span("power:levelized", cat="power", module=module.name,
-                  cycles=sum(n for __, n in jobs), segments=len(jobs)):
-        seg = LevelizedSimulator(module).run_segments(jobs)
+                  cycles=sum(n for __, n in jobs), segments=len(jobs),
+                  kernel=sim.kernel):
+        seg = sim.run_segments(jobs)
     t_level = time.perf_counter() - t_level
     return (seg, net_toggle_energies(module, library),
             module.block_of_net(), t_level)
@@ -148,7 +150,7 @@ def estimate_power_batch(module, library, jobs, frequency_mhz=100.0,
             with obs.span("power:glitch_replay", cat="power",
                           module=module.name, workers=1):
                 event_toggles, sim_stats = _replay(
-                    esim, seg.values, offset + 1, offset + n_cycles - 1)
+                    esim, seg.packed, offset + 1, offset + n_cycles - 1)
                 sim_stats["workers"] = 1
         else:
             event_toggles = zero_toggles
@@ -293,7 +295,7 @@ def power_replay_shard(module, library, stimulus, n_cycles, t_first,
     esim = shared_event_simulator(module, library)
     with obs.span("power:shard", cat="power", t_first=t_first,
                   t_last=t_last):
-        totals, stats = _replay(esim, run.values, t_first, t_last)
+        totals, stats = _replay(esim, run.packed, t_first, t_last)
     obs.registry().record(
         "power.shards",
         {"t_first": t_first, "t_last": t_last,

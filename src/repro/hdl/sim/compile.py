@@ -1,4 +1,4 @@
-"""Netlist compile pass: flatten once, specialize via source codegen.
+"""Netlist compile pass: flatten once, specialize on demand.
 
 The interpreting simulators pay a per-gate dispatch tax on every
 evaluation: fetch the ``Gate`` dataclass, look up its ``cell_eval``
@@ -7,25 +7,33 @@ multiplier that tax dominates the runtime of both the levelized runs and
 the event-driven glitch replay.
 
 This module removes it by *compiling* a :class:`~repro.hdl.module.Module`
-exactly once into
+exactly once.  Construction does one pass over
+:func:`~repro.hdl.sim.toposort.topo_node_order` and builds the
+**node table**: six ``int32`` per node (an opcode per cell kind, four
+input nets, one output net; constant-1 nets and registers are nodes
+too), the flattened form the native levelized kernel of
+:mod:`repro.hdl.sim.ckernel` walks.  Everything else is generated only
+when a Python engine actually asks for it:
 
 * a **levelized kernel** — straight-line Python source, one statement
   per gate/register in topological order, operating bit-parallel on the
   packed pattern words (``v[out] = M ^ (v[a] & v[b])`` …), built with
   ``compile()``/``exec`` and chunked into several functions to keep the
-  code objects small;
+  code objects small — the fallback when the C library is unavailable;
 * a **scalar settle kernel** — the same straight-line code over the
-  combinational gates only (mask fixed to 1), used by the event
+  combinational gates only (mask fixed to 1), used by the Python event
   simulator to settle the network from scratch;
 * **per-gate evaluation closures** — one zero-argument lambda per gate
   that recomputes the gate's scalar output from the simulator's live
   ``values`` list, used in the event simulator's inner scheduling loop.
 
-Generated expressions mirror :data:`repro.hdl.cell.CELL_KINDS` exactly
-(a unit test sweeps every kind against ``cell_eval``), and because the
-kernels evaluate the same exact integer operations in the same
-topological discipline, compiled results are **bit-identical** to the
-interpreters' — the compile pass is a pure speedup.
+Both the generated Python expressions and the native kernel's gate
+cases come from :data:`EXPR_TEMPLATES`, which mirrors
+:data:`repro.hdl.cell.CELL_KINDS` exactly (a unit test sweeps every
+kind against ``cell_eval``).  Because the kernels evaluate the same
+exact integer operations in the same topological discipline, compiled
+results are **bit-identical** to the interpreters' — the compile pass
+is a pure speedup.
 
 Compilation results are cached per ``Module`` instance (weakly, so
 modules remain collectable); mutating a module after first compile is
@@ -33,13 +41,14 @@ detected by a cheap shape check and triggers recompilation.
 """
 
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro import obs
 from repro.errors import NetlistError
 from repro.hdl.cell import CELL_KINDS
-from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
+from repro.hdl.sim.toposort import topo_node_order
 
 #: kind -> expression template.  ``{M}`` is the all-patterns mask
 #: (``1`` in scalar mode); positional fields are operand expressions.
@@ -69,6 +78,15 @@ EXPR_TEMPLATES = {
 _missing = set(CELL_KINDS) - set(EXPR_TEMPLATES)
 if _missing:  # pragma: no cover - import-time sync guard
     raise NetlistError(f"no codegen template for cell kinds: {sorted(_missing)}")
+
+#: Node-table opcode of each cell kind, then the two non-gate nodes: a
+#: register (``q = (d << 1) & R``) and a constant-1 net (``out = M``).
+OPCODES = {kind: op for op, kind in enumerate(EXPR_TEMPLATES)}
+OP_REG = len(OPCODES)
+OP_ONE = OP_REG + 1
+
+#: ``int32`` fields per node-table row: opcode, four inputs, output.
+NODE_FIELDS = 6
 
 #: Statements per generated function.  Keeps individual code objects a
 #: comfortable size for CPython's compiler without fragmenting the work.
@@ -137,20 +155,22 @@ def _compile_eval_factories(gates, tag, mask_name="1"):
 class CompiledModule:
     """One module flattened and specialized for fast simulation.
 
-    Statement generation (cheap string work) happens at construction;
-    the ``compile()``/``exec`` of each of the three kernels is deferred
-    to its first use and cached — a consumer that only runs levelized
-    patterns (or hands the event loop to the compiled C kernel) never
-    pays for the kernels it doesn't call.
+    The node table is built at construction; the Python kernels'
+    statements are generated and ``compile()``/``exec``-ed on first use
+    and cached — a consumer whose levelized runs and replays go to the
+    native kernel never pays for Python code it doesn't call.
     """
 
     n_nets: int
     n_gates: int
     n_registers: int
+    #: ``NODE_FIELDS`` int32 per node, constant-1 nets first, then the
+    #: topological node order (see :data:`OPCODES`).
+    node_table: array = field(repr=False)
     _tag: str = "module"
-    _level_stmts: List[str] = field(repr=False, default_factory=list)
-    _settle_stmts: List[str] = field(repr=False, default_factory=list)
+    _order: List[int] = field(repr=False, default_factory=list)
     _gates: List = field(repr=False, default_factory=list)
+    _registers: List = field(repr=False, default_factory=list)
     _level_fns: Optional[List[Callable]] = field(repr=False, default=None)
     _settle_fns: Optional[List[Callable]] = field(repr=False, default=None)
     _eval_factories: Optional[List[Callable]] = field(repr=False,
@@ -169,8 +189,17 @@ class CompiledModule:
         """
         fns = self._level_fns
         if fns is None:
+            gates, registers = self._gates, self._registers
+            stmts = []
+            for node in self._order:
+                if node >= 0:
+                    gate = gates[node]
+                    stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
+                else:
+                    reg = registers[-node - 1]
+                    stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & R")
             fns = self._level_fns = _compile_chunks(
-                self._level_stmts, f"{self._tag}:levelized")
+                stmts, f"{self._tag}:levelized")
         if reg_mask is None:
             reg_mask = m
         for fn in fns:
@@ -180,8 +209,11 @@ class CompiledModule:
         """Zero-delay scalar settle of the combinational gates."""
         fns = self._settle_fns
         if fns is None:
+            gates = self._gates
             fns = self._settle_fns = _compile_chunks(
-                self._settle_stmts, f"{self._tag}:settle")
+                [f"v[{gates[node].output}] = {gate_expr(gates[node])}"
+                 for node in self._order if node >= 0],
+                f"{self._tag}:settle")
         for fn in fns:
             fn(values, 1, 1)
 
@@ -220,16 +252,6 @@ class CompiledModule:
             fn(values, m, evals.append)
         return evals
 
-    @property
-    def stats(self):
-        compiled = [fns for fns in (self._level_fns, self._settle_fns)
-                    if fns is not None]
-        return {
-            "gates": self.n_gates,
-            "registers": self.n_registers,
-            "kernel_chunks": sum(len(fns) for fns in compiled),
-        }
-
 
 def compile_module(module):
     """Compile ``module`` into a :class:`CompiledModule` (uncached)."""
@@ -241,26 +263,35 @@ def compile_module(module):
 def _compile_module(module):
     gates = module.gates
     registers = module.registers
+    order = topo_node_order(module)
 
-    level_stmts = []
-    for node in topo_node_order(module):
+    # One pass: a row per constant-1 net, then per node in order.  Gates
+    # pad unused input slots with input 0; a register's d fills them.
+    table = []
+    for net, cval in module.constants.items():
+        if cval:
+            table += (OP_ONE, net, net, net, net, net)
+    for node in order:
         if node >= 0:
             gate = gates[node]
-            level_stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
+            ins = gate.inputs
+            table.append(OPCODES[gate.kind])
+            table += ins
+            table += (ins[0],) * (4 - len(ins))
+            table.append(gate.output)
         else:
             reg = registers[-node - 1]
-            level_stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & R")
-    settle_stmts = [f"v[{gates[idx].output}] = {gate_expr(gates[idx])}"
-                    for idx in topo_gate_order(module)]
+            table += (OP_REG, reg.d, reg.d, reg.d, reg.d, reg.q)
 
     return CompiledModule(
         n_nets=module.n_nets,
         n_gates=len(gates),
         n_registers=len(registers),
+        node_table=array("i", table),
         _tag=module.name or "module",
-        _level_stmts=level_stmts,
-        _settle_stmts=settle_stmts,
+        _order=order,
         _gates=list(gates),
+        _registers=list(registers),
     )
 
 

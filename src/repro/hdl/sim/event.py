@@ -288,8 +288,9 @@ class EventSimulator:
         """Replay cycle transitions ``t_first..t_last`` (inclusive).
 
         ``packed_values`` are a levelized run's per-net pattern words
-        (bit ``t`` = the net's zero-delay value in cycle ``t``), which
-        must cover cycle ``t_last``.  The network seeds itself from
+        (bit ``t`` = the net's zero-delay value in cycle ``t``) — a list
+        of ints or, as a native run's ``packed`` gives them, its limb
+        buffer — which must cover cycle ``t_last``.  The network seeds itself from
         cycle ``t_first - 1`` — for feed-forward logic the event
         simulator's settled state equals the zero-delay state, so no
         settle pass is needed — then steps the stimulus nets through
@@ -322,12 +323,13 @@ class EventSimulator:
 
         if self._ck is not None:
             ck = self._ck
+            buf = ck.limbs(packed_values)
             ck.zero_toggles()
-            ck.seed(packed_values, t_first - 1)
+            ck.seed(buf, t_first - 1)
             t = t_first
             while t <= t_last:
                 span = min(ckernel.WINDOW_TRANSITIONS, t_last - t + 1)
-                ev, ca, settle = ck.run(packed_values, t - 1, span)
+                ev, ca, settle = ck.run(buf, t - 1, span)
                 events += ev
                 cancelled += ca
                 t += span
@@ -348,6 +350,8 @@ class EventSimulator:
             stats["events"] += events
             stats["cancelled"] += cancelled
         else:
+            if isinstance(packed_values, ckernel.LimbBuffer):
+                packed_values = packed_values.words()
             stim_order = self._stim_order
             self.initialize({net: (packed_values[net] >> (t_first - 1)) & 1
                              for net in stim_order})

@@ -1,9 +1,9 @@
 """Bit-parallel levelized (zero-delay) simulation.
 
-Every net value is a Python int whose bit ``t`` is the net's logic value
-in pattern/cycle ``t`` — bitwise gate evaluation then simulates **all
-patterns at once**, which is what makes exhaustive functional
-verification of 30k-gate multipliers practical in pure Python.
+Every net value is a packed word whose bit ``t`` is the net's logic
+value in pattern/cycle ``t`` — bitwise gate evaluation then simulates
+**all patterns at once**, which is what makes exhaustive functional
+verification of 30k-gate multipliers practical.
 
 Registers become *time shifts*: ``q = d << 1`` moves every pattern one
 cycle later, exactly the behaviour of a flip-flop bank in a feed-forward
@@ -11,17 +11,24 @@ pipeline (cycle ``t`` sees the previous cycle's ``d``).  Pattern ``t``
 of a primary input is therefore the word applied at cycle ``t``, and an
 ``L``-stage unit's outputs line up with inputs ``L - 1`` cycles earlier.
 
-Gates are evaluated by the compiled kernel of
-:mod:`repro.hdl.sim.compile`: straight-line generated code, one
-statement per gate.  The historic per-gate ``cell_eval`` interpreter it
-must match bit-for-bit lives in ``tests/oracles/levelized.py``.
+Two kernels evaluate the gates, bit-identically.  When the native
+library of :mod:`repro.hdl.sim.ckernel` loads (:attr:`LevelizedSimulator.kernel`
+``"c"``), the words live in its ``uint64`` limb buffer: stimulus is
+transposed in, the node table of :mod:`repro.hdl.sim.compile` settles,
+and bus words and toggle counts come straight out of the buffer —
+per-net Python ints exist only if someone reads a run's ``values``.
+Otherwise (``REPRO_NO_CKERNEL``, no compiler) the words are Python big
+ints, packed by :func:`bit_transpose` and settled by the module's
+generated straight-line Python code.  The historic per-gate
+``cell_eval`` interpreter both must match bit-for-bit lives in
+``tests/oracles/levelized.py``.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.bits.utils import mask, popcount
 from repro.errors import SimulationError
+from repro.hdl.sim import ckernel
 from repro.hdl.sim.compile import compiled_module
 
 _M64 = (1 << 64) - 1
@@ -128,12 +135,50 @@ def bit_transpose(rows, width):
     return cols
 
 
-@dataclass
-class SimRun:
+class _PackedRun:
+    """Per-net packed pattern words, native or Python.
+
+    A native run keeps the kernel's :class:`~repro.hdl.sim.ckernel.LimbBuffer`
+    and answers bus words and toggle counts from it; ``values`` — the
+    list of per-net Python ints a Python-kernel run produces directly —
+    is materialized on first read, after which the buffer is dropped
+    (one representation alive at a time).
+    """
+
+    def __init__(self, values=None, limbs=None):
+        self._values = values
+        self._limbs = limbs
+
+    @property
+    def values(self):
+        """Per net: the packed pattern word (bit ``t`` = pattern ``t``)."""
+        if self._values is None:
+            self._values = self._limbs.words()
+            self._limbs = None
+        return self._values
+
+    @property
+    def packed(self):
+        """The pattern words in their cheapest form — the limb buffer
+        of a native run, else :attr:`values` — as
+        :meth:`~repro.hdl.sim.event.EventSimulator.replay` takes them."""
+        return self._limbs if self._limbs is not None else self._values
+
+    def _toggles(self, off, n):
+        """Zero-delay toggles of every net over patterns ``off ..
+        off+n-1``: a popcount of ``v ^ (v >> 1)`` in that window."""
+        if self._limbs is not None:
+            return self._limbs.toggles(off, off + n - 1)
+        m = (mask(n - 1) << off) if n > 1 else 0
+        return [popcount((v ^ (v >> 1)) & m) for v in self._values]
+
+
+class SimRun(_PackedRun):
     """Result of one levelized run."""
 
-    n_patterns: int
-    values: List[int]           # per net: packed pattern values
+    def __init__(self, n_patterns, values=None, limbs=None):
+        super().__init__(values, limbs)
+        self.n_patterns = n_patterns
 
     def net_value(self, net, t):
         return (self.values[net] >> t) & 1
@@ -149,36 +194,38 @@ class SimRun:
         """All patterns' words on ``bus`` (LSB-first), one per pattern.
 
         The bulk counterpart of :meth:`bus_word`: a block bit-matrix
-        transpose of the packed per-net pattern words instead of one
+        transpose of the packed per-net pattern words (native on a
+        native run, :func:`bit_transpose` otherwise) instead of one
         bit-poke per wire per pattern, which is what verification loops
         over whole runs want.  ``bus_words(bus)[t] == bus_word(bus, t)``
         always.
         """
-        return bit_transpose([self.values[net] for net in bus],
+        if self._limbs is not None:
+            return self._limbs.bus_words(bus, self.n_patterns)
+        return bit_transpose([self._values[net] for net in bus],
                              self.n_patterns)
 
     def toggles_per_net(self):
         """Zero-delay toggle count of every net across consecutive patterns."""
-        m = mask(self.n_patterns - 1) if self.n_patterns > 1 else 0
-        return [popcount((v ^ (v >> 1)) & m) for v in self.values]
+        return self._toggles(0, self.n_patterns)
 
 
-@dataclass
-class SegmentedRun:
+class SegmentedRun(_PackedRun):
     """Result of one superword run over concatenated independent segments.
 
-    ``values`` are ordinary packed pattern words covering every segment
-    back to back; ``segments[i]`` is segment ``i``'s ``(offset,
-    n_patterns)`` window.  Because the register shifts were masked at
-    each segment's first pattern, bits ``offset .. offset+n-1`` of every
-    net are **bit-identical** to an independent
-    :meth:`LevelizedSimulator.run` over that segment alone — consumers
-    may therefore window straight into the shared words (toggle counts,
-    glitch-replay seeding) without extracting per-segment copies.
+    The packed words cover every segment back to back;
+    ``segments[i]`` is segment ``i``'s ``(offset, n_patterns)`` window.
+    Because the register shifts were masked at each segment's first
+    pattern, bits ``offset .. offset+n-1`` of every net are
+    **bit-identical** to an independent :meth:`LevelizedSimulator.run`
+    over that segment alone — consumers may therefore window straight
+    into the shared words (toggle counts, glitch-replay seeding) without
+    extracting per-segment copies.
     """
 
-    segments: List[Tuple[int, int]]      # (offset, n_patterns) per segment
-    values: List[int]                    # per net: packed pattern words
+    def __init__(self, segments, values=None, limbs=None):
+        super().__init__(values, limbs)
+        self.segments: List[Tuple[int, int]] = segments
 
     @property
     def n_patterns(self):
@@ -198,11 +245,9 @@ class SegmentedRun:
 
         Equal to ``segment_run(i).toggles_per_net()`` without the
         extraction: the transition window is just the segment's pattern
-        mask shifted to its offset.
+        window.
         """
-        off, n = self.segments[i]
-        m = (mask(n - 1) << off) if n > 1 else 0
-        return [popcount((v ^ (v >> 1)) & m) for v in self.values]
+        return self._toggles(*self.segments[i])
 
 
 def segment_plan(lengths):
@@ -233,6 +278,13 @@ class LevelizedSimulator:
     def __init__(self, module):
         self.module = module
         self._kernel = compiled_module(module)
+        self._lib = ckernel.load_kernel()
+
+    @property
+    def kernel(self):
+        """``"c"`` when runs settle in the native library, else
+        ``"python"`` (the generated-Python kernel)."""
+        return "c" if self._lib is not None else "python"
 
     def run(self, stimulus, n_patterns):
         """Simulate ``n_patterns`` patterns.
@@ -240,23 +292,15 @@ class LevelizedSimulator:
         ``stimulus`` maps input bus names to lists of integer words, one
         per pattern (missing patterns default to 0; missing buses raise).
         """
-        module = self.module
         if n_patterns < 1:
             raise SimulationError("need at least one pattern")
-        for name in module.inputs:
-            if name not in stimulus:
-                raise SimulationError(f"no stimulus for input bus {name!r}")
-        m = mask(n_patterns)
-        values = [0] * module.n_nets
-        for name, bus in module.inputs.items():
-            packed = bit_transpose(stimulus[name][:n_patterns], len(bus))
-            for i, net in enumerate(bus):
-                values[net] = packed[i]
-        for net, cval in module.constants.items():
-            values[net] = m if cval else 0
-
-        self._kernel.run_levelized(values, m)
-        return SimRun(n_patterns=n_patterns, values=values)
+        self._check_inputs(stimulus)
+        columns = {name: stimulus[name][:n_patterns]
+                   for name in self.module.inputs}
+        # The register shift-in at pattern 0 is always 0, so the plain
+        # all-patterns mask is also the register mask.
+        return SimRun(n_patterns=n_patterns,
+                      **self._settle(columns, n_patterns, mask(n_patterns)))
 
     def run_segments(self, jobs):
         """Simulate several independent stimulus sequences in ONE kernel
@@ -270,31 +314,49 @@ class LevelizedSimulator:
         segment ``k-1``'s trailing flip-flop state.  The returned
         :class:`SegmentedRun` is therefore **bit-identical**, segment by
         segment, to ``len(jobs)`` separate :meth:`run` calls — while
-        paying the per-gate interpreter overhead once.
+        paying the per-gate overhead once.
         """
-        module = self.module
-        lengths = [n for __, n in jobs]
-        segments, total, boundary = segment_plan(lengths)
+        segments, total, boundary = segment_plan([n for __, n in jobs])
         for stimulus, __ in jobs:
-            for name in module.inputs:
-                if name not in stimulus:
-                    raise SimulationError(
-                        f"no stimulus for input bus {name!r}")
+            self._check_inputs(stimulus)
+        columns = {}
+        for name in self.module.inputs:
+            merged = []
+            for stimulus, n in jobs:
+                words = stimulus[name][:n]
+                merged.extend(words)
+                if len(words) < n:
+                    merged.extend([0] * (n - len(words)))
+            columns[name] = merged
+        return SegmentedRun(segments=segments,
+                            **self._settle(columns, total,
+                                           mask(total) & ~boundary))
+
+    def _check_inputs(self, stimulus):
+        for name in self.module.inputs:
+            if name not in stimulus:
+                raise SimulationError(f"no stimulus for input bus {name!r}")
+
+    def _settle(self, columns, total, reg_mask):
+        """Pack ``columns`` (input bus -> words from pattern 0) and settle
+        ``total`` patterns.  Returns the run's words as keyword
+        arguments: ``limbs`` (a :class:`~repro.hdl.sim.ckernel.LimbBuffer`)
+        in the native library, else ``values`` (per-net Python ints)."""
+        module = self.module
+        kernel = self._kernel
+        if self._lib is not None:
+            buf = ckernel.LimbBuffer(self._lib, module.n_nets, total)
+            for name, bus in module.inputs.items():
+                buf.pack(bus, columns[name])
+            buf.settle(kernel.node_table, reg_mask)
+            return {"limbs": buf}
         m = mask(total)
-        reg_mask = m & ~boundary
         values = [0] * module.n_nets
         for name, bus in module.inputs.items():
-            merged = []
-            for (stimulus, n) in jobs:
-                words = list(stimulus[name][:n])
-                if len(words) < n:
-                    words.extend([0] * (n - len(words)))
-                merged.extend(words)
-            packed = bit_transpose(merged, len(bus))
+            packed = bit_transpose(columns[name], len(bus))
             for i, net in enumerate(bus):
                 values[net] = packed[i]
         for net, cval in module.constants.items():
             values[net] = m if cval else 0
-
-        self._kernel.run_levelized(values, m, reg_mask)
-        return SegmentedRun(segments=segments, values=values)
+        kernel.run_levelized(values, m, reg_mask)
+        return {"values": values}

@@ -11,18 +11,21 @@ serving that lane and turns a list of transactions into a list of
 * the ``reduce64`` lane drives the standalone Fig. 6 reducer
   (combinational, so no latency padding).
 
-Batch size is unbounded here: the packed net values are Python big
-ints, so a batch wider than 64 patterns simply packs into a multi-limb
-superword (``ceil(len(txs)/64)`` limbs per net) and runs in the same
-single kernel pass — including the per-limb fp16x4 sub-lane split,
-which the software-envelope patcher indexes per transaction.  The
-*policy* width lives in the server/queue (``word_patterns``).
+Batch size is unbounded here: every net's packed pattern word is
+multi-limb (``uint64`` limbs in the native levelized kernel, Python big
+ints in its fallback), so a batch wider than 64 patterns simply packs
+into a superword (``ceil(len(txs)/64)`` limbs per net) and runs in the
+same single kernel pass — including the per-limb fp16x4 sub-lane
+split, which the software-envelope patcher indexes per transaction.
+The *policy* width lives in the server/queue (``word_patterns``).  The
+native settle runs outside the GIL, so the submitting thread keeps
+enqueueing while a word settles.
 
 Modules come from :func:`repro.eval.experiments.cached_module` — the
 two-level (in-process + on-disk pickle) module cache — and are then
-specialized once by :mod:`repro.hdl.sim.compile`'s levelized codegen,
-so a long-lived server pays netlist construction at most once per
-process lifetime and usually never.
+flattened once by :mod:`repro.hdl.sim.compile`, so a long-lived server
+pays netlist construction at most once per process lifetime and
+usually never.
 
 FP lanes whose operands are special (zero/subnormal/inf/NaN) are
 outside the silicon envelope: the engine substitutes 1.0 into those
@@ -127,6 +130,7 @@ class LaneEngine:
         else:
             self._unit = _shared_unit(MODULE_OF[kind])
             self._module = self._unit.module
+            self._sim = self._unit._sim
 
     # -- execution ------------------------------------------------------
 
@@ -140,7 +144,7 @@ class LaneEngine:
                     f"{tx.kind} transaction routed to the {self.kind} lane")
         with obs.span(f"serve:run:{self.kind.value}", cat="serve",
                       patterns=len(txs), limbs=(len(txs) + 63) // 64,
-                      module=self._module.name):
+                      module=self._module.name, kernel=self._sim.kernel):
             if self.kind is TxKind.REDUCE64:
                 return self._execute_reduce(txs)
             return self._execute_multiply(txs)

@@ -407,6 +407,7 @@ class TestTraceStitching:
         assert runs
         for ev in runs:             # engine work nests under its flush
             assert ev["args"]["parent"] in flush_spans
+            assert ev["args"]["kernel"] in ("c", "python")
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Equivalence tests for the compiled simulation backend.
 
-Every fast path the compiled backend introduced — the codegen levelized
-kernel, the per-gate closures, the truth-table C event kernel, the
+Every fast path the compiled backend introduced — the native and the
+generated-Python levelized kernels, the per-gate closures, the
+truth-table C event kernel, the
 delta-stimulus :meth:`EventSimulator.replay`, the batched and sharded
 Monte Carlo — claims bit-identity with the historic reference
 implementation it replaced (kept in ``tests/oracles/``).  These tests
@@ -9,6 +10,8 @@ pin that claim down kind-by-kind, on random netlists (registered ones
 included), and on the real multipliers.
 """
 
+import random
+import threading
 import time
 
 import pytest
@@ -28,7 +31,7 @@ from repro.hdl.power.monte_carlo import (
     shared_event_simulator,
 )
 from repro.hdl.sim import ckernel
-from repro.hdl.sim.compile import EXPR_TEMPLATES, gate_expr
+from repro.hdl.sim.compile import EXPR_TEMPLATES, compiled_module, gate_expr
 from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
@@ -40,6 +43,44 @@ from tests.test_hdl_properties import (
 )
 
 KINDS = sorted(CELL_KINDS)
+
+HAVE_C = ckernel.load_kernel() is not None
+needs_c = pytest.mark.skipif(not HAVE_C, reason="C library unavailable")
+
+#: The levelized kernels every equivalence case runs on: the native one
+#: wherever the C library loads, and the generated-Python fallback.
+LEVELIZED_KERNELS = ("c", "python") if HAVE_C else ("python",)
+
+
+def _sim(module, kernel):
+    """A :class:`LevelizedSimulator` on the named levelized kernel."""
+    sim = LevelizedSimulator(module)
+    if kernel == "python":
+        sim._lib = None
+    assert sim.kernel == kernel
+    return sim
+
+
+def _stimulus_words(rng, width, n):
+    """``n`` words with bits beyond ``width`` set and some negative: the
+    kernels must ignore both, as ``bit_transpose`` does."""
+    return [rng.getrandbits(width + 7) - (1 << (width + 3))
+            for __ in range(n)]
+
+
+def _wide_module():
+    """A 130-bit bus through XORs, a register bank and constants: both
+    bus sides span three limbs."""
+    m = Module("wide")
+    a = m.input("a", 130)
+    one, zero = m.const(1), m.const(0)
+    mixed = [m.gate("XOR2", a[i], a[(i + 1) % 130]) for i in range(130)]
+    regs = [m.register(net, stage=1) for net in mixed]
+    out = [m.gate("MUX2", regs[i], a[i], one) if i % 3 else
+           m.gate("OR2", regs[i], zero) for i in range(130)]
+    m.output("o", out)
+    m.output("k", [one, zero, one])
+    return m
 
 
 def _input_stim(module, patterns, t):
@@ -108,10 +149,11 @@ class TestCompiledLevelized:
     def test_matches_interpreter_on_random_netlists(self, case):
         module, patterns = case
         n = len(patterns)
-        compiled = LevelizedSimulator(module).run({"a": patterns}, n)
         interp = interpreted_run(module, {"a": patterns}, n)
-        # Net-for-net, every pattern word identical.
-        assert compiled.values == interp.values
+        for kernel in LEVELIZED_KERNELS:
+            compiled = _sim(module, kernel).run({"a": patterns}, n)
+            # Net-for-net, every pattern word identical.
+            assert compiled.values == interp.values, kernel
 
     def test_matches_interpreter_on_radix16(self):
         from repro.eval.experiments import cached_module
@@ -119,9 +161,52 @@ class TestCompiledLevelized:
 
         module = cached_module("r16")
         stim = WorkloadGenerator(7).multiplier_stimulus(4)
-        compiled = LevelizedSimulator(module).run(stim, 4)
         interp = interpreted_run(module, stim, 4)
-        assert compiled.values == interp.values
+        for kernel in LEVELIZED_KERNELS:
+            compiled = _sim(module, kernel).run(stim, 4)
+            assert compiled.bus_words(module.outputs["p"]) \
+                == interp.bus_words(module.outputs["p"]), kernel
+            assert compiled.values == interp.values, kernel
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 514])
+    @given(registered_module_and_patterns(n_patterns=1))
+    @settings(max_examples=8, deadline=None)
+    def test_pattern_counts_across_limb_edges(self, n, case):
+        module, __ = case
+        rng = random.Random(n)
+        # One pattern short: the missing last pattern defaults to 0.
+        stim = {"a": _stimulus_words(rng, 6, n - 1)}
+        interp = interpreted_run(module, stim, n)
+        for kernel in LEVELIZED_KERNELS:
+            run = _sim(module, kernel).run(stim, n)
+            assert run.bus_words(module.outputs["o"]) \
+                == interp.bus_words(module.outputs["o"]), kernel
+            assert run.toggles_per_net() == interp.toggles_per_net(), kernel
+            assert run.values == interp.values, kernel
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    def test_bus_wider_than_a_limb(self, n):
+        module = _wide_module()
+        stim = {"a": _stimulus_words(random.Random(n), 130, n)}
+        interp = interpreted_run(module, stim, n)
+        for kernel in LEVELIZED_KERNELS:
+            run = _sim(module, kernel).run(stim, n)
+            for name in ("o", "k"):
+                bus = module.outputs[name]
+                words = run.bus_words(bus)
+                assert words == interp.bus_words(bus), kernel
+                assert words == [interp.bus_word(bus, t) for t in range(n)]
+            assert run.toggles_per_net() == interp.toggles_per_net(), kernel
+            assert run.values == interp.values, kernel
+
+    @needs_c
+    def test_native_run_generates_no_python_kernel(self):
+        module = _wide_module()
+        sim = _sim(module, "c")
+        stim = {"a": _stimulus_words(random.Random(3), 130, 70)}
+        sim.run(stim, 70).bus_words(module.outputs["o"])
+        sim.run_segments([(stim, 70), (stim, 5)]).toggles_per_net(1)
+        assert compiled_module(module)._level_fns is None
 
 
 # ----------------------------------------------------------------------
@@ -253,9 +338,10 @@ class TestRegisteredNetlists:
     def test_run_matches_interpreter(self, case):
         module, patterns = case
         n = len(patterns)
-        compiled = LevelizedSimulator(module).run({"a": patterns}, n)
-        assert compiled.values == interpreted_run(module, {"a": patterns},
-                                                  n).values
+        interp = interpreted_run(module, {"a": patterns}, n)
+        for kernel in LEVELIZED_KERNELS:
+            compiled = _sim(module, kernel).run({"a": patterns}, n)
+            assert compiled.values == interp.values, kernel
 
     @given(registered_module_and_patterns(n_patterns=85))
     @settings(max_examples=25, deadline=None)
@@ -266,10 +352,30 @@ class TestRegisteredNetlists:
         for n in (1, 7, 64, 13):
             jobs.append(({"a": patterns[off:off + n]}, n))
             off += n
-        fast = LevelizedSimulator(module).run_segments(jobs)
         ref = interpreted_run_segments(module, jobs)
-        assert fast.segments == ref.segments
-        assert fast.values == ref.values
+        for kernel in LEVELIZED_KERNELS:
+            fast = _sim(module, kernel).run_segments(jobs)
+            assert fast.segments == ref.segments
+            for i in range(len(jobs)):
+                assert fast.toggles_per_net(i) == ref.toggles_per_net(i)
+            assert fast.values == ref.values, kernel
+
+    @given(registered_module_and_patterns(n_patterns=1))
+    @settings(max_examples=15, deadline=None)
+    def test_segment_boundaries_on_and_inside_limbs(self, case):
+        # Offsets 0 and 64 sit on limb edges, 71 and 131 inside limbs;
+        # the third segment's register carries cross the 128 edge.
+        module, __ = case
+        rng = random.Random(5)
+        jobs = [({"a": _stimulus_words(rng, 6, n - (n % 2))}, n)
+                for n in (64, 7, 60, 70)]
+        ref = interpreted_run_segments(module, jobs)
+        assert [off for off, __ in ref.segments] == [0, 64, 71, 131]
+        for kernel in LEVELIZED_KERNELS:
+            fast = _sim(module, kernel).run_segments(jobs)
+            for i in range(len(jobs)):
+                assert fast.toggles_per_net(i) == ref.toggles_per_net(i)
+            assert fast.values == ref.values, kernel
 
     @given(registered_module_and_patterns(n_patterns=8))
     @settings(max_examples=30, deadline=None)
@@ -278,14 +384,18 @@ class TestRegisteredNetlists:
         n = len(patterns)
         lib = default_library()
         stim = {"a": patterns}
-        run = LevelizedSimulator(module).run(stim, n)
-        legacy = event_toggles_legacy(module, lib, run, stim, n)
-        for c_kernel in (True, False):
-            esim = EventSimulator(module, lib)
-            if not c_kernel:
-                esim._ck = None     # the pure-Python wheel replay
-            counts = esim.replay(run.values, 1, n - 1)
-            assert counts.toggles == legacy, esim.kernel
+        legacy = event_toggles_legacy(
+            module, lib, interpreted_run(module, stim, n), stim, n)
+        for kernel in LEVELIZED_KERNELS:
+            run = _sim(module, kernel).run(stim, n)
+            for c_kernel in (True, False):
+                esim = EventSimulator(module, lib)
+                if not c_kernel:
+                    esim._ck = None     # the pure-Python wheel replay
+                # The run's own words: a limb buffer off the native
+                # levelized kernel.
+                counts = esim.replay(run.packed, 1, n - 1)
+                assert counts.toggles == legacy, (kernel, esim.kernel)
 
 
 # ----------------------------------------------------------------------
@@ -500,6 +610,31 @@ class TestKernelFallback:
         # Once per process: a second call neither retries nor recounts.
         assert ckernel.load_kernel() is None
         assert self._fallbacks(fresh_loader) == before + 1
+
+    def test_concurrent_first_calls_share_one_build(self, fresh_loader,
+                                                   monkeypatch):
+        builds = []
+        library = object()
+
+        def slow_build():
+            builds.append(threading.get_ident())
+            time.sleep(0.3)
+            return library
+
+        monkeypatch.setattr(ckernel, "_build_and_load", slow_build)
+        before = self._fallbacks(fresh_loader)
+        got = []
+        threads = [threading.Thread(
+            target=lambda: got.append(ckernel.load_kernel()))
+            for __ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == [library, library]
+        assert len(builds) == 1
+        assert ckernel.fallback_reason is None
+        assert self._fallbacks(fresh_loader) == before
 
     def test_missing_compiler_and_opt_out_reasons(self, fresh_loader,
                                                   monkeypatch):
