@@ -7,23 +7,20 @@ swapping two input pins — and measures how often a modest co-simulation
 battery catches the mutation.  High mutation coverage is evidence the
 equivalence tests in this repository actually constrain the netlists.
 
-Campaigns run in one of two modes, bit-identical by construction and
-raced against each other in CI:
-
-* ``mode="full"`` — the historic path: clone the module, apply the
-  mutation, re-simulate everything, compare against the battery's
-  expected words.  O(module) per mutation; kept as the reference.
-* ``mode="differential"`` (default) — simulate the golden module once
-  per campaign and judge each mutant by propagating its XOR difference
-  word through the mutated gate's fan-out cone only, early-exiting the
-  moment a difference reaches an observed output bit (see
-  :mod:`repro.hdl.sim.differential`).  O(cone) per mutation — the
-  speedup ``benchmarks/bench_fault_injection.py`` records in
-  ``BENCH_fault_sim.json``.
+A campaign simulates the golden module once against the battery
+(:func:`campaign_engine` caches that check per target and battery
+width), then judges each mutant by settling the golden compiled module
+with the mutated gate's node-table row replaced
+(:meth:`~repro.hdl.sim.compile.CompiledModule.with_gate`) on the usual
+:class:`~repro.hdl.sim.levelized.LevelizedSimulator` path, native or
+generated Python.  A rekind or pin swap drives the same output net from
+the same input nets, so the golden topological order holds for every
+mutant and nothing is re-sorted or rebuilt.  The clone-and-re-simulate
+reference the campaign must match verdict for verdict lives in
+``tests/oracles/fault_resim.py``.
 
 The battery itself is data (:class:`Battery`: stimulus + expected
-output words per pattern), so both modes derive their verdicts from the
-same comparisons.  The orchestrator's ``fault_r16``/``fault_mf``
+output words per pattern).  The orchestrator's ``fault_r16``/``fault_mf``
 experiments shard a campaign into :func:`coverage_chunk` leaves along
 :func:`chunk_plan` and merge them with :func:`merge_coverage`.
 """
@@ -31,12 +28,14 @@ experiments shard a campaign into :func:`coverage_chunk` leaves along
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.errors import SimulationError
 from repro.hdl.cell import cell_num_inputs
-from repro.hdl.module import Gate, Module, Register
+from repro.hdl.module import Gate
+from repro.hdl.sim.compile import compiled_module
+from repro.hdl.sim.levelized import LevelizedSimulator
 
 #: Same-arity replacement pools (a mutation picks a *different* kind).
 _MUTATION_POOLS = {
@@ -84,20 +83,6 @@ class CoverageResult:
         return "\n".join(lines)
 
 
-def clone_module(module):
-    """Structural copy (mutations must not touch the original)."""
-    twin = Module(module.name)
-    twin.n_nets = module.n_nets
-    twin.gates = list(module.gates)
-    twin.registers = list(module.registers)
-    twin.inputs = {k: list(v) for k, v in module.inputs.items()}
-    twin.outputs = {k: list(v) for k, v in module.outputs.items()}
-    twin._driver = dict(module._driver)
-    twin._const_nets = dict(module._const_nets)
-    twin._const_cache = dict(module._const_cache)
-    return twin
-
-
 #: Pin swaps that actually change the boolean function (commutative
 #: swaps would be equivalent mutants and poison the coverage metric).
 _MEANINGFUL_SWAPS = {
@@ -112,11 +97,12 @@ _MEANINGFUL_SWAPS = {
 def propose_mutation(module, rng, arities=None):
     """Draw one random functional mutation without applying it.
 
-    Returns ``(gate_index, mutant_gate, Mutation)``.  ``arities`` is the
+    Mutations: change a cell kind within its arity pool, or swap two
+    input pins where the cell is not commutative in them.  Returns
+    ``(gate_index, mutant_gate, Mutation)``.  ``arities`` is the
     optional precomputed per-gate input count list — campaigns compute
-    it once and share it across every mutation (and both modes), instead
-    of re-deriving cell arities per attempt.  The rng draw sequence is
-    the historic ``inject_mutation`` one, so seeds reproduce.
+    it once and share it across every mutation instead of re-deriving
+    cell arities per attempt.
     """
     for __ in range(100):
         idx = rng.randrange(len(module.gates))
@@ -151,17 +137,6 @@ def propose_mutation(module, rng, arities=None):
     raise SimulationError("could not find a mutable gate")
 
 
-def inject_mutation(module, rng):
-    """Apply one random functional mutation in place; returns Mutation.
-
-    Mutations: change a cell kind within its arity pool, or swap two
-    input pins where the cell is not commutative in them.
-    """
-    idx, mutant, mutation = propose_mutation(module, rng)
-    module.gates[idx] = mutant
-    return mutation
-
-
 # ----------------------------------------------------------------------
 # the battery as data
 # ----------------------------------------------------------------------
@@ -173,8 +148,6 @@ class Battery:
     ``stimulus`` maps input bus names to per-pattern words;
     ``expected`` maps output bus names to per-pattern expected words,
     with ``None`` marking unchecked positions (pipeline fill cycles).
-    Both campaign modes judge mutants against exactly these
-    comparisons, which is what makes them bit-identical.
     """
 
     stimulus: Dict[str, List[int]]
@@ -189,33 +162,6 @@ class Battery:
                 if want is not None and got[t] != want:
                     return False
         return True
-
-    def checker(self):
-        """A full-mode callable: simulate the module, compare words."""
-        from repro.hdl.sim.levelized import LevelizedSimulator
-
-        def check(module):
-            run = LevelizedSimulator(module).run(self.stimulus,
-                                                 self.n_patterns)
-            return self.check_run(module, run)
-
-        return check
-
-    def observation(self, module):
-        """The net-level :class:`Observation` of the checked positions."""
-        from repro.hdl.sim.differential import Observation
-
-        masks: Dict[int, int] = {}
-        for name, words in self.expected.items():
-            window = 0
-            for t, want in enumerate(words):
-                if want is not None:
-                    window |= 1 << t
-            if not window:
-                continue
-            for net in module.outputs[name]:
-                masks[net] = masks.get(net, 0) | window
-        return Observation(masks=masks)
 
 
 def multiplier_battery(module, cases):
@@ -258,66 +204,52 @@ def mf_battery(operations):
 # campaigns
 # ----------------------------------------------------------------------
 
-def mutation_coverage(module, battery, n_mutations=40, seed=2017,
-                      mode="full", engine=None):
+def mutation_coverage(module, battery, n_mutations=40, seed=2017):
     """Run a campaign: mutate, check against ``battery``, count detections.
 
-    ``mode="full"`` clones and fully re-simulates each mutant through
-    ``battery.checker()``; a mutant that still passes *survived*.
-
-    ``mode="differential"`` shares one golden simulation across all
-    mutations and re-evaluates fan-out cones only — same
-    :class:`CoverageResult`, measured fraction of the work.  In the
-    degenerate case where the golden module itself fails its battery,
-    the campaign silently falls back to full mode (where every mutant
-    fails too), so the modes never diverge.
-
-    A prebuilt ``engine`` (see :func:`campaign_engine`) skips the
-    golden run entirely: campaigns chunked over the same module and
-    battery then pay **one** golden kernel invocation total instead of
-    one per chunk — the engine is a pure cache of golden state, so
-    verdicts are unchanged.  The caller must have verified the golden
-    run against the battery (``campaign_engine`` does).
+    Checks the golden module against ``battery`` once (see
+    :func:`campaign_engine`), then judges ``n_mutations`` mutants drawn
+    from ``seed``; a mutant that still passes the battery *survived*.
     """
-    if mode not in ("full", "differential"):
-        raise SimulationError(f"unknown campaign mode {mode!r}")
+    _golden_check(module, battery)
+    return _judge_mutants(module, battery, n_mutations, seed)
+
+
+def _golden_check(module, battery):
+    """Settle the unmutated module on ``battery`` once.
+
+    Ticks ``fault.golden_runs``, and ``fault.golden_mismatch`` when the
+    module fails its own battery.  The mutants are judged against the
+    battery as given either way, as the reference judges them.
+    """
+    reg = obs.registry()
+    reg.inc("fault.golden_runs")
+    with obs.span("fault:golden", cat="fault", module=module.name,
+                  patterns=battery.n_patterns):
+        run = LevelizedSimulator(module).run(battery.stimulus,
+                                             battery.n_patterns)
+    if not battery.check_run(module, run):
+        reg.inc("fault.golden_mismatch")
+
+
+def _judge_mutants(module, battery, n_mutations, seed):
+    """Settle each mutant as the golden node table with one row
+    replaced and compare its output words against ``battery``."""
     rng = random.Random(seed)
     arities = [cell_num_inputs(gate.kind) for gate in module.gates]
+    golden = compiled_module(module)
     reg = obs.registry()
-
-    if mode != "differential":
-        engine = None
-    elif engine is None:
-        from repro.hdl.sim.differential import DifferentialEngine
-
-        engine = DifferentialEngine(module, battery.stimulus,
-                                    battery.n_patterns,
-                                    battery.observation(module))
-        if not battery.check_run(module, engine.golden):
-            reg.inc("fault.golden_mismatch")
-            mode = "full"
-            engine = None
-    checker = battery.checker()
-
     result = CoverageResult(attempted=0, detected=0)
     with obs.span("fault:campaign", cat="fault", module=module.name,
-                  mode=mode, mutations=n_mutations):
+                  kernel=LevelizedSimulator(module).kernel,
+                  mutations=n_mutations):
         for __ in range(n_mutations):
             idx, mutant, mutation = propose_mutation(module, rng, arities)
             result.attempted += 1
             reg.inc("fault.mutations")
-            if engine is not None:
-                verdict = engine.run_mutant(idx, mutant)
-                reg.inc("fault.gates_evaluated", verdict.gates_evaluated)
-                reg.observe_value("fault.cone_size", verdict.cone_size)
-                if verdict.early_exit:
-                    reg.inc("fault.early_exits")
-                survived = not verdict.detected
-            else:
-                twin = clone_module(module)
-                twin.gates[idx] = mutant
-                survived = checker(twin)
-            if survived:
+            run = LevelizedSimulator(module, golden.with_gate(idx, mutant)) \
+                .run(battery.stimulus, battery.n_patterns)
+            if battery.check_run(module, run):
                 result.survivors.append(mutation)
             else:
                 result.detected += 1
@@ -373,100 +305,63 @@ def campaign_battery(which, module, patterns=None):
         ops = mf_operations() if patterns is None \
             else mf_operations(n=patterns)
         return mf_battery(ops)
-    raise ValueError(f"unknown campaign target {which!r}")
+    raise SimulationError(f"unknown campaign target {which!r}")
 
 
 def _campaign_module(which):
     from repro.eval.experiments import cached_module
 
     if which not in ("r16", "mf"):
-        raise ValueError(f"unknown campaign target {which!r}")
+        raise SimulationError(f"unknown campaign target {which!r}")
     return cached_module(which)
 
 
-#: Shared golden state per (target, battery width): the golden run is
-#: read-only once simulated, so every chunk of a campaign reuses it —
-#: one golden kernel invocation per campaign instead of one per chunk.
-#: Engines are additionally keyed by thread because ``run_mutant``
-#: scribbles on a private overlay list.
+#: The checked golden campaign per (target, battery width): every chunk
+#: of a campaign reuses it — one golden kernel invocation per campaign
+#: instead of one per chunk.  Entries are read-only once built.
 _CAMPAIGN_LOCK = threading.Lock()
-_CAMPAIGN_GOLDEN: Dict[tuple, tuple] = {}
-_CAMPAIGN_ENGINES: Dict[tuple, object] = {}
+_CAMPAIGNS: Dict[tuple, tuple] = {}
 
 
 def clear_campaign_cache():
-    """Drop shared golden runs/engines (benchmark cost accounting)."""
+    """Drop the checked golden campaigns (benchmark cost accounting)."""
     with _CAMPAIGN_LOCK:
-        _CAMPAIGN_GOLDEN.clear()
-        _CAMPAIGN_ENGINES.clear()
+        _CAMPAIGNS.clear()
 
 
 def campaign_engine(which, battery_patterns=None):
-    """Shared differential state for one ``(target, battery width)``.
+    """The golden campaign for one ``(target, battery width)``.
 
-    Returns ``(module, battery, engine)``; ``engine`` is ``None`` when
-    the golden run fails its own battery (callers fall back to full
-    mode, where every mutant fails too — the modes never diverge).  The
-    golden bit-parallel run is simulated once per key and cached; the
-    per-thread :class:`~repro.hdl.sim.differential.DifferentialEngine`
-    wrappers around it cost only the fan-out precomputation.
+    Returns ``(module, battery)``: the target module and its standard
+    battery, whose golden run has been checked exactly once per key
+    (``fault.golden_runs``; ``fault.golden_mismatch`` when the golden
+    run fails its own battery).
     """
-    from repro.hdl.sim.differential import DifferentialEngine
-
-    module = _campaign_module(which)
     key = (which, battery_patterns)
     with _CAMPAIGN_LOCK:
-        entry = _CAMPAIGN_GOLDEN.get(key)
+        entry = _CAMPAIGNS.get(key)
         if entry is None:
+            module = _campaign_module(which)
             battery = campaign_battery(which, module,
                                        patterns=battery_patterns)
-            engine = DifferentialEngine(module, battery.stimulus,
-                                        battery.n_patterns,
-                                        battery.observation(module))
-            if battery.check_run(module, engine.golden):
-                entry = (battery, engine.golden)
-                _CAMPAIGN_ENGINES[(key, threading.get_ident())] = engine
-            else:
-                obs.registry().inc("fault.golden_mismatch")
-                entry = (battery, None)
-            _CAMPAIGN_GOLDEN[key] = entry
-        battery, golden = entry
-        if golden is None:
-            return module, battery, None
-        tkey = (key, threading.get_ident())
-        engine = _CAMPAIGN_ENGINES.get(tkey)
-        if engine is None:
-            engine = DifferentialEngine(module, battery.stimulus,
-                                        battery.n_patterns,
-                                        battery.observation(module),
-                                        golden=golden)
-            _CAMPAIGN_ENGINES[tkey] = engine
-    return module, battery, engine
+            _golden_check(module, battery)
+            entry = _CAMPAIGNS[key] = (module, battery)
+    return entry
 
 
 def coverage_chunk(which="r16", n_mutations=10, seed=7,
-                   mode="differential", battery_patterns=None):
+                   battery_patterns=None):
     """One campaign shard — a parallelizable leaf job.
 
-    Builds the target module and its co-simulation battery from fixed
-    case seeds, then runs ``n_mutations`` mutations drawn from ``seed``
-    in the requested ``mode``.  Differential chunks share one cached
-    golden run per ``(which, battery_patterns)`` via
+    Judges ``n_mutations`` mutations drawn from ``seed`` against the
+    target's standard battery (fixed case seeds).  Chunks share one
+    golden check per ``(which, battery_patterns)`` via
     :func:`campaign_engine`, so a whole campaign pays a single golden
     kernel invocation however it is chunked; ``battery_patterns``
     widens the battery superword (default: historic sizes).
     """
-    if mode == "differential":
-        module, battery, engine = campaign_engine(which, battery_patterns)
-        if engine is None:
-            mode = "full"
-        return mutation_coverage(module, n_mutations=n_mutations,
-                                 seed=seed, mode=mode, battery=battery,
-                                 engine=engine)
-    module = _campaign_module(which)
-    battery = campaign_battery(which, module, patterns=battery_patterns)
-    return mutation_coverage(module, n_mutations=n_mutations, seed=seed,
-                             mode=mode, battery=battery)
+    module, battery = campaign_engine(which, battery_patterns)
+    return _judge_mutants(module, battery, n_mutations, seed)
 
 
 #: Auto-chunking aims at this many mutations per stealable leaf.
@@ -484,10 +379,14 @@ def chunk_plan(n_mutations, seed, chunks=None):
     exact historic shard seeds, while larger ones refine into more
     stealable leaves.
     """
+    if n_mutations < 1 or (chunks is not None and chunks < 1):
+        raise SimulationError(
+            f"a campaign needs at least one mutation and one chunk "
+            f"(n_mutations={n_mutations}, chunks={chunks})")
     if chunks is None:
         target = -(-n_mutations // CHUNK_TARGET_MUTATIONS)
         chunks = max(min(4, n_mutations), target)
-    chunks = max(1, min(chunks, n_mutations))
+    chunks = min(chunks, n_mutations)
     base, extra = divmod(n_mutations, chunks)
     return [(seed * 1000003 + i, base + (1 if i < extra else 0))
             for i in range(chunks)]

@@ -27,6 +27,12 @@ when a Python engine actually asks for it:
   that recomputes the gate's scalar output from the simulator's live
   ``values`` list, used in the event simulator's inner scheduling loop.
 
+A one-gate mutant that keeps its output net and input set (a rekind or
+a pin swap) keeps the module's topological order valid, so
+:meth:`CompiledModule.with_gate` derives it from the compiled module by
+rewriting one node-table row — the fault campaigns of
+:mod:`repro.eval.fault_injection` settle every mutant that way.
+
 Both the generated Python expressions and the native kernel's gate
 cases come from :data:`EXPR_TEMPLATES`, which mirrors
 :data:`repro.hdl.cell.CELL_KINDS` exactly (a unit test sweeps every
@@ -47,7 +53,7 @@ from typing import Callable, List, Optional
 
 from repro import obs
 from repro.errors import NetlistError
-from repro.hdl.cell import CELL_KINDS
+from repro.hdl.cell import CELL_KINDS, cell_num_inputs
 from repro.hdl.sim.toposort import topo_node_order
 
 #: kind -> expression template.  ``{M}`` is the all-patterns mask
@@ -124,24 +130,16 @@ def _compile_chunks(statements, tag):
     return fns
 
 
-def _compile_eval_factories(gates, tag, mask_name="1"):
-    """Exec chunks of ``lambda:`` appends building per-gate closures.
-
-    With the default ``mask_name="1"`` the closures are scalar (the
-    event simulator's case).  With ``mask_name="M"`` the generated
-    functions take the all-patterns mask as an argument and the closures
-    evaluate **bit-parallel** over the packed pattern words — what the
-    differential fault engine binds against its overlay value list.
-    """
+def _compile_eval_factories(gates, tag):
+    """Exec chunks of ``lambda:`` appends building scalar per-gate closures."""
     fns = []
     gates = list(gates)
-    args = "v, a" if mask_name == "1" else "v, M, a"
     with obs.span("compile:kernel", cat="compile", tag=tag,
                   statements=len(gates)):
         for start in range(0, len(gates), CHUNK_STATEMENTS):
-            body = [f"a(lambda: {gate_expr(g, mask_name=mask_name)})"
+            body = [f"a(lambda: {gate_expr(g, mask_name='1')})"
                     for g in gates[start:start + CHUNK_STATEMENTS]] or ["pass"]
-            src = f"def _k({args}):\n    " + "\n    ".join(body)
+            src = "def _k(v, a):\n    " + "\n    ".join(body)
             namespace = {}
             code = compile(src, f"<repro.hdl.sim.compile:{tag}:{start}>",
                            "exec")
@@ -149,6 +147,16 @@ def _compile_eval_factories(gates, tag, mask_name="1"):
             fns.append(namespace["_k"])
     obs.registry().inc("compile.kernels")
     return fns
+
+
+def _append_gate_row(table, gate):
+    """Append ``gate``'s node-table row; unused input slots repeat
+    input 0."""
+    ins = gate.inputs
+    table.append(OPCODES[gate.kind])
+    table += ins
+    table += (ins[0],) * (4 - len(ins))
+    table.append(gate.output)
 
 
 @dataclass
@@ -175,8 +183,8 @@ class CompiledModule:
     _settle_fns: Optional[List[Callable]] = field(repr=False, default=None)
     _eval_factories: Optional[List[Callable]] = field(repr=False,
                                                       default=None)
-    _masked_eval_factories: Optional[List[Callable]] = field(repr=False,
-                                                             default=None)
+    #: A :meth:`with_gate` result's ``(base module, patched position)``.
+    _patch: Optional[tuple] = field(repr=False, default=None)
 
     def run_levelized(self, values, m, reg_mask=None):
         """Evaluate every gate and register time-shift, bit-parallel.
@@ -187,23 +195,70 @@ class CompiledModule:
         which is exactly what makes concatenated independent stimulus
         sequences bit-identical to separate runs.
         """
+        if reg_mask is None:
+            reg_mask = m
+        for fn in self._levelized_fns():
+            fn(values, m, reg_mask)
+
+    def _levelized_fns(self):
+        """The generated levelized kernel, one function per chunk of
+        :data:`CHUNK_STATEMENTS` nodes.  A :meth:`with_gate` result
+        reuses its base's chunks and generates only the patched one."""
         fns = self._level_fns
         if fns is None:
+            lo, hi, fns = 0, len(self._order), []
+            if self._patch is not None:
+                base, pos = self._patch
+                fns = list(base._levelized_fns())
+                lo = pos - pos % CHUNK_STATEMENTS
+                hi = lo + CHUNK_STATEMENTS
             gates, registers = self._gates, self._registers
             stmts = []
-            for node in self._order:
+            for node in self._order[lo:hi]:
                 if node >= 0:
                     gate = gates[node]
                     stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
                 else:
                     reg = registers[-node - 1]
                     stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & R")
-            fns = self._level_fns = _compile_chunks(
-                stmts, f"{self._tag}:levelized")
-        if reg_mask is None:
-            reg_mask = m
-        for fn in fns:
-            fn(values, m, reg_mask)
+            chunks = _compile_chunks(stmts, f"{self._tag}:levelized")
+            first = lo // CHUNK_STATEMENTS
+            fns[first:first + len(chunks)] = chunks
+            self._level_fns = fns
+        return fns
+
+    def with_gate(self, index, gate):
+        """This module with gate ``index`` replaced by ``gate``.
+
+        ``gate`` must drive the same output net from the same set of
+        input nets (a rekind or a pin swap), so this module's
+        topological order stays valid for it: the result shares the
+        order and holds a private copy of the node table with one row
+        rewritten — no toposort, no table build.  Its generated-Python
+        kernel, if a run asks for one, reuses this module's chunk
+        functions and generates only the chunk holding the changed
+        statement.  Raises :class:`~repro.errors.NetlistError` for any
+        other replacement.
+        """
+        old = self._gates[index]
+        if (gate.output != old.output or set(gate.inputs) != set(old.inputs)
+                or len(gate.inputs) != cell_num_inputs(gate.kind)):
+            raise NetlistError(
+                f"gate {index}: a replacement must keep the output net and "
+                f"the input set of {old.kind}{old.inputs} -> {old.output}")
+        pos = self._order.index(index)
+        row = len(self.node_table) // NODE_FIELDS - len(self._order) + pos
+        new_row = []
+        _append_gate_row(new_row, gate)
+        table = self.node_table[:]
+        table[row * NODE_FIELDS:(row + 1) * NODE_FIELDS] = array("i", new_row)
+        gates = list(self._gates)
+        gates[index] = gate
+        return CompiledModule(
+            n_nets=self.n_nets, n_gates=self.n_gates,
+            n_registers=self.n_registers, node_table=table,
+            _tag=self._tag, _order=self._order, _gates=gates,
+            _registers=self._registers, _patch=(self, pos))
 
     def settle(self, values):
         """Zero-delay scalar settle of the combinational gates."""
@@ -233,25 +288,6 @@ class CompiledModule:
             fn(values, evals.append)
         return evals
 
-    def make_masked_gate_evals(self, values, m):
-        """Bit-parallel per-gate closures under all-patterns mask ``m``.
-
-        Index ``g`` recomputes gate ``g``'s packed pattern word from the
-        current ``values`` — the differential fault engine's inner loop.
-        The factories are mask-agnostic and cached; the mask binds per
-        call, so engines over different pattern counts share them.
-        """
-        factories = self._masked_eval_factories
-        if factories is None:
-            factories = self._masked_eval_factories = \
-                _compile_eval_factories(self._gates,
-                                        f"{self._tag}:masked-evals",
-                                        mask_name="M")
-        evals = []
-        for fn in factories:
-            fn(values, m, evals.append)
-        return evals
-
 
 def compile_module(module):
     """Compile ``module`` into a :class:`CompiledModule` (uncached)."""
@@ -265,20 +301,15 @@ def _compile_module(module):
     registers = module.registers
     order = topo_node_order(module)
 
-    # One pass: a row per constant-1 net, then per node in order.  Gates
-    # pad unused input slots with input 0; a register's d fills them.
+    # One pass: a row per constant-1 net, then per node in order.  A
+    # register's d fills all four input slots.
     table = []
     for net, cval in module.constants.items():
         if cval:
             table += (OP_ONE, net, net, net, net, net)
     for node in order:
         if node >= 0:
-            gate = gates[node]
-            ins = gate.inputs
-            table.append(OPCODES[gate.kind])
-            table += ins
-            table += (ins[0],) * (4 - len(ins))
-            table.append(gate.output)
+            _append_gate_row(table, gates[node])
         else:
             reg = registers[-node - 1]
             table += (OP_REG, reg.d, reg.d, reg.d, reg.d, reg.q)

@@ -22,6 +22,10 @@ ints, packed by :func:`bit_transpose` and settled by the module's
 generated straight-line Python code.  The historic per-gate
 ``cell_eval`` interpreter both must match bit-for-bit lives in
 ``tests/oracles/levelized.py``.
+
+A simulator may settle a compiled module other than its module's own —
+a one-gate fault-campaign mutant (``CompiledModule.with_gate``) — on
+either kernel, through the same settle path.
 """
 
 from typing import List, Tuple
@@ -273,11 +277,18 @@ def segment_plan(lengths):
 
 
 class LevelizedSimulator:
-    """Topologically ordered bit-parallel evaluator for one module."""
+    """Topologically ordered bit-parallel evaluator for one module.
 
-    def __init__(self, module):
+    ``compiled`` settles in place of the module's own compiled form: a
+    :meth:`~repro.hdl.sim.compile.CompiledModule.with_gate` mutant,
+    which keeps the module's nets and buses, runs through the same
+    kernels and result types as the module itself.
+    """
+
+    def __init__(self, module, compiled=None):
         self.module = module
-        self._kernel = compiled_module(module)
+        self._kernel = compiled if compiled is not None \
+            else compiled_module(module)
         self._lib = ckernel.load_kernel()
 
     @property

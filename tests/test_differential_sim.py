@@ -1,39 +1,44 @@
-"""Equivalence tests: differential cone engine vs full re-simulation.
+"""Equivalence tests: the patched-row fault campaign vs clone-and-re-simulate.
 
-The differential engine's contract is bit-identity — for any mutant and
-any battery, its verdict must match a full clone-and-resimulate check.
-These tests assert that exhaustively on a small hand-built pipelined
-module (every gate x every same-arity rekind and every meaningful pin
-swap) and statistically on the real multiplier netlists, plus the
-pruning/early-exit mechanics the speedup relies on.
+A campaign judges each mutant by settling the golden compiled module
+with one node-table row replaced (``CompiledModule.with_gate``).  Its
+contract is bit-identity with the reference of ``tests/oracles/
+fault_resim.py``, which copies the netlist, mutates the copy and
+simulates it from scratch.  These tests check that exhaustively on a
+small hand-built pipelined module (every gate x every same-arity rekind
+and every meaningful pin swap, net for net, on both levelized kernels)
+and campaign by campaign on the r4, r16 and MF netlists.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
 from repro import obs
+from repro.errors import NetlistError
 from repro.eval.experiments import cached_module
 from repro.eval.fault_injection import (
     _MEANINGFUL_SWAPS,
     _MUTATION_POOLS,
     Battery,
     campaign_battery,
-    clone_module,
+    chunk_plan,
+    clear_campaign_cache,
+    coverage_chunk,
     multiplier_battery,
     mutation_coverage,
 )
-from repro.errors import SimulationError
 from repro.hdl.cell import cell_num_inputs
 from repro.hdl.module import Gate, Module
-from repro.hdl.sim.differential import (
-    DifferentialEngine,
-    Observation,
-    output_observation,
-)
+from repro.hdl.sim import ckernel, compile as sim_compile
+from repro.hdl.sim.compile import compiled_module
 from repro.hdl.sim.levelized import LevelizedSimulator
-from tests.oracles.differential import interpreted_masked_evals
+from tests.oracles.fault_resim import clone_module, reference_coverage
 from tests.oracles.levelized import interpreted_run
+
+HAVE_C = ckernel.load_kernel() is not None
 
 
 def _toy_module():
@@ -64,7 +69,7 @@ def _toy_battery(module, n_patterns=12, seed=3):
     """Random stimulus; expectations from the golden simulation itself.
 
     The first pattern is pipeline fill (stage-1 registers still zero)
-    and left unchecked, exercising the observation window logic.
+    and left unchecked.
     """
     rng = random.Random(seed)
     stim = {name: [rng.getrandbits(len(bus)) for __ in range(n_patterns)]
@@ -93,135 +98,99 @@ def _all_mutants(module):
                                 gate.block)
 
 
+def _patched_run(module, battery, idx, mutant):
+    patched = compiled_module(module).with_gate(idx, mutant)
+    return LevelizedSimulator(module, patched).run(battery.stimulus,
+                                                   battery.n_patterns)
+
+
+def _python_kernel(monkeypatch):
+    """Route every levelized run of the test to the generated-Python
+    kernel, with chunks of three statements so a patch has neighbours."""
+    monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
+    monkeypatch.setattr(sim_compile, "CHUNK_STATEMENTS", 3)
+
+
 class TestExhaustiveToy:
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_every_mutant_matches_full_resim(self, compiled):
+    @pytest.mark.parametrize("native", [True, False])
+    def test_every_mutant_matches_full_resim(self, native, monkeypatch):
+        if not native:
+            _python_kernel(monkeypatch)
         module = _toy_module()
         battery = _toy_battery(module)
-        golden = None
-        if not compiled:
-            golden = interpreted_run(module, battery.stimulus,
-                                     battery.n_patterns)
-        engine = DifferentialEngine(module, battery.stimulus,
-                                    battery.n_patterns,
-                                    battery.observation(module),
-                                    golden=golden)
-        if not compiled:
-            engine._evals = interpreted_masked_evals(module, engine._work,
-                                                     engine.m)
-        assert battery.check_run(module, engine.golden)
+        kernel = LevelizedSimulator(module).kernel
+        assert kernel == ("c" if native and HAVE_C else "python")
         checked = 0
         for idx, mutant in _all_mutants(module):
-            verdict = engine.run_mutant(idx, mutant)
+            run = _patched_run(module, battery, idx, mutant)
             twin = clone_module(module)
             twin.gates[idx] = mutant
             full_run = interpreted_run(twin, battery.stimulus,
                                        battery.n_patterns)
-            assert verdict.detected == \
-                (not battery.check_run(twin, full_run)), \
-                f"mutant {idx}: {mutant.kind} verdict diverged"
-            assert 1 <= verdict.gates_evaluated <= len(module.gates) + 1
-            assert verdict.cone_size >= 1
+            assert run.values == full_run.values, \
+                f"mutant {idx}: {mutant.kind} nets diverged on {kernel}"
+            assert battery.check_run(module, run) \
+                == battery.check_run(twin, full_run)
             checked += 1
         assert checked > 20
 
-    def test_overlay_restored_between_mutants(self):
-        """Verdicts must not depend on what ran before (overlay hygiene)."""
+    def test_python_kernel_rebuilds_one_chunk(self, monkeypatch):
+        """A patched module reuses every generated chunk function of
+        its base except the one holding the changed statement."""
+        _python_kernel(monkeypatch)
         module = _toy_module()
         battery = _toy_battery(module)
-        obsv = battery.observation(module)
-        engine = DifferentialEngine(module, battery.stimulus,
-                                    battery.n_patterns, obsv)
+        golden = compiled_module(module)
+        assert len(golden._level_fns) > 2
+        for idx, mutant in _all_mutants(module):
+            patched = golden.with_gate(idx, mutant)
+            LevelizedSimulator(module, patched).run(battery.stimulus,
+                                                    battery.n_patterns)
+            fresh = [a is not b for a, b in zip(golden._level_fns,
+                                                patched._level_fns)]
+            assert len(fresh) == len(golden._level_fns)
+            assert sum(fresh) == 1
+
+    def test_overlay_restored_between_mutants(self):
+        """Verdicts must not depend on what ran before: every patch
+        works on a private copy of the golden node table."""
+        module = _toy_module()
+        battery = _toy_battery(module)
+        golden = compiled_module(module)
+        table = golden.node_table.tobytes()
         mutants = list(_all_mutants(module))
-        first = [engine.run_mutant(i, g) for i, g in mutants]
-        again = [engine.run_mutant(i, g) for i, g in reversed(mutants)]
-        assert [v.detected for v in first] == \
-            [v.detected for v in reversed(again)]
+
+        def verdict(idx, mutant):
+            run = _patched_run(module, battery, idx, mutant)
+            return battery.check_run(module, run)
+
+        first = [verdict(i, g) for i, g in mutants]
+        again = [verdict(i, g) for i, g in reversed(mutants)]
+        assert first == again[::-1]
+        assert golden.node_table.tobytes() == table
+        assert compiled_module(module) is golden
 
     def test_mutant_must_keep_output_net(self):
         module = _toy_module()
-        battery = _toy_battery(module)
-        engine = DifferentialEngine(module, battery.stimulus,
-                                    battery.n_patterns,
-                                    battery.observation(module))
+        golden = compiled_module(module)
         gate = module.gates[0]
         bad = Gate(gate.kind, gate.inputs, module.gates[1].output,
                    gate.block)
-        with pytest.raises(SimulationError):
-            engine.run_mutant(0, bad)
+        with pytest.raises(NetlistError):
+            golden.with_gate(0, bad)
 
-
-class TestPruningAndEarlyExit:
-    def test_zero_diff_mutant_stops_at_one_eval(self):
-        """OR2(x, x) -> AND2(x, x) is functionally invisible: the diff
-        word is zero and the cone must never be entered."""
-        m = Module("prune")
-        x = m.input("x", 1)
-        t = m.gate("OR2", x[0], x[0])
-        chain = t
-        for __ in range(5):
-            chain = m.gate("INV", chain)
-        m.output("z", [chain])
-        battery = _toy_battery(m, n_patterns=8)
-        engine = DifferentialEngine(m, battery.stimulus,
-                                    battery.n_patterns,
-                                    battery.observation(m))
-        gate = m.gates[0]
-        verdict = engine.run_mutant(0, Gate("AND2", gate.inputs,
-                                            gate.output, gate.block))
-        assert not verdict.detected
-        assert verdict.gates_evaluated == 1
-        assert verdict.cone_size == 6
-        assert not verdict.early_exit
-
-    def test_early_exit_when_output_is_hit_first(self):
-        """A mutant whose own output net is observed detects immediately,
-        leaving the rest of its cone unvisited."""
-        m = Module("early")
-        x = m.input("x", 2)
-        hit = m.gate("AND2", x[0], x[1])
-        deep = hit
-        for __ in range(6):
-            deep = m.gate("INV", deep)
-        m.output("z", [hit, deep])
-        stim = {"x": [0, 1, 2, 3, 1, 2]}
-        run = LevelizedSimulator(m).run(stim, 6)
-        battery = Battery(stimulus=stim, n_patterns=6,
-                          expected={"z": list(run.bus_words(
-                              m.outputs["z"]))})
-        engine = DifferentialEngine(m, battery.stimulus,
-                                    battery.n_patterns,
-                                    battery.observation(m))
-        gate = m.gates[0]
-        verdict = engine.run_mutant(0, Gate("OR2", gate.inputs,
-                                            gate.output, gate.block))
-        assert verdict.detected
-        assert verdict.early_exit
-        assert verdict.gates_evaluated < verdict.cone_size
-
-    def test_register_delays_difference_into_window(self):
-        """A difference parked in a flip-flop is only observed once it
-        surfaces — the register's time shift must line up with the
-        battery's checked pattern window."""
+    def test_mutant_must_keep_input_set(self):
         module = _toy_module()
-        battery = _toy_battery(module)
-        engine = DifferentialEngine(module, battery.stimulus,
-                                    battery.n_patterns,
-                                    battery.observation(module))
-        # Observe nothing: every mutant must survive.
-        blind = DifferentialEngine(module, battery.stimulus,
-                                   battery.n_patterns,
-                                   Observation(masks={}))
-        for idx, mutant in _all_mutants(module):
-            assert not blind.run_mutant(idx, mutant).detected
-        # Observe everything from t=0: detections can only grow vs the
-        # windowed battery observation.
-        full_obs = output_observation(module, 0, battery.n_patterns)
-        wide = DifferentialEngine(module, battery.stimulus,
-                                  battery.n_patterns, full_obs)
-        for idx, mutant in _all_mutants(module):
-            if engine.run_mutant(idx, mutant).detected:
-                assert wide.run_mutant(idx, mutant).detected
+        golden = compiled_module(module)
+        gate = module.gates[0]
+        other = module.gates[1].inputs[0]
+        for bad in (Gate(gate.kind, (gate.inputs[0], other), gate.output,
+                         gate.block),
+                    Gate("AND3", gate.inputs + (other,), gate.output,
+                         gate.block),
+                    Gate("AND3", gate.inputs, gate.output, gate.block)):
+            with pytest.raises(NetlistError):
+                golden.with_gate(0, bad)
 
 
 @pytest.fixture(scope="module")
@@ -234,18 +203,18 @@ def r16():
     return cached_module("r16")
 
 
+def _key(result):
+    return (result.attempted, result.detected,
+            [(s.gate_index, s.description) for s in result.survivors])
+
+
 class TestCampaignEquivalence:
     def _race(self, module, battery, n_mutations, seed):
-        full = mutation_coverage(module, n_mutations=n_mutations,
-                                 seed=seed, mode="full", battery=battery)
-        diff = mutation_coverage(module, n_mutations=n_mutations,
-                                 seed=seed, mode="differential",
-                                 battery=battery)
-        assert (full.attempted, full.detected) == \
-            (diff.attempted, diff.detected)
-        assert [(s.gate_index, s.description) for s in full.survivors] \
-            == [(s.gate_index, s.description) for s in diff.survivors]
-        return diff
+        ref = reference_coverage(module, battery, n_mutations, seed)
+        got = mutation_coverage(module, battery, n_mutations=n_mutations,
+                                seed=seed)
+        assert _key(got) == _key(ref)
+        return got
 
     def test_r4_bit_identical(self, r4):
         rng = random.Random(21)
@@ -256,27 +225,68 @@ class TestCampaignEquivalence:
     def test_r16_bit_identical(self, r16):
         self._race(r16, campaign_battery("r16", r16), 8, seed=13)
 
-    def test_golden_mismatch_falls_back_to_full(self, r4):
-        """A battery the golden module itself fails must not crash the
-        differential path — it degrades to full mode (where every mutant
-        fails too), keeping the modes equivalent by construction."""
+    def test_mf_bit_identical(self):
+        mf = cached_module("mf")
+        self._race(mf, campaign_battery("mf", mf), 6, seed=8)
+
+    def test_golden_mismatch_detects_every_mutant(self, r4):
+        """A battery the golden module itself fails ticks
+        ``fault.golden_mismatch``; its mutants fail it too, exactly as
+        the reference judges them."""
         cases = [(3, 5), (7, 11)]
         battery = multiplier_battery(r4, cases)
         battery.expected["p"] = [1 for __ in battery.expected["p"]]
-        result = mutation_coverage(r4, n_mutations=3, seed=2,
-                                   mode="differential", battery=battery)
+        reg = obs.registry()
+        before = reg.counter_value("fault.golden_mismatch") or 0
+        result = self._race(r4, battery, 3, seed=2)
         assert result.detected == 3
+        assert (reg.counter_value("fault.golden_mismatch") or 0) \
+            - before == 1
 
     def test_metrics_counters_exposed(self, r4):
         reg = obs.registry()
         reg.reset()
         battery = campaign_battery("r16", r4)
-        mutation_coverage(r4, n_mutations=6, seed=5,
-                          mode="differential", battery=battery)
+        obs.start_trace()
+        try:
+            result = mutation_coverage(r4, battery, n_mutations=6, seed=5)
+        finally:
+            events = obs.stop_trace()
         snap = reg.snapshot()
         assert snap["counters"]["fault.mutations"] == 6
-        assert snap["counters"]["fault.gates_evaluated"] >= 6
-        assert "fault.early_exits" in snap["counters"]
-        hist = snap["histograms"]["fault.cone_size"]
-        assert hist["count"] == 6
-        assert hist["max"] >= 1
+        assert snap["counters"]["fault.golden_runs"] == 1
+        assert snap["counters"].get("fault.detected", 0) == result.detected
+        campaigns = [ev for ev in events if ev.get("ph") == "X"
+                     and ev["name"] == "fault:campaign"]
+        assert [ev["args"]["kernel"] for ev in campaigns] \
+            == [LevelizedSimulator(r4).kernel]
+        assert "mode" not in campaigns[0]["args"]
+
+    def test_concurrent_chunks_match_serial(self):
+        """Chunks judged on several threads at once share the cached
+        golden check and the golden compiled module; every chunk must
+        still match its serial result."""
+        plan = chunk_plan(24, seed=5, chunks=6)
+        clear_campaign_cache()
+        serial = [_key(coverage_chunk("r16", n, s)) for s, n in plan]
+        clear_campaign_cache()
+        got = [None] * len(plan)
+
+        def work(i):
+            s, n = plan[i]
+            got[i] = _key(coverage_chunk("r16", n, s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(plan))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_campaign_cache()
+        assert not any(t.is_alive() for t in threads)
+        assert got == serial

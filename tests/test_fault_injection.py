@@ -9,12 +9,14 @@ from repro.eval.fault_injection import (
     _MUTATION_POOLS,
     CoverageResult,
     Mutation,
-    clone_module,
-    inject_mutation,
+    campaign_battery,
+    chunk_plan,
     multiplier_battery,
     mutation_coverage,
 )
+from repro.errors import SimulationError
 from repro.hdl.sim.levelized import LevelizedSimulator
+from tests.oracles.fault_resim import checker, clone_module, inject_mutation
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +102,7 @@ class TestCoverage:
                  for __ in range(16)]
         battery = multiplier_battery(r16, cases)
         result = mutation_coverage(r16, battery, n_mutations=10, seed=3)
-        assert battery.checker()(r16)       # the original passes
+        assert checker(battery)(r16)       # the original passes
         assert result.detected >= 1
 
     def test_render(self, r16):
@@ -122,3 +124,42 @@ class TestCoverage:
         short = CoverageResult(attempted=20, detected=10,
                                survivors=survivors[:10])
         assert "more survivors" not in short.render()
+
+
+class TestCampaignArguments:
+    """A campaign that cannot run raises instead of rendering 0.0%."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_chunk_plan_rejects_non_positive_mutations(self, n):
+        with pytest.raises(SimulationError):
+            chunk_plan(n, seed=7)
+
+    @pytest.mark.parametrize("chunks", [0, -2])
+    def test_chunk_plan_rejects_non_positive_chunks(self, chunks):
+        with pytest.raises(SimulationError):
+            chunk_plan(12, seed=7, chunks=chunks)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_run_experiment_rejects_non_positive_mutations(self, n):
+        from repro.eval.orchestrator import run_experiment
+
+        with pytest.raises(SimulationError):
+            run_experiment("fault_r16", n_mutations=n, cache=False,
+                           backend="inline")
+
+    def test_unknown_target_raises_simulation_error(self, r16):
+        from repro.eval.fault_injection import campaign_engine
+
+        with pytest.raises(SimulationError):
+            campaign_battery("r8", r16)
+        with pytest.raises(SimulationError):
+            campaign_engine("r8")
+
+    def test_report_rejects_non_positive_mutations(self, tmp_path):
+        from repro.eval.report import generate_report
+
+        with pytest.raises(SimulationError):
+            generate_report(out_path=tmp_path / "r.txt",
+                            include_verification=True, mutations=-1,
+                            filters=["fault_r16"], cache=False,
+                            backend="inline")

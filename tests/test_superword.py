@@ -12,8 +12,8 @@ layer —
 * the serve path is bit-identical to
   :func:`~repro.serve.transactions.reference_result` at
   ``word_patterns`` 64, 256 and 1024 and at batch-of-one (W=1);
-* a differential fault campaign over a full-battery-width golden word
-  matches full clone-and-resimulate verdict for verdict;
+* a fault campaign over a full-battery-width word matches the
+  clone-and-re-simulate reference verdict for verdict;
 * the width auto-tuner is deterministic for a fixed profile and
   round-trips through the content-addressed result cache.
 """
@@ -155,36 +155,36 @@ def test_queue_full_error_reports_width():
 # fault campaigns: wide golden battery changes nothing
 # ---------------------------------------------------------------------------
 
-def test_wide_battery_differential_matches_full():
+def test_wide_battery_campaign_matches_reference():
     from repro.eval.experiments import cached_module
     from repro.eval.fault_injection import (campaign_battery,
                                             mutation_coverage)
+    from tests.oracles.fault_resim import reference_coverage
 
     module = cached_module("r16")
     battery = campaign_battery("r16", module, patterns=256)
     assert battery.n_patterns >= 256
-    full = mutation_coverage(module, n_mutations=6, seed=11,
-                             mode="full", battery=battery)
-    diff = mutation_coverage(module, n_mutations=6, seed=11,
-                             mode="differential", battery=battery)
-    assert (full.attempted, full.detected) == (diff.attempted,
-                                               diff.detected)
-    assert [(s.gate_index, s.description) for s in full.survivors] \
-        == [(s.gate_index, s.description) for s in diff.survivors]
+    ref = reference_coverage(module, battery, 6, seed=11)
+    got = mutation_coverage(module, battery, n_mutations=6, seed=11)
+    assert (ref.attempted, ref.detected) == (got.attempted, got.detected)
+    assert [(s.gate_index, s.description) for s in ref.survivors] \
+        == [(s.gate_index, s.description) for s in got.survivors]
 
 
 def test_campaign_engine_shares_one_golden_run():
     from repro import obs
     from repro.eval.fault_injection import (campaign_engine,
-                                            clear_campaign_cache)
+                                            clear_campaign_cache,
+                                            coverage_chunk)
 
     clear_campaign_cache()
     reg = obs.registry()
     before = reg.counter_value("fault.golden_runs") or 0
-    for __ in range(3):
-        module, battery, engine = campaign_engine(
-            "r16", battery_patterns=128)
-        assert engine is not None
+    for seed in range(3):
+        module, battery = campaign_engine("r16", battery_patterns=128)
+        assert battery.n_patterns >= 128
+        coverage_chunk("r16", n_mutations=1, seed=seed,
+                       battery_patterns=128)
     clear_campaign_cache()
     assert (reg.counter_value("fault.golden_runs") or 0) - before == 1
 
