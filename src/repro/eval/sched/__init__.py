@@ -12,15 +12,15 @@ inline    serial execution in the scheduler's process: ``submit``
           ``effective_workers == 1`` (including the oversubscription
           downgrade)
 workers   long-lived worker processes speaking the ``repro.sched/1``
-          wire protocol, scheduled by deque-based work stealing with
-          crash recovery and live result streaming — what ``auto``
-          picks for parallel requests
+          wire protocol over pipes — what ``auto`` picks for parallel
+          requests
 remote    the same wire protocol over authenticated TCP to worker
           daemons on other machines (``--hosts a:9700,b:9700``), with
-          cross-host stealing, digest-based cache sync and lost-host
-          recovery
+          digest-based cache sync and lost-host recovery
 ========  ==========================================================
 
+``workers`` and ``remote`` share one scheduling policy
+(:mod:`repro.eval.sched.policy`) and keep only their transport.
 :func:`make_backend` maps a name + worker count to an instance; the
 auto-selection policy itself (downgrades, oversubscription accounting)
 lives in the scheduler core, next to its obs counters.

@@ -28,9 +28,9 @@ Health
     ``--telemetry-port`` starts the stack's standard
     :class:`~repro.obs.http.TelemetryServer` with two checks on
     ``/healthz``: ``daemon.coordinator`` (informational: connected
-    coordinator count) and ``daemon.pool`` — **not ok while the pool
-    has queued backlog**, so a load balancer probing workers steers new
-    coordinators away from saturated machines.
+    coordinator count) and ``daemon.pool`` — **not ok while any leaf is
+    queued** on a live session's pool lanes, so a load balancer probing
+    workers steers new coordinators away from saturated machines.
 
 Stats live in a plain dict (not the metrics registry, which a
 coordinator-side ``generate_report`` in the same process would reset)
@@ -192,35 +192,35 @@ class _Session:
 
     def _pump(self):
         while not self._stop.is_set():
-            moved = False
             try:
                 while True:
                     self.pool.submit(self._jobs.get_nowait())
-                    moved = True
             except queue.Empty:
                 pass
-            self.daemon.note_load(self.pool.outstanding,
-                                  self._jobs.qsize())
-            if self.pool.outstanding:
-                result = self.pool.next_result(timeout=_POLL_S)
-                if result is None:
-                    continue
-                digest = self._digests.pop(result.name, None)
-                if result.ok and digest is not None \
-                        and self.daemon.cache is not None:
-                    self.daemon.cache.store_object(digest, result.value,
-                                                   name=result.name)
-                self.daemon.bump("errors" if not result.ok else "results")
-                if not self._send(wire.result_envelope(result,
-                                                       result.worker)):
-                    return
-            elif not moved:
+            if not self.pool.outstanding:
                 # Idle: wait for work without spinning.
                 try:
                     self.pool.submit(self._jobs.get(timeout=_POLL_S * 4))
                 except queue.Empty:
                     pass
-        self.daemon.note_load(0, 0)
+                continue
+            result = self.pool.next_result(timeout=_POLL_S)
+            if result is None:
+                continue
+            digest = self._digests.pop(result.name, None)
+            if result.ok and digest is not None \
+                    and self.daemon.cache is not None:
+                self.daemon.cache.store_object(digest, result.value,
+                                               name=result.name)
+            self.daemon.bump("errors" if not result.ok else "results")
+            if not self._send(wire.result_envelope(result, result.worker)):
+                return
+
+    def load(self):
+        """``(in flight, queued)``: the pool's lanes plus received jobs."""
+        lanes = self.pool.lanes if self.pool is not None else ()
+        return (sum(len(lane.inflight) for lane in lanes),
+                sum(len(lane.queue) for lane in lanes) + self._jobs.qsize())
 
 
 class WorkerDaemon:
@@ -240,8 +240,7 @@ class WorkerDaemon:
         self._stats = {"sessions": 0, "connected": 0, "rejected": 0,
                        "jobs": 0, "results": 0, "errors": 0,
                        "cache_offers": 0, "cache_pulls": 0,
-                       "wire_errors": 0,
-                       "inflight": 0, "backlog": 0}
+                       "wire_errors": 0}
         self._telemetry = None
 
     # -- stats shared across session threads ---------------------------
@@ -250,15 +249,14 @@ class WorkerDaemon:
         with self._lock:
             self._stats[key] = self._stats.get(key, 0) + delta
 
-    def note_load(self, inflight, backlog):
-        with self._lock:
-            self._stats["inflight"] = inflight
-            self._stats["backlog"] = backlog
-
     def stats(self):
         with self._lock:
-            return dict(self._stats, workers=self.workers,
-                        label=self.label)
+            stats = dict(self._stats, workers=self.workers,
+                         label=self.label)
+            loads = [session.load() for session in self._sessions]
+        stats["inflight"] = sum(inflight for inflight, __ in loads)
+        stats["backlog"] = sum(queued for __, queued in loads)
+        return stats
 
     def forget(self, session):
         with self._lock:

@@ -10,12 +10,12 @@ scheduler core, the report CLI and the benchmarks need no new code
 paths to span machines.
 
 Scheduling
-    Mirrors the ``workers`` backend one level up: one backlog deque per
-    *host* (capacity = the worker count its ``welcome`` frame
-    announced), submits landing on the least-loaded host, and an idle
-    host **stealing from the tail of the longest other backlog** before
-    going hungry.  Each host runs the stolen leaves on its own local
-    stealing pool, so the cluster is a two-level stealing hierarchy.
+    Each host is a lane, with the capacity its ``welcome`` frame
+    announced, of the :class:`~repro.eval.sched.policy.StealingPolicy`
+    the ``workers`` backend drives too (``sched.remote.steals``); each
+    host runs its leaves on its own local stealing pool, so the cluster
+    is a two-level stealing hierarchy.  This module keeps only the
+    transport: handshake, heartbeats, cache offer/pull, lost hosts.
 
 Cache sync
     Before a leaf is dispatched its sha256 cache digest (the
@@ -33,12 +33,10 @@ Cache sync
 Failure model
     Heartbeat pings flow every :attr:`RemoteBackend.HEARTBEAT_S`; a host
     that stays silent past :attr:`RemoteBackend.TIMEOUT_S` — or whose
-    socket errors — is declared lost: its in-flight leaves are
-    re-queued at the head of the least-loaded survivor (capped at
-    :data:`MAX_TASK_REQUEUES` so a poison leaf fails the job instead of
-    hopping hosts forever), its backlog and unanswered cache offers
-    migrate, and ``sched.remote.requeues`` ticks.  Losing the *last*
-    host raises — there is nowhere left to run.
+    socket errors — is declared lost: its in-flight leaves go to the
+    policy's capped requeue (``sched.remote.requeues``), its backlog
+    and unanswered cache offers migrate.  Losing the *last* host raises
+    — there is nowhere left to run.
 
 Everything is observable under ``sched.remote.*``: host count, jobs,
 steals, requeues, cache offers/hits/pulls and per-direction byte
@@ -58,10 +56,11 @@ from repro import obs
 from repro.errors import SimulationError
 from repro.eval.sched import wire
 from repro.eval.sched.base import Backend, LeafResult
+from repro.eval.sched.policy import Counters, Lane, StealingPolicy
 
-#: Give up on a leaf after it has been re-queued off this many lost
-#: hosts (mirrors ``MAX_TASK_CRASHES`` one level down).
-MAX_TASK_REQUEUES = 2
+#: The metric names this backend's stealing policy ticks.
+COUNTERS = Counters(steals="sched.remote.steals", lane_steals=None,
+                    requeues="sched.remote.requeues")
 
 
 def parse_hosts(spec):
@@ -86,49 +85,35 @@ def parse_hosts(spec):
     return hosts
 
 
-class _Host:
-    """One connected worker daemon and its scheduling state."""
+class _Host(Lane):
+    """One worker daemon: a lane plus its socket and heartbeat state."""
 
-    __slots__ = ("index", "addr", "label", "stream", "capacity",
-                 "queue", "inflight", "alive", "last_recv", "last_ping",
-                 "ping_seq", "stats")
+    __slots__ = ("addr", "stream", "last_recv", "last_ping", "ping_seq",
+                 "stats")
 
     def __init__(self, index, addr):
-        self.index = index
+        super().__init__(index, label=f"{addr[0]}:{addr[1]}")
         self.addr = addr
-        self.label = f"{addr[0]}:{addr[1]}"
         self.stream = None
-        self.capacity = 1
-        self.queue = deque()          # task names not yet dispatched
-        self.inflight = {}            # task name -> _TaskState
-        self.alive = False
+        self.alive = False            # until the handshake succeeds
         self.last_recv = 0.0
         self.last_ping = 0.0
         self.ping_seq = 0
         self.stats = {}               # last pong payload
-
-    @property
-    def load(self):
-        return (len(self.queue) + len(self.inflight)) / max(1, self.capacity)
-
-    @property
-    def free(self):
-        return self.capacity - len(self.inflight)
 
 
 class _TaskState:
     """Lifecycle of one submitted leaf across offers/pulls/dispatch."""
 
     __slots__ = ("task", "phase", "offers_waiting", "hit_hosts",
-                 "pull_host", "requeues")
+                 "pull_host")
 
     def __init__(self, task):
         self.task = task
-        self.phase = "new"       # offering | ready | inflight | pulling | done
+        self.phase = "new"       # offering | pulling | placed | done
         self.offers_waiting = set()     # host indices yet to answer
         self.hit_hosts = []             # host indices that hold the digest
         self.pull_host = None
-        self.requeues = 0
 
 
 class RemoteBackend(Backend):
@@ -146,6 +131,7 @@ class RemoteBackend(Backend):
 
     def __init__(self, hosts, token=None):
         self._hosts = [_Host(i, addr) for i, addr in enumerate(hosts)]
+        self._policy = StealingPolicy(self._hosts, COUNTERS)
         self._token = wire.default_token() if token is None else token
         self._tasks = {}          # name -> _TaskState
         self._by_digest = {}      # fingerprint -> task name
@@ -195,9 +181,6 @@ class RemoteBackend(Backend):
                                     if h.alive)})
         self._started = True
 
-    def _alive(self):
-        return [host for host in self._hosts if host.alive]
-
     # ------------------------------------------------------------------
     # Backend protocol
     # ------------------------------------------------------------------
@@ -207,7 +190,7 @@ class RemoteBackend(Backend):
         state = _TaskState(task)
         self._tasks[task.name] = state
         self._outstanding += 1
-        alive = self._alive()
+        alive = self._policy.live()
         if self._cache_sync and task.fingerprint and alive:
             self._by_digest[task.fingerprint] = task.name
             state.phase = "offering"
@@ -246,7 +229,7 @@ class RemoteBackend(Backend):
         return self._outstanding
 
     def close(self):
-        for host in self._alive():
+        for host in self._policy.live():
             try:
                 host.stream.send(wire.shutdown_envelope())
             except (OSError, wire.WireError):
@@ -267,7 +250,7 @@ class RemoteBackend(Backend):
 
     def _tick(self, timeout):
         """One pass of socket I/O, heartbeats and dispatch."""
-        alive = self._alive()
+        alive = self._policy.live()
         if alive:
             readable, __, __ = select.select(
                 [host.stream for host in alive], [], [], timeout)
@@ -297,7 +280,7 @@ class RemoteBackend(Backend):
 
     def _heartbeat_pass(self):
         now = time.monotonic()
-        for host in self._alive():
+        for host in self._policy.live():
             if now - host.last_recv > self.TIMEOUT_S:
                 self._lose_host(host, "heartbeat timeout")
             elif now - host.last_ping >= self.HEARTBEAT_S:
@@ -357,9 +340,9 @@ class RemoteBackend(Backend):
             # leaf here because jobs are tracked by inflight name.
             obs.registry().inc("sched.remote.wire_errors")
             return
-        state = host.inflight.pop(result.name, None)
-        if state is None or state.phase == "done":
+        if host.inflight.pop(result.name, None) is None:
             return                       # late duplicate after a requeue
+        state = self._tasks[result.name]
         result.worker = f"{host.label}/{result.worker}"
         self._settle(state, result)
 
@@ -370,15 +353,12 @@ class RemoteBackend(Backend):
         state.offers_waiting.discard(host.index)
         if env.get("digests"):
             state.hit_hosts.append(host.index)
-        if state.phase != "offering":
-            return
-        if state.hit_hosts:
+        if state.phase == "offering":
             self._start_pull(state)
-        elif not state.offers_waiting:
-            # Every live host answered and nobody holds it: execute.
-            self._make_ready(state)
 
     def _start_pull(self, state):
+        """Pull from the next live hit host; with none left, wait for
+        the remaining offer answers or, once all answered, execute."""
         while state.hit_hosts:
             index = state.hit_hosts.pop(0)
             host = self._hosts[index]
@@ -390,19 +370,23 @@ class RemoteBackend(Backend):
                     state.task.fingerprint)):
                 obs.registry().inc("sched.remote.cache.hits")
                 return
-        # No live hit host left: fall back to execution (or keep
-        # waiting for the remaining offer answers).
         state.pull_host = None
         if state.offers_waiting:
             state.phase = "offering"
         else:
             self._make_ready(state)
 
+    def _pulling(self, host, env):
+        """The task state whose pull from ``host`` ``env`` answers."""
+        state = self._tasks.get(self._by_digest.get(env.get("digest")))
+        if state is not None and state.phase == "pulling" \
+                and state.pull_host == host.index:
+            return state
+        return None
+
     def _on_cache_object(self, host, env):
-        name = self._by_digest.get(env.get("digest"))
-        state = self._tasks.get(name) if name else None
-        if state is None or state.phase != "pulling" \
-                or state.pull_host != host.index:
+        state = self._pulling(host, env)
+        if state is None:
             return
         try:
             value = pickle.loads(env["payload"])
@@ -416,57 +400,27 @@ class RemoteBackend(Backend):
             worker=f"{host.label}/cache"))
 
     def _on_cache_miss(self, host, env):
-        name = self._by_digest.get(env.get("digest"))
-        state = self._tasks.get(name) if name else None
-        if state is None or state.phase != "pulling" \
-                or state.pull_host != host.index:
-            return
         # The entry vanished between offer and pull (eviction, GC).
-        self._start_pull(state)
+        state = self._pulling(host, env)
+        if state is not None:
+            self._start_pull(state)
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
 
-    def _make_ready(self, state, front=False):
-        alive = self._alive()
-        if not alive:
-            raise SimulationError(
-                "remote backend lost every worker daemon with "
-                f"{self._outstanding} leaves outstanding")
-        state.phase = "ready"
-        host = min(alive, key=lambda h: (h.load, h.index))
-        if front:
-            host.queue.appendleft(state.task.name)
-        else:
-            host.queue.append(state.task.name)
-
-    def _steal_for(self, thief):
-        victim = max((h for h in self._alive() if h.queue),
-                     key=lambda h: (len(h.queue), -h.index), default=None)
-        if victim is None or victim is thief:
-            return None
-        name = victim.queue.pop()            # the steal end
-        reg = obs.registry()
-        reg.inc("sched.remote.steals")
-        reg.record("sched.remote.steals",
-                   {"job": name, "victim": victim.label,
-                    "thief": thief.label,
-                    "victim_backlog": len(victim.queue)})
-        return name
+    def _make_ready(self, state):
+        state.phase = "placed"
+        self._policy.place(state.task)
 
     def _dispatch(self):
         reg = obs.registry()
-        for host in self._alive():
-            while host.alive and host.free > 0:
-                name = host.queue.popleft() if host.queue \
-                    else self._steal_for(host)
-                if name is None:
+        for host in self._policy.live():
+            while host.alive and len(host.inflight) < host.capacity:
+                task = self._policy.take(host)
+                if task is None:
                     break
-                state = self._tasks[name]
-                state.phase = "inflight"
-                host.inflight[name] = state
-                if not self._send(host, wire.job_envelope(state.task)):
+                if not self._send(host, wire.job_envelope(task)):
                     break                    # host lost; leaf re-queued
                 reg.inc("sched.remote.jobs")
 
@@ -490,34 +444,19 @@ class RemoteBackend(Backend):
                    {"host": host.label, "reason": reason,
                     "inflight": sorted(host.inflight),
                     "backlog": len(host.queue)})
-        reg.gauge("sched.remote.hosts", len(self._alive()))
-        inflight = list(host.inflight.values())
-        host.inflight.clear()
-        backlog = list(host.queue)
-        host.queue.clear()
-        # In-flight leaves: the expensive loss — count each requeue and
-        # give up on leaves that keep sinking hosts.
-        for state in inflight:
-            state.requeues += 1
-            if state.requeues > MAX_TASK_REQUEUES:
-                self._settle(state, LeafResult(
-                    name=state.task.name, worker=host.label,
-                    error=f"leaf {state.task.name!r} was in flight on "
-                          f"{state.requeues} lost hosts in a row "
-                          f"(last: {host.label}, {reason})"))
-                continue
-            reg.inc("sched.remote.requeues")
-            self._make_ready(state, front=True)
-        # Backlog and unanswered offers migrate without a requeue count.
-        for name in backlog:
-            self._make_ready(self._tasks[name])
+        reg.gauge("sched.remote.hosts", len(self._policy.live()))
+        # In-flight leaves go to the capped requeue, the backlog back
+        # through placement; offers and pulls move on below.
+        for task, losses in self._policy.lose(host):
+            self._settle(self._tasks[task.name], LeafResult(
+                name=task.name, worker=host.label,
+                error=f"leaf {task.name!r} was in flight on "
+                      f"{losses} lost hosts in a row "
+                      f"(last: {host.label}, {reason})"))
         for state in self._tasks.values():
-            if state.phase == "offering":
-                state.offers_waiting.discard(host.index)
-                if state.hit_hosts:
-                    self._start_pull(state)
-                elif not state.offers_waiting:
-                    self._make_ready(state)
-            elif state.phase == "pulling" and state.pull_host == host.index:
+            state.offers_waiting.discard(host.index)
+            if state.phase == "offering" or (
+                    state.phase == "pulling"
+                    and state.pull_host == host.index):
                 self._start_pull(state)
         self._dispatch()

@@ -10,43 +10,34 @@ Topology
     and event simulators stay warm across every leaf they run.
 
 Scheduling
-    The scheduler side keeps a deque of not-yet-dispatched tasks per
-    worker.  ``submit`` appends to the least-loaded deque (weight-aware
-    — the graph hands leaves over heaviest-first); each worker has at
-    most one job in flight.  When a worker goes idle and its own deque
-    is empty, it **steals from the tail of the longest other deque** —
-    the classic steal end, leaving the victim's head (its next, likely
-    cache-warm task) untouched.  Under skew (one slow leaf pinning a
-    worker) the idle workers drain the victim's backlog instead of
-    waiting at a pool barrier; every steal is counted and recorded in
-    the metrics registry.
-
-Fault tolerance
-    A worker that disappears mid-leaf (EOF on its pipe) is detected by
-    :func:`multiprocessing.connection.wait`; its in-flight task is
-    re-queued at the head of the shortest deque, a replacement worker
-    is forked into the slot, and ``orchestrator.worker.crashes`` ticks.
-    A task that kills two workers in a row is reported as a failure
-    rather than retried forever.
+    Each worker is a capacity-1 lane of the shared
+    :class:`~repro.eval.sched.policy.StealingPolicy` (placement,
+    stealing, capped requeue); this module keeps only the transport:
+    pipe fork, frames, crash detection and respawn.  A worker that
+    disappears mid-leaf (EOF on its pipe) is respawned in place and its
+    leaf goes to the policy's requeue (``orchestrator.worker.crashes``);
+    a leaf lost more than ``MAX_REQUEUES`` times fails its job
+    ("crashed N workers in a row").
 
 Results stream back the moment each leaf finishes (value pickled in the
 frame, ``repro.obs/1`` metrics/trace payload alongside), so the parent
-merges spans live instead of at pool join — and the same envelopes
-would work unchanged over a socket to another host.
+merges spans live instead of at pool join.
 """
 
 import multiprocessing
 import multiprocessing.connection
-import os
 import time
 from collections import deque
 
 from repro import obs
 from repro.eval.sched import wire
 from repro.eval.sched.base import Backend, LeafResult, execute_task
+from repro.eval.sched.policy import Counters, Lane, StealingPolicy
 
-#: Give up on a task after it has taken down this many workers.
-MAX_TASK_CRASHES = 2
+#: The metric names this backend's stealing policy ticks.
+COUNTERS = Counters(steals="orchestrator.steals",
+                    lane_steals="orchestrator.worker.{}.steals",
+                    requeues="orchestrator.worker.crashes")
 
 #: Seconds to wait for a worker to exit after a shutdown frame.
 _JOIN_TIMEOUT = 5.0
@@ -70,46 +61,34 @@ def _worker_main(conn, worker_id):
         except wire.WireError as exc:
             if exc.fatal:                    # pragma: no cover
                 break
-            try:
-                wire.send_frame(conn, wire.error_envelope(
-                    "?", f"malformed frame: {exc}", worker_id))
-                continue
-            except (BrokenPipeError, OSError):   # pragma: no cover
+            reply = wire.error_envelope("?", f"malformed frame: {exc}",
+                                        worker_id)
+        else:
+            kind = env.get("kind")
+            if kind == "shutdown":
                 break
-        if env.get("kind") != "job":
-            if env.get("kind") == "shutdown":
-                break
-            try:
-                wire.send_frame(conn, wire.error_envelope(
-                    "?", f"unexpected frame kind {env.get('kind')!r}",
-                    worker_id))
-                continue
-            except (BrokenPipeError, OSError):   # pragma: no cover
-                break
-        task = wire.task_from_envelope(env)
-        result = execute_task(task)
+            if kind == "job":
+                reply = wire.result_envelope(
+                    execute_task(wire.task_from_envelope(env)), worker_id)
+            else:
+                reply = wire.error_envelope(
+                    "?", f"unexpected frame kind {kind!r}", worker_id)
         try:
-            wire.send_frame(conn, wire.result_envelope(result, worker_id))
+            wire.send_frame(conn, reply)
         except (BrokenPipeError, OSError):   # pragma: no cover
             break
     conn.close()
 
 
-class _Slot:
-    """One worker process slot: connection, backlog deque, in-flight."""
+class _Worker(Lane):
+    """A capacity-1 lane with its worker process and pipe end."""
 
-    __slots__ = ("index", "proc", "conn", "queue", "inflight")
+    __slots__ = ("proc", "conn")
 
     def __init__(self, index):
-        self.index = index
+        super().__init__(index)
         self.proc = None
         self.conn = None
-        self.queue = deque()
-        self.inflight = None
-
-    @property
-    def load(self):
-        return len(self.queue) + (1 if self.inflight is not None else 0)
 
 
 class WorkersBackend(Backend):
@@ -117,9 +96,9 @@ class WorkersBackend(Backend):
 
     def __init__(self, workers):
         self.workers = max(1, int(workers))
-        self._slots = [_Slot(i) for i in range(self.workers)]
+        self.lanes = [_Worker(i) for i in range(self.workers)]
+        self._policy = StealingPolicy(self.lanes, COUNTERS)
         self._results = deque()
-        self._crashes = {}        # task name -> crash count
         self._outstanding = 0
         self._started = False
 
@@ -127,110 +106,77 @@ class WorkersBackend(Backend):
     # worker lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn(self, slot):
+    def _spawn(self, lane):
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:                   # pragma: no cover - non-POSIX
             ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(target=_worker_main,
-                           args=(child_conn, slot.index),
-                           name=f"repro-sched-{slot.index}", daemon=True)
+                           args=(child_conn, lane.index),
+                           name=f"repro-sched-{lane.index}", daemon=True)
         proc.start()
         child_conn.close()
-        slot.proc, slot.conn = proc, parent_conn
+        lane.proc, lane.conn = proc, parent_conn
         obs.registry().inc("orchestrator.workers.spawned")
 
     def _ensure_started(self):
         if not self._started:
-            for slot in self._slots:
-                self._spawn(slot)
+            for lane in self.lanes:
+                self._spawn(lane)
             self._started = True
 
     # ------------------------------------------------------------------
-    # scheduling
+    # dispatch
     # ------------------------------------------------------------------
 
     def submit(self, task):
         self._ensure_started()
-        slot = min(self._slots, key=lambda s: (s.load, s.index))
-        slot.queue.append(task)
+        self._policy.place(task)
         self._outstanding += 1
         self._pump()
-
-    def _steal_for(self, thief):
-        """Pop a task from the tail of the longest other deque."""
-        victim = max((s for s in self._slots if s.queue),
-                     key=lambda s: (len(s.queue), -s.index), default=None)
-        if victim is None or victim is thief:
-            return None
-        task = victim.queue.pop()            # the steal end
-        reg = obs.registry()
-        reg.inc("orchestrator.steals")
-        reg.inc(f"orchestrator.worker.{thief.index}.steals")
-        reg.record("orchestrator.steals",
-                   {"job": task.name, "victim": victim.index,
-                    "thief": thief.index,
-                    "victim_backlog": len(victim.queue)})
-        return task
 
     def _pump(self):
         """Dispatch one job to every idle worker (own queue, then steal)."""
         reg = obs.registry()
-        for slot in self._slots:
-            if slot.inflight is not None or slot.conn is None:
+        for lane in self.lanes:
+            if lane.inflight or lane.conn is None:
                 continue
-            task = slot.queue.popleft() if slot.queue \
-                else self._steal_for(slot)
+            task = self._policy.take(lane)
             if task is None:
                 continue
-            slot.inflight = task
             try:
-                wire.send_frame(slot.conn, wire.job_envelope(task))
+                wire.send_frame(lane.conn, wire.job_envelope(task))
             except (BrokenPipeError, OSError):
                 # The worker died while idle; recover exactly like a
                 # mid-leaf crash (requeue + respawn) and keep pumping.
-                self._crash(slot)
+                self._crash(lane)
                 return
-            reg.inc(f"orchestrator.worker.{slot.index}.jobs")
+            reg.inc(f"orchestrator.worker.{lane.index}.jobs")
             reg.observe_value("orchestrator.queue.depth",
-                              sum(len(s.queue) for s in self._slots))
+                              sum(len(lane.queue) for lane in self.lanes))
 
     # ------------------------------------------------------------------
     # completion / crash recovery
     # ------------------------------------------------------------------
 
-    def _crash(self, slot):
-        task = slot.inflight
-        slot.inflight = None
-        reg = obs.registry()
-        reg.inc("orchestrator.worker.crashes")
-        reg.record("orchestrator.worker.crashes",
-                   {"worker": slot.index,
-                    "job": task.name if task else None})
+    def _crash(self, lane):
+        """Respawn a dead worker and give its leaf back to the policy."""
         try:
-            slot.conn.close()
+            lane.conn.close()
         except OSError:
             pass
-        if slot.proc is not None:
-            slot.proc.join(timeout=1.0)
-            if slot.proc.is_alive():         # pragma: no cover
-                slot.proc.terminate()
-        slot.proc = slot.conn = None
-        self._spawn(slot)
-        if task is not None:
-            crashes = self._crashes.get(task.name, 0) + 1
-            self._crashes[task.name] = crashes
-            if crashes > MAX_TASK_CRASHES:
-                self._results.append(LeafResult(
-                    name=task.name, worker=slot.index,
-                    error=f"leaf {task.name!r} crashed "
-                          f"{crashes} workers in a row"))
-            else:
-                # Retry promptly: head of the shortest deque.
-                target = min(self._slots,
-                             key=lambda s: (s.load, s.index))
-                target.queue.appendleft(task)
+        if lane.proc is not None:
+            lane.proc.join(timeout=1.0)
+            if lane.proc.is_alive():         # pragma: no cover
+                lane.proc.terminate()
+        lane.proc = lane.conn = None
+        self._spawn(lane)
+        for task, losses in self._policy.lose(lane):
+            self._results.append(LeafResult(
+                name=task.name, worker=lane.index,
+                error=f"leaf {task.name!r} crashed "
+                      f"{losses} workers in a row"))
         self._pump()
 
     def next_result(self, timeout=None):
@@ -242,9 +188,8 @@ class WorkersBackend(Backend):
         with its coordinator socket.
         """
         while not self._results:
-            conns = {slot.conn: slot for slot in self._slots
-                     if slot.conn is not None
-                     and slot.inflight is not None}
+            conns = {lane.conn: lane for lane in self.lanes
+                     if lane.conn is not None and lane.inflight}
             if not conns:
                 if timeout is not None:
                     return None
@@ -255,16 +200,16 @@ class WorkersBackend(Backend):
             if not ready:
                 return None
             for conn in ready:
-                slot = conns[conn]
+                lane = conns[conn]
                 try:
                     env = wire.recv_frame(conn)
                 except (EOFError, OSError):
-                    self._crash(slot)
+                    self._crash(lane)
                     continue
                 except wire.WireError:       # pragma: no cover
                     # Undecodable bytes from a worker: its stream can't
                     # be trusted any more; recycle it like a crash.
-                    self._crash(slot)
+                    self._crash(lane)
                     continue
                 result = wire.result_from_envelope(env)
                 if result.name == "?":
@@ -272,10 +217,10 @@ class WorkersBackend(Backend):
                     # With a job in flight, fail that job (the frame it
                     # rejected *was* the job); otherwise just log it.
                     obs.registry().inc("orchestrator.worker.wire_errors")
-                    if slot.inflight is None:
+                    if not lane.inflight:
                         continue
-                    result.name = slot.inflight.name
-                slot.inflight = None
+                    result.name = next(iter(lane.inflight))
+                lane.inflight.clear()
                 self._results.append(result)
             self._pump()
         self._outstanding -= 1
@@ -290,26 +235,26 @@ class WorkersBackend(Backend):
     # ------------------------------------------------------------------
 
     def close(self):
-        for slot in self._slots:
-            if slot.conn is None:
+        for lane in self.lanes:
+            if lane.conn is None:
                 continue
             try:
-                wire.send_frame(slot.conn, wire.shutdown_envelope())
+                wire.send_frame(lane.conn, wire.shutdown_envelope())
             except (BrokenPipeError, OSError):
                 pass
         deadline = time.monotonic() + _JOIN_TIMEOUT
-        for slot in self._slots:
-            if slot.proc is None:
+        for lane in self.lanes:
+            if lane.proc is None:
                 continue
-            slot.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if slot.proc.is_alive():
-                slot.proc.terminate()
-                slot.proc.join(timeout=1.0)
+            lane.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if lane.proc.is_alive():
+                lane.proc.terminate()
+                lane.proc.join(timeout=1.0)
             try:
-                slot.conn.close()
+                lane.conn.close()
             except OSError:                  # pragma: no cover
                 pass
-            slot.proc = slot.conn = None
-            slot.queue.clear()
-            slot.inflight = None
+            lane.proc = lane.conn = None
+            lane.queue.clear()
+            lane.inflight.clear()
         self._started = False

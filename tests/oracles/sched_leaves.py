@@ -31,7 +31,7 @@ def poison_leaf(seed=0):
     """Kill the executing worker on *every* attempt.
 
     The respawn-cap probe: a leaf like this must surface as a job
-    failure after ``MAX_TASK_CRASHES`` recoveries instead of burning
+    failure after ``MAX_REQUEUES`` recoveries instead of burning
     worker forks forever.
     """
     os._exit(1)

@@ -10,19 +10,22 @@ Load-bearing guarantees:
   completes, and a wrong ``REPRO_SCHED_TOKEN`` is rejected both ways;
 * a pipe worker answers a malformed frame with a structured ``error``
   frame and keeps serving (instead of dying silently), and a poison
-  leaf fails its job after ``MAX_TASK_CRASHES`` respawns instead of
+  leaf fails its job after ``MAX_REQUEUES`` respawns instead of
   burning workers forever;
 * two localhost daemons produce results identical to ``inline`` —
   including a bit-identical report — survive losing a daemon mid-run
-  with zero lost leaves, and replay a warm cluster with zero dispatched
-  jobs via digest-based cache sync.
+  with zero lost leaves (its in-flight leaves requeued), and replay a
+  warm cluster with zero dispatched jobs via digest-based cache sync;
+* a daemon's ``/healthz`` turns 503 while leaves wait queued.
 """
 
+import json
 import multiprocessing
 import pickle
 import socket
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -257,14 +260,14 @@ def test_worker_loop_survives_malformed_frames():
 
 
 def test_poison_leaf_fails_instead_of_respawning_forever():
-    from repro.eval.sched.stealing import MAX_TASK_CRASHES
+    from repro.eval.sched.policy import MAX_REQUEUES
 
     crashes = _counter("orchestrator.worker.crashes")
     jobs = [job("poison", "tests.oracles.sched_leaves:poison_leaf", seed=1)]
     with pytest.raises(SimulationError, match="crashed"):
         run_graph(jobs, workers=2, cache=None, backend="workers")
     assert (_counter("orchestrator.worker.crashes") - crashes
-            == MAX_TASK_CRASHES + 1)
+            == MAX_REQUEUES + 1)
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +347,7 @@ def test_remote_handshake_rejects_wrong_token(tmp_path, monkeypatch):
 def test_remote_survives_losing_a_daemon_with_zero_lost_leaves(two_daemons):
     daemons, hosts = two_daemons
     lost = _counter("sched.remote.hosts.lost")
+    requeues = _counter("sched.remote.requeues")
     jobs = [job(f"leaf{i}", "tests.oracles.sched_leaves:sleepy_leaf",
                 seconds=0.25, seed=i) for i in range(8)]
     killer = threading.Timer(0.4, daemons[1].stop)
@@ -356,6 +360,9 @@ def test_remote_survives_losing_a_daemon_with_zero_lost_leaves(two_daemons):
     for i in range(8):
         assert out[f"leaf{i}"].value == sleepy_leaf(seed=i)
     assert _counter("sched.remote.hosts.lost") == lost + 1
+    # Each daemon holds 4 of the 0.25 s leaves on 2 workers, so the
+    # stopped one still has leaves in flight at 0.4 s.
+    assert _counter("sched.remote.requeues") >= requeues + 1
 
 
 def test_remote_cache_sync_executes_zero_leaves_when_warm(two_daemons,
@@ -404,17 +411,51 @@ def test_daemon_answers_retired_kinds_as_unknown():
         daemon.stop()
 
 
-def test_daemon_healthz_reflects_pool_state(tmp_path):
-    daemon = WorkerDaemon(workers=1).start()
-    server = daemon.start_telemetry(0)
+def _healthz(server):
     try:
         with urllib.request.urlopen(
                 f"{server.url}/healthz", timeout=5.0) as resp:
-            verdict = resp.status, resp.read()
-        assert verdict[0] == 200
-        body = verdict[1].decode()
-        assert "daemon.pool" in body and "daemon.coordinator" in body
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as err:
+        return err.code, json.loads(err.read())
+
+
+def test_daemon_healthz_reflects_pool_state(tmp_path):
+    daemon = WorkerDaemon(workers=1, token="sesame").start()
+    server = daemon.start_telemetry(0)
+    stream = None
+    try:
+        status, body = _healthz(server)
+        assert status == 200
+        assert set(body["checks"]) == {"daemon.pool", "daemon.coordinator"}
+
+        # Four 0.5 s leaves on one worker: one runs, three wait queued.
+        sock = socket.create_connection(("127.0.0.1", daemon.port),
+                                        timeout=5.0)
+        stream = wire.FrameStream(sock)
+        wire.client_handshake(stream, "sesame")
+        for i in range(4):
+            stream.send(wire.job_envelope(LeafTask(
+                name=f"nap{i}", fn="tests.oracles.sched_leaves:sleepy_leaf",
+                params=(("seconds", 0.5), ("seed", i)))))
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            status, body = _healthz(server)
+            pool = body["checks"]["daemon.pool"]
+            if (pool["inflight"], pool["backlog"]) == (1, 3):
+                break
+            time.sleep(0.02)
+        assert (pool["inflight"], pool["backlog"]) == (1, 3), body
+        assert status == 503, body
+
+        # Drain every result; the pool is then idle and healthy again.
+        names = {wire.result_from_envelope(stream.recv()).name
+                 for __ in range(4)}
+        assert names == {f"nap{i}" for i in range(4)}
+        assert _healthz(server)[0] == 200
     finally:
+        if stream is not None:
+            stream.close()
         daemon.stop()
 
 
