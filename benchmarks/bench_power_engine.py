@@ -3,7 +3,7 @@
 "Before" is the seed implementation kept verbatim in
 ``tests.oracles.event_heap.event_toggles_legacy``: a fresh heapq
 event simulator per call, full per-cycle stimulus dicts, per-gate
-``cell_eval`` dispatch.  "After" is the shipping path of
+dispatch to a cell function.  "After" is the shipping path of
 ``estimate_power``: a shared simulator, delta stimulus straight from the
 levelized pattern words, and the compiled C event kernel when a system
 compiler is present (pure-Python time wheel otherwise).

@@ -14,6 +14,7 @@ A ``Bus`` is just a list of net ids, LSB first.
 from typing import List
 
 from repro.errors import NetlistError
+from repro.hdl.cell import cell_kind
 
 Bus = List[int]
 
@@ -46,8 +47,7 @@ class GateBuilder:
             self.depth[net] = max((self.depth_of(n) for n in ins),
                                   default=0) + 1
             return net
-        if kind in ("AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2",
-                    "AND3", "OR3", "XOR3", "MAJ3"):
+        if not cell_kind(kind).swaps:  # symmetric in all its inputs
             key = (kind,) + tuple(sorted(ins))
         else:
             key = (kind,) + tuple(ins)

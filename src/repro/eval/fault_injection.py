@@ -19,6 +19,11 @@ mutant and nothing is re-sorted or rebuilt.  The clone-and-re-simulate
 reference the campaign must match verdict for verdict lives in
 ``tests/oracles/fault_resim.py``.
 
+Both kinds of move are derived from the cell table
+(:data:`repro.hdl.cell.CELL_KINDS`): the rekind pools group its rows by
+arity in table order, and a pin swap is offered exactly where it
+changes the row's truth table.
+
 The battery itself is data (:class:`Battery`: stimulus + expected
 output words per pattern).  The orchestrator's ``fault_r16``/``fault_mf``
 experiments shard a campaign into :func:`coverage_chunk` leaves along
@@ -32,18 +37,17 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.hdl.cell import cell_num_inputs
+from repro.hdl.cell import CELL_KINDS, cell_num_inputs
 from repro.hdl.module import Gate
 from repro.hdl.sim.compile import compiled_module
 from repro.hdl.sim.levelized import LevelizedSimulator
 
-#: Same-arity replacement pools (a mutation picks a *different* kind).
+#: Same-arity replacement pools in cell-table order (a mutation picks a
+#: *different* kind).
 _MUTATION_POOLS = {
-    1: ["INV", "BUF"],
-    2: ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2"],
-    3: ["AND3", "OR3", "NAND3", "NOR3", "XOR3", "MAJ3", "AOI21", "OAI21"],
-    4: ["AO22", "OA22"],
-}
+    arity: [row.name for row in CELL_KINDS.values()
+            if row.arity == arity and row.rekind_target]
+    for arity in sorted({row.arity for row in CELL_KINDS.values()})}
 
 
 @dataclass
@@ -83,22 +87,13 @@ class CoverageResult:
         return "\n".join(lines)
 
 
-#: Pin swaps that actually change the boolean function (commutative
-#: swaps would be equivalent mutants and poison the coverage metric).
-_MEANINGFUL_SWAPS = {
-    "MUX2": [(0, 1), (0, 2), (1, 2)],
-    "AOI21": [(0, 2), (1, 2)],
-    "OAI21": [(0, 2), (1, 2)],
-    "AO22": [(0, 2), (0, 3), (1, 2), (1, 3)],
-    "OA22": [(0, 2), (0, 3), (1, 2), (1, 3)],
-}
-
-
 def propose_mutation(module, rng, arities=None):
     """Draw one random functional mutation without applying it.
 
     Mutations: change a cell kind within its arity pool, or swap two
-    input pins where the cell is not commutative in them.  Returns
+    distinct input nets where the swap changes the cell's function
+    (the row's ``swaps``; a commutative swap would be an equivalent
+    mutant and poison the coverage metric).  Returns
     ``(gate_index, mutant_gate, Mutation)``.  ``arities`` is the
     optional precomputed per-gate input count list — campaigns compute
     it once and share it across every mutation instead of re-deriving
@@ -111,7 +106,7 @@ def propose_mutation(module, rng, arities=None):
             else cell_num_inputs(gate.kind)
         choices = [k for k in _MUTATION_POOLS.get(arity, [])
                    if k != gate.kind]
-        swaps = [(i, j) for i, j in _MEANINGFUL_SWAPS.get(gate.kind, [])
+        swaps = [(i, j) for i, j in CELL_KINDS[gate.kind].swaps
                  if gate.inputs[i] != gate.inputs[j]]
         moves = []
         if choices:

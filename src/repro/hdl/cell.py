@@ -1,133 +1,130 @@
-"""Combinational cell kinds and their boolean semantics.
+"""Combinational cell kinds: the one table of their semantics.
 
 Every cell has a single output.  The full adder of the reference
 algorithms maps to the pair ``XOR3`` (sum) + ``MAJ3`` (carry), the half
 adder to ``XOR2`` + ``AND2`` — single-output cells keep the simulators'
 data layout flat and fast.
 
-Evaluation functions are written for *bit-parallel* operation: each
-operand is a Python int whose bit ``t`` is the net's value in pattern
-``t``, and ``m`` is the all-patterns mask (needed to bound inversions).
-Scalar evaluation is the special case ``m = 1``.
+Each kind is one :class:`CellKind` row of :data:`CELL_KINDS`: a name,
+an arity and one boolean expression template.  Everything that needs a
+kind's function is rendered from that template — the bit-parallel
+evaluator here, the generated-Python and native levelized kernels'
+gate cases (:mod:`repro.hdl.sim.compile`, :mod:`repro.hdl.sim.ckernel`),
+the event kernel's truth tables, the Verilog export
+(:mod:`repro.hdl.export`), the pin symmetries the gate builders'
+common-subexpression reuse relies on (:mod:`repro.circuits.primitives`)
+and the fault campaigns' mutation moves
+(:mod:`repro.eval.fault_injection`).  A new kind is one row here plus
+one ``CellSpec`` in :mod:`repro.hdl.library`.
+
+Evaluation is *bit-parallel*: each operand is a Python int whose bit
+``t`` is the net's value in pattern ``t``, and ``m`` is the
+all-patterns mask (needed to bound inversions).  Scalar evaluation is
+the special case ``m = 1``.
 """
+
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable, Tuple
 
 from repro.errors import NetlistError
 
 
-def _inv(m, a):
-    return m ^ a
+@dataclass(frozen=True)
+class CellKind:
+    """One cell kind: a name, an arity, an expression template and the
+    fields derived from them, plus the fault campaigns' rekind flag."""
+
+    name: str
+    arity: int
+    #: The function as a Python/C expression template: ``{0}`` …
+    #: ``{3}`` are the operands, ``{M}`` the all-patterns mask, so
+    #: ``({M} ^ x)`` is the complement of ``x``.  Either a lone operand
+    #: or one parenthesized group.
+    expr: str
+    #: ``evaluate(m, *inputs)``, rendered from ``expr``.
+    evaluate: Callable
+    #: Output for input bits ``in0 = i & 1, in1 = (i >> 1) & 1, …`` at
+    #: bit ``i``; bits beyond ``arity`` replicate it, so an unused input
+    #: slot never affects the output.
+    truth_table: int
+    #: Input pin pairs ``(i, j)``, ascending, whose exchange changes the
+    #: function (empty: the kind is symmetric in all its inputs).
+    swaps: Tuple[Tuple[int, int], ...]
+    #: Whether a fault campaign's rekind may turn a gate into this kind.
+    rekind_target: bool
 
 
-def _buf(m, a):
-    return a
+def _row(name, arity, expr, rekind_target=True):
+    # Four input slots per node-table row (repro.hdl.sim.compile).
+    if not 1 <= arity <= 4:
+        raise NetlistError(f"cell kind {name}: arity {arity} not in 1..4")
+    args = "abcd"[:arity]
+    evaluate = eval(f"lambda m, {', '.join(args)}: "
+                    + expr.format(*args, M="m"))
+    table = 0
+    for idx in range(16):
+        if evaluate(1, *[(idx >> j) & 1 for j in range(arity)]) & 1:
+            table |= 1 << idx
+    swaps = tuple(pins for pins in combinations(range(arity), 2)
+                  if _swap_changes_function(table, *pins))
+    return CellKind(name, arity, expr, evaluate, table, swaps,
+                    rekind_target)
 
 
-def _and2(m, a, b):
-    return a & b
+def _swap_changes_function(table, i, j):
+    """Whether exchanging input pins ``i`` and ``j`` changes the
+    function of the 16-entry truth table ``table``."""
+    for idx in range(16):
+        if (idx >> i ^ idx >> j) & 1:
+            swapped = idx ^ (1 << i) ^ (1 << j)
+            if (table >> idx ^ table >> swapped) & 1:
+                return True
+    return False
 
 
-def _and3(m, a, b, c):
-    return a & b & c
+#: kind -> row, in opcode order (the node table numbers kinds by their
+#: position here, so new rows go at the end).
+CELL_KINDS = {row.name: row for row in (
+    _row("INV", 1, "({M} ^ {0})"),
+    _row("BUF", 1, "{0}"),
+    _row("AND2", 2, "({0} & {1})"),
+    _row("AND3", 3, "({0} & {1} & {2})"),
+    _row("OR2", 2, "({0} | {1})"),
+    _row("OR3", 3, "({0} | {1} | {2})"),
+    _row("NAND2", 2, "({M} ^ ({0} & {1}))"),
+    _row("NAND3", 3, "({M} ^ ({0} & {1} & {2}))"),
+    _row("NOR2", 2, "({M} ^ ({0} | {1}))"),
+    _row("NOR3", 3, "({M} ^ ({0} | {1} | {2}))"),
+    _row("XOR2", 2, "({0} ^ {1})"),
+    _row("XNOR2", 2, "({M} ^ {0} ^ {1})"),
+    _row("XOR3", 3, "({0} ^ {1} ^ {2})"),
+    _row("MAJ3", 3, "(({0} & {1}) | ({0} & {2}) | ({1} & {2}))"),
+    # Output {0} when {2} = 0, {1} when {2} = 1.  Not a rekind target:
+    # adding it to the arity-3 pool would change every fault campaign's
+    # random draws and with them the committed report.
+    _row("MUX2", 3, "({0} ^ (({0} ^ {1}) & {2}))", rekind_target=False),
+    _row("AOI21", 3, "({M} ^ (({0} & {1}) | {2}))"),
+    _row("OAI21", 3, "({M} ^ (({0} | {1}) & {2}))"),
+    # The Booth-mux workhorse and its dual.
+    _row("AO22", 4, "(({0} & {1}) | ({2} & {3}))"),
+    _row("OA22", 4, "(({0} | {1}) & ({2} | {3}))"),
+)}
 
 
-def _or2(m, a, b):
-    return a | b
-
-
-def _or3(m, a, b, c):
-    return a | b | c
-
-
-def _nand2(m, a, b):
-    return m ^ (a & b)
-
-
-def _nand3(m, a, b, c):
-    return m ^ (a & b & c)
-
-
-def _nor2(m, a, b):
-    return m ^ (a | b)
-
-
-def _nor3(m, a, b, c):
-    return m ^ (a | b | c)
-
-
-def _xor2(m, a, b):
-    return a ^ b
-
-
-def _xnor2(m, a, b):
-    return m ^ a ^ b
-
-
-def _xor3(m, a, b, c):
-    return a ^ b ^ c
-
-
-def _maj3(m, a, b, c):
-    return (a & b) | (a & c) | (b & c)
-
-
-def _mux2(m, a, b, s):
-    """Output ``a`` when ``s = 0``, ``b`` when ``s = 1``."""
-    return a ^ ((a ^ b) & s)
-
-
-def _aoi21(m, a, b, c):
-    return m ^ ((a & b) | c)
-
-
-def _oai21(m, a, b, c):
-    return m ^ ((a | b) & c)
-
-
-def _ao22(m, a, b, c, d):
-    """AND-OR cell ``(a & b) | (c & d)`` — the Booth-mux workhorse."""
-    return (a & b) | (c & d)
-
-
-def _oa22(m, a, b, c, d):
-    """OR-AND cell ``(a | b) & (c | d)`` — the AO22 dual."""
-    return (a | b) & (c | d)
-
-
-#: kind -> (evaluation function, number of inputs)
-CELL_KINDS = {
-    "INV": (_inv, 1),
-    "BUF": (_buf, 1),
-    "AND2": (_and2, 2),
-    "AND3": (_and3, 3),
-    "OR2": (_or2, 2),
-    "OR3": (_or3, 3),
-    "NAND2": (_nand2, 2),
-    "NAND3": (_nand3, 3),
-    "NOR2": (_nor2, 2),
-    "NOR3": (_nor3, 3),
-    "XOR2": (_xor2, 2),
-    "XNOR2": (_xnor2, 2),
-    "XOR3": (_xor3, 3),
-    "MAJ3": (_maj3, 3),
-    "MUX2": (_mux2, 3),
-    "AOI21": (_aoi21, 3),
-    "OAI21": (_oai21, 3),
-    "AO22": (_ao22, 4),
-    "OA22": (_oa22, 4),
-}
+def cell_kind(kind):
+    """The :class:`CellKind` row of a kind name."""
+    try:
+        return CELL_KINDS[kind]
+    except KeyError:
+        raise NetlistError(f"unknown cell kind {kind!r}") from None
 
 
 def cell_eval(kind):
     """The bit-parallel evaluation function for a cell kind."""
-    try:
-        return CELL_KINDS[kind][0]
-    except KeyError:
-        raise NetlistError(f"unknown cell kind {kind!r}") from None
+    return cell_kind(kind).evaluate
 
 
 def cell_num_inputs(kind):
     """The number of input pins of a cell kind."""
-    try:
-        return CELL_KINDS[kind][1]
-    except KeyError:
-        raise NetlistError(f"unknown cell kind {kind!r}") from None
+    return cell_kind(kind).arity

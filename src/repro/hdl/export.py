@@ -1,9 +1,10 @@
 """Structural Verilog export.
 
 Emits any :class:`Module` as a synthesizable Verilog-2001 module:
-one continuous assignment per cell (the boolean semantics of
-:mod:`repro.hdl.cell`), flip-flops as a clocked always block with a
-synchronous reset, and the module's buses as vector ports.  This makes
+one continuous assignment per cell (rendered from the kind's row in
+:data:`repro.hdl.cell.CELL_KINDS`), flip-flops as a clocked always
+block with a synchronous reset, and the module's buses as vector
+ports.  This makes
 the reproduction's netlists consumable by real EDA flows — the closest
 thing to closing the loop with the paper's 45 nm evaluation.
 
@@ -11,29 +12,14 @@ The output is deterministic for a given module (stable net numbering),
 which the tests rely on.
 """
 
-from repro.errors import NetlistError
+from repro.hdl.cell import cell_kind
 
-_EXPRESSIONS = {
-    "INV": "~{0}",
-    "BUF": "{0}",
-    "AND2": "{0} & {1}",
-    "AND3": "{0} & {1} & {2}",
-    "OR2": "{0} | {1}",
-    "OR3": "{0} | {1} | {2}",
-    "NAND2": "~({0} & {1})",
-    "NAND3": "~({0} & {1} & {2})",
-    "NOR2": "~({0} | {1})",
-    "NOR3": "~({0} | {1} | {2})",
-    "XOR2": "{0} ^ {1}",
-    "XNOR2": "~({0} ^ {1})",
-    "XOR3": "{0} ^ {1} ^ {2}",
-    "MAJ3": "({0} & {1}) | ({0} & {2}) | ({1} & {2})",
-    "MUX2": "{2} ? {1} : {0}",
-    "AOI21": "~(({0} & {1}) | {2})",
-    "OAI21": "~(({0} | {1}) & {2})",
-    "AO22": "({0} & {1}) | ({2} & {3})",
-    "OA22": "({0} | {1}) & ({2} | {3})",
-}
+
+def _verilog_template(kind):
+    """The kind's cell-table expression as Verilog: ``({M} ^ x)`` is
+    ``~(x)``, and a group's outer parentheses are dropped."""
+    expr = cell_kind(kind).expr.replace("({M} ^ ", "~(")
+    return expr[1:-1] if expr.startswith("(") else expr
 
 
 def to_verilog(module, name=None):
@@ -77,9 +63,7 @@ def to_verilog(module, name=None):
     lines.append("")
 
     for gate in module.gates:
-        expr = _EXPRESSIONS.get(gate.kind)
-        if expr is None:
-            raise NetlistError(f"no Verilog template for {gate.kind!r}")
+        expr = _verilog_template(gate.kind)
         operands = [f"n{net}" for net in gate.inputs]
         comment = f"  // {gate.block}" if gate.block else ""
         lines.append(f"  assign n{gate.output} = "

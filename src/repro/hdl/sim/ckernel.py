@@ -19,12 +19,12 @@ threads (the serve submitter and dispatcher) overlap native work.
 pattern word as ``uint64`` limbs.  ``lv_pack`` transposes stimulus
 words onto the input nets, ``lv_settle`` walks the node table of
 :mod:`repro.hdl.sim.compile` (an opcode per cell kind whose C case is
-generated from the same ``EXPR_TEMPLATES`` entry as the Python kernel's
-statement; registers a limb-carrying ``<< 1`` masked by the register
-mask), ``lv_unpack`` transposes output buses back to words and
-``lv_toggles`` counts windowed zero-delay toggles — all bit-identical
-to the generated-Python kernel and ``bit_transpose``, which stay as the
-fallback.
+generated from the kind's :data:`~repro.hdl.cell.CELL_KINDS` row, the
+same expression as the Python kernel's statement; registers a
+limb-carrying ``<< 1`` masked by the register mask), ``lv_unpack``
+transposes output buses back to words and ``lv_toggles`` counts
+windowed zero-delay toggles — all bit-identical to the generated-Python
+kernel and ``bit_transpose``, which stay as the fallback.
 
 **Event kernel.**  Bit-identity with the Python engines is structural,
 not incidental:
@@ -36,9 +36,10 @@ not incidental:
 * maturity times are IEEE-754 double sums of the same per-gate delays
   Python computes with ``float`` — identical values, identical
   coincidences, identical comparisons;
-* gate evaluation uses a 16-entry truth table per cell kind, indexed by
-  the concatenated input bits — exhaustively equal to ``cell_eval`` by
-  construction (and swept by a unit test);
+* gate evaluation uses the 16-entry truth table of the kind's
+  :data:`~repro.hdl.cell.CELL_KINDS` row, indexed by the concatenated
+  input bits — computed from ``cell_eval`` itself (and swept against
+  the independent cell oracle by a unit test);
 * the inertial-cancellation rule (only the latest scheduled evaluation
   of a net is live) is carried over verbatim, including the
   counts-a-cancellation and skips-a-no-op bookkeeping.
@@ -62,8 +63,8 @@ from pathlib import Path
 
 from repro import obs
 from repro.errors import SimulationError
+from repro.hdl.cell import CELL_KINDS
 from repro.hdl.sim.compile import (
-    EXPR_TEMPLATES,
     NODE_FIELDS,
     OP_ONE,
     OP_REG,
@@ -73,10 +74,6 @@ from repro.hdl.sim.compile import (
 #: Transitions per kernel call — one bit of the stimulus words each,
 #: plus bit 0 for the seed cycle, bounded by the 64-bit word.
 WINDOW_TRANSITIONS = 63
-
-#: Gate arity the truth-table evaluation supports (covers every kind in
-#: ``CELL_KINDS``; modules exceeding it simply fall back to Python).
-MAX_INPUTS = 4
 
 _EVENT_SOURCE = r"""
 #include <stdint.h>
@@ -437,11 +434,12 @@ void lv_window(const uint64_t *v, int32_t L, const int32_t *nets,
 
 def _levelized_source():
     """``_LEVELIZED_SOURCE`` with one ``GATE`` case per cell kind, each
-    generated from the kind's :data:`~repro.hdl.sim.compile.EXPR_TEMPLATES`
-    entry — the very expression the Python kernel evaluates."""
+    generated from the ``expr`` of the kind's
+    :data:`~repro.hdl.cell.CELL_KINDS` row — the very expression the
+    Python kernel evaluates."""
     cases = [f"        GATE({op}, "
-             + EXPR_TEMPLATES[kind].format("a[k]", "b[k]", "c[k]", "d[k]",
-                                           M="M")
+             + CELL_KINDS[kind].expr.format("a[k]", "b[k]", "c[k]", "d[k]",
+                                            M="M")
              + f") /* {kind} */"
              for kind, op in OPCODES.items()]
     return (_LEVELIZED_SOURCE.replace("@GATE_CASES@", "\n".join(cases))
@@ -673,26 +671,6 @@ class LimbBuffer:
                 for i in range(0, len(raw), size)]
 
 
-def supports(module):
-    """Whether the kernel's truth-table evaluation covers this module."""
-    return all(len(g.inputs) <= MAX_INPUTS for g in module.gates)
-
-
-def truth_table(eval_fn, arity):
-    """The 16-entry truth table of ``eval_fn`` over ``arity`` inputs.
-
-    Bit ``i`` of the result is the output for input bits
-    ``in0 = i&1, in1 = (i>>1)&1, ...``; bits beyond ``arity`` replicate
-    the output, so padded input slots never affect it.
-    """
-    table = 0
-    for idx in range(16):
-        bits = [(idx >> j) & 1 for j in range(arity)]
-        if eval_fn(1, *bits) & 1:
-            table |= 1 << idx
-    return table
-
-
 class CKernel:
     """One module + library flattened into the kernel's array layout.
 
@@ -701,11 +679,7 @@ class CKernel:
     side; construction is pure preprocessing and involves no C calls.
     """
 
-    def __init__(self, lib, module, delays, evals, fanout, stim_order):
-        if not supports(module):
-            raise SimulationError(
-                "compiled kernel supports gates with at most "
-                f"{MAX_INPUTS} inputs")
+    def __init__(self, lib, module, delays, fanout, stim_order):
         self._lib = lib
         self.n_nets = n_nets = module.n_nets
         gates = module.gates
@@ -715,14 +689,9 @@ class CKernel:
         gin = (ctypes.c_int32 * (4 * n_gates))()
         ttab = (ctypes.c_uint16 * max(n_gates, 1))()
         gout = (ctypes.c_int32 * max(n_gates, 1))()
-        tables = {}
         for idx, gate in enumerate(gates):
             ins = list(gate.inputs)
-            table = tables.get(gate.kind)
-            if table is None:
-                table = truth_table(evals[idx], len(ins))
-                tables[gate.kind] = table
-            ttab[idx] = table
+            ttab[idx] = CELL_KINDS[gate.kind].truth_table
             gout[idx] = gate.output
             padded = ins + [ins[0]] * (4 - len(ins))
             gin[4 * idx: 4 * idx + 4] = padded

@@ -34,12 +34,13 @@ rewriting one node-table row — the fault campaigns of
 :mod:`repro.eval.fault_injection` settle every mutant that way.
 
 Both the generated Python expressions and the native kernel's gate
-cases come from :data:`EXPR_TEMPLATES`, which mirrors
-:data:`repro.hdl.cell.CELL_KINDS` exactly (a unit test sweeps every
-kind against ``cell_eval``).  Because the kernels evaluate the same
-exact integer operations in the same topological discipline, compiled
-results are **bit-identical** to the interpreters' — the compile pass
-is a pure speedup.
+cases are the ``expr`` of the kind's row in
+:data:`repro.hdl.cell.CELL_KINDS`, the template ``cell_eval`` is
+rendered from too (unit tests sweep every kind against the independent
+functions of ``tests/oracles/cells.py``).  Because the kernels evaluate
+the same exact integer operations in the same topological discipline,
+compiled results are **bit-identical** to the interpreters' — the
+compile pass is a pure speedup.
 
 Compilation results are cached per ``Module`` instance (weakly, so
 modules remain collectable); mutating a module after first compile is
@@ -53,41 +54,12 @@ from typing import Callable, List, Optional
 
 from repro import obs
 from repro.errors import NetlistError
-from repro.hdl.cell import CELL_KINDS, cell_num_inputs
+from repro.hdl.cell import CELL_KINDS, cell_kind, cell_num_inputs
 from repro.hdl.sim.toposort import topo_node_order
-
-#: kind -> expression template.  ``{M}`` is the all-patterns mask
-#: (``1`` in scalar mode); positional fields are operand expressions.
-#: Semantics must mirror ``CELL_KINDS`` — tested kind-by-kind.
-EXPR_TEMPLATES = {
-    "INV": "({M} ^ {0})",
-    "BUF": "{0}",
-    "AND2": "({0} & {1})",
-    "AND3": "({0} & {1} & {2})",
-    "OR2": "({0} | {1})",
-    "OR3": "({0} | {1} | {2})",
-    "NAND2": "({M} ^ ({0} & {1}))",
-    "NAND3": "({M} ^ ({0} & {1} & {2}))",
-    "NOR2": "({M} ^ ({0} | {1}))",
-    "NOR3": "({M} ^ ({0} | {1} | {2}))",
-    "XOR2": "({0} ^ {1})",
-    "XNOR2": "({M} ^ {0} ^ {1})",
-    "XOR3": "({0} ^ {1} ^ {2})",
-    "MAJ3": "(({0} & {1}) | ({0} & {2}) | ({1} & {2}))",
-    "MUX2": "({0} ^ (({0} ^ {1}) & {2}))",
-    "AOI21": "({M} ^ (({0} & {1}) | {2}))",
-    "OAI21": "({M} ^ (({0} | {1}) & {2}))",
-    "AO22": "(({0} & {1}) | ({2} & {3}))",
-    "OA22": "(({0} | {1}) & ({2} | {3}))",
-}
-
-_missing = set(CELL_KINDS) - set(EXPR_TEMPLATES)
-if _missing:  # pragma: no cover - import-time sync guard
-    raise NetlistError(f"no codegen template for cell kinds: {sorted(_missing)}")
 
 #: Node-table opcode of each cell kind, then the two non-gate nodes: a
 #: register (``q = (d << 1) & R``) and a constant-1 net (``out = M``).
-OPCODES = {kind: op for op, kind in enumerate(EXPR_TEMPLATES)}
+OPCODES = {kind: op for op, kind in enumerate(CELL_KINDS)}
 OP_REG = len(OPCODES)
 OP_ONE = OP_REG + 1
 
@@ -101,11 +73,8 @@ CHUNK_STATEMENTS = 4000
 
 def gate_expr(gate, mask_name="M"):
     """The Python expression recomputing ``gate``'s output from ``v``."""
-    try:
-        template = EXPR_TEMPLATES[gate.kind]
-    except KeyError:
-        raise NetlistError(f"unknown cell kind {gate.kind!r}") from None
-    return template.format(*[f"v[{net}]" for net in gate.inputs], M=mask_name)
+    return cell_kind(gate.kind).expr.format(
+        *[f"v[{net}]" for net in gate.inputs], M=mask_name)
 
 
 def _compile_chunks(statements, tag):

@@ -42,7 +42,6 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.hdl.cell import cell_eval
 from repro.hdl.sim import ckernel
 from repro.hdl.sim.compile import compiled_module
 
@@ -81,7 +80,6 @@ class EventSimulator:
             self._delay[idx] = spec.delay_ps(load[gate.output])
         fanout = module.fanout_map()
         self._fanout = [fanout[net] for net in range(module.n_nets)]
-        self._eval = [cell_eval(g.kind) for g in module.gates]
         self._out = [g.output for g in module.gates]
         self.values: List[int] = [0] * module.n_nets
         #: Canonical stimulus order: input buses LSB-first, register q
@@ -104,15 +102,12 @@ class EventSimulator:
         self._live_seq = [0] * module.n_nets
         self._trig_mark = [0] * len(module.gates)
         self._counter = 0
-        # Compiled C kernel for replay(), when a compiler is available
-        # and the module fits its evaluation model.
+        # Compiled C kernel for replay(), when a compiler is available.
         self._ck = None
-        if ckernel.supports(module):
-            lib = ckernel.load_kernel()
-            if lib is not None:
-                self._ck = ckernel.CKernel(lib, module, self._delay,
-                                           self._eval, self._fanout,
-                                           self._stim_order)
+        lib = ckernel.load_kernel()
+        if lib is not None:
+            self._ck = ckernel.CKernel(lib, module, self._delay,
+                                       self._fanout, self._stim_order)
         #: Cumulative perf counters across every apply()/replay() on
         #: this instance.
         self.stats = {"applies": 0, "events": 0, "cancelled": 0,

@@ -20,7 +20,7 @@ per-net Python ints exist only if someone reads a run's ``values``.
 Otherwise (``REPRO_NO_CKERNEL``, no compiler) the words are Python big
 ints, packed by :func:`bit_transpose` and settled by the module's
 generated straight-line Python code.  The historic per-gate
-``cell_eval`` interpreter both must match bit-for-bit lives in
+interpreter both must match bit-for-bit lives in
 ``tests/oracles/levelized.py``.
 
 A simulator may settle a compiled module other than its module's own —

@@ -1,10 +1,12 @@
 """Reference implementations the equivalence tests check ``src/`` against.
 
 One module per layer, each written independently of the fast path it
-checks: ``event_heap`` (one-heap-entry-per-event simulator and the
-seed's per-cycle glitch replay), ``levelized`` (per-gate ``cell_eval``
-interpreter), ``fault_resim`` (clone-and-re-simulate fault campaigns,
-which the patched-row campaign must match verdict for verdict),
+checks: ``cells`` (one hand-written function per cell kind, which the
+cell table is checked against and the two simulators below evaluate),
+``event_heap`` (one-heap-entry-per-event simulator and the seed's
+per-cycle glitch replay), ``levelized`` (per-gate interpreter),
+``fault_resim`` (clone-and-re-simulate fault campaigns, which the
+patched-row campaign must match verdict for verdict),
 ``mf_datapath`` (the multiplier's PP-array → Dadda → Fig. 3 datapath,
 which ``MFMult(mode="paper")`` must match bit for bit) and
 ``sched_leaves`` (deterministic scheduler-exercise leaves, importable by

@@ -2,18 +2,18 @@
 
 The historic transport/inertial-delay engine the time wheel, its Python
 replay and the C kernel of :mod:`repro.hdl.sim.event` must match
-bit-for-bit.  It builds its own delays, fanout lists and per-gate
-``cell_eval`` dispatch straight from the module and library, and
-settles in plain topological order, so it shares no evaluation code
-with the fast paths.
+bit-for-bit.  It builds its own delays and fanout lists straight from
+the module and library, evaluates each gate with the hand-written
+function of ``oracles.cells`` and settles in plain topological order,
+so it shares no evaluation code with the fast paths.
 """
 
 import heapq
 
 from repro.errors import SimulationError
-from repro.hdl.cell import cell_eval
 from repro.hdl.sim.event import TransitionCounts
 from repro.hdl.sim.toposort import topo_gate_order
+from tests.oracles.cells import reference_eval
 
 
 def _eval_gate(fn, ins, values):
@@ -36,7 +36,7 @@ class HeapEventSimulator:
                        for g in module.gates]
         fanout = module.fanout_map()
         self._fanout = [fanout[net] for net in range(module.n_nets)]
-        self._eval = [cell_eval(g.kind) for g in module.gates]
+        self._eval = [reference_eval(g.kind) for g in module.gates]
         self._order = topo_gate_order(module)
         self._stimulus_nets = set()
         for bus in module.inputs.values():

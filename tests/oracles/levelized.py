@@ -1,4 +1,4 @@
-"""Reference levelized simulator: per-gate ``cell_eval`` dispatch.
+"""Reference levelized simulator: per-gate dispatch to ``oracles.cells``.
 
 The historic interpreted kernel the generated straight-line code of
 :mod:`repro.hdl.sim.compile` must match net for net.  It walks
@@ -9,9 +9,9 @@ clearing each segment's first pattern in the superword case.
 """
 
 from repro.bits.utils import mask
-from repro.hdl.cell import cell_eval
 from repro.hdl.sim.levelized import SegmentedRun, SimRun
 from repro.hdl.sim.toposort import topo_node_order
+from tests.oracles.cells import reference_eval
 
 
 def _pack(words, width):
@@ -29,7 +29,7 @@ def _settle(module, values, m, reg_mask):
     for node in topo_node_order(module):
         if node >= 0:
             gate = gates[node]
-            fn = cell_eval(gate.kind)
+            fn = reference_eval(gate.kind)
             values[gate.output] = fn(
                 m, *[values[n] for n in gate.inputs]) & m
         else:

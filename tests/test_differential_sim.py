@@ -20,7 +20,6 @@ from repro import obs
 from repro.errors import NetlistError
 from repro.eval.experiments import cached_module
 from repro.eval.fault_injection import (
-    _MEANINGFUL_SWAPS,
     _MUTATION_POOLS,
     Battery,
     campaign_battery,
@@ -30,7 +29,7 @@ from repro.eval.fault_injection import (
     multiplier_battery,
     mutation_coverage,
 )
-from repro.hdl.cell import cell_num_inputs
+from repro.hdl.cell import CELL_KINDS, cell_num_inputs
 from repro.hdl.module import Gate, Module
 from repro.hdl.sim import ckernel, compile as sim_compile
 from repro.hdl.sim.compile import compiled_module
@@ -90,7 +89,7 @@ def _all_mutants(module):
         for kind in _MUTATION_POOLS.get(arity, []):
             if kind != gate.kind:
                 yield idx, Gate(kind, gate.inputs, gate.output, gate.block)
-        for i, j in _MEANINGFUL_SWAPS.get(gate.kind, []):
+        for i, j in CELL_KINDS[gate.kind].swaps:
             if gate.inputs[i] != gate.inputs[j]:
                 ins = list(gate.inputs)
                 ins[i], ins[j] = ins[j], ins[i]

@@ -42,11 +42,6 @@ class TestVerilogExport:
         assert "if (rst)" in text
         assert text.count("<=") == 4          # 2 reset + 2 data assignments
 
-    def test_every_cell_kind_has_template(self):
-        from repro.hdl.cell import CELL_KINDS
-        from repro.hdl.export import _EXPRESSIONS
-        assert set(_EXPRESSIONS) == set(CELL_KINDS)
-
     def test_deterministic(self):
         assert to_verilog(_small_module()) == to_verilog(_small_module())
 

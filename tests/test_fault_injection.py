@@ -15,6 +15,7 @@ from repro.eval.fault_injection import (
     mutation_coverage,
 )
 from repro.errors import SimulationError
+from repro.hdl.cell import CELL_KINDS
 from repro.hdl.sim.levelized import LevelizedSimulator
 from tests.oracles.fault_resim import checker, clone_module, inject_mutation
 
@@ -55,8 +56,27 @@ class TestMutation:
 
     def test_arity4_pool_has_a_rekind(self):
         """AO22 must have a same-arity alternative (its OA22 dual) —
-        otherwise arity-4 gates can only ever mutate by pin swap."""
-        assert sorted(_MUTATION_POOLS[4]) == ["AO22", "OA22"]
+        otherwise arity-4 gates can only ever mutate by pin swap.
+
+        The pools and swaps are derived from the cell table, and their
+        order fixes ``propose_mutation``'s random draws and with them
+        every campaign in the committed report: a reordered or added
+        row must fail here rather than silently move the report."""
+        assert _MUTATION_POOLS == {
+            1: ["INV", "BUF"],
+            2: ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2"],
+            3: ["AND3", "OR3", "NAND3", "NOR3", "XOR3", "MAJ3", "AOI21",
+                "OAI21"],
+            4: ["AO22", "OA22"],
+        }
+        assert [(k, row.swaps) for k, row in CELL_KINDS.items()
+                if row.swaps] == [
+            ("MUX2", ((0, 1), (0, 2), (1, 2))),
+            ("AOI21", ((0, 2), (1, 2))),
+            ("OAI21", ((0, 2), (1, 2))),
+            ("AO22", ((0, 2), (0, 3), (1, 2), (1, 3))),
+            ("OA22", ((0, 2), (0, 3), (1, 2), (1, 3))),
+        ]
 
     def test_ao22_rekind_reachable(self, r16):
         rng = random.Random(12)

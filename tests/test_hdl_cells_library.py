@@ -12,6 +12,7 @@ from repro.hdl.library import (
     CellLibrary,
     default_library,
 )
+from tests.oracles.cells import CELLS
 
 TRUTH = {
     "INV": lambda a: 1 - a,
@@ -37,26 +38,36 @@ TRUTH = {
 
 
 class TestCellSemantics:
-    @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+    """The cell table against the hand-written reference functions of
+    ``tests/oracles/cells.py`` and the scalar lambdas above."""
+
+    def test_oracle_covers_every_kind(self):
+        assert {kind: arity for kind, (__, arity) in CELLS.items()} \
+            == {kind: cell_num_inputs(kind) for kind in CELL_KINDS}
+
+    @pytest.mark.parametrize("kind", sorted(CELLS))
     def test_truth_table(self, kind):
         fn = cell_eval(kind)
-        n = cell_num_inputs(kind)
+        ref_fn, n = CELLS[kind]
         ref = TRUTH[kind]
         for inputs in itertools.product((0, 1), repeat=n):
             assert fn(1, *inputs) & 1 == ref(*inputs), (kind, inputs)
+            assert ref_fn(1, *inputs) & 1 == ref(*inputs), (kind, inputs)
 
-    @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+    @pytest.mark.parametrize("kind", sorted(CELLS))
     def test_bit_parallel_consistency(self, kind):
-        """Evaluating 8 patterns at once equals 8 scalar evaluations."""
+        """Evaluating 8 patterns at once equals 8 scalar evaluations,
+        and the table's packed result equals the reference function's."""
         fn = cell_eval(kind)
-        n = cell_num_inputs(kind)
+        ref_fn, n = CELLS[kind]
         m = (1 << 8) - 1
         patterns = [tuple((p >> i) & 1 for i in range(n)) for p in range(8)]
         packed_inputs = [sum(patterns[p][i] << p for p in range(8))
                          for i in range(n)]
         packed_out = fn(m, *packed_inputs) & m
+        assert packed_out == ref_fn(m, *packed_inputs) & m
         for p in range(8):
-            assert (packed_out >> p) & 1 == fn(1, *patterns[p]) & 1
+            assert (packed_out >> p) & 1 == TRUTH[kind](*patterns[p])
 
     def test_unknown_kind(self):
         with pytest.raises(NetlistError):

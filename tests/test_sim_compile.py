@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import NetlistError, SimulationError
-from repro.hdl.cell import CELL_KINDS, cell_eval, cell_num_inputs
+from repro.hdl.cell import CELL_KINDS
 from repro.hdl.library import default_library
 from repro.hdl.module import Gate, Module
 from repro.hdl.power.monte_carlo import (
@@ -31,10 +31,11 @@ from repro.hdl.power.monte_carlo import (
     shared_event_simulator,
 )
 from repro.hdl.sim import ckernel
-from repro.hdl.sim.compile import EXPR_TEMPLATES, compiled_module, gate_expr
+from repro.hdl.sim.compile import compiled_module, gate_expr
 from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
+from tests.oracles.cells import CELLS
 from tests.oracles.event_heap import HeapEventSimulator, event_toggles_legacy
 from tests.oracles.levelized import interpreted_run, interpreted_run_segments
 from tests.test_hdl_properties import (
@@ -42,7 +43,7 @@ from tests.test_hdl_properties import (
     registered_module_and_patterns,
 )
 
-KINDS = sorted(CELL_KINDS)
+KINDS = sorted(CELLS)
 
 HAVE_C = ckernel.load_kernel() is not None
 needs_c = pytest.mark.skipif(not HAVE_C, reason="C library unavailable")
@@ -89,16 +90,19 @@ def _input_stim(module, patterns, t):
 
 
 # ----------------------------------------------------------------------
-# codegen templates and truth tables vs cell_eval, kind by kind
+# the cell table's kernel expressions and truth tables vs the reference
+# functions of tests/oracles/cells.py, kind by kind
 # ----------------------------------------------------------------------
 
 class TestCodegenTemplates:
+    """``gate_expr`` renders each kind's table row; ``cell_eval`` in the
+    test names is the reference function it must match."""
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_scalar_expression_matches_cell_eval(self, kind):
-        arity = cell_num_inputs(kind)
+        fn, arity = CELLS[kind]
         gate = Gate(kind, tuple(range(arity)), arity, "")
         expr = gate_expr(gate)
-        fn = cell_eval(kind)
         for idx in range(1 << arity):
             bits = [(idx >> j) & 1 for j in range(arity)]
             got = eval(expr, {"v": bits, "M": 1}) & 1
@@ -107,7 +111,7 @@ class TestCodegenTemplates:
     @pytest.mark.parametrize("kind", KINDS)
     def test_packed_expression_matches_cell_eval(self, kind):
         # All input combinations at once: pattern i carries combination i.
-        arity = cell_num_inputs(kind)
+        fn, arity = CELLS[kind]
         n = 1 << arity
         m = (1 << n) - 1
         words = []
@@ -119,18 +123,14 @@ class TestCodegenTemplates:
         gate = Gate(kind, tuple(range(arity)), arity, "")
         expr = gate_expr(gate)
         got = eval(expr, {"v": words, "M": m}) & m
-        assert got == cell_eval(kind)(m, *words) & m
-
-    def test_every_kind_has_a_template(self):
-        assert set(EXPR_TEMPLATES) == set(CELL_KINDS)
+        assert got == fn(m, *words) & m
 
 
 class TestTruthTable:
     @pytest.mark.parametrize("kind", KINDS)
     def test_table_matches_cell_eval(self, kind):
-        arity = cell_num_inputs(kind)
-        fn = cell_eval(kind)
-        table = ckernel.truth_table(fn, arity)
+        fn, arity = CELLS[kind]
+        table = CELL_KINDS[kind].truth_table
         # All 16 slots — including the padded high bits, which must
         # replicate the low-arity output so a padded input slot (wired
         # to input 0 by the kernel) can never change the result.

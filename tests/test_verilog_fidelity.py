@@ -15,6 +15,7 @@ from repro.circuits.mult_radix16 import radix16_multiplier
 from repro.hdl.export import to_verilog, to_verilog_testbench
 from repro.hdl.module import Module
 from repro.hdl.sim.levelized import LevelizedSimulator
+from tests.oracles.cells import CELLS
 
 _ASSIGN = re.compile(r"^\s*assign n(\d+) = (.+?);(?:\s*//.*)?$")
 _INPUT_BIT = re.compile(r"^\s*assign n(\d+) = (\w+)\[(\d+)\];$")
@@ -135,24 +136,14 @@ def _roundtrip(module, stimulus, n_cycles):
 
 class TestVerilogRoundtrip:
     def test_combinational_gates(self):
+        """One gate of every cell kind, each on the first inputs of one
+        4-bit bus driven through all 16 values: every rendered Verilog
+        expression over every input combination."""
         m = Module("comb")
         a = m.input("a", 4)
-        b = m.input("b", 4)
-        outs = [
-            m.gate("XOR3", a[0], b[0], a[1]),
-            m.gate("MAJ3", a[1], b[1], a[2]),
-            m.gate("MUX2", a[2], b[2], a[3]),
-            m.gate("AO22", a[0], b[0], a[3], b[3]),
-            m.gate("AOI21", a[0], b[1], a[2]),
-            m.gate("OAI21", b[0], a[1], b[2]),
-            m.gate("NAND3", a[0], a[1], a[2]),
-            m.gate("XNOR2", a[0], b[0]),
-        ]
-        m.output("o", outs)
-        rng = random.Random(1)
-        stim = {"a": [rng.getrandbits(4) for __ in range(20)],
-                "b": [rng.getrandbits(4) for __ in range(20)]}
-        _roundtrip(m, stim, 20)
+        m.output("o", [m.gate(kind, *a[:arity])
+                       for kind, (__, arity) in sorted(CELLS.items())])
+        _roundtrip(m, {"a": list(range(16))}, 16)
 
     def test_registered_module(self):
         m = Module("seq")
