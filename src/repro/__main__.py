@@ -12,7 +12,6 @@ Usage::
     python -m repro cache stats          # result-cache maintenance
     python -m repro perf record          # append BENCH_* to perf history
     python -m repro perf check           # gate vs the rolling baseline
-    python -m repro tune width           # measure + cache superword widths
     python -m repro worker serve --bind 0.0.0.0:9700 --workers 8
                                          # serve this box's cores to
                                          # --backend remote coordinators
@@ -32,7 +31,6 @@ _SUBCOMMANDS = {
     "report": "repro.eval.report",
     "cache": "repro.eval.cache",
     "perf": "repro.eval.perf",
-    "tune": "repro.eval.tune",
     "worker": "repro.eval.sched.daemon",
 }
 

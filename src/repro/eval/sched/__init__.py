@@ -20,7 +20,8 @@ remote    the same wire protocol over authenticated TCP to worker
 ========  ==========================================================
 
 ``workers`` and ``remote`` share one scheduling policy
-(:mod:`repro.eval.sched.policy`) and keep only their transport.
+(:mod:`repro.eval.sched.policy`) and :class:`Backend`'s result
+bookkeeping, and keep only their transport.
 :func:`make_backend` maps a name + worker count to an instance; the
 auto-selection policy itself (downgrades, oversubscription accounting)
 lives in the scheduler core, next to its obs counters.

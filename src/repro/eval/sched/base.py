@@ -26,6 +26,7 @@ streaming, not at pool join).
 import importlib
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,7 +120,13 @@ def execute_task(task):
 
 
 class Backend:
-    """Abstract execution backend (see module docstring for contract)."""
+    """Abstract execution backend (see module docstring for contract).
+
+    The default ``submit``/``next_result``/``outstanding`` are the
+    streaming pools' bookkeeping: a subclass implements :meth:`_launch`
+    (accept one task) and :meth:`_poll` (one round of transport I/O
+    that appends each finished :class:`LeafResult` to ``_results``).
+    """
 
     #: Registry key and the ``JobOutcome.mode`` label of its results.
     name = "?"
@@ -127,15 +134,51 @@ class Backend:
     #: True when leaves run one at a time in submission order.
     serial = False
 
-    def submit(self, task):
-        raise NotImplementedError
+    def __init__(self):
+        self._results = deque()      # finished leaves not yet taken
+        self._outstanding = 0        # submitted leaves not yet taken
 
-    def next_result(self):
-        raise NotImplementedError
+    def submit(self, task):
+        self._launch(task)
+        self._outstanding += 1
+
+    def next_result(self, timeout=None):
+        """The next finished leaf; ``None`` when ``timeout`` elapses.
+
+        The default (no timeout) blocks until a result is available —
+        the orchestrator's mode — and raises :class:`RuntimeError` when
+        nothing is in flight.  A timeout makes the call a poll, which
+        is what lets a worker daemon's pump thread multiplex its pool
+        with its coordinator socket.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._results:
+            if not self._outstanding:
+                if timeout is not None:
+                    return None
+                raise RuntimeError(
+                    f"{self.name} backend has no results and no jobs in "
+                    f"flight")
+            wait = None
+            if deadline is not None:
+                wait = max(0.0, deadline - time.monotonic())
+            self._poll(wait)
+            if wait == 0.0 and not self._results:
+                return None      # the deadline's last, non-blocking poll
+        self._outstanding -= 1
+        return self._results.popleft()
 
     @property
     def outstanding(self):
         """Number of submitted tasks whose results were not yet taken."""
+        return self._outstanding
+
+    def _launch(self, task):
+        raise NotImplementedError
+
+    def _poll(self, timeout):
+        """Wait up to ``timeout`` seconds (``None``: until some I/O) and
+        append every leaf that finished meanwhile to ``_results``."""
         raise NotImplementedError
 
     def close(self):

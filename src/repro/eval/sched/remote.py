@@ -50,7 +50,6 @@ import pickle
 import select
 import socket
 import time
-from collections import deque
 
 from repro import obs
 from repro.errors import SimulationError
@@ -130,13 +129,12 @@ class RemoteBackend(Backend):
     CONNECT_TIMEOUT_S = 5.0
 
     def __init__(self, hosts, token=None):
+        super().__init__()
         self._hosts = [_Host(i, addr) for i, addr in enumerate(hosts)]
         self._policy = StealingPolicy(self._hosts, COUNTERS)
         self._token = wire.default_token() if token is None else token
         self._tasks = {}          # name -> _TaskState
         self._by_digest = {}      # fingerprint -> task name
-        self._results = deque()
-        self._outstanding = 0
         self._started = False
         self._cache_sync = os.environ.get("REPRO_SCHED_CACHE_SYNC", "1") != "0"
 
@@ -185,11 +183,10 @@ class RemoteBackend(Backend):
     # Backend protocol
     # ------------------------------------------------------------------
 
-    def submit(self, task):
+    def _launch(self, task):
         self._ensure_started()
         state = _TaskState(task)
         self._tasks[task.name] = state
-        self._outstanding += 1
         alive = self._policy.live()
         if self._cache_sync and task.fingerprint and alive:
             self._by_digest[task.fingerprint] = task.name
@@ -206,27 +203,9 @@ class RemoteBackend(Backend):
         self._dispatch()
         self._tick(0.0)
 
-    def next_result(self, timeout=None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._results:
-            if not self._outstanding:
-                if timeout is not None:
-                    return None
-                raise RuntimeError(
-                    "remote backend has no results and no jobs in flight")
-            wait = self.HEARTBEAT_S / 4
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                wait = min(wait, remaining)
-            self._tick(wait)
-        self._outstanding -= 1
-        return self._results.popleft()
-
-    @property
-    def outstanding(self):
-        return self._outstanding
+    def _poll(self, timeout):
+        cap = self.HEARTBEAT_S / 4           # keep heartbeats flowing
+        self._tick(cap if timeout is None else min(timeout, cap))
 
     def close(self):
         for host in self._policy.live():

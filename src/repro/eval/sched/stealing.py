@@ -27,7 +27,6 @@ merges spans live instead of at pool join.
 import multiprocessing
 import multiprocessing.connection
 import time
-from collections import deque
 
 from repro import obs
 from repro.eval.sched import wire
@@ -95,11 +94,10 @@ class WorkersBackend(Backend):
     name = "workers"
 
     def __init__(self, workers):
+        super().__init__()
         self.workers = max(1, int(workers))
         self.lanes = [_Worker(i) for i in range(self.workers)]
         self._policy = StealingPolicy(self.lanes, COUNTERS)
-        self._results = deque()
-        self._outstanding = 0
         self._started = False
 
     # ------------------------------------------------------------------
@@ -130,10 +128,9 @@ class WorkersBackend(Backend):
     # dispatch
     # ------------------------------------------------------------------
 
-    def submit(self, task):
+    def _launch(self, task):
         self._ensure_started()
         self._policy.place(task)
-        self._outstanding += 1
         self._pump()
 
     def _pump(self):
@@ -179,56 +176,34 @@ class WorkersBackend(Backend):
                       f"{losses} workers in a row"))
         self._pump()
 
-    def next_result(self, timeout=None):
-        """The next finished leaf; ``None`` when ``timeout`` elapses.
-
-        The default (no timeout) blocks until a result is available —
-        the orchestrator's mode.  A timeout makes the call a poll, which
-        is what lets a worker daemon's pump thread multiplex this pool
-        with its coordinator socket.
-        """
-        while not self._results:
-            conns = {lane.conn: lane for lane in self.lanes
-                     if lane.conn is not None and lane.inflight}
-            if not conns:
-                if timeout is not None:
-                    return None
-                raise RuntimeError(
-                    "workers backend has no results and no jobs in "
-                    "flight")
-            ready = multiprocessing.connection.wait(list(conns), timeout)
-            if not ready:
-                return None
-            for conn in ready:
-                lane = conns[conn]
-                try:
-                    env = wire.recv_frame(conn)
-                except (EOFError, OSError):
-                    self._crash(lane)
+    def _poll(self, timeout):
+        """Receive every result frame that arrives within ``timeout``."""
+        conns = {lane.conn: lane for lane in self.lanes
+                 if lane.conn is not None and lane.inflight}
+        for conn in multiprocessing.connection.wait(list(conns), timeout):
+            lane = conns[conn]
+            try:
+                env = wire.recv_frame(conn)
+            except (EOFError, OSError):
+                self._crash(lane)
+                continue
+            except wire.WireError:           # pragma: no cover
+                # Undecodable bytes from a worker: its stream can't be
+                # trusted any more; recycle it like a crash.
+                self._crash(lane)
+                continue
+            result = wire.result_from_envelope(env)
+            if result.name == "?":
+                # The worker rejected a frame it could not decode.  With
+                # a job in flight, fail that job (the frame it rejected
+                # *was* the job); otherwise just log it.
+                obs.registry().inc("orchestrator.worker.wire_errors")
+                if not lane.inflight:
                     continue
-                except wire.WireError:       # pragma: no cover
-                    # Undecodable bytes from a worker: its stream can't
-                    # be trusted any more; recycle it like a crash.
-                    self._crash(lane)
-                    continue
-                result = wire.result_from_envelope(env)
-                if result.name == "?":
-                    # The worker rejected a frame it could not decode.
-                    # With a job in flight, fail that job (the frame it
-                    # rejected *was* the job); otherwise just log it.
-                    obs.registry().inc("orchestrator.worker.wire_errors")
-                    if not lane.inflight:
-                        continue
-                    result.name = next(iter(lane.inflight))
-                lane.inflight.clear()
-                self._results.append(result)
-            self._pump()
-        self._outstanding -= 1
-        return self._results.popleft()
-
-    @property
-    def outstanding(self):
-        return self._outstanding
+                result.name = next(iter(lane.inflight))
+            lane.inflight.clear()
+            self._results.append(result)
+        self._pump()
 
     # ------------------------------------------------------------------
     # shutdown

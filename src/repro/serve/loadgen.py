@@ -18,10 +18,9 @@ CLI::
 
 ``--baseline`` forces ``max_batch=1`` — the one-transaction-per-word
 configuration ``benchmarks/bench_serve.py`` compares against.
-``--word-patterns N`` (a multiple of 64, or ``auto`` for the tuner's
-cached per-design choice) widens the simulation word to an ``N``-slot
-superword; the run record carries a per-width occupancy sketch row so
-wide-word sweeps can be compared run to run.
+``--word-patterns N`` (a positive multiple of 64) widens the simulation
+word to an ``N``-slot superword; the run record carries a per-width
+occupancy sketch row so wide-word sweeps can be compared run to run.
 """
 
 import argparse
@@ -41,6 +40,7 @@ from repro.serve.transactions import (
     Transaction,
     TxKind,
     reference_result,
+    validate_word_patterns,
 )
 
 #: Default traffic mix (fractions sum to 1).
@@ -332,20 +332,14 @@ def _make_scraper(out_dir):
     return scrape
 
 
-def _resolve_word_patterns(value):
-    """Parse ``--word-patterns``: an int, ``"auto"`` or ``None`` (64).
-
-    ``auto`` reads the width the tuner cached for the serving netlist
-    (the ``mf`` unit backs every multiply lane) and never measures, so
-    cold starts stay fast and deterministic.
-    """
-    if value is None:
-        return WORD_PATTERNS
-    if isinstance(value, str) and value.strip().lower() == "auto":
-        from repro.eval.tune import tuned_word_patterns
-
-        return tuned_word_patterns("mf", default=WORD_PATTERNS)
-    return int(value)
+def _word_patterns_arg(text):
+    """``--word-patterns`` type: a bad width is a usage error (exit 2)."""
+    try:
+        return validate_word_patterns(int(text))
+    except ValueError:                       # FormatError is a ValueError
+        raise argparse.ArgumentTypeError(
+            f"must be a positive multiple of {WORD_PATTERNS}, "
+            f"got {text!r}") from None
 
 
 def main(argv=None):
@@ -356,10 +350,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=2017)
     parser.add_argument("--baseline", action="store_true",
                         help="one-transaction-per-word mode (max_batch=1)")
-    parser.add_argument("--word-patterns", default=None, metavar="N|auto",
-                        help="simulation word capacity, a multiple of 64 "
-                             "(default 64); 'auto' reads the per-design "
-                             "width cached by 'python -m repro tune width'")
+    parser.add_argument("--word-patterns", type=_word_patterns_arg,
+                        default=WORD_PATTERNS, metavar="N",
+                        help="simulation word capacity, a positive "
+                             "multiple of 64 (default 64)")
     parser.add_argument("--max-wait", type=float, default=0.02,
                         metavar="SECONDS")
     parser.add_argument("--burst", type=int, default=16, metavar="MEAN",
@@ -400,14 +394,13 @@ def main(argv=None):
             telemetry_port = 0
         before_stop = _make_scraper(args.scrape_dir)
 
-    word_patterns = _resolve_word_patterns(args.word_patterns)
     if args.trace:
         obs.start_trace()
     record = run_load(
         requests=args.requests, seed=args.seed, baseline=args.baseline,
         max_wait=args.max_wait, burst_mean=args.burst,
         specials=args.specials, telemetry_port=telemetry_port, before_stop=before_stop,
-        word_patterns=word_patterns)
+        word_patterns=args.word_patterns)
     if args.trace:
         obs.write_trace(args.trace)
     if args.metrics_json:

@@ -7,9 +7,8 @@ bit-parallel simulator, whose per-run cost is dominated by the gate
 count, not the pattern count.  Filling every pattern slot of a word
 therefore buys ``word_patterns`` transactions for roughly the price of
 one; ``word_patterns`` is a multiple of 64 (``W`` 64-pattern limbs per
-packed net value, tuned per design by ``python -m repro tune width``),
-so a wide-word server amortizes each kernel pass over several base
-words.
+packed net value, given explicitly by the caller), so a wide-word
+server amortizes each kernel pass over several base words.
 
 Architecture::
 
@@ -145,9 +144,7 @@ class Server:
     ----------
     word_patterns:
         Pattern capacity of one simulation word — a multiple of 64;
-        ``word_patterns // 64`` limbs are packed per net value.  The
-        width auto-tuner (``python -m repro tune width``) measures the
-        per-design sweet spot.
+        ``word_patterns // 64`` limbs are packed per net value.
     max_batch:
         Patterns coalesced per simulation word (1..``word_patterns``,
         default the full word).  ``max_batch=1`` is the

@@ -188,22 +188,17 @@ def test_perf_check_window_flag(tmp_path, capsys):
     assert perf.main(argv + ["--window", "1"]) == 0
 
 
-def test_tune_width_seed_repeats_no_cache_json_flags(monkeypatch, capsys):
-    from repro.eval import tune
+@pytest.mark.parametrize("width", ["100", "foo", "auto"])
+def test_loadgen_word_patterns_rejects_bad_widths_at_parse_time(width,
+                                                               capsys):
+    from repro.serve.loadgen import main
 
-    calls = []
-
-    def fake_profile(design, widths, seed, repeats, clock):
-        calls.append((design, seed, repeats))
-        return [{"width": w, "patterns": w * 64, "ms": 1.0,
-                 "ms_per_pattern": 1.0 / w} for w in widths]
-
-    monkeypatch.setattr(tune, "profile_widths", fake_profile)
-    assert tune.main(["width", "--design", "r4", "--seed", "5",
-                      "--repeats", "1", "--no-cache", "--json"]) == 0
-    assert calls == [("r4", 5, 1)]
-    (result,) = json.loads(capsys.readouterr().out)
-    assert result["width"] == max(tune.WIDTHS)
+    with pytest.raises(SystemExit) as exc:
+        main(["--word-patterns", width])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --word-patterns: must be a positive multiple " \
+           f"of 64, got {width!r}" in err
 
 
 def test_worker_no_cache_and_telemetry_port_flags(monkeypatch, tmp_path):
@@ -232,3 +227,25 @@ def test_worker_no_cache_and_telemetry_port_flags(monkeypatch, tmp_path):
             daemon.main(argv + ["--telemetry-port", "0"])
     assert caches[0] is None
     assert caches[1] is not None and caches[1].root == tmp_path
+
+
+# ----------------------------------------------------------------------
+# the subcommand table
+# ----------------------------------------------------------------------
+
+def test_every_subcommand_module_exposes_main():
+    import importlib
+
+    from repro.__main__ import _SUBCOMMANDS
+
+    for name, module in _SUBCOMMANDS.items():
+        assert callable(importlib.import_module(module).main), name
+
+
+def test_retired_tune_subcommand_is_an_unknown_experiment(capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "width"])
+    assert exc.value.code == 2
+    assert "unknown experiments: tune, width" in capsys.readouterr().err

@@ -13,9 +13,7 @@ layer —
   :func:`~repro.serve.transactions.reference_result` at
   ``word_patterns`` 64, 256 and 1024 and at batch-of-one (W=1);
 * a fault campaign over a full-battery-width word matches the
-  clone-and-re-simulate reference verdict for verdict;
-* the width auto-tuner is deterministic for a fixed profile and
-  round-trips through the content-addressed result cache.
+  clone-and-re-simulate reference verdict for verdict.
 """
 
 import random
@@ -187,41 +185,3 @@ def test_campaign_engine_shares_one_golden_run():
                        battery_patterns=128)
     clear_campaign_cache()
     assert (reg.counter_value("fault.golden_runs") or 0) - before == 1
-
-
-# ---------------------------------------------------------------------------
-# width auto-tuner: deterministic knee, cache round trip
-# ---------------------------------------------------------------------------
-
-def test_pick_width_knee_is_deterministic():
-    from repro.eval.tune import pick_width
-
-    profile = [
-        {"width": 1, "ms_per_pattern": 0.100},
-        {"width": 2, "ms_per_pattern": 0.055},
-        {"width": 4, "ms_per_pattern": 0.022},
-        {"width": 8, "ms_per_pattern": 0.021},
-        {"width": 16, "ms_per_pattern": 0.0209},
-    ]
-    # 0.022 <= 1.1 * 0.0209: the knee prefers the smallest near-best width.
-    assert pick_width(profile) == 4
-    assert pick_width(list(reversed(profile))) == 4
-    # A strictly improving profile picks the widest width.
-    steep = [{"width": w, "ms_per_pattern": 1.0 / w}
-             for w in (1, 2, 4, 8)]
-    assert pick_width(steep) == 8
-
-
-def test_tune_width_cache_round_trip(tmp_path):
-    from repro.eval.cache import ResultCache
-    from repro.eval.tune import tune_width, tuned_word_patterns
-
-    cache = ResultCache(root=tmp_path)
-    profile = [{"width": 1, "ms_per_pattern": 0.5},
-               {"width": 4, "ms_per_pattern": 0.1}]
-    result = tune_width("r16", cache=cache, profile=profile)
-    assert result["word_patterns"] == 256
-    assert tuned_word_patterns("r16", cache=cache) == 256
-    # A different design (or empty cache) falls back to the default.
-    assert tuned_word_patterns("mf", cache=cache, default=64) == 64
-    assert tuned_word_patterns("r16", cache=False, default=64) == 64
