@@ -36,6 +36,15 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _SUBCOMMANDS:
+        # Each subcommand owns its CLI; hand it the remaining arguments.
+        module = importlib.import_module(_SUBCOMMANDS[argv[0]])
+        return module.main(argv[1:])
+
+    from repro.hdl.power.monte_carlo import cycles_arg
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduce the tables and figures of Nannarelli, "
@@ -46,15 +55,9 @@ def main(argv=None):
                              "tables and figures); or "
                              "'export-verilog <which> <path>' where "
                              "<which> is one of r4/r8/r16/mf/reducer")
-    parser.add_argument("--cycles", type=int, default=16,
+    parser.add_argument("--cycles", type=cycles_arg, default=16,
                         help="Monte Carlo cycles for the power "
-                             "experiments (default 16)")
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in _SUBCOMMANDS:
-        # Each subcommand owns its CLI; hand it the remaining arguments.
-        module = importlib.import_module(_SUBCOMMANDS[argv[0]])
-        return module.main(argv[1:])
+                             "experiments (at least 2; default 16)")
     args = parser.parse_args(argv)
 
     if args.targets and args.targets[0] == "export-verilog":

@@ -3,10 +3,10 @@
 The leaf jobs of the experiment graphs in
 :mod:`repro.eval.orchestrator`: each single-leaf ``experiment_*``
 function regenerates one table or figure, and the ``table3_*`` /
-``table5_*`` functions are the per-point leaves, shards and merges of
-the Monte Carlo power tables.  Each experiment ends in a result object
-with the measured values, the paper's published values, and a
-``render()`` method producing the paper-vs-measured report.  Run one
+``table5_*`` functions are the per-point leaves of the Monte Carlo
+power tables.  Each experiment ends in a result object with the
+measured values, the paper's published values, and a ``render()``
+method producing the paper-vs-measured report.  Run one
 with ``run_experiment(name, **params)``; DESIGN.md's experiment index
 maps each to its claims in ``tests/test_paper_claims.py``.
 
@@ -46,11 +46,7 @@ from repro.eval.tables import paper_vs_measured, render_table
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
 from repro.hdl.library import FO4_PS, default_library
-from repro.hdl.power.monte_carlo import (
-    estimate_power,
-    power_replay_shard,
-    power_report_from_shards,
-)
+from repro.hdl.power.monte_carlo import estimate_power
 from repro.hdl.timing.sta import analyze, critical_path_breakdown
 
 #: Published values (the paper's Tables I, II, III and V).
@@ -272,31 +268,6 @@ def table3_power_point(key, n_cycles=64, seed=2017):
                           n_cycles).total_mw
 
 
-def table3_power_shard(key, t_first, t_last, n_cycles=64, seed=2017):
-    """One stealable cycle-window of a Table III power point.
-
-    Replays glitch transitions ``t_first..t_last`` only; the window set
-    comes from :func:`repro.hdl.power.monte_carlo.power_shard_plan` and
-    :func:`table3_point_from_shards` merges the pieces back into the
-    exact monolithic :func:`table3_power_point` value.
-    """
-    which = dict(TABLE3_CONFIGS)[key]
-    gen = WorkloadGenerator(seed)
-    stim = gen.multiplier_stimulus(n_cycles)
-    return power_replay_shard(cached_module(which), default_library(),
-                              stim, n_cycles, t_first, t_last)
-
-
-def table3_point_from_shards(key, shards, n_cycles=64, seed=2017):
-    """Deterministic merge of :func:`table3_power_shard` outputs."""
-    which = dict(TABLE3_CONFIGS)[key]
-    gen = WorkloadGenerator(seed)
-    stim = gen.multiplier_stimulus(n_cycles)
-    return power_report_from_shards(cached_module(which),
-                                    default_library(), stim, n_cycles,
-                                    shards).total_mw
-
-
 # ----------------------------------------------------------------------
 # Table IV — IEEE 754 binary format parameters
 # ----------------------------------------------------------------------
@@ -371,47 +342,13 @@ def table5_format_point(fmt, n_cycles=64, seed=2017, issue_mhz=880.0):
 
     Returns the ``(mW @100MHz, GFLOPS, GFLOPS/W)`` triple for ``fmt``.
     """
-    lib = default_library()
-    module = cached_module("mf")
     gen = WorkloadGenerator(seed)
     stim = gen.mf_stimulus(fmt, n_cycles)
-    return _table5_triple(fmt, estimate_power(module, lib, stim, n_cycles),
-                          issue_mhz)
-
-
-def _table5_triple(fmt, rep, issue_mhz):
-    """``(mW @100MHz, GFLOPS, GFLOPS/W)`` of one format's power report."""
+    rep = estimate_power(cached_module("mf"), default_library(), stim,
+                         n_cycles)
     gflops = TABLE5_FLOPS[fmt] * issue_mhz / 1000.0
     watts = rep.scaled_to(issue_mhz).total_mw / 1000.0
     return (rep.total_mw, gflops, gflops / watts)
-
-
-def table5_power_shard(fmt, t_first, t_last, n_cycles=64, seed=2017,
-                       issue_mhz=880.0):
-    """One stealable cycle-window of a Table V format power point.
-
-    ``issue_mhz`` is accepted (and ignored — scaling happens in the
-    merge) so the whole point family shares one parameter set.
-    """
-    del issue_mhz
-    gen = WorkloadGenerator(seed)
-    stim = gen.mf_stimulus(fmt, n_cycles)
-    return power_replay_shard(cached_module("mf"), default_library(),
-                              stim, n_cycles, t_first, t_last)
-
-
-def table5_point_from_shards(fmt, shards, n_cycles=64, seed=2017,
-                             issue_mhz=880.0):
-    """Deterministic merge of :func:`table5_power_shard` outputs.
-
-    Returns the same ``(mW @100MHz, GFLOPS, GFLOPS/W)`` triple as
-    :func:`table5_format_point`.
-    """
-    gen = WorkloadGenerator(seed)
-    stim = gen.mf_stimulus(fmt, n_cycles)
-    rep = power_report_from_shards(cached_module("mf"), default_library(),
-                                   stim, n_cycles, shards)
-    return _table5_triple(fmt, rep, issue_mhz)
 
 
 def mf_max_freq_mhz():

@@ -366,54 +366,12 @@ def _single(fn, weight=1.0):
     return build
 
 
-#: Target glitch-replay transitions per stealable Monte Carlo leaf.
-MC_SHARD_TRANSITIONS = 16
-
-
-def _merge_mc_shards(deps, _finish=None, _order=(), **params):
-    """Per-point merge: ordered shard outputs into a finish function."""
-    shards = [deps[name] for name in _order]
-    return resolve_fn(_finish)(shards=shards, **params)
-
-
-def _mc_point_jobs(point_name, leaf_fn, shard_fn, finish_fn, weight,
-                   point_params):
-    """Jobs for one Monte Carlo power point.
-
-    When the shard plan has more than one cycle window the point
-    decomposes into per-window stealable leaves plus a deterministic
-    parent-side merge (named ``point_name``, so downstream deps are
-    unchanged).  A single-window plan keeps the classic monolithic leaf
-    — same name, same cache key, no merge overhead.
-    """
-    from repro.hdl.power.monte_carlo import power_shard_plan
-
-    n_cycles = point_params.get("n_cycles", 64)
-    windows = power_shard_plan(n_cycles, MC_SHARD_TRANSITIONS)
-    if len(windows) <= 1:
-        return [job(point_name, leaf_fn, weight=weight, **point_params)]
-    shard_weight = max(weight / len(windows), 0.5)
-    leaves = [job(f"{point_name}/t{a}-{b}", shard_fn, weight=shard_weight,
-                  t_first=a, t_last=b, **point_params)
-              for a, b in windows]
-    return leaves + [job(point_name, _merge_mc_shards,
-                         deps=[leaf.name for leaf in leaves],
-                         cacheable=False, _finish=finish_fn,
-                         _order=tuple(leaf.name for leaf in leaves),
-                         **point_params)]
-
-
 def _table3_jobs(name, params):
     from repro.eval.experiments import TABLE3_CONFIGS
 
-    jobs = []
-    for key, __ in TABLE3_CONFIGS:
-        jobs.extend(_mc_point_jobs(
-            f"{name}/{key}",
-            "repro.eval.experiments:table3_power_point",
-            "repro.eval.experiments:table3_power_shard",
-            "repro.eval.experiments:table3_point_from_shards",
-            4.0, dict(params, key=key)))
+    jobs = [job(f"{name}/{key}", "repro.eval.experiments:table3_power_point",
+                weight=4.0, **dict(params, key=key))
+            for key, __ in TABLE3_CONFIGS]
     return jobs + [job(name, _merge_keyed,
                        deps=[f"{name}/{key}"
                              for key, __ in TABLE3_CONFIGS],
@@ -426,14 +384,9 @@ def _table3_jobs(name, params):
 def _table5_jobs(name, params):
     from repro.eval.experiments import TABLE5_FLOPS
 
-    jobs = []
-    for fmt in TABLE5_FLOPS:
-        jobs.extend(_mc_point_jobs(
-            f"{name}/{fmt}",
-            "repro.eval.experiments:table5_format_point",
-            "repro.eval.experiments:table5_power_shard",
-            "repro.eval.experiments:table5_point_from_shards",
-            3.0, dict(params, fmt=fmt)))
+    jobs = [job(f"{name}/{fmt}", "repro.eval.experiments:table5_format_point",
+                weight=3.0, **dict(params, fmt=fmt))
+            for fmt in TABLE5_FLOPS]
     jobs.append(job(f"{name}/max_freq",
                     "repro.eval.experiments:mf_max_freq_mhz", weight=0.5))
     keys = tuple(TABLE5_FLOPS) + ("max_freq",)

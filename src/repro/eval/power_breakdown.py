@@ -3,9 +3,9 @@
 ``python -m repro.eval.power_breakdown --format fp32x2`` runs the
 multi-format unit's Monte Carlo power estimate with attribution enabled
 and prints the glitch-vs-functional split by named sub-block, cell type
-and pipeline stage, plus the top-N hot nets.  ``--module r16`` (or any
-other :func:`repro.eval.experiments.cached_module` key) breaks down the
-standalone multipliers under the Table III random stimulus instead.
+and pipeline stage, plus the top-N hot nets.  ``--module r16`` (or
+another of :data:`MODULES`) breaks down the standalone multipliers
+under the Table III random stimulus instead.
 
 Attribution is a pure observer: the headline ``PowerReport`` numbers
 are bit-identical with it on or off, and the per-block totals sum to
@@ -19,7 +19,7 @@ import sys
 from repro.eval.experiments import cached_module
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.library import default_library
-from repro.hdl.power.monte_carlo import estimate_power
+from repro.hdl.power.monte_carlo import cycles_arg, estimate_power
 
 #: Accepted ``--format`` spellings; the paper writes the dual-lane
 #: binary32 mode "fp32x2", the workload generator calls it "fp32_dual".
@@ -31,6 +31,11 @@ FORMAT_ALIASES = {
     "fp32_single": "fp32_single",
     "fp32x1": "fp32_single",
 }
+
+
+#: The ``--module`` netlists a stimulus exists for: the multi-format
+#: unit and the standalone multipliers.
+MODULES = ("mf", "r4", "r4_pipe", "r8", "r16", "r16_pipe")
 
 
 def run_breakdown(module_name="mf", fmt="fp32_dual", n_cycles=64,
@@ -78,15 +83,14 @@ def main(argv=None):
         prog="python -m repro.eval.power_breakdown",
         description="Per-net power attribution (glitch vs functional, "
                     "by sub-block / cell / pipeline stage).")
-    parser.add_argument("--module", default="mf",
-                        help="netlist to break down: mf (default), r4, "
-                             "r8, r16, r4_pipe, r16_pipe, reducer")
+    parser.add_argument("--module", default="mf", choices=MODULES,
+                        help="netlist to break down (default mf)")
     parser.add_argument("--format", default="fp32_dual",
                         choices=sorted(FORMAT_ALIASES),
                         help="multi-format stimulus mode (mf module only; "
                              "fp32x2 == fp32_dual)")
-    parser.add_argument("--cycles", type=int, default=64,
-                        help="Monte Carlo cycles (default 64)")
+    parser.add_argument("--cycles", type=cycles_arg, default=64,
+                        help="Monte Carlo cycles (at least 2; default 64)")
     parser.add_argument("--seed", type=int, default=2017)
     parser.add_argument("--top", type=int, default=10,
                         help="hot nets to list (default 10)")

@@ -219,6 +219,7 @@ def main(argv=None):
                              "(default 1 = serial; same output bytes "
                              "either way)")
     from repro.eval.sched import BACKEND_CHOICES
+    from repro.hdl.power.monte_carlo import cycles_arg
 
     parser.add_argument("--backend", default="auto",
                         choices=BACKEND_CHOICES,
@@ -263,9 +264,9 @@ def main(argv=None):
                              "cache probes, module builds, compiles, "
                              "replays) and write them to PATH — load in "
                              "https://ui.perfetto.dev")
-    parser.add_argument("--cycles", type=int, default=12,
+    parser.add_argument("--cycles", type=cycles_arg, default=12,
                         help="Monte Carlo cycles for the power "
-                             "experiments (default 12)")
+                             "experiments (at least 2; default 12)")
     parser.add_argument("--mutations", type=int, default=12,
                         help="mutations per fault-injection campaign "
                              "(default 12)")

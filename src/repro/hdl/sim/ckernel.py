@@ -21,7 +21,7 @@ words onto the input nets, ``lv_settle`` walks the node table of
 :mod:`repro.hdl.sim.compile` (an opcode per cell kind whose C case is
 generated from the kind's :data:`~repro.hdl.cell.CELL_KINDS` row, the
 same expression as the Python kernel's statement; registers a
-limb-carrying ``<< 1`` masked by the register mask), ``lv_unpack``
+limb-carrying ``<< 1`` masked by the all-patterns mask), ``lv_unpack``
 transposes output buses back to words and ``lv_toggles`` counts
 windowed zero-delay toggles — all bit-identical to the generated-Python
 kernel and ``bit_transpose``, which stay as the fallback.
@@ -344,9 +344,9 @@ void lv_unpack(const uint64_t *v, int32_t L, const int32_t *nets,
 
 /* One bit-parallel settle over n_patterns patterns: every node-table
  * row in order.  A register shifts its d row up one pattern, carrying
- * bit 63 of each limb into the next, masked by reg_mask (L limbs). */
+ * bit 63 of each limb into the next, masked by the all-patterns mask. */
 void lv_settle(const int32_t *nodes, int32_t n_nodes, uint64_t *v,
-               int64_t n_patterns, const uint64_t *reg_mask)
+               int64_t n_patterns)
 {
     int32_t L = (int32_t)((n_patterns + 63) / 64);
     uint64_t last = n_patterns % 64
@@ -367,7 +367,8 @@ void lv_settle(const int32_t *nodes, int32_t n_nodes, uint64_t *v,
             uint64_t carry = 0;
             for (int32_t k = 0; k < L; k++) {
                 uint64_t x = a[k];
-                o[k] = ((x << 1) | carry) & reg_mask[k];
+                uint64_t M = k + 1 < L ? ~(uint64_t)0 : last;
+                o[k] = ((x << 1) | carry) & M;
                 carry = x >> 63;
             }
             break;
@@ -471,7 +472,7 @@ _SIGNATURES = {
     ]),
     "lv_pack": (None, [_P, _I64, _I32, _P, _I32, _P, _I32]),
     "lv_unpack": (None, [_P, _I32, _P, _I32, _I64, _P]),
-    "lv_settle": (None, [_P, _I32, _P, _I64, _P]),
+    "lv_settle": (None, [_P, _I32, _P, _I64]),
     "lv_toggles": (None, [_P, _I32, _I32, _I64, _I64, _P]),
     "lv_seed": (None, [_P, _I32, _I32, _I64, _P]),
     "lv_window": (None, [_P, _I32, _P, _I32, _I64, _P]),
@@ -628,14 +629,11 @@ class LimbBuffer:
         self.lib.lv_pack(_addr(data), len(words), n_limbs, _addr(nets),
                          width, _addr(self.raw), self.n_limbs)
 
-    def settle(self, node_table, reg_mask):
-        """Run a module's node table over the buffer; ``reg_mask`` is
-        the register shift mask as a Python int."""
-        mask_limbs = bytearray(reg_mask.to_bytes(8 * self.n_limbs,
-                                                 "little"))
+    def settle(self, node_table):
+        """Run a module's node table over the buffer."""
         self.lib.lv_settle(_addr(node_table),
                            len(node_table) // NODE_FIELDS, _addr(self.raw),
-                           self.n_patterns, _addr(mask_limbs))
+                           self.n_patterns)
 
     def bus_words(self, bus, n):
         """Patterns ``0 .. n-1``' words on ``bus`` (LSB-first)."""

@@ -58,7 +58,7 @@ from repro.hdl.cell import CELL_KINDS, cell_kind, cell_num_inputs
 from repro.hdl.sim.toposort import topo_node_order
 
 #: Node-table opcode of each cell kind, then the two non-gate nodes: a
-#: register (``q = (d << 1) & R``) and a constant-1 net (``out = M``).
+#: register (``q = (d << 1) & M``) and a constant-1 net (``out = M``).
 OPCODES = {kind: op for op, kind in enumerate(CELL_KINDS)}
 OP_REG = len(OPCODES)
 OP_ONE = OP_REG + 1
@@ -78,18 +78,14 @@ def gate_expr(gate, mask_name="M"):
 
 
 def _compile_chunks(statements, tag):
-    """Exec chunks of statements as ``def _k(v, M, R)`` functions.
-
-    ``M`` is the all-patterns mask; ``R`` is the register shift mask
-    (``M`` for a plain run, ``M & ~segment_starts`` for a segmented
-    superword run — see :meth:`CompiledModule.run_levelized`).
-    """
+    """Exec chunks of statements as ``def _k(v, M)`` functions;
+    ``M`` is the all-patterns mask."""
     fns = []
     with obs.span("compile:kernel", cat="compile", tag=tag,
                   statements=len(statements)):
         for start in range(0, len(statements), CHUNK_STATEMENTS):
             body = statements[start:start + CHUNK_STATEMENTS] or ["pass"]
-            src = "def _k(v, M, R):\n    " + "\n    ".join(body)
+            src = "def _k(v, M):\n    " + "\n    ".join(body)
             namespace = {}
             code = compile(src, f"<repro.hdl.sim.compile:{tag}:{start}>",
                            "exec")
@@ -155,19 +151,11 @@ class CompiledModule:
     #: A :meth:`with_gate` result's ``(base module, patched position)``.
     _patch: Optional[tuple] = field(repr=False, default=None)
 
-    def run_levelized(self, values, m, reg_mask=None):
-        """Evaluate every gate and register time-shift, bit-parallel.
-
-        ``reg_mask`` (default: ``m``) masks the register time shifts —
-        a segmented superword run passes ``m & ~segment_start_bits`` so
-        each segment's first pattern sees a cleared flip-flop bank,
-        which is exactly what makes concatenated independent stimulus
-        sequences bit-identical to separate runs.
-        """
-        if reg_mask is None:
-            reg_mask = m
+    def run_levelized(self, values, m):
+        """Evaluate every gate and register time-shift, bit-parallel,
+        over the patterns of the all-patterns mask ``m``."""
         for fn in self._levelized_fns():
-            fn(values, m, reg_mask)
+            fn(values, m)
 
     def _levelized_fns(self):
         """The generated levelized kernel, one function per chunk of
@@ -189,7 +177,7 @@ class CompiledModule:
                     stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
                 else:
                     reg = registers[-node - 1]
-                    stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & R")
+                    stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & M")
             chunks = _compile_chunks(stmts, f"{self._tag}:levelized")
             first = lo // CHUNK_STATEMENTS
             fns[first:first + len(chunks)] = chunks
@@ -239,7 +227,7 @@ class CompiledModule:
                  for node in self._order if node >= 0],
                 f"{self._tag}:settle")
         for fn in fns:
-            fn(values, 1, 1)
+            fn(values, 1)
 
     def make_gate_evals(self, values):
         """Per-gate re-evaluation closures over ``values``.

@@ -28,8 +28,6 @@ a one-gate fault-campaign mutant (``CompiledModule.with_gate``) — on
 either kernel, through the same settle path.
 """
 
-from typing import List, Tuple
-
 from repro.bits.utils import mask, popcount
 from repro.errors import SimulationError
 from repro.hdl.sim import ckernel
@@ -139,8 +137,9 @@ def bit_transpose(rows, width):
     return cols
 
 
-class _PackedRun:
-    """Per-net packed pattern words, native or Python.
+class SimRun:
+    """Result of one levelized run: per-net packed pattern words, native
+    or Python.
 
     A native run keeps the kernel's :class:`~repro.hdl.sim.ckernel.LimbBuffer`
     and answers bus words and toggle counts from it; ``values`` — the
@@ -149,7 +148,8 @@ class _PackedRun:
     (one representation alive at a time).
     """
 
-    def __init__(self, values=None, limbs=None):
+    def __init__(self, n_patterns, values=None, limbs=None):
+        self.n_patterns = n_patterns
         self._values = values
         self._limbs = limbs
 
@@ -167,22 +167,6 @@ class _PackedRun:
         of a native run, else :attr:`values` — as
         :meth:`~repro.hdl.sim.event.EventSimulator.replay` takes them."""
         return self._limbs if self._limbs is not None else self._values
-
-    def _toggles(self, off, n):
-        """Zero-delay toggles of every net over patterns ``off ..
-        off+n-1``: a popcount of ``v ^ (v >> 1)`` in that window."""
-        if self._limbs is not None:
-            return self._limbs.toggles(off, off + n - 1)
-        m = (mask(n - 1) << off) if n > 1 else 0
-        return [popcount((v ^ (v >> 1)) & m) for v in self._values]
-
-
-class SimRun(_PackedRun):
-    """Result of one levelized run."""
-
-    def __init__(self, n_patterns, values=None, limbs=None):
-        super().__init__(values, limbs)
-        self.n_patterns = n_patterns
 
     def net_value(self, net, t):
         return (self.values[net] >> t) & 1
@@ -210,70 +194,13 @@ class SimRun(_PackedRun):
                              self.n_patterns)
 
     def toggles_per_net(self):
-        """Zero-delay toggle count of every net across consecutive patterns."""
-        return self._toggles(0, self.n_patterns)
-
-
-class SegmentedRun(_PackedRun):
-    """Result of one superword run over concatenated independent segments.
-
-    The packed words cover every segment back to back;
-    ``segments[i]`` is segment ``i``'s ``(offset, n_patterns)`` window.
-    Because the register shifts were masked at each segment's first
-    pattern, bits ``offset .. offset+n-1`` of every net are
-    **bit-identical** to an independent :meth:`LevelizedSimulator.run`
-    over that segment alone — consumers may therefore window straight
-    into the shared words (toggle counts, glitch-replay seeding) without
-    extracting per-segment copies.
-    """
-
-    def __init__(self, segments, values=None, limbs=None):
-        super().__init__(values, limbs)
-        self.segments: List[Tuple[int, int]] = segments
-
-    @property
-    def n_patterns(self):
-        """Total patterns across every segment (the superword width)."""
-        off, n = self.segments[-1]
-        return off + n
-
-    def segment_run(self, i):
-        """Segment ``i`` extracted as an independent :class:`SimRun`."""
-        off, n = self.segments[i]
-        m = mask(n)
-        return SimRun(n_patterns=n,
-                      values=[(v >> off) & m for v in self.values])
-
-    def toggles_per_net(self, i):
-        """Zero-delay toggles of every net *within* segment ``i``.
-
-        Equal to ``segment_run(i).toggles_per_net()`` without the
-        extraction: the transition window is just the segment's pattern
-        window.
-        """
-        return self._toggles(*self.segments[i])
-
-
-def segment_plan(lengths):
-    """``(segments, total, boundary_bits)`` for concatenated runs.
-
-    ``segments`` are ``(offset, n_patterns)`` pairs, ``boundary_bits``
-    has a 1 at each segment's first pattern — the positions whose
-    register shift-in must be cleared so every segment starts from a
-    zeroed flip-flop bank, exactly like an independent run.
-    """
-    segments = []
-    boundary = 0
-    off = 0
-    for n in lengths:
-        if n < 1:
-            raise SimulationError("every segment needs at least one pattern")
-        segments.append((off, n))
-        boundary |= 1 << off
-        off += n
-    if not segments:
-        raise SimulationError("need at least one segment")
-    return segments, off, boundary
+        """Zero-delay toggle count of every net across consecutive
+        patterns: a popcount of ``v ^ (v >> 1)`` below the last pattern."""
+        n = self.n_patterns
+        if self._limbs is not None:
+            return self._limbs.toggles(0, n - 1)
+        m = mask(n - 1)
+        return [popcount((v ^ (v >> 1)) & m) for v in self._values]
 
 
 class LevelizedSimulator:
@@ -302,72 +229,29 @@ class LevelizedSimulator:
 
         ``stimulus`` maps input bus names to lists of integer words, one
         per pattern (missing patterns default to 0; missing buses raise).
+        On the native kernel the run's words stay in a
+        :class:`~repro.hdl.sim.ckernel.LimbBuffer`; on the Python kernel
+        they are per-net Python ints.
         """
         if n_patterns < 1:
             raise SimulationError("need at least one pattern")
-        self._check_inputs(stimulus)
-        columns = {name: stimulus[name][:n_patterns]
-                   for name in self.module.inputs}
-        # The register shift-in at pattern 0 is always 0, so the plain
-        # all-patterns mask is also the register mask.
-        return SimRun(n_patterns=n_patterns,
-                      **self._settle(columns, n_patterns, mask(n_patterns)))
-
-    def run_segments(self, jobs):
-        """Simulate several independent stimulus sequences in ONE kernel
-        invocation — a W×64-pattern superword settle pass.
-
-        ``jobs`` is a sequence of ``(stimulus, n_patterns)`` pairs (each
-        exactly as :meth:`run` takes them).  The per-input pattern lists
-        are concatenated back to back into one wide word and the
-        register time shifts are masked at each segment's first pattern
-        (``q = (d << 1) & m & ~boundary``), so segment ``k`` never sees
-        segment ``k-1``'s trailing flip-flop state.  The returned
-        :class:`SegmentedRun` is therefore **bit-identical**, segment by
-        segment, to ``len(jobs)`` separate :meth:`run` calls — while
-        paying the per-gate overhead once.
-        """
-        segments, total, boundary = segment_plan([n for __, n in jobs])
-        for stimulus, __ in jobs:
-            self._check_inputs(stimulus)
-        columns = {}
-        for name in self.module.inputs:
-            merged = []
-            for stimulus, n in jobs:
-                words = stimulus[name][:n]
-                merged.extend(words)
-                if len(words) < n:
-                    merged.extend([0] * (n - len(words)))
-            columns[name] = merged
-        return SegmentedRun(segments=segments,
-                            **self._settle(columns, total,
-                                           mask(total) & ~boundary))
-
-    def _check_inputs(self, stimulus):
-        for name in self.module.inputs:
+        module = self.module
+        for name in module.inputs:
             if name not in stimulus:
                 raise SimulationError(f"no stimulus for input bus {name!r}")
-
-    def _settle(self, columns, total, reg_mask):
-        """Pack ``columns`` (input bus -> words from pattern 0) and settle
-        ``total`` patterns.  Returns the run's words as keyword
-        arguments: ``limbs`` (a :class:`~repro.hdl.sim.ckernel.LimbBuffer`)
-        in the native library, else ``values`` (per-net Python ints)."""
-        module = self.module
-        kernel = self._kernel
         if self._lib is not None:
-            buf = ckernel.LimbBuffer(self._lib, module.n_nets, total)
+            buf = ckernel.LimbBuffer(self._lib, module.n_nets, n_patterns)
             for name, bus in module.inputs.items():
-                buf.pack(bus, columns[name])
-            buf.settle(kernel.node_table, reg_mask)
-            return {"limbs": buf}
-        m = mask(total)
+                buf.pack(bus, stimulus[name][:n_patterns])
+            buf.settle(self._kernel.node_table)
+            return SimRun(n_patterns, limbs=buf)
+        m = mask(n_patterns)
         values = [0] * module.n_nets
         for name, bus in module.inputs.items():
-            packed = bit_transpose(columns[name], len(bus))
+            packed = bit_transpose(stimulus[name][:n_patterns], len(bus))
             for i, net in enumerate(bus):
                 values[net] = packed[i]
         for net, cval in module.constants.items():
             values[net] = m if cval else 0
-        kernel.run_levelized(values, m, reg_mask)
-        return {"values": values}
+        self._kernel.run_levelized(values, m)
+        return SimRun(n_patterns, values=values)

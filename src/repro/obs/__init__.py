@@ -10,8 +10,8 @@ Everything quantitative the stack reports flows through this package:
 * :mod:`repro.obs.schema` — the enforced ``sim_stats`` key schema both
   power engines emit.
 
-Worker-process protocol (what the orchestrator and the Monte Carlo
-shards use): the child calls :func:`task_begin` before its work and
+Worker-process protocol (what the orchestrator's worker backends
+use): the child calls :func:`task_begin` before its work and
 returns :func:`task_collect`'s payload with its result; the parent
 folds it in with :func:`task_merge`.  Combined with the registries'
 pid guards, child metrics merge exactly once — never double-counted,

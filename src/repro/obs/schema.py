@@ -13,8 +13,7 @@ from typing import Dict
 #: used when an engine has nothing to report for it.
 SIM_STATS_DEFAULTS: Dict[str, object] = {
     "engine": "unknown",          # "wheel" | "zero-delay"
-    "kernel": "none",             # "c" | "python" | "mixed" | "none"
-    "workers": 1,
+    "kernel": "none",             # "c" | "python" | "none"
     "transitions": 0,
     "events_processed": 0,
     "cancellations": 0,

@@ -164,6 +164,31 @@ def test_power_breakdown_seed_and_top_flags(capsys):
     assert "-- top 2 hot nets" in out
 
 
+@pytest.mark.parametrize("program,argv,message", [
+    *[pytest.param(program, [*args, "--cycles", cycles],
+                   "at least two cycles", id=f"{program}--cycles={cycles}")
+      for program, args in (("repro", ["table3"]),
+                            ("repro.eval.report", []),
+                            ("repro.eval.power_breakdown", []))
+      for cycles in ("0", "1")],
+    *[pytest.param("repro.eval.power_breakdown", ["--module", module],
+                   "invalid choice", id=f"repro.eval.power_breakdown--module={module}")
+      for module in ("reducer", "bogus")],
+])
+def test_cycles_and_module_reject_unusable_values(program, argv, message,
+                                                  capsys):
+    """``--cycles`` below 2 and a ``--module`` without a stimulus are
+    usage errors (exit 2), not tracebacks from the simulator."""
+    import importlib
+
+    main = importlib.import_module(
+        "repro.__main__" if program == "repro" else program).main
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cache_stats_json_flag(tmp_path, capsys):
     from repro.eval import cache as cache_cli
 

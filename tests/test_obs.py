@@ -521,45 +521,10 @@ class TestPowerAttribution:
 
 
 # ----------------------------------------------------------------------
-# worker processes: Monte Carlo shard leaves and orchestrator workers
+# worker processes: orchestrator workers
 # ----------------------------------------------------------------------
 
 class TestWorkerMerge:
-    def test_sharded_monte_carlo_merges_without_double_count(self):
-        from repro.eval.experiments import table3_power_point
-        from repro.eval.orchestrator import _mc_point_jobs, run_graph
-
-        n_cycles = 18                  # 17 transitions -> two windows
-        module, stim = _module_and_stim(n_cycles)
-        lib = default_library()
-        reg = obs.registry()
-
-        serial = estimate_power(module, lib, stim, n_cycles)
-        serial_snap = reg.snapshot()
-        reg.reset()
-        jobs = _mc_point_jobs(
-            "pt", "repro.eval.experiments:table3_power_point",
-            "repro.eval.experiments:table3_power_shard",
-            "repro.eval.experiments:table3_point_from_shards", 4.0,
-            {"key": "comb_r4", "n_cycles": n_cycles})
-        assert len(jobs) == 3              # two shard leaves + the merge
-        out = run_graph(jobs, workers=2, cache=None, backend="workers")
-        sharded_snap = reg.snapshot()
-
-        # Exactly-once merge: both runs replay the same 17 transitions.
-        assert serial_snap["counters"]["sim.replay.transitions"] == 17
-        assert sharded_snap["counters"]["sim.replay.transitions"] == 17
-        assert (sharded_snap["counters"]["sim.replay.events"]
-                == serial_snap["counters"]["sim.replay.events"])
-        assert sharded_snap["counters"]["orchestrator.jobs.worker"] == 2
-        shards = sharded_snap["records"]["power.shards"]
-        assert len(shards) == 2
-        assert sum(s["transitions"] for s in shards) == 17
-        # The headline power merge is untouched by the obs payloads.
-        assert out["pt"].value == serial.total_mw
-        assert out["pt"].value == table3_power_point(
-            "comb_r4", n_cycles=n_cycles)
-
     def test_orchestrator_workers_merge_job_metrics(self):
         from repro.eval.orchestrator import run_experiment
 

@@ -84,6 +84,24 @@ def test_registry_builds_every_experiment():
                 assert dep in names
 
 
+@pytest.mark.parametrize("name,points,weight", [
+    ("table3", ["comb_r4", "comb_r16", "pipe_r4", "pipe_r16"], 4.0),
+    ("table5", ["int64", "fp64", "fp32_dual", "fp32_single"], 3.0),
+], ids=["table3", "table5"])
+def test_each_power_point_is_one_leaf(name, points, weight):
+    """At any Monte Carlo depth a power point is one leaf job: no
+    replay-window leaves and no per-point merge."""
+    jobs = build_jobs(name, {"n_cycles": 64})
+    leaves = [j for j in jobs if j.name != name]
+    extra = ["max_freq"] if name == "table5" else []
+    assert [j.name for j in leaves] \
+        == [f"{name}/{key}" for key in points + extra]
+    for leaf in leaves[:len(points)]:
+        assert not leaf.deps and leaf.cacheable
+        assert leaf.weight == weight
+        assert dict(leaf.params)["n_cycles"] == 64
+
+
 def test_serial_parallel_parity_table3():
     serial = run_experiment("table3", workers=0, cache=False, n_cycles=4)
     parallel = run_experiment("table3", workers=2, cache=False, n_cycles=4)

@@ -285,25 +285,6 @@ def test_key_digest_is_content_address():
     assert len(a) == 64 and set(a) <= set("0123456789abcdef")
 
 
-def test_transition_windows_partition_exactly():
-    from repro.hdl.power.monte_carlo import power_shard_plan
-
-    for n_cycles in (2, 3, 16, 17, 64, 65):
-        for max_transitions in (1, 2, 3, 7, 16, 100):
-            windows = power_shard_plan(n_cycles, max_transitions)
-            covered = [t for a, b in windows for t in range(a, b + 1)]
-            assert covered == list(range(1, n_cycles))
-            sizes = [b - a + 1 for a, b in windows]
-            assert max(sizes) <= max_transitions
-            assert max(sizes) - min(sizes) <= 1
-    plan = power_shard_plan(64, max_transitions=16)
-    assert len(plan) == 4
-    assert all(b - a + 1 <= 16 for a, b in plan)
-    assert power_shard_plan(12, max_transitions=16) == [(1, 11)]
-    with pytest.raises(SimulationError, match="two cycles"):
-        power_shard_plan(1)
-
-
 def test_chunk_plan_auto_matches_historic_plans():
     from repro.eval.fault_injection import chunk_plan
 

@@ -2,9 +2,9 @@
 
 Every fast path the compiled backend introduced — the native and the
 generated-Python levelized kernels, the per-gate closures, the
-truth-table C event kernel, the
-delta-stimulus :meth:`EventSimulator.replay`, the batched and sharded
-Monte Carlo — claims bit-identity with the historic reference
+truth-table C event kernel and the
+delta-stimulus :meth:`EventSimulator.replay` that Monte Carlo power
+rides — claims bit-identity with the historic reference
 implementation it replaced (kept in ``tests/oracles/``).  These tests
 pin that claim down kind-by-kind, on random netlists (registered ones
 included), and on the real multipliers.
@@ -23,11 +23,6 @@ from repro.hdl.library import default_library
 from repro.hdl.module import Gate, Module
 from repro.hdl.power.monte_carlo import (
     estimate_power,
-    estimate_power_batch,
-    merge_shard_results,
-    power_replay_shard,
-    power_report_from_shards,
-    power_shard_plan,
     shared_event_simulator,
 )
 from repro.hdl.sim import ckernel
@@ -37,7 +32,7 @@ from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
 from tests.oracles.cells import CELLS
 from tests.oracles.event_heap import HeapEventSimulator, event_toggles_legacy
-from tests.oracles.levelized import interpreted_run, interpreted_run_segments
+from tests.oracles.levelized import interpreted_run
 from tests.test_hdl_properties import (
     module_and_patterns,
     registered_module_and_patterns,
@@ -168,7 +163,8 @@ class TestCompiledLevelized:
                 == interp.bus_words(module.outputs["p"]), kernel
             assert compiled.values == interp.values, kernel
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 514])
+    @pytest.mark.parametrize("n", [1, 7, 13, 63, 64, 65, 70, 100, 131,
+                                   514])
     @given(registered_module_and_patterns(n_patterns=1))
     @settings(max_examples=8, deadline=None)
     def test_pattern_counts_across_limb_edges(self, n, case):
@@ -205,7 +201,7 @@ class TestCompiledLevelized:
         sim = _sim(module, "c")
         stim = {"a": _stimulus_words(random.Random(3), 130, 70)}
         sim.run(stim, 70).bus_words(module.outputs["o"])
-        sim.run_segments([(stim, 70), (stim, 5)]).toggles_per_net(1)
+        sim.run(stim, 70).toggles_per_net()
         assert compiled_module(module)._level_fns is None
 
 
@@ -329,7 +325,7 @@ class TestReplay:
 
 
 # ----------------------------------------------------------------------
-# registered random netlists: register shift, segment mask, replay
+# registered random netlists: register shift, replay
 # ----------------------------------------------------------------------
 
 class TestRegisteredNetlists:
@@ -342,40 +338,6 @@ class TestRegisteredNetlists:
         for kernel in LEVELIZED_KERNELS:
             compiled = _sim(module, kernel).run({"a": patterns}, n)
             assert compiled.values == interp.values, kernel
-
-    @given(registered_module_and_patterns(n_patterns=85))
-    @settings(max_examples=25, deadline=None)
-    def test_ragged_segments_match_interpreter(self, case):
-        module, patterns = case
-        jobs = []
-        off = 0
-        for n in (1, 7, 64, 13):
-            jobs.append(({"a": patterns[off:off + n]}, n))
-            off += n
-        ref = interpreted_run_segments(module, jobs)
-        for kernel in LEVELIZED_KERNELS:
-            fast = _sim(module, kernel).run_segments(jobs)
-            assert fast.segments == ref.segments
-            for i in range(len(jobs)):
-                assert fast.toggles_per_net(i) == ref.toggles_per_net(i)
-            assert fast.values == ref.values, kernel
-
-    @given(registered_module_and_patterns(n_patterns=1))
-    @settings(max_examples=15, deadline=None)
-    def test_segment_boundaries_on_and_inside_limbs(self, case):
-        # Offsets 0 and 64 sit on limb edges, 71 and 131 inside limbs;
-        # the third segment's register carries cross the 128 edge.
-        module, __ = case
-        rng = random.Random(5)
-        jobs = [({"a": _stimulus_words(rng, 6, n - (n % 2))}, n)
-                for n in (64, 7, 60, 70)]
-        ref = interpreted_run_segments(module, jobs)
-        assert [off for off, __ in ref.segments] == [0, 64, 71, 131]
-        for kernel in LEVELIZED_KERNELS:
-            fast = _sim(module, kernel).run_segments(jobs)
-            for i in range(len(jobs)):
-                assert fast.toggles_per_net(i) == ref.toggles_per_net(i)
-            assert fast.values == ref.values, kernel
 
     @given(registered_module_and_patterns(n_patterns=8))
     @settings(max_examples=30, deadline=None)
@@ -445,14 +407,8 @@ class TestToposort:
 
 
 # ----------------------------------------------------------------------
-# Monte Carlo: shared simulator, stats, batching, sharding
+# Monte Carlo: shared simulator, stats, legacy glitch reference
 # ----------------------------------------------------------------------
-
-def _power_fields(report):
-    return (report.dynamic_mw, report.register_mw, report.leakage_mw,
-            report.zero_delay_dynamic_mw, report.by_block_mw,
-            report.total_toggles)
-
 
 class TestMonteCarlo:
     def _module_and_stim(self, n_cycles):
@@ -480,101 +436,23 @@ class TestMonteCarlo:
         assert stats["kernel"] in ("c", "python")
         assert stats["kernel"] == shared_event_simulator(module, lib).kernel
         assert stats["transitions"] == 3
-        assert stats["workers"] == 1
         assert stats["events_processed"] > 0
 
         flat = estimate_power(module, lib, stim, 4, glitch=False)
         assert flat.sim_stats["engine"] == "zero-delay"
-
-    @pytest.mark.parametrize("glitch,attribution",
-                             [(True, False), (False, False), (True, True)])
-    def test_batch_matches_separate_runs(self, glitch, attribution):
-        """Ragged superword segments equal each stimulus run alone."""
-        from repro.eval.workloads import WorkloadGenerator
-
-        module, __ = self._module_and_stim(2)
-        lib = default_library()
-        jobs = [(WorkloadGenerator(seed).multiplier_stimulus(n), n)
-                for seed, n in ((1, 2), (2, 17), (3, 64))]
-        batch = estimate_power_batch(module, lib, jobs, glitch=glitch,
-                                     attribution=attribution)
-        assert len(batch) == len(jobs)
-        for got, (stim, n) in zip(batch, jobs):
-            alone = estimate_power(module, lib, stim, n, glitch=glitch,
-                                   attribution=attribution)
-            assert _power_fields(got) == _power_fields(alone)
-            assert got.sim_stats["transitions"] == n - 1
-            assert (got.sim_stats.get("events_processed")
-                    == alone.sim_stats.get("events_processed"))
-            if attribution:
-                assert got.attribution.render(top=5) \
-                    == alone.attribution.render(top=5)
-            else:
-                assert got.attribution is None
 
     def test_batch_glitch_toggles_match_legacy_reference(self):
         from repro.eval.workloads import WorkloadGenerator
 
         module, __ = self._module_and_stim(2)
         lib = default_library()
-        jobs = [(WorkloadGenerator(seed).multiplier_stimulus(n), n)
-                for seed, n in ((4, 2), (5, 9))]
-        batch = estimate_power_batch(module, lib, jobs)
-        for got, (stim, n) in zip(batch, jobs):
+        for seed, n in ((4, 2), (5, 9)):
+            stim = WorkloadGenerator(seed).multiplier_stimulus(n)
+            got = estimate_power(module, lib, stim, n)
             run = LevelizedSimulator(module).run(stim, n)
             legacy = event_toggles_legacy(module, lib, run, stim, n)
             assert got.total_toggles == sum(legacy)
-
-    @pytest.mark.parametrize("n_cycles", [2, 9, 17])
-    def test_shards_match_estimate_power(self, n_cycles):
-        module, stim = self._module_and_stim(n_cycles)
-        lib = default_library()
-        whole = estimate_power(module, lib, stim, n_cycles)
-        plan = power_shard_plan(n_cycles, 4)
-        shards = [power_replay_shard(module, lib, stim, n_cycles, a, b)
-                  for a, b in plan]
-        merged = power_report_from_shards(module, lib, stim, n_cycles,
-                                          shards)
-        assert merged.total_mw == whole.total_mw
-        assert _power_fields(merged) == _power_fields(whole)
-        assert (merged.sim_stats["events_processed"]
-                == whole.sim_stats["events_processed"])
-        assert merged.sim_stats["workers"] == len(plan)
-
-    def test_sharded_elapsed_is_replay_time(self, monkeypatch):
-        """``elapsed_s`` sums the shards' replay time on the shard path,
-        as it is the replay time on the batch path."""
-        module, stim = self._module_and_stim(9)
-        lib = default_library()
-        replay = EventSimulator.replay
-
-        def slow_replay(self, *args, **kwargs):
-            time.sleep(0.02)
-            return replay(self, *args, **kwargs)
-
-        monkeypatch.setattr(EventSimulator, "replay", slow_replay)
-        plan = power_shard_plan(9, 2)
-        assert len(plan) == 4
-        shards = [power_replay_shard(module, lib, stim, 9, a, b)
-                  for a, b in plan]
-        merged = power_report_from_shards(module, lib, stim, 9, shards)
-        assert merged.sim_stats["elapsed_s"] >= 0.08
-        whole = estimate_power(module, lib, stim, 9)
-        assert whole.sim_stats["elapsed_s"] >= 0.02
-
-    def test_merge_is_order_independent_across_kernels(self):
-        module, stim = self._module_and_stim(9)
-        lib = default_library()
-        c_shard, py_shard = [power_replay_shard(module, lib, stim, 9, a, b)
-                             for a, b in power_shard_plan(9, 4)]
-        c_shard[1]["kernel"] = "c"
-        py_shard[1]["kernel"] = "python"
-        forward = merge_shard_results(module.n_nets, [c_shard, py_shard])
-        backward = merge_shard_results(module.n_nets, [py_shard, c_shard])
-        assert forward == backward
-        assert forward[1]["kernel"] == "mixed"
-        same = merge_shard_results(module.n_nets, [c_shard, c_shard])
-        assert same[1]["kernel"] == "c"
+            assert got.sim_stats["transitions"] == n - 1
 
 
 # ----------------------------------------------------------------------

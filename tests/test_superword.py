@@ -6,9 +6,6 @@ layer —
 
 * the block bit-matrix transpose round-trips at ragged superword
   shapes (rows and columns both far beyond one 64-bit limb);
-* one :meth:`~repro.hdl.sim.levelized.LevelizedSimulator.run_segments`
-  superword settle pass equals independent per-segment runs, including
-  across register banks (the boundary-masked time shift);
 * the serve path is bit-identical to
   :func:`~repro.serve.transactions.reference_result` at
   ``word_patterns`` 64, 256 and 1024 and at batch-of-one (W=1);
@@ -17,17 +14,15 @@ layer —
 """
 
 import random
-from functools import partial
 
 import pytest
 
 from repro.errors import FormatError, QueueFullError
-from repro.hdl.sim.levelized import LevelizedSimulator, bit_transpose
+from repro.hdl.sim.levelized import bit_transpose
 from repro.serve import Server, WORD_PATTERNS, reference_result
 from repro.serve.loadgen import TrafficGenerator
 from repro.serve.queueing import BatchingQueue
 from repro.serve.transactions import validate_word_patterns
-from tests.oracles.levelized import interpreted_run, interpreted_run_segments
 
 
 def _stream(n, seed, specials=0.15):
@@ -48,39 +43,6 @@ def test_bit_transpose_round_trips_at_superword_shapes():
         rows = [rng.getrandbits(width) for __ in range(n_rows)]
         cols = bit_transpose(rows, width)
         assert bit_transpose(cols, n_rows) == rows, (n_rows, width)
-
-
-# ---------------------------------------------------------------------------
-# run_segments: one superword pass == independent runs
-# ---------------------------------------------------------------------------
-
-def _random_stimulus(module, n, rng):
-    return {name: [rng.getrandbits(len(bus)) for __ in range(n)]
-            for name, bus in module.inputs.items()}
-
-
-@pytest.mark.parametrize("compiled", [True, False])
-def test_run_segments_bit_identical_to_independent_runs(compiled):
-    """Ragged segments through a registered datapath, on the compiled
-    kernel and on the interpreted oracle."""
-    from repro.circuits.mult_radix4 import radix4_multiplier
-
-    module = radix4_multiplier()
-    if compiled:
-        sim = LevelizedSimulator(module)
-        run_segments, run = sim.run_segments, sim.run
-    else:
-        run_segments = partial(interpreted_run_segments, module)
-        run = partial(interpreted_run, module)
-    rng = random.Random(1709)
-    lengths = [1, 7, 64, 13, 100]          # ragged: boundaries mid-limb
-    jobs = [(_random_stimulus(module, n, rng), n) for n in lengths]
-    seg = run_segments(jobs)
-    assert seg.n_patterns == sum(lengths)
-    for i, (stimulus, n) in enumerate(jobs):
-        solo = run(stimulus, n)
-        assert seg.segment_run(i).values == solo.values, i
-        assert seg.toggles_per_net(i) == solo.toggles_per_net(), i
 
 
 # ---------------------------------------------------------------------------
