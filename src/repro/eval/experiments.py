@@ -10,13 +10,18 @@ method producing the paper-vs-measured report.  Run one
 with ``run_experiment(name, **params)``; DESIGN.md's experiment index
 maps each to its claims in ``tests/test_paper_claims.py``.
 
-Modules are built once and cached — netlist construction is a second or
-two each, and the benchmarks call these functions repeatedly.  The
-cache has two levels: an in-process ``lru_cache`` and an on-disk pickle
-cache under the repository's ``.cache/modules/`` keyed by the builder
-name and a fingerprint of the generator sources plus the cell library,
-so repeated benchmark *processes* skip netlist construction as well
-(``REPRO_MODULE_CACHE`` overrides the directory; ``0`` disables).
+The named netlists (:data:`NAMED_BUILDS`) are built once and cached:
+a multiplier build takes 0.15-0.4 s on a 2-vCPU Xeon VM (``r4``
+fastest, ``mf`` and ``mf_quad`` slowest), and the report and
+benchmarks ask for the same netlists repeatedly.  A sweep point whose
+build params match a row shares that netlist
+(:func:`repro.eval.sweep.design_module`); the other sweep points build
+fresh and are never cached.  The cache has two levels: an in-process
+``lru_cache`` and an on-disk pickle cache under the repository's
+``.cache/modules/`` keyed by the builder name and a fingerprint of the
+generator sources plus the cell library, so repeated benchmark
+*processes* skip netlist construction as well (``REPRO_MODULE_CACHE``
+overrides the directory; ``0`` disables).
 """
 
 import functools
@@ -34,13 +39,12 @@ from repro.arith.partial_products import (
     occupancy_grid,
 )
 from repro.bits.ieee754 import BINARY16, BINARY32, BINARY64, BINARY128
-from repro.circuits.mult_radix4 import radix4_multiplier
-from repro.circuits.mult_radix8 import radix8_multiplier
-from repro.circuits.mult_radix16 import radix16_multiplier
+from repro.circuits.mult_common import build_multiplier
 from repro.circuits.reducer import build_reducer
 from repro.core.pipeline_unit import build_mf_multiplier
 from repro.core.reduction import reduce_binary64, widen_binary32
 from repro.core.vector_unit import FormatPowerTable, VectorMultiplier
+from repro.errors import SimulationError
 from repro.eval.cache import _atomic_write
 from repro.eval.tables import paper_vs_measured, render_table
 from repro.eval.workloads import WorkloadGenerator
@@ -108,32 +112,40 @@ def _module_cache_dir():
     return Path(__file__).resolve().parents[3] / ".cache" / "modules"
 
 
+#: The named experiment netlists, one row each: name -> (builder,
+#: params).  :func:`cached_module` builds from this table, and a sweep
+#: point whose build matches a row shares its netlist
+#: (:func:`repro.eval.sweep.design_module`).
+NAMED_BUILDS = {
+    "r16": (build_multiplier, {"radix_log2": 4}),
+    "r16_pipe": (build_multiplier,
+                 {"radix_log2": 4, "pipeline_cut": "after_ppgen"}),
+    "r4": (build_multiplier, {"radix_log2": 2}),
+    "r4_pipe": (build_multiplier,
+                {"radix_log2": 2, "pipeline_cut": "after_ppgen"}),
+    "r8": (build_multiplier, {"radix_log2": 3}),
+    "mf": (build_mf_multiplier, {}),
+    "mf_quad": (build_mf_multiplier, {"quad_fp16": True}),
+    "reducer": (build_reducer, {}),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def cached_module(which):
-    """Build-once cache for the experiment netlists.
+    """Build-once cache for the :data:`NAMED_BUILDS` netlists.
 
     Backed by the on-disk pickle cache described in the module
     docstring.  A missing or stale entry is a ``module_cache.misses``;
     an unreadable one also ticks ``module_cache.corrupt``.  Both
     rebuild and rewrite the entry.
     """
-    builders = {
-        "r16": lambda: radix16_multiplier(),
-        "r16_pipe": lambda: radix16_multiplier(pipeline_cut="after_ppgen"),
-        "r4": lambda: radix4_multiplier(),
-        "r4_pipe": lambda: radix4_multiplier(pipeline_cut="after_ppgen"),
-        "r8": lambda: radix8_multiplier(),
-        "mf": lambda: build_mf_multiplier(),
-        "mf_quad": lambda: build_mf_multiplier(quad_fp16=True),
-        "reducer": lambda: build_reducer(),
-    }
-    builder = builders[which]
+    builder, params = NAMED_BUILDS[which]
     cache_dir = _module_cache_dir()
     reg = obs.registry()
     if cache_dir is None:
         reg.inc("module_cache.misses")
         with obs.span(f"module:build:{which}", cat="module"):
-            return builder()
+            return builder(**params)
     path = cache_dir / f"{which}-{_source_fingerprint()}.pkl"
     try:
         with obs.span(f"module:load:{which}", cat="module"):
@@ -147,7 +159,7 @@ def cached_module(which):
         reg.inc("module_cache.corrupt")
     reg.inc("module_cache.misses")
     with obs.span(f"module:build:{which}", cat="module"):
-        module = builder()
+        module = builder(**params)
     try:
         _atomic_write(path, pickle.dumps(module,
                                          protocol=pickle.HIGHEST_PROTOCOL))
@@ -436,8 +448,11 @@ def experiment_fig3_normround(samples=2000, seed=2017):
         lane = normalize_round_lane(p1, p0, FP64_LANE)
         expect, carry = round_significand(product, 53, mode="injection")
         high = (product >> 105) & 1
-        assert lane.significand == expect, (hex(mx), hex(my))
-        assert lane.exponent_increment == (high | carry)
+        if (lane.significand != expect
+                or lane.exponent_increment != (high | carry)):
+            raise SimulationError(
+                f"fig3: speculative rounding of {hex(mx)} * {hex(my)} "
+                f"disagrees with exact rounding")
         if lane.used_high_path:
             p1_selected += 1
             if not high:
@@ -582,9 +597,15 @@ def experiment_fig6_reduction(n_random=20000, seed=2017):
             encoding = (e64 << 52) | tail
             decision = reduce_binary64(encoding)
             expected = (896 < e64 < 1151) and (tail & ((1 << 29) - 1)) == 0
-            assert decision.reduced == expected, (e64, tail)
-            if decision.reduced:
-                assert widen_binary32(decision.encoding32) == encoding
+            if decision.reduced != expected:
+                raise SimulationError(
+                    f"fig6: reducer decision for exponent {e64}, tail "
+                    f"{hex(tail)} is {decision.reduced}, expected {expected}")
+            if (decision.reduced
+                    and widen_binary32(decision.encoding32) != encoding):
+                raise SimulationError(
+                    f"fig6: reduced exponent {e64}, tail {hex(tail)} does "
+                    f"not widen back to its binary64 encoding")
             checked += 1
     return Fig6Result(
         gates=len(module.gates),

@@ -15,13 +15,23 @@ composes them into the ``sweep_radix``, ``sweep_cpa``,
 experiments (``run_experiment("sweep_radix", power_cycles=10)``).
 """
 
+import inspect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.mult_common import build_multiplier
+from repro.core.pipeline_unit import (
+    FRMT_FP32X2,
+    FRMT_FP64,
+    FRMT_INT64,
+    build_mf_multiplier,
+)
+from repro.errors import SimulationError
+from repro.eval.experiments import NAMED_BUILDS, cached_module
 from repro.eval.tables import render_table
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
+from repro.hdl.buffering import insert_buffers
 from repro.hdl.library import default_library
 from repro.hdl.power.monte_carlo import estimate_power
 from repro.hdl.sim.levelized import LevelizedSimulator
@@ -79,8 +89,10 @@ def measure_design_point(label, module, power_cycles=0, seed=2017,
         words = run.bus_words(module.outputs["p"])
         for t in range(verify_patterns - latency):
             expect = stim["x"][t] * stim["y"][t]
-            assert words[t + latency] == expect, \
-                f"{label}: wrong product at pattern {t}"
+            if words[t + latency] != expect:
+                raise SimulationError(
+                    f"{label}: wrong product at pattern {t} "
+                    f"({hex(stim['x'][t])} * {hex(stim['y'][t])})")
     timing = analyze(module, lib)
     area = area_report(module, lib)
     power = None
@@ -110,30 +122,57 @@ SPECIALIZATION_LABELS = ("multi-format", "int64-only", "fp64-only",
                          "fp32x2-only")
 
 
+def _bound_args(builder, params):
+    """``params`` completed with ``builder``'s defaults."""
+    bound = inspect.signature(builder).bind(**params)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def design_module(builder, **params):
+    """The netlist ``builder(**params)`` builds, for one design point.
+
+    Params are compared with each ``NAMED_BUILDS`` row after filling in
+    the builder's defaults (``adder_style="kogge_stone"`` at radix 16 is
+    ``"r16"``).  A match is that row's ``cached_module`` netlist; any
+    other build is fresh: nothing retains it and it never enters the
+    on-disk module cache.
+    """
+    args = _bound_args(builder, params)
+    for name, (row_builder, row_params) in NAMED_BUILDS.items():
+        if (row_builder is builder
+                and _bound_args(row_builder, row_params) == args):
+            return cached_module(name)
+    return builder(**params)
+
+
 def radix_point(radix_log2, power_cycles=0):
     """One radix-sweep design point (leaf job)."""
     label = dict((k, lbl) for k, lbl in RADIX_POINTS)[radix_log2]
-    return measure_design_point(label, build_multiplier(radix_log2),
-                                power_cycles=power_cycles)
+    module = design_module(build_multiplier, radix_log2=radix_log2)
+    return measure_design_point(label, module, power_cycles=power_cycles)
 
 
 def cpa_point(style, radix_log2=4, power_cycles=0):
     """One CPA-style design point (leaf job)."""
-    module = build_multiplier(radix_log2, adder_style=style)
+    module = design_module(build_multiplier, radix_log2=radix_log2,
+                           adder_style=style)
     return measure_design_point(f"cpa={style}", module,
                                 power_cycles=power_cycles)
 
 
 def cut_point(cut, radix_log2=4, power_cycles=0):
     """One pipeline-cut design point (leaf job)."""
-    module = build_multiplier(radix_log2, pipeline_cut=cut)
+    module = design_module(build_multiplier, radix_log2=radix_log2,
+                           pipeline_cut=cut)
     return measure_design_point(f"cut={cut}", module,
                                 power_cycles=power_cycles)
 
 
 def tree_point(radix_log2, use_4_2, power_cycles=0):
     """One tree-style design point (leaf job)."""
-    module = build_multiplier(radix_log2, use_4_2=use_4_2)
+    module = design_module(build_multiplier, radix_log2=radix_log2,
+                           use_4_2=use_4_2)
     label = dict((k, lbl) for k, lbl, __ in TREE_POINTS)[radix_log2]
     tag = "4:2" if use_4_2 else "3:2"
     return measure_design_point(f"{label} {tag}", module,
@@ -146,18 +185,11 @@ def specialization_point(label):
     ``"multi-format"`` measures the full unit; the ``*-only`` labels tie
     ``frmt`` and let the optimizer reap the other formats' logic.
     """
-    from repro.core.pipeline_unit import (
-        FRMT_FP32X2,
-        FRMT_FP64,
-        FRMT_INT64,
-        build_mf_multiplier,
-    )
-    from repro.hdl.buffering import insert_buffers
     from repro.hdl.optimize import optimize, tie_input
 
     lib = default_library()
     if label == "multi-format":
-        module = build_mf_multiplier()
+        module = design_module(build_mf_multiplier)
     else:
         code = {"int64-only": FRMT_INT64, "fp64-only": FRMT_FP64,
                 "fp32x2-only": FRMT_FP32X2}[label]

@@ -8,7 +8,9 @@ per-cycle glitch replay), ``levelized`` (per-gate interpreter),
 ``fault_resim`` (clone-and-re-simulate fault campaigns, which the
 patched-row campaign must match verdict for verdict),
 ``mf_datapath`` (the multiplier's PP-array → Dadda → Fig. 3 datapath,
-which ``MFMult(mode="paper")`` must match bit for bit) and
+which ``MFMult(mode="paper")`` must match bit for bit), ``buffering``
+(the full-rebuild fanout buffering pass, which the worklist pass must
+match gate for gate) and
 ``sched_leaves`` (deterministic scheduler-exercise leaves, importable by
 ``"tests.oracles.sched_leaves:<fn>"`` spec from the repository root).
 """
