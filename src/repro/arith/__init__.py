@@ -13,7 +13,6 @@ from repro.arith.adders_ref import (
     ripple_add,
 )
 from repro.arith.csa import compress_3_2, compress_4_2, full_adder, half_adder
-from repro.arith.multiples import MultipleSet, odd_multiples
 from repro.arith.partial_products import (
     PPArray,
     PPRow,
@@ -33,7 +32,6 @@ from repro.arith.trees import (
 )
 
 __all__ = [
-    "MultipleSet",
     "PPArray",
     "PPRow",
     "ReductionSchedule",
@@ -48,7 +46,6 @@ __all__ = [
     "full_adder",
     "half_adder",
     "kogge_stone_carries",
-    "odd_multiples",
     "radix16_digits",
     "recode_minimally_redundant",
     "reduce_columns",

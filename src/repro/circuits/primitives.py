@@ -233,12 +233,6 @@ class GateBuilder:
     def bus_invert(self, bus):
         return [self.g_not(n) for n in bus]
 
-    def bus_and_bit(self, bus, bit):
-        return [self.g_and(n, bit) for n in bus]
-
-    def bus_xor_bit(self, bus, bit):
-        return [self.g_xor(n, bit) for n in bus]
-
     def bus_mux(self, bus_a, bus_b, sel):
         if len(bus_a) != len(bus_b):
             raise NetlistError(

@@ -4,23 +4,27 @@ Every finished leaf job of the experiment scheduler lands here as one
 object file named by the **sha256 of its full cache key** — source
 fingerprint, job name, function spec, params, seed, Monte Carlo depth —
 so the store is content-addressed: equal work maps to equal names on
-any machine, which is what makes warm caches *portable*.  Layout::
+any machine, which is what makes warm caches *portable*.  The named
+netlists of :func:`repro.eval.experiments.cached_module` are entries of
+the same store, addressed by source fingerprint and name.  Layout::
 
     <root>/
-      index.json                 # repro.cache/1: per-entry name/size/atime
-      objects/<sha256-hex>.pkl   # {"schema", "key", "value"} pickle
+      objects/<sha256-hex>.pkl   # {"schema", "key" | "digest", "value"}
+
+``objects/`` is the store's only state: an entry's size is its file
+size and its last use is its file mtime.
 
 Properties:
 
-* **atomic writes** — objects and the index are written to a temp file
-  and ``os.replace``d; readers never observe a torn entry;
-* **self-verifying** — an object must contain the exact key whose
-  digest names it; a mismatch, torn pickle or unreadable file degrades
-  to a miss and ticks ``orchestrator.cache.corrupt`` (never silent, the
-  caller recomputes and overwrites);
+* **atomic writes** — objects are written to a temp file and
+  ``os.replace``d; readers never observe a torn entry;
+* **self-verifying** — an object must contain the exact key (or
+  digest) that names it; a mismatch, torn pickle or unreadable file
+  degrades to a miss and ticks ``<counters>.corrupt`` (never silent,
+  the caller recomputes and overwrites);
 * **size-capped** — ``max_mb`` (or ``REPRO_RESULT_CACHE_MB``) enforces
   an LRU budget at store time; :meth:`ResultCache.gc` does the same on
-  demand, evicting least-recently-*used* entries (hits refresh atime);
+  demand, evicting least-recently-*used* entries (hits refresh mtime);
 * **portable** — :meth:`ResultCache.export` packs the store into one
   ``tar.gz`` artifact and :meth:`ResultCache.import_archive` unpacks it
   into another root, re-verifying every digest on the way in.  A CI
@@ -34,9 +38,8 @@ CLI (also reachable as ``python -m repro cache ...``)::
     python -m repro.eval.cache export ARCHIVE [--root PATH]
     python -m repro.eval.cache import ARCHIVE [--root PATH]
 
-``REPRO_RESULT_CACHE`` still overrides the root (``0`` disables
-caching entirely), exactly as before the store became content-
-addressed.
+``REPRO_RESULT_CACHE`` overrides the root; ``0`` disables the store,
+and with it the on-disk half of the module cache.
 """
 
 import argparse
@@ -47,7 +50,6 @@ import pickle
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 from repro import obs
@@ -57,7 +59,6 @@ from repro.errors import ReproError
 SCHEMA = "repro.cache/1"
 
 _OBJECTS = "objects"
-_INDEX = "index.json"
 
 
 def _default_cache_root():
@@ -69,16 +70,36 @@ def _default_cache_root():
     return Path(__file__).resolve().parents[3] / ".cache" / "results"
 
 
+def _megabytes(text):
+    """``text`` as a finite, non-negative number of megabytes, or
+    ``None`` when it is not one."""
+    try:
+        megabytes = float(text)
+    except ValueError:
+        return None
+    return megabytes if 0 <= megabytes < float("inf") else None
+
+
 def _default_max_bytes():
     env = os.environ.get("REPRO_RESULT_CACHE_MB", "").strip()
     if not env:
         return None
-    try:
-        return int(float(env) * 1024 * 1024)
-    except ValueError:
+    megabytes = _megabytes(env)
+    if megabytes is None:
         raise ReproError(
-            f"REPRO_RESULT_CACHE_MB={env!r} is not a number of megabytes"
-        ) from None
+            f"REPRO_RESULT_CACHE_MB={env!r} is not a non-negative number "
+            f"of megabytes")
+    return int(megabytes * 1024 * 1024)
+
+
+def _max_mb_arg(text):
+    """``--max-mb`` type: a negative budget is a usage error (exit 2),
+    not an emptied store."""
+    megabytes = _megabytes(text)
+    if megabytes is None:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number of megabytes, got {text!r}")
+    return megabytes
 
 
 def job_key(fingerprint, jb):
@@ -97,9 +118,9 @@ def _proves(entry, digest):
     """Whether a loaded entry proves it belongs under ``digest``.
 
     Two self-verifying entry forms share the store: keyed entries
-    written locally (``{"key": <full key>}``) and digest entries stored
-    by a worker daemon (``{"digest": <hex>}`` — the daemon only ever
-    sees the content address).
+    written locally (``{"key": <full key>}``) and digest entries
+    (``{"digest": <hex>}``) stored by a worker daemon, which only ever
+    sees the content address, and by ``cached_module``.
     """
     return isinstance(entry, dict) and (
         (isinstance(entry.get("key"), str)
@@ -120,6 +141,10 @@ def _atomic_write(path, data):
 class ResultCache:
     """On-disk content-addressed cache of finished experiment results."""
 
+    #: Registry prefix of the hit/miss/corrupt counters this store's
+    #: reads tick.
+    counters = "orchestrator.cache"
+
     def __init__(self, root=None, fingerprint=None, max_mb=None):
         if root is None:
             root = _default_cache_root()
@@ -133,7 +158,6 @@ class ResultCache:
                           if max_mb is not None else _default_max_bytes())
         self.hits = 0
         self.misses = 0
-        self._index = None        # lazy {digest: {...}}
 
     # ------------------------------------------------------------------
     # layout helpers
@@ -142,47 +166,21 @@ class ResultCache:
     def _object_path(self, digest):
         return self.root / _OBJECTS / f"{digest}.pkl"
 
-    # ------------------------------------------------------------------
-    # the index (names, sizes, access order)
-    # ------------------------------------------------------------------
-
-    def _load_index(self):
-        if self._index is not None:
-            return self._index
+    def _entries(self):
+        """``{digest: (mtime, bytes)}`` of every object in the store."""
         entries = {}
-        try:
-            with open(self.root / _INDEX) as fh:
-                doc = json.load(fh)
-            if doc.get("schema") == SCHEMA:
-                entries = doc.get("entries", {})
-        except Exception:
-            pass
-        # Recover entries the index lost (torn write, manual copy): the
-        # objects directory is the ground truth, the index is derived.
         obj_dir = self.root / _OBJECTS
-        if obj_dir.is_dir():
-            for path in obj_dir.iterdir():
-                digest = path.name[:-4]
-                if not path.name.endswith(".pkl") or digest in entries:
-                    continue
-                try:
-                    stat = path.stat()
-                    entries[digest] = {"name": "?", "bytes": stat.st_size,
-                                       "atime": stat.st_mtime}
-                except OSError:
-                    continue
-        self._index = entries
+        if not obj_dir.is_dir():
+            return entries
+        for path in obj_dir.iterdir():
+            if not path.name.endswith(".pkl"):
+                continue
+            try:
+                stat = path.stat()
+            except OSError:
+                continue                     # evicted under our feet
+            entries[path.name[:-4]] = (stat.st_mtime, stat.st_size)
         return entries
-
-    def _flush_index(self):
-        if self._index is None:
-            return
-        try:
-            _atomic_write(self.root / _INDEX, json.dumps(
-                {"schema": SCHEMA, "entries": self._index},
-                sort_keys=True).encode())
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # the one verified read and the one atomic write
@@ -193,8 +191,9 @@ class ResultCache:
 
         A torn pickle or an entry that does not :func:`_proves` its
         name is corrupt, not merely cold: it ticks
-        ``orchestrator.cache.corrupt`` and is deleted to clear the way
-        for the recompute's overwrite.  Hits refresh the LRU atime.
+        ``<counters>.corrupt`` and is deleted to clear the way for the
+        recompute's overwrite.  Hits refresh the object's mtime, its
+        LRU position.
         """
         path = self._object_path(digest)
         try:
@@ -205,33 +204,27 @@ class ResultCache:
         except Exception:
             entry = None
         if not _proves(entry, digest):
-            obs.registry().inc("orchestrator.cache.corrupt")
+            obs.registry().inc(f"{self.counters}.corrupt")
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return False, None
-        entries = self._load_index()
-        if digest in entries:
-            entries[digest]["atime"] = time.time()
-            self._flush_index()
+        try:
+            os.utime(path)
+        except OSError:
+            pass                             # a read-only store still hits
         return True, entry["value"]
 
-    def _write(self, digest, entry, name):
+    def _write(self, digest, entry):
         """Best-effort atomic store; enforces the LRU size budget."""
-        path = self._object_path(digest)
         try:
-            _atomic_write(path, pickle.dumps(
+            _atomic_write(self._object_path(digest), pickle.dumps(
                 entry, protocol=pickle.HIGHEST_PROTOCOL))
         except Exception:
             return
-        entries = self._load_index()
-        entries[digest] = {"name": name,
-                           "bytes": path.stat().st_size,
-                           "atime": time.time()}
         if self.max_bytes is not None:
-            self._evict_locked(self.max_bytes, keep=digest)
-        self._flush_index()
+            self._evict(self.max_bytes, keep=digest)
 
     # ------------------------------------------------------------------
     # keyed access (the scheduler)
@@ -247,10 +240,10 @@ class ResultCache:
             note["hit"] = hit
         if hit:
             self.hits += 1
-            obs.registry().inc("orchestrator.cache.hits")
+            obs.registry().inc(f"{self.counters}.hits")
         else:
             self.misses += 1
-            obs.registry().inc("orchestrator.cache.misses")
+            obs.registry().inc(f"{self.counters}.misses")
         return hit, value
 
     def store(self, jb, value):
@@ -259,11 +252,10 @@ class ResultCache:
             return
         key = job_key(self.fingerprint, jb)
         self._write(key_digest(key),
-                    {"schema": SCHEMA, "key": key, "value": value},
-                    jb.name)
+                    {"schema": SCHEMA, "key": key, "value": value})
 
     # ------------------------------------------------------------------
-    # digest-addressed access (remote cache sync)
+    # digest-addressed access (remote cache sync, named modules)
     # ------------------------------------------------------------------
 
     def has_object(self, digest):
@@ -274,24 +266,25 @@ class ResultCache:
         """``(hit, value)`` straight by content address.
 
         The remote coordinator pulls warm results this way — it knows
-        the digest from the leaf fingerprint, not the daemon's key.
+        the digest from the leaf fingerprint, not the daemon's key — and
+        :func:`repro.eval.experiments.cached_module` loads its netlists.
         """
         if self.root is None:
             return False, None
         return self._read(digest)
 
-    def store_object(self, digest, value, name="?"):
+    def store_object(self, digest, value):
         """Best-effort store of one object under a bare content address.
 
         The daemon-side half of cache sync: a worker daemon never sees
         the full cache key (the wire carries only the fingerprint), so
         its entries record the digest as their self-verification proof.
+        Named module entries are stored the same way.
         """
         if self.root is None:
             return
         self._write(digest,
-                    {"schema": SCHEMA, "digest": digest, "value": value},
-                    name)
+                    {"schema": SCHEMA, "digest": digest, "value": value})
 
     # ------------------------------------------------------------------
     # maintenance: stats / gc
@@ -301,23 +294,23 @@ class ResultCache:
         """Entry count, total bytes and the store location."""
         if self.root is None:
             return {"root": None, "entries": 0, "bytes": 0}
-        entries = self._load_index()
+        entries = self._entries()
         return {"root": str(self.root), "entries": len(entries),
-                "bytes": sum(e["bytes"] for e in entries.values()),
+                "bytes": sum(size for __, size in entries.values()),
                 "max_bytes": self.max_bytes}
 
-    def _evict_locked(self, max_bytes, keep=None):
-        entries = self._load_index()
-        total = sum(e["bytes"] for e in entries.values())
+    def _evict(self, max_bytes, keep=None):
+        entries = self._entries()
+        total = sum(size for __, size in entries.values())
         evicted = []
-        for digest in sorted(entries, key=lambda d: entries[d]["atime"]):
+        for digest in sorted(entries, key=entries.get):
             if total <= max_bytes:
                 break
             if digest == keep:
                 continue
-            info = entries.pop(digest)
-            total -= info["bytes"]
-            evicted.append(info)
+            size = entries[digest][1]
+            total -= size
+            evicted.append({"digest": digest, "bytes": size})
             try:
                 os.unlink(self._object_path(digest))
             except OSError:
@@ -329,9 +322,7 @@ class ResultCache:
         """Evict least-recently-used entries down to ``max_mb``."""
         if self.root is None:
             return []
-        evicted = self._evict_locked(int(max_mb * 1024 * 1024))
-        self._flush_index()
-        return evicted
+        return self._evict(int(max_mb * 1024 * 1024))
 
     # ------------------------------------------------------------------
     # portability: export / import
@@ -341,12 +332,10 @@ class ResultCache:
         """Pack the whole store into one ``tar.gz`` artifact."""
         if self.root is None:
             raise ValueError("result cache is disabled; nothing to export")
-        entries = self._load_index()
-        self._flush_index()
+        entries = self._entries()
         archive_path = Path(archive_path)
         archive_path.parent.mkdir(parents=True, exist_ok=True)
         with tarfile.open(archive_path, "w:gz") as tar:
-            tar.add(self.root / _INDEX, arcname=_INDEX)
             for digest in sorted(entries):
                 path = self._object_path(digest)
                 if path.is_file():
@@ -358,11 +347,11 @@ class ResultCache:
 
         Objects whose stored key does not hash to their file name are
         rejected (and counted under ``orchestrator.cache.corrupt``);
-        already-present digests are skipped.
+        already-present digests are skipped, and so is any member
+        outside ``objects/`` (the ``index.json`` older archives carry).
         """
         if self.root is None:
             raise ValueError("result cache is disabled; nowhere to import")
-        entries = self._load_index()
         imported = skipped = corrupt = 0
         with tarfile.open(archive_path, "r:gz") as tar:
             for member in tar.getmembers():
@@ -375,8 +364,7 @@ class ResultCache:
                         c in "0123456789abcdef" for c in digest):
                     corrupt += 1
                     continue
-                if digest in entries \
-                        and self._object_path(digest).is_file():
+                if self._object_path(digest).is_file():
                     skipped += 1
                     continue
                 blob = tar.extractfile(member).read()
@@ -390,21 +378,7 @@ class ResultCache:
                     obs.registry().inc("orchestrator.cache.corrupt")
                     continue
                 _atomic_write(self._object_path(digest), blob)
-                entries[digest] = {"name": "?", "bytes": len(blob),
-                                   "atime": time.time()}
                 imported += 1
-        # Adopt names from the archive's index where ours says "?".
-        try:
-            with tarfile.open(archive_path, "r:gz") as tar:
-                doc = json.load(tar.extractfile(_INDEX))
-            if doc.get("schema") == SCHEMA:
-                for digest, info in doc.get("entries", {}).items():
-                    if digest in entries \
-                            and entries[digest].get("name") == "?":
-                        entries[digest]["name"] = info.get("name", "?")
-        except Exception:
-            pass
-        self._flush_index()
         return {"imported": imported, "skipped": skipped,
                 "corrupt": corrupt}
 
@@ -439,7 +413,7 @@ def main(argv=None):
     sub.add_parser("stats", help="entry count and size") \
         .add_argument("--json", action="store_true")
     gc_p = sub.add_parser("gc", help="evict LRU entries over a budget")
-    gc_p.add_argument("--max-mb", type=float, required=True,
+    gc_p.add_argument("--max-mb", type=_max_mb_arg, required=True,
                       help="size budget to shrink the store to")
     exp_p = sub.add_parser("export",
                            help="pack the store into a tar.gz artifact")

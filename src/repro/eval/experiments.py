@@ -17,17 +17,16 @@ benchmarks ask for the same netlists repeatedly.  A sweep point whose
 build params match a row shares that netlist
 (:func:`repro.eval.sweep.design_module`); the other sweep points build
 fresh and are never cached.  The cache has two levels: an in-process
-``lru_cache`` and an on-disk pickle cache under the repository's
-``.cache/modules/`` keyed by the builder name and a fingerprint of the
-generator sources plus the cell library, so repeated benchmark
-*processes* skip netlist construction as well (``REPRO_MODULE_CACHE``
-overrides the directory; ``0`` disables).
+``lru_cache`` and one entry per name in the content-addressed result
+store of :mod:`repro.eval.cache`, addressed by the name and a
+fingerprint of the package sources plus the cell library, so repeated
+benchmark *processes* skip netlist construction as well.  Module
+entries share the store's root (``REPRO_RESULT_CACHE``; ``0`` leaves
+only the in-process level), its LRU budget and ``cache gc``.
 """
 
 import functools
 import hashlib
-import os
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -45,7 +44,7 @@ from repro.core.pipeline_unit import build_mf_multiplier
 from repro.core.reduction import reduce_binary64, widen_binary32
 from repro.core.vector_unit import FormatPowerTable, VectorMultiplier
 from repro.errors import SimulationError
-from repro.eval.cache import _atomic_write
+from repro.eval.cache import ResultCache, key_digest
 from repro.eval.tables import paper_vs_measured, render_table
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
@@ -79,7 +78,7 @@ PAPER = {
 def _source_fingerprint():
     """Hash of every ``repro`` source file (and the default library).
 
-    Any source change invalidates the on-disk module cache — coarse,
+    Any source change invalidates the stored modules — coarse,
     but netlist construction depends on a wide slice of the package
     and correctness beats cache hits.
     """
@@ -95,21 +94,18 @@ def _source_fingerprint():
 def source_fingerprint():
     """Public alias: the fingerprint keying every on-disk cache layer.
 
-    Shared by the module pickle cache here and the orchestrator's
-    result cache (:mod:`repro.eval.orchestrator`), so one source edit
+    Shared by the module entries here and the orchestrator's leaf
+    results (:mod:`repro.eval.orchestrator`), so one source edit
     invalidates both coherently.
     """
     return _source_fingerprint()
 
 
-def _module_cache_dir():
-    """The on-disk module cache directory, or ``None`` when disabled."""
-    env = os.environ.get("REPRO_MODULE_CACHE")
-    if env == "0":
-        return None
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".cache" / "modules"
+class _ModuleStore(ResultCache):
+    """The default result store, with its reads charged to
+    ``module_cache.*`` rather than to the orchestrator's leaf counters."""
+
+    counters = "module_cache"
 
 
 #: The named experiment netlists, one row each: name -> (builder,
@@ -134,37 +130,24 @@ NAMED_BUILDS = {
 def cached_module(which):
     """Build-once cache for the :data:`NAMED_BUILDS` netlists.
 
-    Backed by the on-disk pickle cache described in the module
-    docstring.  A missing or stale entry is a ``module_cache.misses``;
-    an unreadable one also ticks ``module_cache.corrupt``.  Both
-    rebuild and rewrite the entry.
+    Backed by one result-store entry per name, as the module docstring
+    describes.  A missing or stale entry is a ``module_cache.misses``;
+    an unreadable or tampered one also ticks ``module_cache.corrupt``.
+    Both rebuild and rewrite the entry.
     """
     builder, params = NAMED_BUILDS[which]
-    cache_dir = _module_cache_dir()
+    store = _ModuleStore()
+    digest = key_digest(repr((_source_fingerprint(), "module", which)))
+    with obs.span(f"module:load:{which}", cat="module"):
+        hit, module = store.load_object(digest)
     reg = obs.registry()
-    if cache_dir is None:
-        reg.inc("module_cache.misses")
-        with obs.span(f"module:build:{which}", cat="module"):
-            return builder(**params)
-    path = cache_dir / f"{which}-{_source_fingerprint()}.pkl"
-    try:
-        with obs.span(f"module:load:{which}", cat="module"):
-            with open(path, "rb") as fh:
-                module = pickle.load(fh)
+    if hit:
         reg.inc("module_cache.hits")
         return module
-    except FileNotFoundError:
-        pass
-    except Exception:
-        reg.inc("module_cache.corrupt")
     reg.inc("module_cache.misses")
     with obs.span(f"module:build:{which}", cat="module"):
         module = builder(**params)
-    try:
-        _atomic_write(path, pickle.dumps(module,
-                                         protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        pass                    # caching is best-effort
+    store.store_object(digest, module)
     return module
 
 

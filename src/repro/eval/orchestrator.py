@@ -32,9 +32,9 @@ pluggable **execution backend** (:mod:`repro.eval.sched`):
 
 Finished leaves persist in the **content-addressed result store** of
 :mod:`repro.eval.cache` — ``sha256(key)``-named entries keyed by
-``(source fingerprint, job name, params, seed, cycles)``, the same
-fingerprint that keys the module pickle cache of
-:mod:`repro.eval.experiments`, so one source edit invalidates both
+``(source fingerprint, job name, params, seed, cycles)``.  The same
+store holds the named netlists of :mod:`repro.eval.experiments`,
+addressed by the same fingerprint, so one source edit invalidates both
 coherently.  Corrupt entries tick ``orchestrator.cache.corrupt`` and
 recompute; ``repro cache export``/``import`` moves warm stores between
 machines (``REPRO_RESULT_CACHE`` overrides the directory; ``0``

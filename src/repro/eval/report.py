@@ -160,6 +160,16 @@ def generate_report(n_cycles=12, out_path=None, include_sweeps=False,
     return text
 
 
+def _mutations_arg(text):
+    """``--mutations`` type: a fault campaign needs at least one
+    mutation."""
+    mutations = int(text)
+    if mutations < 1:
+        raise argparse.ArgumentTypeError(
+            f"{mutations}: a fault campaign needs at least one mutation")
+    return mutations
+
+
 def _live_printer(stream=None):
     """The ``--live`` progress renderer: one status line per finished job.
 
@@ -267,7 +277,7 @@ def main(argv=None):
     parser.add_argument("--cycles", type=cycles_arg, default=12,
                         help="Monte Carlo cycles for the power "
                              "experiments (at least 2; default 12)")
-    parser.add_argument("--mutations", type=int, default=12,
+    parser.add_argument("--mutations", type=_mutations_arg, default=12,
                         help="mutations per fault-injection campaign "
                              "(default 12)")
     parser.add_argument("--no-sweeps", action="store_true",

@@ -210,8 +210,7 @@ class _Session:
             digest = self._digests.pop(result.name, None)
             if result.ok and digest is not None \
                     and self.daemon.cache is not None:
-                self.daemon.cache.store_object(digest, result.value,
-                                               name=result.name)
+                self.daemon.cache.store_object(digest, result.value)
             self.daemon.bump("errors" if not result.ok else "results")
             if not self._send(wire.result_envelope(result, result.worker)):
                 return

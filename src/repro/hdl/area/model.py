@@ -26,9 +26,6 @@ class AreaReport:
     def block_um2(self, block):
         return self.by_block_um2.get(block, 0.0)
 
-    def block_nand2_eq(self, block):
-        return self.block_um2(block) / NAND2_AREA_UM2
-
 
 def area_report(module, library):
     """Sum cell and register areas; group by top-level block tag."""

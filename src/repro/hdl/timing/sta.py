@@ -39,10 +39,6 @@ class StageTiming:
     endpoint: int                         # net id of the worst endpoint
     path_gates: List[int] = field(default_factory=list)  # gate indices
 
-    @property
-    def delay_fo4(self):
-        return self.delay_ps / FO4_PS
-
 
 @dataclass
 class TimingReport:
@@ -54,11 +50,6 @@ class TimingReport:
     @property
     def critical_stage(self):
         return max(self.stages, key=lambda s: s.delay_ps)
-
-    @property
-    def combinational_delay_ps(self):
-        """Sum of stage delays = latency of the unpipelined computation."""
-        return sum(s.delay_ps for s in self.stages)
 
     @property
     def clock_period_ps(self):

@@ -25,7 +25,7 @@ process boundary as JSON.
 """
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 #: Geometric bucket growth factor: relative error <= (GAMMA - 1) / 2.
 GAMMA = 1.05
@@ -35,11 +35,6 @@ _LOG_GAMMA = math.log(GAMMA)
 #: Reserved pseudo-bucket keys (JSON object keys are strings anyway).
 _ZERO = "zero"
 _NEG = "neg"
-
-
-def bucket_index(value):
-    """The geometric bucket index of a positive sample."""
-    return math.floor(math.log(value) / _LOG_GAMMA)
 
 
 def bucket_value(index):
@@ -170,8 +165,3 @@ def quantiles_from_aggregate(agg, qs=(0.5, 0.95, 0.99)) -> Optional[dict]:
 def _qlabel(q):
     text = f"{q * 100:g}"
     return f"p{text.replace('.', '_')}"
-
-
-def quantile_labels(qs: Iterable[float]):
-    """The ``pNN`` labels :func:`quantiles_from_aggregate` uses."""
-    return [_qlabel(q) for q in qs]

@@ -342,11 +342,31 @@ def _word_patterns_arg(text):
             f"got {text!r}") from None
 
 
+def _requests_arg(text):
+    """``--requests`` type: a run needs at least one request to report
+    latencies of."""
+    requests = int(text)
+    if requests < 1:
+        raise argparse.ArgumentTypeError(
+            f"{requests}: a load run needs at least one request")
+    return requests
+
+
+def _max_wait_arg(text):
+    """``--max-wait`` type: a negative flush deadline is a usage error."""
+    seconds = float(text)
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError(
+            f"{text}: the max wait must be a non-negative number of "
+            f"seconds")
+    return seconds
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.loadgen",
         description="seeded mixed-format load generator for repro.serve")
-    parser.add_argument("--requests", type=int, default=256)
+    parser.add_argument("--requests", type=_requests_arg, default=256)
     parser.add_argument("--seed", type=int, default=2017)
     parser.add_argument("--baseline", action="store_true",
                         help="one-transaction-per-word mode (max_batch=1)")
@@ -354,7 +374,7 @@ def main(argv=None):
                         default=WORD_PATTERNS, metavar="N",
                         help="simulation word capacity, a positive "
                              "multiple of 64 (default 64)")
-    parser.add_argument("--max-wait", type=float, default=0.02,
+    parser.add_argument("--max-wait", type=_max_wait_arg, default=0.02,
                         metavar="SECONDS")
     parser.add_argument("--burst", type=int, default=16, metavar="MEAN",
                         help="mean geometric burst size (arrivals)")

@@ -27,7 +27,7 @@ tests check it does) return the same bits for any batching schedule.
 
 import enum
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.bits.ieee754 import BINARY16, BINARY32, BINARY64
@@ -107,14 +107,6 @@ class Transaction:
     #: transaction no matter who asked for it.
     trace_ctx: Optional[dict] = field(default=None, compare=False,
                                       repr=False)
-
-    def with_trace(self, ctx=None):
-        """A copy carrying trace context (current span if ``ctx`` is None)."""
-        if ctx is None:
-            from repro import obs
-
-            ctx = obs.current_context()
-        return replace(self, trace_ctx=ctx)
 
     def __post_init__(self):
         for name, v in (("x", self.x), ("y", self.y)):

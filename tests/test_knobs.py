@@ -114,9 +114,10 @@ def test_result_cache_mb_sets_the_lru_budget(monkeypatch, tmp_path):
     assert cache.max_bytes == 2 * 1024 * 1024
     monkeypatch.delenv("REPRO_RESULT_CACHE_MB")
     assert ResultCache(root=tmp_path, fingerprint="fp").max_bytes is None
-    monkeypatch.setenv("REPRO_RESULT_CACHE_MB", "512MB")
-    with pytest.raises(ReproError, match="REPRO_RESULT_CACHE_MB='512MB'"):
-        ResultCache(root=tmp_path, fingerprint="fp")
+    for bad in ("512MB", "-1"):
+        monkeypatch.setenv("REPRO_RESULT_CACHE_MB", bad)
+        with pytest.raises(ReproError, match=f"REPRO_RESULT_CACHE_MB='{bad}'"):
+            ResultCache(root=tmp_path, fingerprint="fp")
 
 
 def test_ckernel_cache_overrides_the_kernel_directory(monkeypatch,
@@ -174,11 +175,18 @@ def test_power_breakdown_seed_and_top_flags(capsys):
     *[pytest.param("repro.eval.power_breakdown", ["--module", module],
                    "invalid choice", id=f"repro.eval.power_breakdown--module={module}")
       for module in ("reducer", "bogus")],
+    pytest.param("repro.eval.report", ["--mutations", "0"],
+                 "at least one mutation", id="repro.eval.report--mutations=0"),
+    pytest.param("repro.serve.loadgen", ["--requests", "0"],
+                 "at least one request", id="repro.serve.loadgen--requests=0"),
+    pytest.param("repro.serve.loadgen", ["--max-wait", "-1"],
+                 "non-negative", id="repro.serve.loadgen--max-wait=-1"),
 ])
 def test_cycles_and_module_reject_unusable_values(program, argv, message,
                                                   capsys):
-    """``--cycles`` below 2 and a ``--module`` without a stimulus are
-    usage errors (exit 2), not tracebacks from the simulator."""
+    """``--cycles`` below 2, a ``--module`` without a stimulus, and a
+    campaign, load run or flush deadline that cannot run are usage
+    errors (exit 2), not tracebacks from the simulator."""
     import importlib
 
     main = importlib.import_module(

@@ -178,14 +178,14 @@ def test_cache_entry_roundtrips_values(tmp_path):
     hit, value = cache.load(jb)
     assert hit and value == 5040
     # And the stored entry is a content-addressed plain pickle on disk:
-    # objects/<sha256(key)>.pkl next to the index.
+    # objects/<sha256(key)>.pkl, the store's only state.
     objects = os.path.join(str(tmp_path), "objects")
     (entry,) = os.listdir(objects)
     assert entry.endswith(".pkl") and len(entry) == 64 + len(".pkl")
     with open(os.path.join(objects, entry), "rb") as fh:
         payload = pickle.load(fh)
     assert payload["value"] == 5040
-    assert os.path.exists(os.path.join(str(tmp_path), "index.json"))
+    assert not os.path.exists(os.path.join(str(tmp_path), "index.json"))
 
 
 def test_cache_env_disable(monkeypatch):

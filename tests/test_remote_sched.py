@@ -464,7 +464,7 @@ def test_digest_object_store_roundtrip(tmp_path):
     digest = "ab" * 32
     assert not cache.has_object(digest)
     assert cache.load_object(digest) == (False, None)
-    cache.store_object(digest, {"x": [1, 2, 3]}, name="leafy")
+    cache.store_object(digest, {"x": [1, 2, 3]})
     assert cache.has_object(digest)
     assert cache.load_object(digest) == (True, {"x": [1, 2, 3]})
     # A digest-form entry survives export/import digest verification.

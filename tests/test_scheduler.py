@@ -28,7 +28,7 @@ import pytest
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.eval.cache import ResultCache, key_digest
+from repro.eval.cache import ResultCache, job_key, key_digest
 from repro.eval.orchestrator import Job, job, run_graph
 from repro.eval.sched import make_backend
 from tests.oracles.sched_leaves import seeded_leaf
@@ -240,12 +240,23 @@ def test_cache_import_skips_corrupt_entries(tmp_path):
 def test_cache_lru_eviction_is_size_capped(tmp_path):
     cache = ResultCache(root=str(tmp_path), fingerprint="fp")
     blob = list(range(20000))           # ~100 KB pickled
+    now = time.time()
     for i in range(6):
-        cache.store(job(f"big{i}", "m:f", i=i), blob)
-        hit, __ = cache.load(job(f"big{i}", "m:f", i=i))
+        jb = job(f"big{i}", "m:f", i=i)
+        cache.store(jb, blob)
+        hit, __ = cache.load(jb)
         assert hit
+        # Uses a second apart, so the file clock's granularity cannot
+        # tie two entries.
+        stamp = now - 10 + i
+        os.utime(cache._object_path(key_digest(job_key("fp", jb))),
+                 (stamp, stamp))
     before = cache.stats()
     assert before["entries"] == 6
+    # A hit, not only a store, refreshes an entry: the oldest store
+    # (big0) is hit and survives, the newer, unhit big1 is evicted.
+    hit, __ = cache.load(job("big0", "m:f", i=0))
+    assert hit
     evicted = cache.gc(max_mb=0.25)
     assert len(evicted) > 0
     after = cache.stats()
@@ -254,6 +265,27 @@ def test_cache_lru_eviction_is_size_capped(tmp_path):
     # Most-recently-used entries survive.
     hit, __ = cache.load(job("big5", "m:f", i=5))
     assert hit
+    assert cache.load(job("big0", "m:f", i=0))[0]
+    assert not cache.load(job("big1", "m:f", i=1))[0]
+
+
+def test_cache_hits_leave_the_store_untouched(tmp_path):
+    cache = ResultCache(root=str(tmp_path), fingerprint="fp")
+    jobs = [job(f"leaf{i}", "m:f", i=i) for i in range(4)]
+    for i, jb in enumerate(jobs):
+        cache.store(jb, [i] * 100)
+
+    def snapshot():
+        return {str(p.relative_to(tmp_path)): p.read_bytes()
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+    before = snapshot()
+    for n in range(100):
+        assert cache.load(jobs[n % 4]) == (True, [n % 4] * 100)
+    assert snapshot() == before
+    assert sorted(before) == sorted(
+        f"objects/{key_digest(job_key('fp', jb))}.pkl" for jb in jobs)
+    assert not (tmp_path / "index.json").exists()
 
 
 def test_cache_cli_stats_gc_export_import(tmp_path, capsys):
@@ -273,6 +305,13 @@ def test_cache_cli_stats_gc_export_import(tmp_path, capsys):
     dst = str(tmp_path / "other")
     assert cache_cli.main(["--root", dst, "import", archive]) == 0
     assert "imported 1" in capsys.readouterr().out
+
+    # A negative budget is a usage error, not an emptied store.
+    with pytest.raises(SystemExit) as exc:
+        cache_cli.main(["--root", dst, "gc", "--max-mb", "-5"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert ResultCache(root=dst, fingerprint="fp").stats()["entries"] == 1
 
     assert cache_cli.main(["--root", dst, "gc", "--max-mb", "0"]) == 0
 

@@ -531,51 +531,122 @@ class TestKernelFallback:
 # ----------------------------------------------------------------------
 
 class TestModuleDiskCache:
-    def test_pickle_roundtrip(self, tmp_path, monkeypatch):
-        from repro.eval import experiments
+    """Named netlists are entries of the result store: one
+    digest-addressed object per name, charged to ``module_cache.*``."""
 
-        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
-        experiments.cached_module.cache_clear()
+    @staticmethod
+    def _counter(name):
+        from repro import obs
+
+        return obs.registry().snapshot()["counters"].get(name, 0)
+
+    @staticmethod
+    def _cold(monkeypatch, root):
+        """Point the store at ``root`` and empty the in-process level
+        (each test empties it again on the way out, so no tmp_path-backed
+        module outlives it)."""
+        from repro.eval.experiments import cached_module
+
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(root))
+        cached_module.cache_clear()
+
+    def test_pickle_roundtrip(self, tmp_path, monkeypatch):
+        from repro.eval.experiments import cached_module
+
         try:
-            first = experiments.cached_module("r4")
-            files = list(tmp_path.glob("r4-*.pkl"))
+            self._cold(monkeypatch, tmp_path)
+            first = cached_module("r4")
+            files = list((tmp_path / "objects").glob("*.pkl"))
             assert len(files) == 1
-            experiments.cached_module.cache_clear()
-            second = experiments.cached_module("r4")   # from pickle
+            hits = self._counter("module_cache.hits")
+            cached_module.cache_clear()
+            second = cached_module("r4")   # from the store
+            assert self._counter("module_cache.hits") == hits + 1
             assert second.n_nets == first.n_nets
             assert ([g.kind for g in second.gates]
                     == [g.kind for g in first.gates])
             assert second.inputs.keys() == first.inputs.keys()
         finally:
-            # Don't leave tmp_path-backed entries in the process-wide cache.
-            experiments.cached_module.cache_clear()
+            cached_module.cache_clear()
 
     def test_corrupt_entry_is_counted_and_replaced(self, tmp_path,
                                                    monkeypatch):
         import pickle
 
-        from repro import obs
-        from repro.eval import experiments
+        from repro.eval.experiments import cached_module
 
-        def corrupt():
-            counters = obs.registry().snapshot()["counters"]
-            return counters.get("module_cache.corrupt", 0)
-
-        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
-        path = tmp_path / f"reducer-{experiments._source_fingerprint()}.pkl"
-        path.write_bytes(b"not a pickle")
-        experiments.cached_module.cache_clear()
-        before = corrupt()
         try:
-            module = experiments.cached_module("reducer")
+            self._cold(monkeypatch, tmp_path)
+            cached_module("reducer")
+            (path,) = (tmp_path / "objects").glob("*.pkl")
+            path.write_bytes(pickle.dumps({"schema": "repro.cache/1",
+                                           "digest": "f" * 64,
+                                           "value": "tampered"}))
+            before = (self._counter("module_cache.corrupt"),
+                      self._counter("module_cache.misses"),
+                      self._counter("orchestrator.cache.corrupt"))
+            cached_module.cache_clear()
+            module = cached_module("reducer")
         finally:
-            experiments.cached_module.cache_clear()
-        assert corrupt() == before + 1
+            cached_module.cache_clear()
+        assert (self._counter("module_cache.corrupt"),
+                self._counter("module_cache.misses"),
+                self._counter("orchestrator.cache.corrupt")) \
+            == (before[0] + 1, before[1] + 1, before[2])
         with open(path, "rb") as fh:
-            assert pickle.load(fh).n_nets == module.n_nets
+            assert pickle.load(fh)["value"].n_nets == module.n_nets
 
     def test_cache_disabled_by_env(self, monkeypatch):
-        from repro.eval.experiments import _module_cache_dir
+        from repro.eval.experiments import cached_module
 
-        monkeypatch.setenv("REPRO_MODULE_CACHE", "0")
-        assert _module_cache_dir() is None
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
+        before = (self._counter("module_cache.hits"),
+                  self._counter("module_cache.misses"))
+        try:
+            cached_module.cache_clear()
+            first = cached_module("r4")
+            assert cached_module("r4") is first
+            cached_module.cache_clear()     # no on-disk level to hit
+            assert cached_module("r4") is not first
+        finally:
+            cached_module.cache_clear()
+        assert (self._counter("module_cache.hits"),
+                self._counter("module_cache.misses")) \
+            == (before[0], before[1] + 2)
+
+    def test_parent_format_archive_imports(self, tmp_path, monkeypatch):
+        """An archive that still carries the retired ``index.json``
+        imports, and its module entries load without a build."""
+        import io
+        import json
+        import tarfile
+
+        from repro.eval.cache import ResultCache
+        from repro.eval.experiments import cached_module
+
+        try:
+            self._cold(monkeypatch, tmp_path / "src")
+            cached_module("r4")
+            (path,) = (tmp_path / "src" / "objects").glob("*.pkl")
+            archive = tmp_path / "parent.tar.gz"
+            index = json.dumps({"schema": "repro.cache/1", "entries": {
+                path.stem: {"name": "?", "bytes": path.stat().st_size,
+                            "atime": 0.0}}}).encode()
+            with tarfile.open(archive, "w:gz") as tar:
+                info = tarfile.TarInfo("index.json")
+                info.size = len(index)
+                tar.addfile(info, io.BytesIO(index))
+                tar.add(path, arcname=f"objects/{path.name}")
+            dst = ResultCache(root=tmp_path / "dst", fingerprint="fp")
+            assert dst.import_archive(archive) == {
+                "imported": 1, "skipped": 0, "corrupt": 0}
+            assert not (tmp_path / "dst" / "index.json").exists()
+            self._cold(monkeypatch, tmp_path / "dst")
+            hits = self._counter("module_cache.hits")
+            misses = self._counter("module_cache.misses")
+            cached_module("r4")
+            assert (self._counter("module_cache.hits"),
+                    self._counter("module_cache.misses")) \
+                == (hits + 1, misses)
+        finally:
+            cached_module.cache_clear()
