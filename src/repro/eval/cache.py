@@ -19,9 +19,13 @@ Properties:
 * **atomic writes** — objects are written to a temp file and
   ``os.replace``d; readers never observe a torn entry;
 * **self-verifying** — an object must contain the exact key (or
-  digest) that names it; a mismatch, torn pickle or unreadable file
-  degrades to a miss and ticks ``<counters>.corrupt`` (never silent,
-  the caller recomputes and overwrites);
+  digest) that names it; a mismatch or torn pickle degrades to a miss
+  and ticks ``<counters>.corrupt`` (never silent, the caller
+  recomputes and overwrites);
+* **shareable** — objects get the mode a plain ``open`` would give
+  them (``0o666`` less the umask), so the store's other users can read
+  them; an object this process may not read is a miss that ticks
+  ``<counters>.unreadable`` and stays in place;
 * **size-capped** — ``max_mb`` (or ``REPRO_RESULT_CACHE_MB``) enforces
   an LRU budget at store time; :meth:`ResultCache.gc` does the same on
   demand, evicting least-recently-*used* entries (hits refresh mtime);
@@ -47,9 +51,9 @@ import hashlib
 import json
 import os
 import pickle
+import secrets
 import sys
 import tarfile
-import tempfile
 from pathlib import Path
 
 from repro import obs
@@ -130,9 +134,12 @@ def _proves(entry, digest):
 
 def _atomic_write(path, data):
     """Write ``data`` via a temp file and ``os.replace``: readers never
-    observe a torn file."""
+    observe a torn file.  ``os.open`` gives the file ``0o666`` less the
+    umask, as a plain ``open`` would (``mkstemp``'s private 0600 would
+    hide it from the store's other users)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     with os.fdopen(fd, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
@@ -192,14 +199,17 @@ class ResultCache:
         A torn pickle or an entry that does not :func:`_proves` its
         name is corrupt, not merely cold: it ticks
         ``<counters>.corrupt`` and is deleted to clear the way for the
-        recompute's overwrite.  Hits refresh the object's mtime, its
-        LRU position.
+        recompute's overwrite; one this process may not open is left
+        alone.  Hits refresh the object's mtime, its LRU position.
         """
         path = self._object_path(digest)
         try:
             with open(path, "rb") as fh:
                 entry = pickle.load(fh)
         except FileNotFoundError:
+            return False, None
+        except PermissionError:
+            obs.registry().inc(f"{self.counters}.unreadable")
             return False, None
         except Exception:
             entry = None

@@ -187,7 +187,8 @@ def _timing_area(which, name, paper_key):
     lib = default_library()
     report = analyze(module, lib)
     segments = critical_path_breakdown(
-        module, lib, blocks=["precomp", "recoder", "ppgen", "tree", "cpa"])
+        module, lib, report.critical_stage,
+        blocks=["precomp", "recoder", "ppgen", "tree", "cpa"])
     seg_map = {}
     for seg in segments:
         key = "ppgen" if seg.block == "recoder" else seg.block
@@ -373,7 +374,7 @@ def experiment_fig1_ppgen():
     kinds: Dict[str, int] = {}
     blocks: Dict[str, int] = {}
     for gate in module.gates:
-        top = gate.block.split("/", 1)[0] if gate.block else "(top)"
+        top = module.index.top[gate.output] or "(top)"
         blocks[top] = blocks.get(top, 0) + 1
         if top == "ppgen":
             kinds[gate.kind] = kinds.get(gate.kind, 0) + 1

@@ -29,19 +29,20 @@ class AreaReport:
 
 def area_report(module, library):
     """Sum cell and register areas; group by top-level block tag."""
+    top = module.index.top
     by_block: Dict[str, float] = {}
     total = 0.0
     for gate in module.gates:
         area = library.spec(gate.kind).area_um2
         total += area
-        top = gate.block.split("/", 1)[0] if gate.block else "(top)"
-        by_block[top] = by_block.get(top, 0.0) + area
+        tag = top[gate.output] or "(top)"
+        by_block[tag] = by_block.get(tag, 0.0) + area
     reg_area = 0.0
     for reg in module.registers:
         area = library.register.area_um2
         reg_area += area
         total += area
-        top = reg.block.split("/", 1)[0] if reg.block else "(registers)"
-        by_block[top] = by_block.get(top, 0.0) + area
+        tag = top[reg.q] or "(registers)"
+        by_block[tag] = by_block.get(tag, 0.0) + area
     return AreaReport(total_um2=total, register_um2=reg_area,
                       by_block_um2=by_block)

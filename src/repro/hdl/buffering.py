@@ -22,8 +22,10 @@ keeps that full-rebuild pass as the reference.
 
 The pass mutates the module in place (gates are rewired, buffers are
 appended with the driver's block tag so per-block area/power stay
-meaningful) and preserves functionality exactly — co-simulation tests
-cover this.
+meaningful), drops the module's derived index, and preserves
+functionality exactly — co-simulation tests cover this.  A rewired
+gate may now read a BUF appended after it, so ``module.gates`` is not
+in topological order afterwards; readers take the index's order.
 """
 
 import math
@@ -63,7 +65,7 @@ def insert_buffers(module, library, max_load=8.0):
     for bus in module.outputs.values():
         for net in bus:
             pad[net] += library.output_load
-    block_of = module.block_of_net()
+    block_of = list(module.index.owner)
 
     worklist = range(module.n_nets)
     passes = 0
@@ -116,4 +118,5 @@ def insert_buffers(module, library, max_load=8.0):
             consumers[net] = bufs
             load[net] = net_load
         worklist = sorted(touched)
+    module.drop_index()
     return module

@@ -1,0 +1,228 @@
+"""One derived index per netlist.
+
+Validation, the compile pass, static timing, area, pipeline staging,
+Monte Carlo power and its attribution read a module's structure from
+:attr:`~repro.hdl.module.Module.index` instead of deriving it again.
+Each field is derived on its first read and kept; every edit of the
+module drops the whole index
+(:meth:`~repro.hdl.module.Module.drop_index`), and it is never pickled.
+"""
+
+import weakref
+from array import array
+from functools import cached_property
+
+from repro import obs
+from repro.errors import PipelineError, SimulationError
+
+
+class NetlistIndex:
+    """The derived structure of one module, built field by field."""
+
+    def __init__(self, module):
+        # Weak: the index lives on the module, and a strong reference
+        # would make every analysed module a reference cycle.
+        self._module = weakref.ref(module)
+        self._order = None
+        self._libraries = []
+
+    def node_order(self, error=SimulationError):
+        """Gate indices (``>= 0``) and register codes (``-1 - ridx``)
+        in one deterministic topological order, sorted on first call.
+
+        Registers are nodes with a d -> q edge, so any cycle, even one
+        through a register, raises ``error``.  Readers that need only
+        the gates (timing, the event settle) filter it.
+        """
+        if self._order is None:
+            obs.registry().inc("hdl.index.sorts")
+            self._order = _kahn_order(self._module(), error)
+        return self._order
+
+    @cached_property
+    def fanout(self):
+        """net -> gate indices reading it, ascending (registers excluded)."""
+        module = self._module()
+        fanout = [[] for __ in range(module.n_nets)]
+        for idx, gate in enumerate(module.gates):
+            for net in gate.inputs:
+                fanout[net].append(idx)
+        return fanout
+
+    @cached_property
+    def owner(self):
+        """net -> block tag of its driver (inputs and constants: ``""``)."""
+        module = self._module()
+        owner = [""] * module.n_nets
+        for gate in module.gates:
+            owner[gate.output] = gate.block
+        for reg in module.registers:
+            owner[reg.q] = reg.block
+        return owner
+
+    @cached_property
+    def top(self):
+        """net -> top-level block tag of its driver (``""`` for none,
+        which each report names its own way)."""
+        tops = {tag: tag.split("/", 1)[0] for tag in set(self.owner)}
+        return [tops[tag] for tag in self.owner]
+
+    @cached_property
+    def cells(self):
+        """net -> driving cell kind (``DFF`` for register outputs)."""
+        module = self._module()
+        cell = ["(input)"] * module.n_nets
+        for net in module.constants:
+            cell[net] = "(const)"
+        for gate in module.gates:
+            cell[gate.output] = gate.kind
+        for reg in module.registers:
+            cell[reg.q] = "DFF"
+        return cell
+
+    @cached_property
+    def stages(self):
+        """``(gate_stages, net_stages, mixed)`` of one pipeline walk
+        (see :func:`repro.hdl.pipeline.stage_map`); ``mixed`` is the
+        message of the first gate mixing stages or register latching a
+        net of another stage, else ``None``."""
+        module = self._module()
+        gates, registers = module.gates, module.registers
+        net_stage = [0] * module.n_nets
+        for bus in module.inputs.values():
+            for net in bus:
+                net_stage[net] = 1
+        gate_stages = [0] * len(gates)
+        mixed = None
+        for node in self.node_order(PipelineError):
+            if node >= 0:
+                gate = gates[node]
+                stages = {net_stage[n] for n in gate.inputs if net_stage[n]}
+                stage = max(stages) if stages else 1
+                if len(stages) > 1 and mixed is None:
+                    mixed = (f"gate {node} ({gate.kind} in {gate.block!r}) "
+                             f"mixes stages {sorted(stages)}")
+                gate_stages[node] = net_stage[gate.output] = stage
+            else:
+                reg = registers[-node - 1]
+                d_stage = net_stage[reg.d] or reg.stage
+                if d_stage != reg.stage and mixed is None:
+                    mixed = (f"register at stage {reg.stage} latches a "
+                             f"stage-{d_stage} net")
+                net_stage[reg.q] = reg.stage + 1
+        return gate_stages, net_stage, mixed
+
+    @cached_property
+    def compiled(self):
+        """The module's :class:`~repro.hdl.sim.compile.CompiledModule`."""
+        # Imported on use, so building a Module loads no simulator.
+        from repro.hdl.sim.compile import compile_module
+
+        return compile_module(self._module())
+
+    def library(self, library):
+        """The :class:`LibraryFields` for ``library``, matched by
+        equality so that ``default_library()``-per-call shares them."""
+        for fields in self._libraries:
+            if fields.library == library:
+                return fields
+        fields = LibraryFields(self._module, library)
+        self._libraries.append(fields)
+        return fields
+
+
+class LibraryFields:
+    """A module's fields that depend on the cell library.  The float
+    tables are ``array("d")``: a module keeps them for its lifetime, at
+    a quarter of a float list's memory."""
+
+    def __init__(self, module_ref, library):
+        self._module = module_ref
+        self.library = library
+
+    @cached_property
+    def load(self):
+        """net -> total driven input capacitance: gate and register
+        pins, plus the output pad load of primary outputs."""
+        module, library = self._module(), self.library
+        load = array("d", bytes(8 * module.n_nets))
+        for gate in module.gates:
+            cap = library.spec(gate.kind).input_cap
+            for net in gate.inputs:
+                load[net] += cap
+        reg_cap = library.register.input_cap
+        for reg in module.registers:
+            load[reg.d] += reg_cap
+        for bus in module.outputs.values():
+            for net in bus:
+                load[net] += library.output_load
+        return load
+
+    @cached_property
+    def delays(self):
+        """gate index -> its load-dependent delay in ps."""
+        load, spec = self.load, self.library.spec
+        return array("d", [spec(gate.kind).delay_ps(load[gate.output])
+                           for gate in self._module().gates])
+
+    @cached_property
+    def energies(self):
+        """net -> energy (fJ) of one transition: ``scale * (area_eq of
+        the driver + 0.5 * load)``; input nets carry load energy only,
+        register q nets the flip-flop's output energy."""
+        module, library = self._module(), self.library
+        scale = library.energy_fj_per_unit
+        energy = array("d", [scale * 0.5 * load for load in self.load])
+        for gate in module.gates:
+            energy[gate.output] += scale * library.spec(gate.kind).area_eq
+        qunits = library.register.q_energy_units
+        for reg in module.registers:
+            energy[reg.q] += scale * qunits
+        return energy
+
+    @cached_property
+    def leakage_mw(self):
+        """Static power of the whole module in mW (proportional to area)."""
+        module, library = self._module(), self.library
+        area_eq = 0.0
+        for gate in module.gates:
+            area_eq += library.spec(gate.kind).area_eq
+        area_eq += library.register.area_eq * len(module.registers)
+        return area_eq * library.leakage_nw_per_eq * 1e-6
+
+    @cached_property
+    def event_simulator(self):
+        """The module's shared :class:`~repro.hdl.sim.event.EventSimulator`:
+        its compiled evaluation closures are built once, however many
+        estimates reuse it."""
+        from repro.hdl.sim.event import EventSimulator
+
+        return EventSimulator(self._module(), self.library)
+
+
+def _kahn_order(module, error):
+    gates, registers = module.gates, module.registers
+    n_gates = len(gates)
+    node_inputs = [g.inputs for g in gates] + [(r.d,) for r in registers]
+    producers = {g.output: node for node, g in enumerate(gates)}
+    producers.update((r.q, n_gates + ridx) for ridx, r in enumerate(registers))
+    indegree = [0] * len(node_inputs)
+    consumers = [[] for __ in node_inputs]
+    for node, nets in enumerate(node_inputs):
+        for net in nets:
+            if net in producers:
+                indegree[node] += 1
+                consumers[producers[net]].append(node)
+    ready = [node for node, deg in enumerate(indegree) if deg == 0]
+    order = []
+    while ready:
+        node = ready.pop()
+        # Register ``ridx`` is node ``n_gates + ridx``, coded ``-1 - ridx``.
+        order.append(node if node < n_gates else n_gates - 1 - node)
+        for consumer in consumers[node]:
+            indegree[consumer] -= 1
+            if indegree[consumer] == 0:
+                ready.append(consumer)
+    if len(order) != len(node_inputs):
+        raise error("netlist has a combinational cycle")
+    return order

@@ -15,14 +15,19 @@ Construction idiom::
     with m.block("ppgen"):
         n = m.gate("XOR2", x[0], y[0])
     m.output("p", [n])
+
+Analyses read the derived structure (topological order, fanout, loads,
+stages, ...) from :attr:`Module.index`, which every mutator drops.
 """
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetlistError
 from repro.hdl.cell import cell_num_inputs
+from repro.hdl.index import NetlistIndex
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,7 @@ class Module:
     # ------------------------------------------------------------------
 
     def new_net(self):
+        self.drop_index()
         net = self.n_nets
         self.n_nets += 1
         return net
@@ -103,6 +109,7 @@ class Module:
         nets = list(nets)
         for net in nets:
             self._require_driven(net)
+        self.drop_index()
         self.outputs[name] = nets
 
     def const(self, value):
@@ -162,43 +169,25 @@ class Module:
         except KeyError:
             raise NetlistError(f"net {net} has no driver") from None
 
-    def fanout_map(self):
-        """net -> list of gate indices reading it (registers excluded)."""
-        fanout = {net: [] for net in range(self.n_nets)}
-        for idx, gate in enumerate(self.gates):
-            for net in gate.inputs:
-                fanout[net].append(idx)
-        return fanout
-
-    def load_map(self, library):
-        """net -> total driven input capacitance (for delay/energy)."""
-        load = [0.0] * self.n_nets
-        for gate in self.gates:
-            cap = library.spec(gate.kind).input_cap
-            for net in gate.inputs:
-                load[net] += cap
-        reg_cap = library.register.input_cap
-        for reg in self.registers:
-            load[reg.d] += reg_cap
-        for bus in self.outputs.values():
-            for net in bus:
-                load[net] += library.output_load
-        return load
-
     def stage_count(self):
         """Number of pipeline stages (register stages + 1)."""
         if not self.registers:
             return 1
         return max(reg.stage for reg in self.registers) + 1
 
-    def block_of_net(self):
-        """net -> block tag of its driver (inputs/consts map to '')."""
-        owner = [""] * self.n_nets
-        for gate in self.gates:
-            owner[gate.output] = gate.block
-        for reg in self.registers:
-            owner[reg.q] = reg.block
-        return owner
+    @cached_property
+    def index(self):
+        """The module's :class:`~repro.hdl.index.NetlistIndex`: every
+        analysis reads its derived structure from here."""
+        return NetlistIndex(self)
+
+    def drop_index(self):
+        """Forget the derived index; passes that edit ``gates``,
+        ``registers`` or the buses in place call this when done."""
+        self.__dict__.pop("index", None)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "index"}
 
     def stats(self):
         """Cheap structural summary used by reports and tests."""

@@ -49,6 +49,7 @@ def tie_input(module, bus_name, value):
         bit = (value >> i) & 1
         module._driver[net] = "const"
         module._const_nets[net] = bit
+    module.drop_index()
     return module
 
 
@@ -98,6 +99,7 @@ def propagate_constants(module, stats=None):
     ]
     for name, bus in module.outputs.items():
         module.outputs[name] = [replacement.get(n, n) for n in bus]
+    module.drop_index()
     # Wire replacements may leave replaced nets dangling; that is fine —
     # dead-cell elimination reaps them.
     return stats
@@ -199,6 +201,7 @@ def eliminate_dead_cells(module, stats=None):
     stats.dead_registers_removed += len(module.registers) - len(kept_regs)
     module.gates = kept_gates
     module.registers = kept_regs
+    module.drop_index()
     return stats
 
 
@@ -249,3 +252,4 @@ def _compact(module):
                       if n in mapping}
     module._const_cache = {v: n for n, v in module._const_nets.items()}
     module.n_nets = len(live)
+    module.drop_index()

@@ -9,10 +9,9 @@ register banks.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import PipelineError
-from repro.hdl.sim.toposort import topo_node_order
 
 
 @dataclass
@@ -31,52 +30,19 @@ class PipelineReport:
 
 
 def stage_map(module, strict=True):
-    """Assign every gate to a pipeline stage.
+    """``(gate_stages, net_stages)``, read-only: the module index's one
+    walk of its topological order.
 
-    Returns ``(gate_stages, net_stages)``.  ``strict`` raises on gates
-    whose inputs come from different stages (an unbalanced pipeline cut
-    that real hardware would need synchronizing registers for).
-    Constants are stage-agnostic.
+    Primary inputs are stage 1, a register of cut ``s`` launches stage
+    ``s + 1`` and a gate takes its inputs' stage (1 for a constant-only
+    cone; constants are stage-agnostic, 0).  ``strict`` raises on the
+    first gate mixing stages (an unbalanced cut) or register latching
+    a net of another stage; otherwise the gate takes the latest.
     """
-    net_stage = [0] * module.n_nets      # 0 = undetermined/constant
-    for bus in module.inputs.values():
-        for net in bus:
-            net_stage[net] = 1
-    reg_stage_of_q = {}
-    for reg in module.registers:
-        reg_stage_of_q[reg.q] = reg.stage + 1
-
-    order = topo_node_order(module, error=PipelineError)
-    gate_stages = [0] * len(module.gates)
-    for node in order:
-        if node >= 0:
-            gate = module.gates[node]
-            stages = set()
-            for net in gate.inputs:
-                if net_stage[net]:
-                    stages.add(net_stage[net])
-            if not stages:
-                stage = 1            # constant-only cone
-            elif len(stages) == 1:
-                stage = stages.pop()
-            elif strict:
-                raise PipelineError(
-                    f"gate {node} ({gate.kind} in {gate.block!r}) mixes "
-                    f"stages {sorted(stages)}"
-                )
-            else:
-                stage = max(stages)
-            gate_stages[node] = stage
-            net_stage[gate.output] = stage
-        else:
-            reg = module.registers[-node - 1]
-            d_stage = net_stage[reg.d] or reg.stage
-            if strict and d_stage != reg.stage:
-                raise PipelineError(
-                    f"register at stage {reg.stage} latches a stage-{d_stage} net"
-                )
-            net_stage[reg.q] = reg.stage + 1
-    return gate_stages, net_stage
+    gate_stages, net_stages, mixed = module.index.stages
+    if strict and mixed is not None:
+        raise PipelineError(mixed)
+    return gate_stages, net_stages
 
 
 def pipeline_report(module, strict=True):

@@ -1,6 +1,6 @@
 """Activity-based power estimation."""
 
-from repro.hdl.power.model import PowerReport, net_toggle_energies
+from repro.hdl.power.model import PowerReport
 from repro.hdl.power.monte_carlo import estimate_power
 
-__all__ = ["PowerReport", "estimate_power", "net_toggle_energies"]
+__all__ = ["PowerReport", "estimate_power"]

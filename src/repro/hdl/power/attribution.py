@@ -14,6 +14,11 @@ count, derated by ``CellLibrary.glitch_retention``) versus
 Attribution is a pure observer: it re-reads the same toggle vectors
 and per-net energies :func:`repro.hdl.power.monte_carlo.estimate_power`
 uses, so enabling it cannot change a single reported milliwatt.  The
+block, cell and stage of each net come from the module's
+:class:`~repro.hdl.index.NetlistIndex` — the stage is the one
+:func:`repro.hdl.pipeline.stage_map` assigns, walked in topological
+order (gates rewired to BUFs appended later by
+:func:`~repro.hdl.buffering.insert_buffers` included).  The
 sum of the per-block totals equals ``PowerReport.total_mw`` (up to
 float re-association across groups — asserted to 1e-9 relative in the
 tests), because every energy contribution — switching, register clock,
@@ -27,43 +32,6 @@ from repro.hdl.power.model import toggles_to_power_mw
 
 #: Rollup entry keys, in rendering order.
 COMPONENTS = ("functional_mw", "glitch_mw", "register_mw", "leakage_mw")
-
-
-def _top_block(tag):
-    return tag.split("/", 1)[0] if tag else "(io)"
-
-
-def net_stages(module):
-    """Pipeline stage of every net, 1-based.
-
-    Primary inputs and constants are stage 1; a register with cut
-    ``stage`` launches stage ``stage + 1``; a gate output inherits the
-    maximum stage of its inputs.  ``module.gates`` is topologically
-    ordered by construction (``Module.gate`` requires driven inputs),
-    so one forward pass suffices.
-    """
-    stage = [1] * module.n_nets
-    for reg in module.registers:
-        stage[reg.q] = reg.stage + 1
-    for gate in module.gates:
-        s = 1
-        for net in gate.inputs:
-            if stage[net] > s:
-                s = stage[net]
-        stage[gate.output] = s
-    return stage
-
-
-def net_cells(module):
-    """Driving cell kind of every net (``DFF`` for register outputs)."""
-    cell = ["(input)"] * module.n_nets
-    for net in module.constants:
-        cell[net] = "(const)"
-    for gate in module.gates:
-        cell[gate.output] = gate.kind
-    for reg in module.registers:
-        cell[reg.q] = "DFF"
-    return cell
 
 
 @dataclass
@@ -176,20 +144,21 @@ def _zero_entry():
             "glitch_toggles": 0}
 
 
-def attribute_power(module, library, energies, zero_toggles, event_toggles,
+def attribute_power(module, library, zero_toggles, event_toggles,
                     transitions, frequency_mhz, glitch=True, top_n=20):
     """Build a :class:`PowerAttribution` from the estimator's raw vectors.
 
-    ``energies`` are the per-net fJ/toggle of
-    :func:`repro.hdl.power.model.net_toggle_energies`; ``zero_toggles``
-    and ``event_toggles`` the per-net counts of the zero-delay run and
-    the event replay (equal when ``glitch=False``).  The glitch share
+    ``zero_toggles`` and ``event_toggles`` are the per-net counts of
+    the zero-delay run and the event replay (equal when
+    ``glitch=False``), weighted by the per-net fJ/toggle of
+    :attr:`repro.hdl.index.LibraryFields.energies`.  The glitch share
     of each net is derated by ``library.glitch_retention`` exactly as
     :func:`~repro.hdl.power.monte_carlo.estimate_power` charges it.
     """
-    owner = module.block_of_net()
-    cells = net_cells(module)
-    stages = net_stages(module)
+    index = module.index
+    energies = index.library(library).energies
+    owner, top, cells = index.owner, index.top, index.cells
+    __, stages, __ = index.stages
     retention = library.glitch_retention if glitch else 0.0
 
     # Switching energy per net, split functional vs (derated) glitch.
@@ -199,8 +168,8 @@ def attribute_power(module, library, energies, zero_toggles, event_toggles,
     per_net_energy = []
 
     def groups(net):
-        top = _top_block(owner[net])
-        for store, key in ((by_block, top), (by_cell, cells[net]),
+        for store, key in ((by_block, top[net] or "(io)"),
+                           (by_cell, cells[net]),
                            (by_stage, stages[net])):
             entry = store.get(key)
             if entry is None:
@@ -225,24 +194,21 @@ def attribute_power(module, library, energies, zero_toggles, event_toggles,
             entry["toggles"] += event_toggles[net]
             entry["glitch_toggles"] += extra
 
-    # Register clock energy: paid per cycle by every flip-flop.
-    scale = library.energy_fj_per_unit
-    clock_fj = library.register.clock_energy_units * scale
-    for reg in module.registers:
-        mw = toggles_to_power_mw(clock_fj * transitions, transitions,
-                                 frequency_mhz)
-        for entry in groups(reg.q):
-            entry["register_mw"] += mw
-
-    # Leakage: proportional to cell area, attributed to the output net.
+    # Leakage (proportional to cell area) and register clock energy
+    # (paid per cycle by every flip-flop), on each cell's output net.
     leak_per_eq = library.leakage_nw_per_eq * 1e-6
     for gate in module.gates:
         mw = library.spec(gate.kind).area_eq * leak_per_eq
         for entry in groups(gate.output):
             entry["leakage_mw"] += mw
+    clock_fj = (library.register.clock_energy_units
+                * library.energy_fj_per_unit)
+    clock_mw = toggles_to_power_mw(clock_fj * transitions, transitions,
+                                   frequency_mhz)
     reg_leak = library.register.area_eq * leak_per_eq
     for reg in module.registers:
         for entry in groups(reg.q):
+            entry["register_mw"] += clock_mw
             entry["leakage_mw"] += reg_leak
 
     for store in (by_block, by_cell, by_stage):

@@ -12,13 +12,17 @@ paper's tooling uses:
   other net);
 * **leakage**: proportional to total area.
 
+The per-net toggle energies and the leakage are per-library fields of
+the module's index (:class:`~repro.hdl.index.LibraryFields`), computed
+once per module and library.
+
 ``scale`` (``CellLibrary.energy_fj_per_unit``) is the single calibrated
 constant — see docs/power_model.md and the calibration test in
 ``tests/test_eval.py``.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 @dataclass
@@ -78,35 +82,6 @@ class PowerReport:
             attribution=(None if self.attribution is None
                          else self.attribution.scaled_to(frequency_mhz)),
         )
-
-
-def net_toggle_energies(module, library):
-    """Per-net energy (fJ) of one transition, from driver and fanout load.
-
-    Input nets carry load energy only (their driver lives outside the
-    module); register q nets use the flip-flop's output energy.
-    """
-    load = module.load_map(library)
-    scale = library.energy_fj_per_unit
-    energy = [0.0] * module.n_nets
-    for net in range(module.n_nets):
-        energy[net] = scale * 0.5 * load[net]
-    for gate in module.gates:
-        spec = library.spec(gate.kind)
-        energy[gate.output] += scale * spec.area_eq
-    qunits = library.register.q_energy_units
-    for reg in module.registers:
-        energy[reg.q] += scale * qunits
-    return energy
-
-
-def leakage_mw(module, library):
-    """Static power of the whole module in mW."""
-    area_eq = 0.0
-    for gate in module.gates:
-        area_eq += library.spec(gate.kind).area_eq
-    area_eq += library.register.area_eq * len(module.registers)
-    return area_eq * library.leakage_nw_per_eq * 1e-6
 
 
 def clock_energy_fj_per_cycle(module, library):

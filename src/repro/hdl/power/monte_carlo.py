@@ -18,9 +18,9 @@ glitch argument made explicit.
 Performance machinery (all bit-identical to the straightforward serial
 replay):
 
-* the event simulator is **reused** across calls on the same
-  module/library pair (:func:`shared_event_simulator`) — its load map,
-  fanout lists, delays and compiled evaluation closures are built once;
+* the event simulator (:func:`shared_event_simulator`) and the loads,
+  delays, per-net energies and leakage are fields of the module's
+  index, built once per module/library pair and dropped on any edit;
 * the glitch replay (:meth:`EventSimulator.replay`) feeds the event
   engine *delta* stimulus straight from the levelized run's packed
   pattern words, and runs on the compiled C event kernel
@@ -30,7 +30,6 @@ replay):
 
 import argparse
 import time
-import weakref
 from typing import Dict
 
 from repro import obs
@@ -39,38 +38,17 @@ from repro.hdl.power.attribution import attribute_power
 from repro.hdl.power.model import (
     PowerReport,
     clock_energy_fj_per_cycle,
-    leakage_mw,
-    net_toggle_energies,
     toggles_to_power_mw,
 )
-from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
-
-#: Retained (library, simulator) pairs per module — bounded so sweeps
-#: over many scaled libraries don't pin arbitrarily many simulators.
-_SIM_CACHE_PER_MODULE = 4
-
-_SIM_CACHE = weakref.WeakKeyDictionary()   # Module -> [(library, esim)]
 
 
 def shared_event_simulator(module, library):
-    """One :class:`EventSimulator` per (module, equal library), reused.
-
-    Constructing an event simulator recomputes the load map, fanout
-    lists and per-gate delays — pure functions of module + library — so
-    repeated ``estimate_power`` calls share one instance.  Matching is
-    by library *equality* (libraries are frozen dataclasses), so the
-    idiomatic ``default_library()``-per-call still hits the cache.
-    """
-    entries = _SIM_CACHE.setdefault(module, [])
-    for lib, esim in entries:
-        if lib == library:
-            return esim
-    esim = EventSimulator(module, library)
-    entries.append((library, esim))
-    if len(entries) > _SIM_CACHE_PER_MODULE:
-        entries.pop(0)
-    return esim
+    """The module's one :class:`~repro.hdl.sim.event.EventSimulator`
+    for ``library`` (matched by equality, so the idiomatic
+    ``default_library()``-per-call shares it): a field of the module's
+    index (:attr:`~repro.hdl.index.LibraryFields.event_simulator`)."""
+    return module.index.library(library).event_simulator
 
 
 def cycles_arg(text):
@@ -128,8 +106,10 @@ def _assemble_report(module, library, n_cycles, zero_toggles,
                      glitch, attribution):
     """Fold toggle counts into the :class:`PowerReport`."""
     sim_stats = obs.normalize_sim_stats(sim_stats)
-    energies = net_toggle_energies(module, library)
-    owner = module.block_of_net()
+    index = module.index
+    fields = index.library(library)
+    energies = fields.energies
+    top = index.top
     zero_energy = sum(t * e for t, e in zip(zero_toggles, energies))
 
     # Effective switched energy: the functional transitions plus the
@@ -145,8 +125,8 @@ def _assemble_report(module, library, n_cycles, zero_toggles,
             continue
         e = count * energies[net]
         dynamic_energy += e
-        top = owner[net].split("/", 1)[0] if owner[net] else "(io)"
-        by_block_energy[top] = by_block_energy.get(top, 0.0) + e
+        tag = top[net] or "(io)"
+        by_block_energy[tag] = by_block_energy.get(tag, 0.0) + e
 
     transitions = n_cycles - 1
     dynamic_mw = toggles_to_power_mw(dynamic_energy, transitions,
@@ -160,7 +140,7 @@ def _assemble_report(module, library, n_cycles, zero_toggles,
     if attribution:
         with obs.span("power:attribution", cat="power", module=module.name):
             attribution_report = attribute_power(
-                module, library, energies, zero_toggles, event_toggles,
+                module, library, zero_toggles, event_toggles,
                 transitions, frequency_mhz, glitch=glitch)
 
     reg = obs.registry()
@@ -174,7 +154,7 @@ def _assemble_report(module, library, n_cycles, zero_toggles,
         cycles=transitions,
         dynamic_mw=dynamic_mw,
         register_mw=register_mw,
-        leakage_mw=leakage_mw(module, library),
+        leakage_mw=fields.leakage_mw,
         zero_delay_dynamic_mw=zero_mw,
         by_block_mw={k: toggles_to_power_mw(v, transitions, frequency_mhz)
                      for k, v in by_block_energy.items()},

@@ -11,8 +11,6 @@
   delays: counts *all* transitions including glitches, the quantity the
   paper's combinational-vs-pipelined power comparison hinges on.  It
   runs a bucketed time wheel, with an optional C kernel for replays.
-* :mod:`repro.hdl.sim.toposort` — the shared Kahn topological ordering
-  everything above (and timing/pipelining) builds on.
 
 The reference engines these must match bit-for-bit live in
 ``tests/oracles/``, not here.
@@ -21,7 +19,6 @@ The reference engines these must match bit-for-bit live in
 from repro.hdl.sim.compile import CompiledModule, compile_module, compiled_module
 from repro.hdl.sim.event import EventSimulator, TransitionCounts
 from repro.hdl.sim.levelized import LevelizedSimulator, SimRun
-from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
 
 __all__ = [
     "CompiledModule",
@@ -31,6 +28,4 @@ __all__ = [
     "TransitionCounts",
     "compile_module",
     "compiled_module",
-    "topo_gate_order",
-    "topo_node_order",
 ]

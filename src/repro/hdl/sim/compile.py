@@ -7,9 +7,9 @@ multiplier that tax dominates the runtime of both the levelized runs and
 the event-driven glitch replay.
 
 This module removes it by *compiling* a :class:`~repro.hdl.module.Module`
-exactly once.  Construction does one pass over
-:func:`~repro.hdl.sim.toposort.topo_node_order` and builds the
-**node table**: six ``int32`` per node (an opcode per cell kind, four
+exactly once.  Construction does one pass over the topological node
+order of the module's :class:`~repro.hdl.index.NetlistIndex` and builds
+the **node table**: six ``int32`` per node (an opcode per cell kind, four
 input nets, one output net; constant-1 nets and registers are nodes
 too), the flattened form the native levelized kernel of
 :mod:`repro.hdl.sim.ckernel` walks.  Everything else is generated only
@@ -42,12 +42,11 @@ the same exact integer operations in the same topological discipline,
 compiled results are **bit-identical** to the interpreters' — the
 compile pass is a pure speedup.
 
-Compilation results are cached per ``Module`` instance (weakly, so
-modules remain collectable); mutating a module after first compile is
-detected by a cheap shape check and triggers recompilation.
+The compiled form of a module is a field of its index
+(:func:`compiled_module`), so it is built once and dropped with the
+index when the module is edited.
 """
 
-import weakref
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -55,7 +54,6 @@ from typing import Callable, List, Optional
 from repro import obs
 from repro.errors import NetlistError
 from repro.hdl.cell import CELL_KINDS, cell_kind, cell_num_inputs
-from repro.hdl.sim.toposort import topo_node_order
 
 #: Node-table opcode of each cell kind, then the two non-gate nodes: a
 #: register (``q = (d << 1) & M``) and a constant-1 net (``out = M``).
@@ -135,8 +133,6 @@ class CompiledModule:
     """
 
     n_nets: int
-    n_gates: int
-    n_registers: int
     #: ``NODE_FIELDS`` int32 per node, constant-1 nets first, then the
     #: topological node order (see :data:`OPCODES`).
     node_table: array = field(repr=False)
@@ -212,8 +208,7 @@ class CompiledModule:
         gates = list(self._gates)
         gates[index] = gate
         return CompiledModule(
-            n_nets=self.n_nets, n_gates=self.n_gates,
-            n_registers=self.n_registers, node_table=table,
+            n_nets=self.n_nets, node_table=table,
             _tag=self._tag, _order=self._order, _gates=gates,
             _registers=self._registers, _patch=(self, pos))
 
@@ -247,34 +242,28 @@ class CompiledModule:
 
 
 def compile_module(module):
-    """Compile ``module`` into a :class:`CompiledModule` (uncached)."""
-    with obs.span("compile:module", cat="compile", module=module.name,
-                  gates=len(module.gates)):
-        return _compile_module(module)
-
-
-def _compile_module(module):
+    """Compile ``module`` into a new :class:`CompiledModule`
+    (:func:`compiled_module` keeps one per module)."""
     gates = module.gates
     registers = module.registers
-    order = topo_node_order(module)
-
-    # One pass: a row per constant-1 net, then per node in order.  A
-    # register's d fills all four input slots.
-    table = []
-    for net, cval in module.constants.items():
-        if cval:
-            table += (OP_ONE, net, net, net, net, net)
-    for node in order:
-        if node >= 0:
-            _append_gate_row(table, gates[node])
-        else:
-            reg = registers[-node - 1]
-            table += (OP_REG, reg.d, reg.d, reg.d, reg.d, reg.q)
+    with obs.span("compile:module", cat="compile", module=module.name,
+                  gates=len(gates)):
+        order = module.index.node_order()
+        # One pass: a row per constant-1 net, then per node in order.
+        # A register's d fills all four input slots.
+        table = []
+        for net, cval in module.constants.items():
+            if cval:
+                table += (OP_ONE, net, net, net, net, net)
+        for node in order:
+            if node >= 0:
+                _append_gate_row(table, gates[node])
+            else:
+                reg = registers[-node - 1]
+                table += (OP_REG, reg.d, reg.d, reg.d, reg.d, reg.q)
 
     return CompiledModule(
         n_nets=module.n_nets,
-        n_gates=len(gates),
-        n_registers=len(registers),
         node_table=array("i", table),
         _tag=module.name or "module",
         _order=order,
@@ -283,20 +272,7 @@ def _compile_module(module):
     )
 
 
-_CACHE = weakref.WeakKeyDictionary()
-
-
 def compiled_module(module):
-    """The compile-once cache: one :class:`CompiledModule` per module.
-
-    A module that grew since its first compilation (the builders mutate
-    modules only during construction, but nothing enforces it) is
-    transparently recompiled.
-    """
-    cm = _CACHE.get(module)
-    if (cm is None or cm.n_nets != module.n_nets
-            or cm.n_gates != len(module.gates)
-            or cm.n_registers != len(module.registers)):
-        cm = compile_module(module)
-        _CACHE[module] = cm
-    return cm
+    """The compile-once form of ``module``: its index's
+    :attr:`~repro.hdl.index.NetlistIndex.compiled` field."""
+    return module.index.compiled

@@ -43,7 +43,6 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.errors import SimulationError
 from repro.hdl.sim import ckernel
-from repro.hdl.sim.compile import compiled_module
 
 
 @dataclass
@@ -73,13 +72,9 @@ class EventSimulator:
     def __init__(self, module, library):
         self.module = module
         self.library = library
-        load = module.load_map(library)
-        self._delay = [0.0] * len(module.gates)
-        for idx, gate in enumerate(module.gates):
-            spec = library.spec(gate.kind)
-            self._delay[idx] = spec.delay_ps(load[gate.output])
-        fanout = module.fanout_map()
-        self._fanout = [fanout[net] for net in range(module.n_nets)]
+        index = module.index
+        self._delay = index.library(library).delays
+        self._fanout = index.fanout
         self._out = [g.output for g in module.gates]
         self.values: List[int] = [0] * module.n_nets
         #: Canonical stimulus order: input buses LSB-first, register q
@@ -92,7 +87,7 @@ class EventSimulator:
             self._stim_order.append(reg.q)
         self._stimulus_nets = set(self._stim_order)
         self._initialized = False
-        self._compiled = compiled_module(module)
+        self._compiled = index.compiled
         # Per-gate closures recomputing each output bit from self.values.
         # Built on first use: a replay served entirely by the compiled C
         # kernel never needs them.

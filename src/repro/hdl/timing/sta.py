@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hdl.library import FO4_PS
-from repro.hdl.sim.toposort import topo_gate_order
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,27 @@ class TimingReport:
 
 
 def analyze(module, library):
-    """Run STA on ``module``; returns a :class:`TimingReport`."""
-    load = module.load_map(library)
+    """Run STA on ``module``; returns a :class:`TimingReport`.
+
+    One max-plus walk over the gates of the module index's node order:
+    an arrival (latest input arrival plus gate delay) is the same in
+    any topological order, so timing needs no gate-only order.
+    """
+    index = module.index
+    delays = index.library(library).delays
     arrival = [0.0] * module.n_nets
     from_gate: List[Optional[int]] = [None] * module.n_nets
 
-    order = topo_gate_order(module)
     gates = module.gates
-    for idx in order:
+    for idx in index.node_order():
+        if idx < 0:
+            continue
         gate = gates[idx]
-        delay = library.spec(gate.kind).delay_ps(load[gate.output])
         best_arr = 0.0
         for net in gate.inputs:
             if arrival[net] > best_arr:
                 best_arr = arrival[net]
-        arrival[gate.output] = best_arr + delay
+        arrival[gate.output] = best_arr + delays[idx]
         from_gate[gate.output] = idx
 
     # Group endpoints per stage: register d-pins belong to their stage,
@@ -126,30 +131,23 @@ def _trace_path(module, arrival, from_gate, endpoint):
     return path
 
 
-def critical_path_breakdown(module, library, stage=None, blocks=None):
-    """Per-block delay contributions along a critical path.
+def critical_path_breakdown(module, library, timing, blocks=None):
+    """Per-block delay contributions along ``timing``'s critical path.
 
-    ``blocks`` optionally gives the top-level block tags in reporting
-    order (e.g. ``["precomp", "ppgen", "tree", "cpa"]``); unlisted tags
-    are appended.  Returns a list of :class:`PathSegment`.
+    ``timing`` is a :class:`StageTiming` of ``analyze(module, library)``
+    (usually its ``critical_stage``).  ``blocks`` optionally gives the
+    top-level block tags in reporting order (e.g. ``["precomp",
+    "ppgen", "tree", "cpa"]``); unlisted tags are appended.  Returns a
+    list of :class:`PathSegment`.
     """
-    report = analyze(module, library)
-    if stage is None:
-        timing = report.critical_stage
-    else:
-        matches = [s for s in report.stages if s.stage == stage]
-        if not matches:
-            raise SimulationError(f"no stage {stage} in module")
-        timing = matches[0]
-
-    load = module.load_map(library)
+    index = module.index
+    delays = index.library(library).delays
+    top = index.top
     contrib: Dict[str, Tuple[float, int]] = {}
     for gidx in timing.path_gates:
-        gate = module.gates[gidx]
-        delay = library.spec(gate.kind).delay_ps(load[gate.output])
-        top = gate.block.split("/", 1)[0] if gate.block else "(top)"
-        d, n = contrib.get(top, (0.0, 0))
-        contrib[top] = (d + delay, n + 1)
+        tag = top[module.gates[gidx].output] or "(top)"
+        d, n = contrib.get(tag, (0.0, 0))
+        contrib[tag] = (d + delays[gidx], n + 1)
 
     ordered = list(blocks) if blocks else []
     for tag in contrib:

@@ -8,7 +8,6 @@ mysterious simulation results.
 """
 
 from repro.errors import NetlistError
-from repro.hdl.sim.toposort import topo_node_order
 
 
 def validate(module):
@@ -20,7 +19,9 @@ def validate(module):
     d->q pseudo-edges); all output/register nets resolvable.
     """
     _check_single_drivers(module)
-    _check_acyclic(module)
+    # The index's one sort over gate+register nodes, kept for the
+    # analyses that follow.
+    module.index.node_order(NetlistError)
     return module
 
 
@@ -48,8 +49,3 @@ def _check_single_drivers(module):
     for net in range(module.n_nets):
         if net not in driven:
             raise NetlistError(f"net {net} has no driver")
-
-
-def _check_acyclic(module):
-    # Kahn's algorithm over gate+register nodes (the shared copy).
-    topo_node_order(module, error=NetlistError)

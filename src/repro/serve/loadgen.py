@@ -342,31 +342,25 @@ def _word_patterns_arg(text):
             f"got {text!r}") from None
 
 
-def _requests_arg(text):
-    """``--requests`` type: a run needs at least one request to report
-    latencies of."""
-    requests = int(text)
-    if requests < 1:
-        raise argparse.ArgumentTypeError(
-            f"{requests}: a load run needs at least one request")
-    return requests
+def _checked(convert, ok, why):
+    """An ``argparse`` type: ``convert`` the text, and make a value that
+    fails ``ok`` a usage error (exit 2) that says ``why``."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text}: {why}")
+        return value
 
-
-def _max_wait_arg(text):
-    """``--max-wait`` type: a negative flush deadline is a usage error."""
-    seconds = float(text)
-    if not seconds >= 0:
-        raise argparse.ArgumentTypeError(
-            f"{text}: the max wait must be a non-negative number of "
-            f"seconds")
-    return seconds
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.loadgen",
         description="seeded mixed-format load generator for repro.serve")
-    parser.add_argument("--requests", type=_requests_arg, default=256)
+    parser.add_argument("--requests", default=256, type=_checked(
+        int, lambda n: n >= 1, "a load run needs at least one request"))
     parser.add_argument("--seed", type=int, default=2017)
     parser.add_argument("--baseline", action="store_true",
                         help="one-transaction-per-word mode (max_batch=1)")
@@ -374,11 +368,19 @@ def main(argv=None):
                         default=WORD_PATTERNS, metavar="N",
                         help="simulation word capacity, a positive "
                              "multiple of 64 (default 64)")
-    parser.add_argument("--max-wait", type=_max_wait_arg, default=0.02,
-                        metavar="SECONDS")
-    parser.add_argument("--burst", type=int, default=16, metavar="MEAN",
+    parser.add_argument("--max-wait", default=0.02, metavar="SECONDS",
+                        type=_checked(float, lambda s: s >= 0,
+                                      "the max wait must be a non-negative "
+                                      "number of seconds"))
+    parser.add_argument("--burst", default=16, metavar="MEAN",
+                        type=_checked(int, lambda n: n >= 1,
+                                      "the mean burst size must be at "
+                                      "least 1"),
                         help="mean geometric burst size (arrivals)")
-    parser.add_argument("--specials", type=float, default=0.02,
+    parser.add_argument("--specials", default=0.02,
+                        type=_checked(float, lambda f: 0.0 <= f <= 1.0,
+                                      "the specials fraction must be "
+                                      "within [0, 1]"),
                         help="fraction of FP operands drawn from "
                              "zero/subnormal/inf/NaN")
     parser.add_argument("--slo-p99-ms", type=float, default=None,

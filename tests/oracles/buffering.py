@@ -1,7 +1,7 @@
 """Reference fanout buffering: the full-rebuild pass.
 
-Every pass rebuilds the consumer lists, the load array and
-``block_of_net()`` over the whole netlist and re-checks every net,
+Every pass rebuilds the consumer lists, the load array and the
+driver block of every net over the whole netlist and re-checks every net,
 until a pass splits nothing.  The worklist pass of
 :func:`repro.hdl.buffering.insert_buffers` must produce the same gates,
 registers and net count on every netlist.
@@ -49,7 +49,11 @@ def reference_insert_buffers(module, library, max_load=8.0):
             for net in bus:
                 pad[net] += library.output_load
 
-        block_of = module.block_of_net()
+        block_of = [""] * module.n_nets
+        for gate in module.gates:
+            block_of[gate.output] = gate.block
+        for reg in module.registers:
+            block_of[reg.q] = reg.block
         for net in range(module.n_nets):
             total = load[net] + pad[net]
             if net in const_nets or total <= max_load:
@@ -80,4 +84,5 @@ def reference_insert_buffers(module, library, max_load=8.0):
                         module.registers[idx] = type(reg)(
                             d=buf_out, q=reg.q, stage=reg.stage,
                             block=reg.block)
+    module.drop_index()
     return module

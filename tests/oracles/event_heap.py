@@ -2,17 +2,17 @@
 
 The historic transport/inertial-delay engine the time wheel, its Python
 replay and the C kernel of :mod:`repro.hdl.sim.event` must match
-bit-for-bit.  It builds its own delays and fanout lists straight from
-the module and library, evaluates each gate with the hand-written
-function of ``oracles.cells`` and settles in plain topological order,
-so it shares no evaluation code with the fast paths.
+bit-for-bit.  It builds its own loads, delays and fanout lists straight
+from the module and library, evaluates each gate with the hand-written
+function of ``oracles.cells`` and settles in the gates of the module
+index's topological order, so it shares no evaluation code with the
+fast paths.
 """
 
 import heapq
 
 from repro.errors import SimulationError
 from repro.hdl.sim.event import TransitionCounts
-from repro.hdl.sim.toposort import topo_gate_order
 from tests.oracles.cells import reference_eval
 
 
@@ -31,13 +31,22 @@ class HeapEventSimulator:
 
     def __init__(self, module, library):
         self.module = module
-        load = module.load_map(library)
+        load = [0.0] * module.n_nets
+        self._fanout = [[] for __ in range(module.n_nets)]
+        for gidx, gate in enumerate(module.gates):
+            for net in gate.inputs:
+                load[net] += library.spec(gate.kind).input_cap
+                self._fanout[net].append(gidx)
+        for reg in module.registers:
+            load[reg.d] += library.register.input_cap
+        for bus in module.outputs.values():
+            for net in bus:
+                load[net] += library.output_load
         self._delay = [library.spec(g.kind).delay_ps(load[g.output])
                        for g in module.gates]
-        fanout = module.fanout_map()
-        self._fanout = [fanout[net] for net in range(module.n_nets)]
         self._eval = [reference_eval(g.kind) for g in module.gates]
-        self._order = topo_gate_order(module)
+        self._order = [node for node in module.index.node_order()
+                       if node >= 0]
         self._stimulus_nets = set()
         for bus in module.inputs.values():
             self._stimulus_nets.update(bus)

@@ -1,15 +1,14 @@
 """Reference levelized simulator: per-gate dispatch to ``oracles.cells``.
 
 The historic interpreted kernel the generated straight-line code of
-:mod:`repro.hdl.sim.compile` must match net for net.  It walks
-:func:`~repro.hdl.sim.toposort.topo_node_order` itself, packs stimulus
+:mod:`repro.hdl.sim.compile` must match net for net.  It walks the
+module index's node order itself, packs stimulus
 bit by bit instead of through ``bit_transpose``, and models registers
 as masked time shifts (``q = (d << 1) & m``).
 """
 
 from repro.bits.utils import mask
 from repro.hdl.sim.levelized import SimRun
-from repro.hdl.sim.toposort import topo_node_order
 from tests.oracles.cells import reference_eval
 
 
@@ -25,7 +24,7 @@ def _pack(words, width):
 def _settle(module, values, m):
     gates = module.gates
     registers = module.registers
-    for node in topo_node_order(module):
+    for node in module.index.node_order():
         if node >= 0:
             gate = gates[node]
             fn = reference_eval(gate.kind)

@@ -93,10 +93,10 @@ class TestConstruction:
         a = m.input("a", 1)
         m.gate("INV", a[0])
         m.gate("INV", a[0])
-        fanout = m.fanout_map()
+        fanout = m.index.fanout
         assert fanout[a[0]] == [0, 1]
         lib = default_library()
-        load = m.load_map(lib)
+        load = m.index.library(lib).load
         assert load[a[0]] == 2 * lib.spec("INV").input_cap
 
 

@@ -7,8 +7,6 @@ from repro.hdl.library import default_library
 from repro.hdl.module import Module
 from repro.hdl.power.model import (
     clock_energy_fj_per_cycle,
-    leakage_mw,
-    net_toggle_energies,
     toggles_to_power_mw,
 )
 from repro.hdl.power.monte_carlo import estimate_power
@@ -38,7 +36,8 @@ class TestUnitConversions:
         a = big.input("a", 1)
         for __ in range(100):
             big.gate("INV", a[0])
-        assert leakage_mw(big, lib) > leakage_mw(small, lib)
+        assert (big.index.library(lib).leakage_mw
+                > small.index.library(lib).leakage_mw)
 
     def test_clock_energy_per_register(self):
         lib = default_library()
@@ -51,7 +50,7 @@ class TestUnitConversions:
     def test_net_energies_cover_drivers(self):
         lib = default_library()
         m = _toggle_module()
-        energies = net_toggle_energies(m, lib)
+        energies = m.index.library(lib).energies
         # The gate output includes the cell's internal term.
         assert energies[m.gates[0].output] >= \
             lib.energy_fj_per_unit * lib.spec("INV").area_eq

@@ -97,7 +97,7 @@ class TestRandomNetlists:
 
         # A trivially valid upper bound covering gates that feed no
         # output (STA endpoints exclude them; the event sim does not).
-        load = module.load_map(lib)
+        load = module.index.library(lib).load
         delay_bound = sum(lib.spec(g.kind).delay_ps(load[g.output])
                           for g in module.gates)
         esim.initialize(stim(0))
@@ -126,7 +126,7 @@ class TestRandomNetlists:
         for bus in module.outputs.values():
             for net in bus:
                 pad[net] += lib.output_load
-        load = module.load_map(lib)
+        load = module.index.library(lib).load
         buf_cap = lib.spec("BUF").input_cap
         for net in range(module.n_nets):
             if net in module.constants:

@@ -67,7 +67,7 @@ class TestSTA:
         lib = default_library()
         m = radix16_multiplier()
         report = analyze(m, lib)
-        segments = critical_path_breakdown(m, lib)
+        segments = critical_path_breakdown(m, lib, report.critical_stage)
         assert sum(s.delay_ps for s in segments) \
             == pytest.approx(report.latency_ps)
 
@@ -122,7 +122,7 @@ class TestBuffering:
         lib = default_library()
         m = self._fanout_module(40)
         insert_buffers(m, lib, max_load=8.0)
-        load = m.load_map(lib)
+        load = m.index.library(lib).load
         for net in range(m.n_nets):
             if net in m.constants:
                 continue

@@ -181,6 +181,10 @@ def test_power_breakdown_seed_and_top_flags(capsys):
                  "at least one request", id="repro.serve.loadgen--requests=0"),
     pytest.param("repro.serve.loadgen", ["--max-wait", "-1"],
                  "non-negative", id="repro.serve.loadgen--max-wait=-1"),
+    pytest.param("repro.serve.loadgen", ["--specials", "2"],
+                 "within [0, 1]", id="repro.serve.loadgen--specials=2"),
+    pytest.param("repro.serve.loadgen", ["--burst", "0"],
+                 "at least 1", id="repro.serve.loadgen--burst=0"),
 ])
 def test_cycles_and_module_reject_unusable_values(program, argv, message,
                                                   capsys):

@@ -16,7 +16,8 @@ import pytest
 from repro import obs
 from repro.hdl.library import default_library
 from repro.hdl.module import Module
-from repro.hdl.power.attribution import net_cells, net_stages
+from repro.hdl.buffering import insert_buffers
+from repro.hdl.pipeline import stage_map
 from repro.hdl.power.monte_carlo import estimate_power
 from repro.obs.metrics import MAX_RECORDS_PER_NAME, MetricsRegistry
 from repro.obs.quantile import (
@@ -495,17 +496,41 @@ class TestPowerAttribution:
                    for e in scaled.attribution.by_block.values()) \
             == pytest.approx(rep.leakage_mw, rel=1e-9)
 
-    def test_net_stages_and_cells(self):
+    def test_stage_attribution_on_buffered_pipeline(self):
+        """Leakage lands in the stage ``stage_map`` gives each gate,
+        also for gates that buffering rewired to read a BUF appended
+        after them (``module.gates`` is then not topologically
+        ordered)."""
+        lib = default_library()
         m = Module("pipe")
         a = m.input("a", 2)
         x = m.gate("AND2", a[0], a[1])
         (q,) = m.register_bus([x], stage=1)
         y = m.gate("INV", q)
-        m.output("o", [y])
-        stages = net_stages(m)
-        cells = net_cells(m)
-        assert stages[a[0]] == 1 and stages[x] == 1
-        assert stages[q] == 2 and stages[y] == 2
+        m.output("o", [m.gate("INV", y) for __ in range(12)])
+        insert_buffers(m, lib, max_load=3.0)
+        position = {g.output: i for i, g in enumerate(m.gates)}
+        assert any(position.get(net, -1) > i
+                   for i, g in enumerate(m.gates) for net in g.inputs)
+
+        rep = estimate_power(m, lib, {"a": [0, 3, 1, 3, 0, 2]}, 6,
+                             attribution=True)
+        gate_stages, net_stages = stage_map(m)
+        leak_per_eq = lib.leakage_nw_per_eq * 1e-6
+        expect = {}
+        for gate, stage in zip(m.gates, gate_stages):
+            expect[stage] = (expect.get(stage, 0.0)
+                             + lib.spec(gate.kind).area_eq * leak_per_eq)
+        for reg in m.registers:
+            stage = net_stages[reg.q]
+            expect[stage] = (expect.get(stage, 0.0)
+                             + lib.register.area_eq * leak_per_eq)
+        by_stage = rep.attribution.by_stage
+        assert sorted(by_stage) == sorted(expect) == [1, 2]
+        for stage, leakage in expect.items():
+            assert by_stage[stage]["leakage_mw"] \
+                == pytest.approx(leakage, rel=1e-9)
+        cells = m.index.cells
         assert cells[x] == "AND2" and cells[q] == "DFF"
         assert cells[y] == "INV" and cells[a[0]] == "(input)"
 

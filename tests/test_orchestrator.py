@@ -14,6 +14,7 @@ The load-bearing guarantees tested here:
 
 import os
 import pickle
+import stat
 
 import pytest
 
@@ -186,6 +187,49 @@ def test_cache_entry_roundtrips_values(tmp_path):
         payload = pickle.load(fh)
     assert payload["value"] == 5040
     assert not os.path.exists(os.path.join(str(tmp_path), "index.json"))
+
+
+def _stored_unit(tmp_path):
+    cache = ResultCache(root=str(tmp_path), fingerprint="fp")
+    jb = job("unit", "repro.eval.fault_injection:chunk_plan",
+             n_mutations=7, seed=3, chunks=2)
+    cache.store(jb, 5040)
+    objects = os.path.join(str(tmp_path), "objects")
+    (entry,) = os.listdir(objects)
+    return cache, jb, os.path.join(objects, entry)
+
+
+def test_cache_objects_get_the_umask_mode(tmp_path):
+    __, __, path = _stored_unit(tmp_path)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
+
+
+def test_cache_unreadable_object_is_a_miss_left_in_place(tmp_path,
+                                                         monkeypatch):
+    from repro import obs
+    from repro.eval import cache as cache_mod
+
+    cache, jb, path = _stored_unit(tmp_path)
+    os.chmod(path, 0)
+    if os.access(path, os.R_OK):
+        # Root reads through mode 000: deny the open itself.
+        def denied(file, *args, **kwargs):
+            if os.fspath(file) == path:
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "open", denied, raising=False)
+    reg = obs.registry()
+    before = (reg.counter_value("orchestrator.cache.unreadable"),
+              reg.counter_value("orchestrator.cache.corrupt"))
+    hit, __ = cache.load(jb)
+    assert not hit
+    assert (reg.counter_value("orchestrator.cache.unreadable"),
+            reg.counter_value("orchestrator.cache.corrupt")) \
+        == (before[0] + 1, before[1])
+    assert os.path.exists(path)
 
 
 def test_cache_env_disable(monkeypatch):

@@ -29,7 +29,6 @@ from repro.hdl.sim import ckernel
 from repro.hdl.sim.compile import compiled_module, gate_expr
 from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
-from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
 from tests.oracles.cells import CELLS
 from tests.oracles.event_heap import HeapEventSimulator, event_toggles_legacy
 from tests.oracles.levelized import interpreted_run
@@ -361,7 +360,7 @@ class TestRegisteredNetlists:
 
 
 # ----------------------------------------------------------------------
-# shared toposort
+# the index's toposort
 # ----------------------------------------------------------------------
 
 class TestToposort:
@@ -369,7 +368,7 @@ class TestToposort:
     @settings(max_examples=40, deadline=None)
     def test_gate_order_is_topological(self, case):
         module, __ = case
-        order = topo_gate_order(module)
+        order = [node for node in module.index.node_order() if node >= 0]
         assert sorted(order) == list(range(len(module.gates)))
         position = {gidx: pos for pos, gidx in enumerate(order)}
         producer = {g.output: i for i, g in enumerate(module.gates)}
@@ -384,7 +383,7 @@ class TestToposort:
         inv = m.gate("INV", a[0])
         q = m.register(inv, stage=1)
         m.output("o", [m.gate("BUF", q)])
-        order = topo_node_order(m)
+        order = m.index.node_order()
         assert -1 in order                   # register 0 encoded as -1
         assert sorted(i for i in order if i >= 0) == [0, 1]
         # The register comes after its d-producer and before its q-consumer.
@@ -399,11 +398,10 @@ class TestToposort:
         m._driver[out2] = "gate"
         m.gates.append(Gate("AND2", (a[0], out2), out1, ""))
         m.gates.append(Gate("INV", (out1,), out2, ""))
-        for fn in (topo_gate_order, topo_node_order):
-            with pytest.raises(SimulationError, match="cycle"):
-                fn(m)
-            with pytest.raises(NetlistError, match="cycle"):
-                fn(m, error=NetlistError)
+        with pytest.raises(SimulationError, match="cycle"):
+            m.index.node_order()
+        with pytest.raises(NetlistError, match="cycle"):
+            m.index.node_order(NetlistError)
 
 
 # ----------------------------------------------------------------------
