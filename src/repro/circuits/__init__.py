@@ -13,12 +13,11 @@ from repro.circuits.compressor_tree import build_compressor_tree
 from repro.circuits.mult_radix4 import radix4_multiplier
 from repro.circuits.mult_radix8 import radix8_multiplier
 from repro.circuits.mult_radix16 import radix16_multiplier
-from repro.circuits.primitives import Bus, bus_from_const
+from repro.circuits.primitives import Bus
 
 __all__ = [
     "Bus",
     "build_compressor_tree",
-    "bus_from_const",
     "kogge_stone_adder",
     "make_adder",
     "radix16_multiplier",

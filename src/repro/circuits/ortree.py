@@ -5,13 +5,6 @@ the sticky-bit extension (Sec. IV: "part of the OR-tree can be shared
 with the sticky-bit computation") reuses the same structure.
 """
 
-from repro.circuits.primitives import GateBuilder
-
-
-def or_tree(gb, nets):
-    """Balanced OR reduction (delegates to the folding builder)."""
-    return gb.or_tree(list(nets))
-
 
 def zero_flag(gb, nets):
     """1 when every net is 0 (NOR over the bus, built as OR + INV)."""

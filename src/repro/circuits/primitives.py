@@ -22,12 +22,12 @@ Bus = List[int]
 class GateBuilder:
     """Folding gate factory bound to one module."""
 
-    def __init__(self, module, cse=True):
+    def __init__(self, module):
         self.m = module
         self.zero = module.const(0)
         self.one = module.const(1)
         self._const = {self.zero: 0, self.one: 1}
-        self._cse = {} if cse else None
+        self._cse = {}
         #: rough logic depth per net (inputs/constants = 0); used by the
         #: compressor tree to consume early-arriving bits first, the way
         #: delay-aware synthesis orders counter inputs.
@@ -42,21 +42,19 @@ class GateBuilder:
 
     def _cell(self, kind, *ins):
         """Instantiate with common-subexpression reuse (synthesis-style)."""
-        if self._cse is None:
-            net = self.m.gate(kind, *ins)
-            self.depth[net] = max((self.depth_of(n) for n in ins),
-                                  default=0) + 1
-            return net
         if not cell_kind(kind).swaps:  # symmetric in all its inputs
             key = (kind,) + tuple(sorted(ins))
         else:
-            key = (kind,) + tuple(ins)
+            key = (kind,) + ins
         net = self._cse.get(key)
         if net is None:
-            net = self.m.gate(kind, *ins)
-            self._cse[key] = net
-            self.depth[net] = max((self.depth_of(n) for n in ins),
-                                  default=0) + 1
+            net = self._cse[key] = self.m.gate(kind, *ins)
+            depth, level = self.depth, 0
+            for n in ins:
+                d = depth.get(n, 0)
+                if d > level:
+                    level = d
+            depth[net] = level + 1
         return net
 
     # -- single-output cells ------------------------------------------
@@ -293,10 +291,3 @@ class GateBuilder:
                 nxt.append(nets[i])
             nets = nxt
         return nets[0]
-
-
-def bus_from_const(module, value, width):
-    """Convenience: constant bus without instantiating a GateBuilder."""
-    zero = module.const(0)
-    one = module.const(1)
-    return [one if (value >> i) & 1 else zero for i in range(width)]

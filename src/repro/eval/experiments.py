@@ -373,11 +373,11 @@ def experiment_fig1_ppgen():
     module = cached_module("r16")
     kinds: Dict[str, int] = {}
     blocks: Dict[str, int] = {}
-    for gate in module.gates:
-        top = module.index.top[gate.output] or "(top)"
+    for kind, __, output, __ in module.gates:
+        top = module.index.top[output] or "(top)"
         blocks[top] = blocks.get(top, 0) + 1
         if top == "ppgen":
-            kinds[gate.kind] = kinds.get(gate.kind, 0) + 1
+            kinds[kind] = kinds.get(kind, 0) + 1
     rows = [
         ("partial products (rows)", 17),
         ("recoded digit set", "{-8..8} (minimally redundant radix-16)"),
@@ -534,8 +534,8 @@ def experiment_fig5_pipeline():
     module = cached_module("mf")
     report = analyze(module, lib)
     regs: Dict[int, int] = {}
-    for reg in module.registers:
-        regs[reg.stage] = regs.get(reg.stage, 0) + 1
+    for __, __, stage, __ in module.registers:
+        regs[stage] = regs.get(stage, 0) + 1
     critical = max(report.stages, key=lambda s: s.delay_ps)
     return Fig5Result(
         stage_delays_ps=[s.delay_ps for s in report.stages],

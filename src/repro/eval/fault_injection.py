@@ -38,7 +38,6 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.errors import SimulationError
 from repro.hdl.cell import CELL_KINDS, cell_num_inputs
-from repro.hdl.module import Gate
 from repro.hdl.sim.compile import compiled_module
 from repro.hdl.sim.levelized import LevelizedSimulator
 
@@ -94,20 +93,19 @@ def propose_mutation(module, rng, arities=None):
     distinct input nets where the swap changes the cell's function
     (the row's ``swaps``; a commutative swap would be an equivalent
     mutant and poison the coverage metric).  Returns
-    ``(gate_index, mutant_gate, Mutation)``.  ``arities`` is the
+    ``(gate_index, mutant_row, Mutation)``.  ``arities`` is the
     optional precomputed per-gate input count list — campaigns compute
     it once and share it across every mutation instead of re-deriving
     cell arities per attempt.
     """
     for __ in range(100):
         idx = rng.randrange(len(module.gates))
-        gate = module.gates[idx]
+        kind, inputs, output, block = module.gates[idx]
         arity = arities[idx] if arities is not None \
-            else cell_num_inputs(gate.kind)
-        choices = [k for k in _MUTATION_POOLS.get(arity, [])
-                   if k != gate.kind]
-        swaps = [(i, j) for i, j in CELL_KINDS[gate.kind].swaps
-                 if gate.inputs[i] != gate.inputs[j]]
+            else cell_num_inputs(kind)
+        choices = [k for k in _MUTATION_POOLS.get(arity, []) if k != kind]
+        swaps = [(i, j) for i, j in CELL_KINDS[kind].swaps
+                 if inputs[i] != inputs[j]]
         moves = []
         if choices:
             moves.append("rekind")
@@ -118,17 +116,16 @@ def propose_mutation(module, rng, arities=None):
         move = rng.choice(moves)
         if move == "rekind":
             new_kind = rng.choice(choices)
-            mutant = Gate(new_kind, gate.inputs, gate.output, gate.block)
+            mutant = (new_kind, inputs, output, block)
             return idx, mutant, Mutation(
-                idx, f"gate {idx}: {gate.kind} -> {new_kind} "
-                     f"in {gate.block!r}")
+                idx, f"gate {idx}: {kind} -> {new_kind} in {block!r}")
         i, j = rng.choice(swaps)
-        ins = list(gate.inputs)
+        ins = list(inputs)
         ins[i], ins[j] = ins[j], ins[i]
-        mutant = Gate(gate.kind, tuple(ins), gate.output, gate.block)
+        mutant = (kind, tuple(ins), output, block)
         return idx, mutant, Mutation(
             idx, f"gate {idx}: swapped pins {i}/{j} of "
-                 f"{gate.kind} in {gate.block!r}")
+                 f"{kind} in {block!r}")
     raise SimulationError("could not find a mutable gate")
 
 
@@ -231,7 +228,7 @@ def _judge_mutants(module, battery, n_mutations, seed):
     """Settle each mutant as the golden node table with one row
     replaced and compare its output words against ``battery``."""
     rng = random.Random(seed)
-    arities = [cell_num_inputs(gate.kind) for gate in module.gates]
+    arities = [cell_num_inputs(kind) for kind, __, __, __ in module.gates]
     golden = compiled_module(module)
     reg = obs.registry()
     result = CoverageResult(attempted=0, detected=0)

@@ -17,6 +17,8 @@ Exposed on the CLI as ``python -m repro.eval.report`` (see ``--help``);
 """
 
 import argparse
+import contextlib
+import gc
 import io
 import json
 import os
@@ -98,66 +100,95 @@ def generate_report(n_cycles=12, out_path=None, include_sweeps=False,
 
     reg = obs.registry()
     reg.reset()             # scope the snapshot to exactly this report
+    with _gc_ledger(reg):
+        sections = report_sections(n_cycles=n_cycles,
+                                   include_sweeps=include_sweeps,
+                                   include_verification=include_verification,
+                                   mutations=mutations)
+        if filters:
+            sections = [s for s in sections
+                        if any(f in s[1] or f in s[0] for f in filters)]
 
-    sections = report_sections(n_cycles=n_cycles,
-                               include_sweeps=include_sweeps,
-                               include_verification=include_verification,
-                               mutations=mutations)
-    if filters:
-        sections = [s for s in sections
-                    if any(f in s[1] or f in s[0] for f in filters)]
+        reg.gauge("report.workers", workers)
+        reg.annotate("report.backend", backend)
+        if hosts:
+            reg.annotate("report.hosts",
+                         hosts if isinstance(hosts, str) else list(hosts))
+        t0 = time.perf_counter()
+        with obs.span("report:experiments", cat="report",
+                      sections=len(sections), workers=workers,
+                      backend=backend):
+            results, outcomes = run_experiments(
+                [(name, params) for __, name, params in sections],
+                workers=workers, cache=cache, backend=backend,
+                progress=progress, hosts=hosts)
+        wall_s = time.perf_counter() - t0
 
-    reg.gauge("report.workers", workers)
-    reg.annotate("report.backend", backend)
-    if hosts:
-        reg.annotate("report.hosts",
-                     hosts if isinstance(hosts, str) else list(hosts))
-    t0 = time.perf_counter()
-    with obs.span("report:experiments", cat="report",
-                  sections=len(sections), workers=workers,
-                  backend=backend):
-        results, outcomes = run_experiments(
-            [(name, params) for __, name, params in sections],
-            workers=workers, cache=cache, backend=backend,
-            progress=progress, hosts=hosts)
-    wall_s = time.perf_counter() - t0
+        with obs.span("report:render", cat="report"):
+            buf = io.StringIO()
+            w = buf.write
+            w("# Reproduction report\n\n")
+            w("Nannarelli, *A Multi-Format Floating-Point Multiplier for "
+              "Power-Efficient Operations*, SOCC 2017.\n\n")
+            w("Generated by `python -m repro.eval.report`; see EXPERIMENTS.md "
+              "for the committed reference numbers and deviation notes.\n\n")
+            for title, name, __ in sections:
+                w(f"## {title}\n\n```\n")
+                w(results[name].render())
+                w("\n```\n\n")
+            text = buf.getvalue()
 
-    with obs.span("report:render", cat="report"):
-        buf = io.StringIO()
-        w = buf.write
-        w("# Reproduction report\n\n")
-        w("Nannarelli, *A Multi-Format Floating-Point Multiplier for "
-          "Power-Efficient Operations*, SOCC 2017.\n\n")
-        w("Generated by `python -m repro.eval.report`; see EXPERIMENTS.md "
-          "for the committed reference numbers and deviation notes.\n\n")
-        for title, name, __ in sections:
-            w(f"## {title}\n\n```\n")
-            w(results[name].render())
-            w("\n```\n\n")
-        text = buf.getvalue()
+        if out_path is not None:
+            out_path = Path(out_path)
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            out_path.write_text(text)
 
-    if out_path is not None:
-        out_path = Path(out_path)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text)
-
-    # Per-job rows in deterministic job order (the orchestrator's own
-    # ``orchestrator.jobs`` records arrive in completion order).
-    for o in outcomes:
-        reg.inc("report.jobs")
-        if o.cached:
-            reg.inc("report.cache_hits")
-        reg.record("report.jobs",
-                   {"name": o.name, "seconds": round(o.seconds, 4),
-                    "cached": o.cached, "mode": o.mode})
-    reg.observe("report.wall", wall_s)
-    reg.annotate("report.sections", [name for __, name, ___ in sections])
-    reg.annotate("report.output",
-                 str(out_path) if out_path is not None else None)
+        # Per-job rows in deterministic job order (the orchestrator's own
+        # ``orchestrator.jobs`` records arrive in completion order).
+        for o in outcomes:
+            reg.inc("report.jobs")
+            if o.cached:
+                reg.inc("report.cache_hits")
+            reg.record("report.jobs",
+                       {"name": o.name, "seconds": round(o.seconds, 4),
+                        "cached": o.cached, "mode": o.mode})
+        reg.observe("report.wall", wall_s)
+        reg.annotate("report.sections", [name for __, name, ___ in sections])
+        reg.annotate("report.output",
+                     str(out_path) if out_path is not None else None)
 
     if metrics is not None:
         metrics.update(reg.snapshot())
     return text
+
+
+@contextlib.contextmanager
+def _gc_ledger(reg):
+    """Count the cyclic garbage collector's collections per generation
+    (``runtime.gc.collections.gen0|1|2``) and their summed pause
+    (``runtime.gc.pause_s``) in this process while the block runs.
+
+    The callback only bumps local totals, which reach ``reg`` when the
+    block ends: it can fire inside any allocation, including one made
+    while the registry holds its lock."""
+    counts = [0, 0, 0]
+    clock = [0.0, 0.0]      # start of the running collection, total pause
+
+    def on_gc(phase, info):
+        if phase == "start":
+            clock[0] = time.perf_counter()
+        else:
+            clock[1] += time.perf_counter() - clock[0]
+            counts[info["generation"]] += 1
+
+    gc.callbacks.append(on_gc)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(on_gc)
+        for generation, n in enumerate(counts):
+            reg.inc(f"runtime.gc.collections.gen{generation}", n)
+        reg.inc("runtime.gc.pause_s", clock[1])
 
 
 def _mutations_arg(text):

@@ -10,15 +10,13 @@ FO4 = 64 ps, NAND2 = 1.06 um^2), and analyzed by the simulators
 
 from repro.hdl.cell import CELL_KINDS, cell_eval, cell_num_inputs
 from repro.hdl.library import CellLibrary, CellSpec, default_library
-from repro.hdl.module import Gate, Module, Register
+from repro.hdl.module import Module
 
 __all__ = [
     "CELL_KINDS",
     "CellLibrary",
     "CellSpec",
-    "Gate",
     "Module",
-    "Register",
     "cell_eval",
     "cell_num_inputs",
     "default_library",

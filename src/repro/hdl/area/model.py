@@ -32,17 +32,17 @@ def area_report(module, library):
     top = module.index.top
     by_block: Dict[str, float] = {}
     total = 0.0
-    for gate in module.gates:
-        area = library.spec(gate.kind).area_um2
+    for kind, __, output, __ in module.gates:
+        area = library.spec(kind).area_um2
         total += area
-        tag = top[gate.output] or "(top)"
+        tag = top[output] or "(top)"
         by_block[tag] = by_block.get(tag, 0.0) + area
     reg_area = 0.0
-    for reg in module.registers:
+    for __, q, __, __ in module.registers:
         area = library.register.area_um2
         reg_area += area
         total += area
-        tag = top[reg.q] or "(registers)"
+        tag = top[q] or "(registers)"
         by_block[tag] = by_block.get(tag, 0.0) + area
     return AreaReport(total_um2=total, register_um2=reg_area,
                       by_block_um2=by_block)

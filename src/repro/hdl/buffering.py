@@ -31,7 +31,6 @@ in topological order afterwards; readers take the index's order.
 import math
 
 from repro.errors import NetlistError
-from repro.hdl.module import Gate
 
 
 def insert_buffers(module, library, max_load=8.0):
@@ -53,14 +52,14 @@ def insert_buffers(module, library, max_load=8.0):
     # fixed at the net (a real flow upsizes the driver for pads).
     consumers = {}
     load = [0.0] * module.n_nets
-    for gidx, gate in enumerate(gates):
-        cap = library.spec(gate.kind).input_cap
-        for pin, net in enumerate(gate.inputs):
+    for gidx, (kind, inputs, __, __) in enumerate(gates):
+        cap = library.spec(kind).input_cap
+        for pin, net in enumerate(inputs):
             load[net] += cap
             consumers.setdefault(net, []).append(("gate", gidx, pin))
-    for ridx, reg in enumerate(registers):
-        load[reg.d] += reg_cap
-        consumers.setdefault(reg.d, []).append(("reg", ridx, 0))
+    for ridx, (d, __, __, __) in enumerate(registers):
+        load[d] += reg_cap
+        consumers.setdefault(d, []).append(("reg", ridx, 0))
     pad = [0.0] * module.n_nets
     for bus in module.outputs.values():
         for net in bus:
@@ -95,21 +94,17 @@ def insert_buffers(module, library, max_load=8.0):
                 bufs.append(("gate", len(gates) - 1, 0))
                 net_load += buf_cap
                 buf_load = 0.0
-                for kind, idx, pin in group:
-                    if kind == "gate":
-                        gate = gates[idx]
-                        buf_load += library.spec(gate.kind).input_cap
-                        new_inputs = list(gate.inputs)
-                        new_inputs[pin] = buf_out
-                        gates[idx] = Gate(
-                            kind=gate.kind, inputs=tuple(new_inputs),
-                            output=gate.output, block=gate.block)
+                for sink, idx, pin in group:
+                    if sink == "gate":
+                        kind, inputs, output, gate_block = gates[idx]
+                        buf_load += library.spec(kind).input_cap
+                        gates[idx] = (kind, inputs[:pin] + (buf_out,)
+                                      + inputs[pin + 1:],
+                                      output, gate_block)
                     else:
-                        reg = registers[idx]
+                        __, q, stage, reg_block = registers[idx]
                         buf_load += reg_cap
-                        registers[idx] = type(reg)(
-                            d=buf_out, q=reg.q, stage=reg.stage,
-                            block=reg.block)
+                        registers[idx] = (buf_out, q, stage, reg_block)
                 consumers[buf_out] = group
                 load.append(buf_load)
                 pad.append(0.0)

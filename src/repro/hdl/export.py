@@ -49,7 +49,7 @@ def to_verilog(module, name=None):
         lines.append(f"  output [{len(bus) - 1}:0] {_identifier(io_name)};")
     lines.append("")
 
-    reg_qs = {reg.q for reg in module.registers}
+    reg_qs = {q for __, q, __, __ in module.registers}
     for net in range(module.n_nets):
         kind = "reg " if net in reg_qs else "wire"
         lines.append(f"  {kind} n{net};")
@@ -62,22 +62,22 @@ def to_verilog(module, name=None):
         lines.append(f"  assign n{net} = 1'b{value};")
     lines.append("")
 
-    for gate in module.gates:
-        expr = _verilog_template(gate.kind)
-        operands = [f"n{net}" for net in gate.inputs]
-        comment = f"  // {gate.block}" if gate.block else ""
-        lines.append(f"  assign n{gate.output} = "
+    for kind, inputs, output, block in module.gates:
+        expr = _verilog_template(kind)
+        operands = [f"n{net}" for net in inputs]
+        comment = f"  // {block}" if block else ""
+        lines.append(f"  assign n{output} = "
                      f"{expr.format(*operands)};{comment}")
     lines.append("")
 
     if has_regs:
         lines.append("  always @(posedge clk) begin")
         lines.append("    if (rst) begin")
-        for reg in module.registers:
-            lines.append(f"      n{reg.q} <= 1'b0;")
+        for __, q, __, __ in module.registers:
+            lines.append(f"      n{q} <= 1'b0;")
         lines.append("    end else begin")
-        for reg in module.registers:
-            lines.append(f"      n{reg.q} <= n{reg.d};  // stage {reg.stage}")
+        for d, q, stage, __ in module.registers:
+            lines.append(f"      n{q} <= n{d};  // stage {stage}")
         lines.append("    end")
         lines.append("  end")
         lines.append("")

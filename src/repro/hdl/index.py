@@ -41,23 +41,25 @@ class NetlistIndex:
 
     @cached_property
     def fanout(self):
-        """net -> gate indices reading it, ascending (registers excluded)."""
+        """net -> tuple of the gate indices reading it, ascending
+        (registers excluded).  Tuples, like the module's rows, drop out
+        of the garbage collector's tracking; per-net lists would not."""
         module = self._module()
         fanout = [[] for __ in range(module.n_nets)]
-        for idx, gate in enumerate(module.gates):
-            for net in gate.inputs:
+        for idx, (__, inputs, __, __) in enumerate(module.gates):
+            for net in inputs:
                 fanout[net].append(idx)
-        return fanout
+        return [tuple(gates) for gates in fanout]
 
     @cached_property
     def owner(self):
         """net -> block tag of its driver (inputs and constants: ``""``)."""
         module = self._module()
         owner = [""] * module.n_nets
-        for gate in module.gates:
-            owner[gate.output] = gate.block
-        for reg in module.registers:
-            owner[reg.q] = reg.block
+        for __, __, output, block in module.gates:
+            owner[output] = block
+        for __, q, __, block in module.registers:
+            owner[q] = block
         return owner
 
     @cached_property
@@ -74,10 +76,10 @@ class NetlistIndex:
         cell = ["(input)"] * module.n_nets
         for net in module.constants:
             cell[net] = "(const)"
-        for gate in module.gates:
-            cell[gate.output] = gate.kind
-        for reg in module.registers:
-            cell[reg.q] = "DFF"
+        for kind, __, output, __ in module.gates:
+            cell[output] = kind
+        for __, q, __, __ in module.registers:
+            cell[q] = "DFF"
         return cell
 
     @cached_property
@@ -96,20 +98,20 @@ class NetlistIndex:
         mixed = None
         for node in self.node_order(PipelineError):
             if node >= 0:
-                gate = gates[node]
-                stages = {net_stage[n] for n in gate.inputs if net_stage[n]}
+                kind, inputs, output, block = gates[node]
+                stages = {net_stage[n] for n in inputs if net_stage[n]}
                 stage = max(stages) if stages else 1
                 if len(stages) > 1 and mixed is None:
-                    mixed = (f"gate {node} ({gate.kind} in {gate.block!r}) "
+                    mixed = (f"gate {node} ({kind} in {block!r}) "
                              f"mixes stages {sorted(stages)}")
-                gate_stages[node] = net_stage[gate.output] = stage
+                gate_stages[node] = net_stage[output] = stage
             else:
-                reg = registers[-node - 1]
-                d_stage = net_stage[reg.d] or reg.stage
-                if d_stage != reg.stage and mixed is None:
-                    mixed = (f"register at stage {reg.stage} latches a "
+                d, q, reg_stage, __ = registers[-node - 1]
+                d_stage = net_stage[d] or reg_stage
+                if d_stage != reg_stage and mixed is None:
+                    mixed = (f"register at stage {reg_stage} latches a "
                              f"stage-{d_stage} net")
-                net_stage[reg.q] = reg.stage + 1
+                net_stage[q] = reg_stage + 1
         return gate_stages, net_stage, mixed
 
     @cached_property
@@ -146,13 +148,13 @@ class LibraryFields:
         pins, plus the output pad load of primary outputs."""
         module, library = self._module(), self.library
         load = array("d", bytes(8 * module.n_nets))
-        for gate in module.gates:
-            cap = library.spec(gate.kind).input_cap
-            for net in gate.inputs:
+        for kind, inputs, __, __ in module.gates:
+            cap = library.spec(kind).input_cap
+            for net in inputs:
                 load[net] += cap
         reg_cap = library.register.input_cap
-        for reg in module.registers:
-            load[reg.d] += reg_cap
+        for d, __, __, __ in module.registers:
+            load[d] += reg_cap
         for bus in module.outputs.values():
             for net in bus:
                 load[net] += library.output_load
@@ -162,8 +164,8 @@ class LibraryFields:
     def delays(self):
         """gate index -> its load-dependent delay in ps."""
         load, spec = self.load, self.library.spec
-        return array("d", [spec(gate.kind).delay_ps(load[gate.output])
-                           for gate in self._module().gates])
+        return array("d", [spec(kind).delay_ps(load[output])
+                           for kind, __, output, __ in self._module().gates])
 
     @cached_property
     def energies(self):
@@ -173,11 +175,11 @@ class LibraryFields:
         module, library = self._module(), self.library
         scale = library.energy_fj_per_unit
         energy = array("d", [scale * 0.5 * load for load in self.load])
-        for gate in module.gates:
-            energy[gate.output] += scale * library.spec(gate.kind).area_eq
+        for kind, __, output, __ in module.gates:
+            energy[output] += scale * library.spec(kind).area_eq
         qunits = library.register.q_energy_units
-        for reg in module.registers:
-            energy[reg.q] += scale * qunits
+        for __, q, __, __ in module.registers:
+            energy[q] += scale * qunits
         return energy
 
     @cached_property
@@ -185,8 +187,8 @@ class LibraryFields:
         """Static power of the whole module in mW (proportional to area)."""
         module, library = self._module(), self.library
         area_eq = 0.0
-        for gate in module.gates:
-            area_eq += library.spec(gate.kind).area_eq
+        for kind, __, __, __ in module.gates:
+            area_eq += library.spec(kind).area_eq
         area_eq += library.register.area_eq * len(module.registers)
         return area_eq * library.leakage_nw_per_eq * 1e-6
 
@@ -203,9 +205,12 @@ class LibraryFields:
 def _kahn_order(module, error):
     gates, registers = module.gates, module.registers
     n_gates = len(gates)
-    node_inputs = [g.inputs for g in gates] + [(r.d,) for r in registers]
-    producers = {g.output: node for node, g in enumerate(gates)}
-    producers.update((r.q, n_gates + ridx) for ridx, r in enumerate(registers))
+    node_inputs = ([inputs for __, inputs, __, __ in gates]
+                   + [(d,) for d, __, __, __ in registers])
+    producers = {output: node
+                 for node, (__, __, output, __) in enumerate(gates)}
+    producers.update((q, n_gates + ridx)
+                     for ridx, (__, q, __, __) in enumerate(registers))
     indegree = [0] * len(node_inputs)
     consumers = [[] for __ in node_inputs]
     for node, nets in enumerate(node_inputs):

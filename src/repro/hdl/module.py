@@ -16,42 +16,32 @@ Construction idiom::
         n = m.gate("XOR2", x[0], y[0])
     m.output("p", [n])
 
+Rows.  ``Module.gates`` and ``Module.registers`` hold plain tuples,
+in this field order::
+
+    gate:     (kind, inputs, output, block)   # str, tuple of ints, int, str
+    register: (d, q, stage, block)            # int, int, int, str
+
+``stage`` is the pipeline cut a register belongs to (1 = between stage
+1 and stage 2, matching Fig. 5's numbering).  Readers unpack a row by
+name (``for kind, inputs, output, block in module.gates``).  A tuple of
+strings, ints and int tuples is untracked by CPython's cyclic garbage
+collector after the first collection that sees it, so the hundred
+thousand rows of the paper's netlists cost no collection time and
+unpickle as plain data; a dataclass or ``NamedTuple`` row stays
+tracked for its lifetime.
+
 Analyses read the derived structure (topological order, fanout, loads,
 stages, ...) from :attr:`Module.index`, which every mutator drops.
 """
 
 import contextlib
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import NetlistError
 from repro.hdl.cell import cell_num_inputs
 from repro.hdl.index import NetlistIndex
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One combinational cell instance."""
-
-    kind: str
-    inputs: Tuple[int, ...]
-    output: int
-    block: str
-
-
-@dataclass(frozen=True)
-class Register:
-    """One pipeline flip-flop.
-
-    ``stage`` identifies the pipeline cut the register belongs to
-    (1 = between stage 1 and stage 2, matching Fig. 5's numbering).
-    """
-
-    d: int
-    q: int
-    stage: int
-    block: str
 
 
 class Module:
@@ -60,8 +50,8 @@ class Module:
     def __init__(self, name):
         self.name = name
         self.n_nets = 0
-        self.gates: List[Gate] = []
-        self.registers: List[Register] = []
+        self.gates: List[Tuple[str, Tuple[int, ...], int, str]] = []
+        self.registers: List[Tuple[int, int, int, str]] = []
         self.inputs: Dict[str, List[int]] = {}
         self.outputs: Dict[str, List[int]] = {}
         self._driver: Dict[int, str] = {}     # net -> "gate"/"input"/...
@@ -134,9 +124,9 @@ class Module:
             self._require_driven(net)
         out = self.new_net()
         self._driver[out] = "gate"
-        self.gates.append(Gate(kind=kind, inputs=tuple(inputs), output=out,
-                               block=block if block is not None
-                               else self.current_block))
+        self.gates.append((kind, inputs, out,
+                           block if block is not None
+                           else self.current_block))
         return out
 
     def register(self, d, stage, block=None):
@@ -144,9 +134,9 @@ class Module:
         self._require_driven(d)
         q = self.new_net()
         self._driver[q] = "register"
-        self.registers.append(Register(d=d, q=q, stage=stage,
-                                       block=block if block is not None
-                                       else self.current_block))
+        self.registers.append((d, q, stage,
+                               block if block is not None
+                               else self.current_block))
         return q
 
     def register_bus(self, bus, stage, block=None):
@@ -173,7 +163,7 @@ class Module:
         """Number of pipeline stages (register stages + 1)."""
         if not self.registers:
             return 1
-        return max(reg.stage for reg in self.registers) + 1
+        return max(stage for __, __, stage, __ in self.registers) + 1
 
     @cached_property
     def index(self):
@@ -192,8 +182,8 @@ class Module:
     def stats(self):
         """Cheap structural summary used by reports and tests."""
         kinds = {}
-        for gate in self.gates:
-            kinds[gate.kind] = kinds.get(gate.kind, 0) + 1
+        for kind, __, __, __ in self.gates:
+            kinds[kind] = kinds.get(kind, 0) + 1
         return {
             "nets": self.n_nets,
             "gates": len(self.gates),

@@ -22,7 +22,6 @@ from typing import Dict, Optional
 
 from repro.errors import NetlistError
 from repro.hdl.cell import cell_eval
-from repro.hdl.module import Gate, Module, Register
 
 
 @dataclass
@@ -59,44 +58,42 @@ def propagate_constants(module, stats=None):
     const: Dict[int, int] = dict(module.constants)
     replacement: Dict[int, int] = {}
     new_gates = []
-    for gate in module.gates:
-        ins = tuple(replacement.get(n, n) for n in gate.inputs)
+    for kind, inputs, output, block in module.gates:
+        ins = tuple(replacement.get(n, n) for n in inputs)
         values = [const.get(n) for n in ins]
         if all(v is not None for v in values):
-            out_value = cell_eval(gate.kind)(1, *values) & 1
-            const[gate.output] = out_value
-            module._const_nets[gate.output] = out_value
-            module._driver[gate.output] = "const"
+            out_value = cell_eval(kind)(1, *values) & 1
+            const[output] = out_value
+            module._const_nets[output] = out_value
+            module._driver[output] = "const"
             stats.constants_folded += 1
             continue
-        simplified = _simplify(gate.kind, ins, values)
+        simplified = _simplify(kind, ins, values)
         if simplified is None:
-            new_gates.append(Gate(gate.kind, ins, gate.output, gate.block))
+            new_gates.append((kind, ins, output, block))
             continue
-        kind, new_ins = simplified
-        if kind == "WIRE":
-            replacement[gate.output] = new_ins[0]
-            module._driver[gate.output] = "const" \
+        new_kind, new_ins = simplified
+        if new_kind == "WIRE":
+            replacement[output] = new_ins[0]
+            module._driver[output] = "const" \
                 if new_ins[0] in const else module._driver[new_ins[0]]
             if new_ins[0] in const:
-                const[gate.output] = const[new_ins[0]]
-                module._const_nets[gate.output] = const[new_ins[0]]
+                const[output] = const[new_ins[0]]
+                module._const_nets[output] = const[new_ins[0]]
             stats.cells_simplified += 1
             continue
-        if kind == "CONST":
-            const[gate.output] = new_ins
-            module._const_nets[gate.output] = new_ins
-            module._driver[gate.output] = "const"
+        if new_kind == "CONST":
+            const[output] = new_ins
+            module._const_nets[output] = new_ins
+            module._driver[output] = "const"
             stats.constants_folded += 1
             continue
         stats.cells_simplified += 1
-        new_gates.append(Gate(kind, new_ins, gate.output, gate.block))
+        new_gates.append((new_kind, new_ins, output, block))
     module.gates = new_gates
     # Re-point registers and outputs through wire replacements.
-    module.registers = [
-        Register(replacement.get(r.d, r.d), r.q, r.stage, r.block)
-        for r in module.registers
-    ]
+    module.registers = [(replacement.get(d, d), q, stage, block)
+                        for d, q, stage, block in module.registers]
     for name, bus in module.outputs.items():
         module.outputs[name] = [replacement.get(n, n) for n in bus]
     module.drop_index()
@@ -179,24 +176,26 @@ def eliminate_dead_cells(module, stats=None):
     live = set()
     for bus in module.outputs.values():
         live.update(bus)
-    producer_gate = {g.output: g for g in module.gates}
-    producer_reg = {r.q: r for r in module.registers}
+    gate_inputs = {output: inputs
+                   for __, inputs, output, __ in module.gates}
+    reg_d = {q: d for d, q, __, __ in module.registers}
     stack = list(live)
     while stack:
         net = stack.pop()
-        gate = producer_gate.get(net)
-        if gate is not None:
-            for n in gate.inputs:
+        inputs = gate_inputs.get(net)
+        if inputs is not None:
+            for n in inputs:
                 if n not in live:
                     live.add(n)
                     stack.append(n)
-        reg = producer_reg.get(net)
-        if reg is not None and reg.d not in live:
-            live.add(reg.d)
-            stack.append(reg.d)
+        d = reg_d.get(net)
+        if d is not None and d not in live:
+            live.add(d)
+            stack.append(d)
 
-    kept_gates = [g for g in module.gates if g.output in live]
-    kept_regs = [r for r in module.registers if r.q in live]
+    # A gate row's output is field 2, a register row's q field 1.
+    kept_gates = [g for g in module.gates if g[2] in live]
+    kept_regs = [r for r in module.registers if r[1] in live]
     stats.dead_cells_removed += len(module.gates) - len(kept_gates)
     stats.dead_registers_removed += len(module.registers) - len(kept_regs)
     module.gates = kept_gates
@@ -228,19 +227,20 @@ def _compact(module):
         live.update(bus)
     for bus in module.outputs.values():
         live.update(bus)
-    for gate in module.gates:
-        live.add(gate.output)
-        live.update(gate.inputs)
-    for reg in module.registers:
-        live.add(reg.d)
-        live.add(reg.q)
+    for __, inputs, output, __ in module.gates:
+        live.add(output)
+        live.update(inputs)
+    for d, q, __, __ in module.registers:
+        live.add(d)
+        live.add(q)
     live.update(module._const_nets)
     # Renumber nets densely.
     mapping = {old: new for new, old in enumerate(sorted(live))}
-    module.gates = [Gate(g.kind, tuple(mapping[n] for n in g.inputs),
-                         mapping[g.output], g.block) for g in module.gates]
-    module.registers = [Register(mapping[r.d], mapping[r.q], r.stage,
-                                 r.block) for r in module.registers]
+    module.gates = [(kind, tuple(mapping[n] for n in inputs),
+                     mapping[output], block)
+                    for kind, inputs, output, block in module.gates]
+    module.registers = [(mapping[d], mapping[q], stage, block)
+                        for d, q, stage, block in module.registers]
     for name, bus in module.inputs.items():
         module.inputs[name] = [mapping[n] for n in bus]
     for name, bus in module.outputs.items():

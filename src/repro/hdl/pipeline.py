@@ -52,8 +52,8 @@ def pipeline_report(module, strict=True):
     for stage in gate_stages:
         gates_per_stage[stage] = gates_per_stage.get(stage, 0) + 1
     regs_per_cut: Dict[int, int] = {}
-    for reg in module.registers:
-        regs_per_cut[reg.stage] = regs_per_cut.get(reg.stage, 0) + 1
+    for __, __, stage, __ in module.registers:
+        regs_per_cut[stage] = regs_per_cut.get(stage, 0) + 1
     return PipelineReport(
         n_stages=module.stage_count(),
         gates_per_stage=gates_per_stage,

@@ -197,17 +197,17 @@ def attribute_power(module, library, zero_toggles, event_toggles,
     # Leakage (proportional to cell area) and register clock energy
     # (paid per cycle by every flip-flop), on each cell's output net.
     leak_per_eq = library.leakage_nw_per_eq * 1e-6
-    for gate in module.gates:
-        mw = library.spec(gate.kind).area_eq * leak_per_eq
-        for entry in groups(gate.output):
+    for kind, __, output, __ in module.gates:
+        mw = library.spec(kind).area_eq * leak_per_eq
+        for entry in groups(output):
             entry["leakage_mw"] += mw
     clock_fj = (library.register.clock_energy_units
                 * library.energy_fj_per_unit)
     clock_mw = toggles_to_power_mw(clock_fj * transitions, transitions,
                                    frequency_mhz)
     reg_leak = library.register.area_eq * leak_per_eq
-    for reg in module.registers:
-        for entry in groups(reg.q):
+    for __, q, __, __ in module.registers:
+        for entry in groups(q):
             entry["register_mw"] += clock_mw
             entry["leakage_mw"] += reg_leak
 

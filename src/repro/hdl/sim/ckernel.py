@@ -687,12 +687,10 @@ class CKernel:
         gin = (ctypes.c_int32 * (4 * n_gates))()
         ttab = (ctypes.c_uint16 * max(n_gates, 1))()
         gout = (ctypes.c_int32 * max(n_gates, 1))()
-        for idx, gate in enumerate(gates):
-            ins = list(gate.inputs)
-            ttab[idx] = CELL_KINDS[gate.kind].truth_table
-            gout[idx] = gate.output
-            padded = ins + [ins[0]] * (4 - len(ins))
-            gin[4 * idx: 4 * idx + 4] = padded
+        for idx, (kind, ins, output, __) in enumerate(gates):
+            ttab[idx] = CELL_KINDS[kind].truth_table
+            gout[idx] = output
+            gin[4 * idx: 4 * idx + 4] = ins + (ins[0],) * (4 - len(ins))
         self._gin = gin
         self._ttab = ttab
         self._gout = gout

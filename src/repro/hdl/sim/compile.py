@@ -1,7 +1,7 @@
 """Netlist compile pass: flatten once, specialize on demand.
 
 The interpreting simulators pay a per-gate dispatch tax on every
-evaluation: fetch the ``Gate`` dataclass, look up its ``cell_eval``
+evaluation: fetch the gate row, look up its ``cell_eval``
 function, branch on arity, build an argument list.  On a 20k-gate
 multiplier that tax dominates the runtime of both the levelized runs and
 the event-driven glitch replay.
@@ -70,9 +70,17 @@ CHUNK_STATEMENTS = 4000
 
 
 def gate_expr(gate, mask_name="M"):
-    """The Python expression recomputing ``gate``'s output from ``v``."""
-    return cell_kind(gate.kind).expr.format(
-        *[f"v[{net}]" for net in gate.inputs], M=mask_name)
+    """The Python expression recomputing the output of the gate row
+    ``gate`` from ``v``."""
+    kind, inputs, __, __ = gate
+    return cell_kind(kind).expr.format(
+        *[f"v[{net}]" for net in inputs], M=mask_name)
+
+
+def _gate_stmt(gate):
+    """The statement assigning the gate row ``gate``'s output net."""
+    __, __, output, __ = gate
+    return f"v[{output}] = {gate_expr(gate)}"
 
 
 def _compile_chunks(statements, tag):
@@ -113,13 +121,13 @@ def _compile_eval_factories(gates, tag):
 
 
 def _append_gate_row(table, gate):
-    """Append ``gate``'s node-table row; unused input slots repeat
-    input 0."""
-    ins = gate.inputs
-    table.append(OPCODES[gate.kind])
+    """Append the gate row ``gate``'s node-table row; unused input
+    slots repeat input 0."""
+    kind, ins, output, __ = gate
+    table.append(OPCODES[kind])
     table += ins
     table += (ins[0],) * (4 - len(ins))
-    table.append(gate.output)
+    table.append(output)
 
 
 @dataclass
@@ -169,11 +177,10 @@ class CompiledModule:
             stmts = []
             for node in self._order[lo:hi]:
                 if node >= 0:
-                    gate = gates[node]
-                    stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
+                    stmts.append(_gate_stmt(gates[node]))
                 else:
-                    reg = registers[-node - 1]
-                    stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & M")
+                    d, q, __, __ = registers[-node - 1]
+                    stmts.append(f"v[{q}] = (v[{d}] << 1) & M")
             chunks = _compile_chunks(stmts, f"{self._tag}:levelized")
             first = lo // CHUNK_STATEMENTS
             fns[first:first + len(chunks)] = chunks
@@ -181,7 +188,7 @@ class CompiledModule:
         return fns
 
     def with_gate(self, index, gate):
-        """This module with gate ``index`` replaced by ``gate``.
+        """This module with gate ``index`` replaced by the row ``gate``.
 
         ``gate`` must drive the same output net from the same set of
         input nets (a rekind or a pin swap), so this module's
@@ -193,12 +200,13 @@ class CompiledModule:
         statement.  Raises :class:`~repro.errors.NetlistError` for any
         other replacement.
         """
-        old = self._gates[index]
-        if (gate.output != old.output or set(gate.inputs) != set(old.inputs)
-                or len(gate.inputs) != cell_num_inputs(gate.kind)):
+        kind, inputs, output, __ = gate
+        old_kind, old_inputs, old_output, __ = self._gates[index]
+        if (output != old_output or set(inputs) != set(old_inputs)
+                or len(inputs) != cell_num_inputs(kind)):
             raise NetlistError(
                 f"gate {index}: a replacement must keep the output net and "
-                f"the input set of {old.kind}{old.inputs} -> {old.output}")
+                f"the input set of {old_kind}{old_inputs} -> {old_output}")
         pos = self._order.index(index)
         row = len(self.node_table) // NODE_FIELDS - len(self._order) + pos
         new_row = []
@@ -218,8 +226,8 @@ class CompiledModule:
         if fns is None:
             gates = self._gates
             fns = self._settle_fns = _compile_chunks(
-                [f"v[{gates[node].output}] = {gate_expr(gates[node])}"
-                 for node in self._order if node >= 0],
+                [_gate_stmt(gates[node]) for node in self._order
+                 if node >= 0],
                 f"{self._tag}:settle")
         for fn in fns:
             fn(values, 1)
@@ -259,8 +267,8 @@ def compile_module(module):
             if node >= 0:
                 _append_gate_row(table, gates[node])
             else:
-                reg = registers[-node - 1]
-                table += (OP_REG, reg.d, reg.d, reg.d, reg.d, reg.q)
+                d, q, __, __ = registers[-node - 1]
+                table += (OP_REG, d, d, d, d, q)
 
     return CompiledModule(
         n_nets=module.n_nets,

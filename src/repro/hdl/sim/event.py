@@ -75,7 +75,7 @@ class EventSimulator:
         index = module.index
         self._delay = index.library(library).delays
         self._fanout = index.fanout
-        self._out = [g.output for g in module.gates]
+        self._out = [output for __, __, output, __ in module.gates]
         self.values: List[int] = [0] * module.n_nets
         #: Canonical stimulus order: input buses LSB-first, register q
         #: nets last — the order every stimulus dict is built in, which
@@ -83,8 +83,8 @@ class EventSimulator:
         self._stim_order = []
         for bus in module.inputs.values():
             self._stim_order.extend(bus)
-        for reg in module.registers:
-            self._stim_order.append(reg.q)
+        for __, q, __, __ in module.registers:
+            self._stim_order.append(q)
         self._stimulus_nets = set(self._stim_order)
         self._initialized = False
         self._compiled = index.compiled

@@ -83,20 +83,20 @@ def analyze(module, library):
     for idx in index.node_order():
         if idx < 0:
             continue
-        gate = gates[idx]
+        __, inputs, output, __ = gates[idx]
         best_arr = 0.0
-        for net in gate.inputs:
+        for net in inputs:
             if arrival[net] > best_arr:
                 best_arr = arrival[net]
-        arrival[gate.output] = best_arr + delays[idx]
-        from_gate[gate.output] = idx
+        arrival[output] = best_arr + delays[idx]
+        from_gate[output] = idx
 
     # Group endpoints per stage: register d-pins belong to their stage,
     # primary outputs to the last stage.
     n_stages = module.stage_count()
     endpoints: Dict[int, List[int]] = {s: [] for s in range(1, n_stages + 1)}
-    for reg in module.registers:
-        endpoints[reg.stage].append(reg.d)
+    for d, __, stage, __ in module.registers:
+        endpoints[stage].append(d)
     for bus in module.outputs.values():
         endpoints[n_stages].extend(bus)
 
@@ -125,8 +125,8 @@ def _trace_path(module, arrival, from_gate, endpoint):
     while from_gate[net] is not None:
         gidx = from_gate[net]
         path.append(gidx)
-        gate = module.gates[gidx]
-        net = max(gate.inputs, key=lambda n: arrival[n])
+        __, inputs, __, __ = module.gates[gidx]
+        net = max(inputs, key=lambda n: arrival[n])
     path.reverse()
     return path
 
@@ -145,7 +145,8 @@ def critical_path_breakdown(module, library, timing, blocks=None):
     top = index.top
     contrib: Dict[str, Tuple[float, int]] = {}
     for gidx in timing.path_gates:
-        tag = top[module.gates[gidx].output] or "(top)"
+        __, __, output, __ = module.gates[gidx]
+        tag = top[output] or "(top)"
         d, n = contrib.get(tag, (0.0, 0))
         contrib[tag] = (d + delays[gidx], n + 1)
 

@@ -27,16 +27,16 @@ def validate(module):
 
 def _check_single_drivers(module):
     driven = {}
-    for idx, gate in enumerate(module.gates):
-        if gate.output in driven:
+    for idx, (__, __, output, __) in enumerate(module.gates):
+        if output in driven:
             raise NetlistError(
-                f"net {gate.output} driven by gates {driven[gate.output]} and {idx}"
+                f"net {output} driven by gates {driven[output]} and {idx}"
             )
-        driven[gate.output] = idx
-    for reg in module.registers:
-        if reg.q in driven:
-            raise NetlistError(f"register q net {reg.q} also driven by a gate")
-        driven[reg.q] = f"reg:{reg.q}"
+        driven[output] = idx
+    for __, q, __, __ in module.registers:
+        if q in driven:
+            raise NetlistError(f"register q net {q} also driven by a gate")
+        driven[q] = f"reg:{q}"
     for name, bus in module.inputs.items():
         for net in bus:
             if net in driven:

@@ -10,7 +10,6 @@ registers and net count on every netlist.
 import math
 
 from repro.errors import NetlistError
-from repro.hdl.module import Gate
 
 
 def reference_insert_buffers(module, library, max_load=8.0):
@@ -36,24 +35,24 @@ def reference_insert_buffers(module, library, max_load=8.0):
             raise NetlistError("buffer insertion failed to converge")
         consumers = {}
         load = [0.0] * module.n_nets
-        for gidx, gate in enumerate(module.gates):
-            cap = library.spec(gate.kind).input_cap
-            for pin, net in enumerate(gate.inputs):
+        for gidx, (kind, inputs, __, __) in enumerate(module.gates):
+            cap = library.spec(kind).input_cap
+            for pin, net in enumerate(inputs):
                 load[net] += cap
                 consumers.setdefault(net, []).append(("gate", gidx, pin))
-        for ridx, reg in enumerate(module.registers):
-            load[reg.d] += library.register.input_cap
-            consumers.setdefault(reg.d, []).append(("reg", ridx, 0))
+        for ridx, (d, __, __, __) in enumerate(module.registers):
+            load[d] += library.register.input_cap
+            consumers.setdefault(d, []).append(("reg", ridx, 0))
         pad = [0.0] * module.n_nets
         for bus in module.outputs.values():
             for net in bus:
                 pad[net] += library.output_load
 
         block_of = [""] * module.n_nets
-        for gate in module.gates:
-            block_of[gate.output] = gate.block
-        for reg in module.registers:
-            block_of[reg.q] = reg.block
+        for __, __, output, block in module.gates:
+            block_of[output] = block
+        for __, q, __, block in module.registers:
+            block_of[q] = block
         for net in range(module.n_nets):
             total = load[net] + pad[net]
             if net in const_nets or total <= max_load:
@@ -71,18 +70,15 @@ def reference_insert_buffers(module, library, max_load=8.0):
                 if not group:
                     continue
                 buf_out = module.gate("BUF", net, block=block_of[net])
-                for kind, idx, pin in group:
-                    if kind == "gate":
-                        gate = module.gates[idx]
-                        new_inputs = list(gate.inputs)
+                for sink, idx, pin in group:
+                    if sink == "gate":
+                        kind, inputs, output, block = module.gates[idx]
+                        new_inputs = list(inputs)
                         new_inputs[pin] = buf_out
-                        module.gates[idx] = Gate(
-                            kind=gate.kind, inputs=tuple(new_inputs),
-                            output=gate.output, block=gate.block)
+                        module.gates[idx] = (kind, tuple(new_inputs),
+                                             output, block)
                     else:
-                        reg = module.registers[idx]
-                        module.registers[idx] = type(reg)(
-                            d=buf_out, q=reg.q, stage=reg.stage,
-                            block=reg.block)
+                        __, q, stage, block = module.registers[idx]
+                        module.registers[idx] = (buf_out, q, stage, block)
     module.drop_index()
     return module

@@ -33,25 +33,26 @@ class HeapEventSimulator:
         self.module = module
         load = [0.0] * module.n_nets
         self._fanout = [[] for __ in range(module.n_nets)]
-        for gidx, gate in enumerate(module.gates):
-            for net in gate.inputs:
-                load[net] += library.spec(gate.kind).input_cap
+        for gidx, (kind, inputs, __, __) in enumerate(module.gates):
+            for net in inputs:
+                load[net] += library.spec(kind).input_cap
                 self._fanout[net].append(gidx)
-        for reg in module.registers:
-            load[reg.d] += library.register.input_cap
+        for d, __, __, __ in module.registers:
+            load[d] += library.register.input_cap
         for bus in module.outputs.values():
             for net in bus:
                 load[net] += library.output_load
-        self._delay = [library.spec(g.kind).delay_ps(load[g.output])
-                       for g in module.gates]
-        self._eval = [reference_eval(g.kind) for g in module.gates]
+        self._delay = [library.spec(kind).delay_ps(load[output])
+                       for kind, __, output, __ in module.gates]
+        self._eval = [reference_eval(kind)
+                      for kind, __, __, __ in module.gates]
         self._order = [node for node in module.index.node_order()
                        if node >= 0]
         self._stimulus_nets = set()
         for bus in module.inputs.values():
             self._stimulus_nets.update(bus)
-        for reg in module.registers:
-            self._stimulus_nets.add(reg.q)
+        for __, q, __, __ in module.registers:
+            self._stimulus_nets.add(q)
         self.values = [0] * module.n_nets
         self._initialized = False
 
@@ -70,9 +71,8 @@ class HeapEventSimulator:
         for net, val in stimulus.items():
             values[net] = val & 1
         for idx in self._order:
-            gate = module.gates[idx]
-            values[gate.output] = _eval_gate(self._eval[idx], gate.inputs,
-                                             values)
+            __, inputs, output, __ = module.gates[idx]
+            values[output] = _eval_gate(self._eval[idx], inputs, values)
         self._initialized = True
 
     def apply(self, stimulus, toggles_out=None):
@@ -98,12 +98,12 @@ class HeapEventSimulator:
         def schedule_fanout(net, t):
             nonlocal counter
             for gidx in fanout[net]:
-                gate = gates[gidx]
-                val = _eval_gate(evals[gidx], gate.inputs, values)
+                __, inputs, output, __ = gates[gidx]
+                val = _eval_gate(evals[gidx], inputs, values)
                 counter += 1
-                live_seq[gate.output] = counter
+                live_seq[output] = counter
                 heapq.heappush(heap,
-                               (t + delay[gidx], counter, gate.output, val))
+                               (t + delay[gidx], counter, output, val))
 
         # Apply all stimulus changes simultaneously at t = 0.
         items = stimulus.items() if hasattr(stimulus, "items") else stimulus
@@ -149,8 +149,8 @@ def event_toggles_legacy(module, library, run, stimulus, n_cycles):
             word = stimulus[name][t] if t < len(stimulus[name]) else 0
             for i, net in enumerate(bus):
                 values[net] = (word >> i) & 1
-        for reg in module.registers:
-            values[reg.q] = run.net_value(reg.q, t)
+        for __, q, __, __ in module.registers:
+            values[q] = run.net_value(q, t)
         return values
 
     esim.initialize(cycle_stimulus(0))

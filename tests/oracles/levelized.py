@@ -26,13 +26,12 @@ def _settle(module, values, m):
     registers = module.registers
     for node in module.index.node_order():
         if node >= 0:
-            gate = gates[node]
-            fn = reference_eval(gate.kind)
-            values[gate.output] = fn(
-                m, *[values[n] for n in gate.inputs]) & m
+            kind, inputs, output, __ = gates[node]
+            fn = reference_eval(kind)
+            values[output] = fn(m, *[values[n] for n in inputs]) & m
         else:
-            reg = registers[-node - 1]
-            values[reg.q] = (values[reg.d] << 1) & m
+            d, q, __, __ = registers[-node - 1]
+            values[q] = (values[d] << 1) & m
 
 
 def interpreted_run(module, stimulus, n):

@@ -64,10 +64,12 @@ class TestCombinational:
         _verify(modules[name], cases)
 
     def test_block_structure_matches_fig2(self, modules):
-        blocks = {g.block.split("/", 1)[0] for g in modules["r16"].gates}
+        blocks = {block.split("/", 1)[0]
+                  for __, __, __, block in modules["r16"].gates}
         assert {"precomp", "recoder", "ppgen", "tree", "cpa"} <= blocks
         # radix-4 has no multiple pre-computation (2X is wiring).
-        r4_blocks = {g.block.split("/", 1)[0] for g in modules["r4"].gates}
+        r4_blocks = {block.split("/", 1)[0]
+                     for __, __, __, block in modules["r4"].gates}
         assert "precomp" not in r4_blocks
 
 
@@ -122,8 +124,8 @@ class TestPaperShapeClaims:
 
     def test_radix16_fewer_tree_gates(self, modules):
         def tree_gates(m):
-            return sum(1 for g in m.gates
-                       if g.block.split("/", 1)[0] == "tree")
+            return sum(1 for __, __, __, block in m.gates
+                       if block.split("/", 1)[0] == "tree")
         assert tree_gates(modules["r16"]) < 0.62 * tree_gates(modules["r4"])
 
     def test_radix16_latency_near_29_fo4(self, modules):

@@ -30,7 +30,7 @@ from repro.eval.fault_injection import (
     mutation_coverage,
 )
 from repro.hdl.cell import CELL_KINDS, cell_num_inputs
-from repro.hdl.module import Gate, Module
+from repro.hdl.module import Module
 from repro.hdl.sim import ckernel, compile as sim_compile
 from repro.hdl.sim.compile import compiled_module
 from repro.hdl.sim.levelized import LevelizedSimulator
@@ -84,17 +84,16 @@ def _toy_battery(module, n_patterns=12, seed=3):
 
 def _all_mutants(module):
     """Every same-arity rekind and every meaningful distinct-net swap."""
-    for idx, gate in enumerate(module.gates):
-        arity = cell_num_inputs(gate.kind)
-        for kind in _MUTATION_POOLS.get(arity, []):
-            if kind != gate.kind:
-                yield idx, Gate(kind, gate.inputs, gate.output, gate.block)
-        for i, j in CELL_KINDS[gate.kind].swaps:
-            if gate.inputs[i] != gate.inputs[j]:
-                ins = list(gate.inputs)
+    for idx, (kind, inputs, output, block) in enumerate(module.gates):
+        arity = cell_num_inputs(kind)
+        for new_kind in _MUTATION_POOLS.get(arity, []):
+            if new_kind != kind:
+                yield idx, (new_kind, inputs, output, block)
+        for i, j in CELL_KINDS[kind].swaps:
+            if inputs[i] != inputs[j]:
+                ins = list(inputs)
                 ins[i], ins[j] = ins[j], ins[i]
-                yield idx, Gate(gate.kind, tuple(ins), gate.output,
-                                gate.block)
+                yield idx, (kind, tuple(ins), output, block)
 
 
 def _patched_run(module, battery, idx, mutant):
@@ -127,7 +126,7 @@ class TestExhaustiveToy:
             full_run = interpreted_run(twin, battery.stimulus,
                                        battery.n_patterns)
             assert run.values == full_run.values, \
-                f"mutant {idx}: {mutant.kind} nets diverged on {kernel}"
+                f"mutant {idx}: {mutant[0]} nets diverged on {kernel}"
             assert battery.check_run(module, run) \
                 == battery.check_run(twin, full_run)
             checked += 1
@@ -172,22 +171,20 @@ class TestExhaustiveToy:
     def test_mutant_must_keep_output_net(self):
         module = _toy_module()
         golden = compiled_module(module)
-        gate = module.gates[0]
-        bad = Gate(gate.kind, gate.inputs, module.gates[1].output,
-                   gate.block)
+        kind, inputs, __, block = module.gates[0]
+        __, __, other_output, __ = module.gates[1]
+        bad = (kind, inputs, other_output, block)
         with pytest.raises(NetlistError):
             golden.with_gate(0, bad)
 
     def test_mutant_must_keep_input_set(self):
         module = _toy_module()
         golden = compiled_module(module)
-        gate = module.gates[0]
-        other = module.gates[1].inputs[0]
-        for bad in (Gate(gate.kind, (gate.inputs[0], other), gate.output,
-                         gate.block),
-                    Gate("AND3", gate.inputs + (other,), gate.output,
-                         gate.block),
-                    Gate("AND3", gate.inputs, gate.output, gate.block)):
+        kind, inputs, output, block = module.gates[0]
+        other = module.gates[1][1][0]     # gate 1's first input net
+        for bad in ((kind, (inputs[0], other), output, block),
+                    ("AND3", inputs + (other,), output, block),
+                    ("AND3", inputs, output, block)):
             with pytest.raises(NetlistError):
                 golden.with_gate(0, bad)
 

@@ -91,8 +91,9 @@ class TestVCD:
     def test_custom_bus_selection(self, tmp_path):
         m = _small_module()
         run = LevelizedSimulator(m).run({"a": [0, 3], "b": [0, 3]}, 2)
+        __, __, xor_out, __ = m.gates[0]
         path = dump_vcd(m, run, tmp_path / "w.vcd",
-                        buses={"xor_bit": [m.gates[0].output]})
+                        buses={"xor_bit": [xor_out]})
         text = open(path).read()
         assert "xor_bit" in text
         assert "$var wire 1" in text

@@ -85,7 +85,8 @@ class TestMutation:
             twin = clone_module(r16)
             mutation = inject_mutation(twin, rng)
             if "AO22 ->" in mutation.description:
-                rekinds.add(twin.gates[mutation.gate_index].kind)
+                kind, __, __, __ = twin.gates[mutation.gate_index]
+                rekinds.add(kind)
         assert "OA22" in rekinds
 
     def test_commutative_swaps_not_generated(self, r16):

@@ -30,7 +30,7 @@ class TestConstruction:
 
     def test_block_tags(self):
         m = _small_module()
-        assert all(g.block == "logic" for g in m.gates)
+        assert all(block == "logic" for __, __, __, block in m.gates)
 
     def test_nested_blocks(self):
         m = Module("demo")
@@ -38,7 +38,8 @@ class TestConstruction:
         with m.block("outer"):
             with m.block("inner"):
                 m.gate("INV", a[0])
-        assert m.gates[0].block == "outer/inner"
+        __, __, __, block = m.gates[0]
+        assert block == "outer/inner"
 
     def test_duplicate_io_rejected(self):
         m = Module("demo")
@@ -83,7 +84,8 @@ class TestConstruction:
     def test_driver_kinds(self):
         m = _small_module()
         assert m.driver_kind(m.inputs["a"][0]) == "input"
-        assert m.driver_kind(m.gates[0].output) == "gate"
+        __, __, output, __ = m.gates[0]
+        assert m.driver_kind(output) == "gate"
         assert m.driver_kind(m.const(1)) == "const"
         with pytest.raises(NetlistError):
             m.driver_kind(10_000)
@@ -94,7 +96,7 @@ class TestConstruction:
         m.gate("INV", a[0])
         m.gate("INV", a[0])
         fanout = m.index.fanout
-        assert fanout[a[0]] == [0, 1]
+        assert fanout[a[0]] == (0, 1)
         lib = default_library()
         load = m.index.library(lib).load
         assert load[a[0]] == 2 * lib.spec("INV").input_cap
@@ -108,13 +110,12 @@ class TestValidate:
         m = Module("demo")
         a = m.input("a", 1)
         # Manually create a combinational cycle.
-        from repro.hdl.module import Gate
         out1 = m.new_net()
         out2 = m.new_net()
         m._driver[out1] = "gate"
         m._driver[out2] = "gate"
-        m.gates.append(Gate("AND2", (a[0], out2), out1, ""))
-        m.gates.append(Gate("INV", (out1,), out2, ""))
+        m.gates.append(("AND2", (a[0], out2), out1, ""))
+        m.gates.append(("INV", (out1,), out2, ""))
         with pytest.raises(NetlistError, match="cycle"):
             validate(m)
 
@@ -122,8 +123,7 @@ class TestValidate:
         m = Module("demo")
         a = m.input("a", 1)
         n = m.gate("INV", a[0])
-        from repro.hdl.module import Gate
-        m.gates.append(Gate("INV", (a[0],), n, ""))
+        m.gates.append(("INV", (a[0],), n, ""))
         with pytest.raises(NetlistError, match="driven by"):
             validate(m)
 

@@ -54,7 +54,7 @@ class TestConstantPropagation:
         after = LevelizedSimulator(m).run({"a": [0, 1, 2, 3]}, 4)
         assert [after.bus_word(m.outputs["o"], t) for t in range(4)] \
             == expect
-        kinds = {g.kind for g in m.gates}
+        kinds = {kind for kind, __, __, __ in m.gates}
         assert "XOR3" not in kinds
         assert "MAJ3" not in kinds
 

@@ -52,7 +52,8 @@ class TestUnitConversions:
         m = _toggle_module()
         energies = m.index.library(lib).energies
         # The gate output includes the cell's internal term.
-        assert energies[m.gates[0].output] >= \
+        __, __, output, __ = m.gates[0]
+        assert energies[output] >= \
             lib.energy_fj_per_unit * lib.spec("INV").area_eq
 
 

@@ -98,8 +98,8 @@ class TestRandomNetlists:
         # A trivially valid upper bound covering gates that feed no
         # output (STA endpoints exclude them; the event sim does not).
         load = module.index.library(lib).load
-        delay_bound = sum(lib.spec(g.kind).delay_ps(load[g.output])
-                          for g in module.gates)
+        delay_bound = sum(lib.spec(kind).delay_ps(load[output])
+                          for kind, __, output, __ in module.gates)
         esim.initialize(stim(0))
         for t in range(1, len(patterns)):
             counts = esim.apply(stim(t))

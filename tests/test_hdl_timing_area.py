@@ -44,7 +44,7 @@ class TestSTA:
         m.output("o", [out])
         lib = default_library()
         report = analyze(m, lib)
-        path_kinds = [m.gates[g].kind for g in report.stages[0].path_gates]
+        path_kinds = [m.gates[g][0] for g in report.stages[0].path_gates]
         assert path_kinds == ["INV", "INV", "AND2"]
 
     def test_stage_endpoints(self):
@@ -150,8 +150,9 @@ class TestBuffering:
         gates_before = len(m.gates)
         insert_buffers(m, lib, max_load=4.0)
         # No buffers on the constant net.
-        assert all(g.inputs[1] == one for g in m.gates[:gates_before]
-                   if g.kind == "AND2")
+        assert all(inputs[1] == one
+                   for kind, inputs, __, __ in m.gates[:gates_before]
+                   if kind == "AND2")
 
     def test_threshold_validated(self):
         with pytest.raises(NetlistError):

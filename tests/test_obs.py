@@ -509,20 +509,22 @@ class TestPowerAttribution:
         y = m.gate("INV", q)
         m.output("o", [m.gate("INV", y) for __ in range(12)])
         insert_buffers(m, lib, max_load=3.0)
-        position = {g.output: i for i, g in enumerate(m.gates)}
+        position = {output: i
+                    for i, (__, __, output, __) in enumerate(m.gates)}
         assert any(position.get(net, -1) > i
-                   for i, g in enumerate(m.gates) for net in g.inputs)
+                   for i, (__, inputs, __, __) in enumerate(m.gates)
+                   for net in inputs)
 
         rep = estimate_power(m, lib, {"a": [0, 3, 1, 3, 0, 2]}, 6,
                              attribution=True)
         gate_stages, net_stages = stage_map(m)
         leak_per_eq = lib.leakage_nw_per_eq * 1e-6
         expect = {}
-        for gate, stage in zip(m.gates, gate_stages):
+        for (kind, __, __, __), stage in zip(m.gates, gate_stages):
             expect[stage] = (expect.get(stage, 0.0)
-                             + lib.spec(gate.kind).area_eq * leak_per_eq)
-        for reg in m.registers:
-            stage = net_stages[reg.q]
+                             + lib.spec(kind).area_eq * leak_per_eq)
+        for __, q, __, __ in m.registers:
+            stage = net_stages[q]
             expect[stage] = (expect.get(stage, 0.0)
                              + lib.register.area_eq * leak_per_eq)
         by_stage = rep.attribution.by_stage

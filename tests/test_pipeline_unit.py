@@ -143,8 +143,9 @@ class TestUnitStructure:
             "repro.hdl.pipeline", fromlist=["stage_map"]).stage_map(
                 unit.module)
         by_block = {}
-        for gate, stage in zip(unit.module.gates, gate_stages):
-            top = gate.block.split("/", 1)[0]
+        for (__, __, __, block), stage in zip(unit.module.gates,
+                                               gate_stages):
+            top = block.split("/", 1)[0]
             by_block.setdefault(top, set()).add(stage)
         assert by_block["ppgen"] == {2}
         assert by_block["tree"] == {2}

@@ -125,7 +125,8 @@ class TestStructuralRNE:
             assert (res.ph << 64) | res.pl == bundle.x * bundle.y
 
     def test_sticky_block_exists(self, rne_unit):
-        blocks = {g.block.split("/", 1)[0] for g in rne_unit.module.gates}
+        blocks = {block.split("/", 1)[0]
+                  for __, __, __, block in rne_unit.module.gates}
         assert "sticky" in blocks
 
     def test_bad_rounding_rejected(self):

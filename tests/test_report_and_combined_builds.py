@@ -63,7 +63,8 @@ class TestCombinedUnitOptions:
                           operand_isolation=True)
 
     def test_all_features_present(self, unit):
-        blocks = {g.block.split("/", 1)[0] for g in unit.module.gates}
+        blocks = {block.split("/", 1)[0]
+                  for __, __, __, block in unit.module.gates}
         assert "sticky" in blocks
         assert "reducer" in blocks
         assert unit.has_reducer

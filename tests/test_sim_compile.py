@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from repro.errors import NetlistError, SimulationError
 from repro.hdl.cell import CELL_KINDS
 from repro.hdl.library import default_library
-from repro.hdl.module import Gate, Module
+from repro.hdl.module import Module
 from repro.hdl.power.monte_carlo import (
     estimate_power,
     shared_event_simulator,
@@ -95,7 +95,7 @@ class TestCodegenTemplates:
     @pytest.mark.parametrize("kind", KINDS)
     def test_scalar_expression_matches_cell_eval(self, kind):
         fn, arity = CELLS[kind]
-        gate = Gate(kind, tuple(range(arity)), arity, "")
+        gate = (kind, tuple(range(arity)), arity, "")
         expr = gate_expr(gate)
         for idx in range(1 << arity):
             bits = [(idx >> j) & 1 for j in range(arity)]
@@ -114,7 +114,7 @@ class TestCodegenTemplates:
             for i in range(n):
                 packed |= ((i >> j) & 1) << i
             words.append(packed)
-        gate = Gate(kind, tuple(range(arity)), arity, "")
+        gate = (kind, tuple(range(arity)), arity, "")
         expr = gate_expr(gate)
         got = eval(expr, {"v": words, "M": m}) & m
         assert got == fn(m, *words) & m
@@ -371,9 +371,10 @@ class TestToposort:
         order = [node for node in module.index.node_order() if node >= 0]
         assert sorted(order) == list(range(len(module.gates)))
         position = {gidx: pos for pos, gidx in enumerate(order)}
-        producer = {g.output: i for i, g in enumerate(module.gates)}
-        for gidx, gate in enumerate(module.gates):
-            for net in gate.inputs:
+        producer = {output: i
+                    for i, (__, __, output, __) in enumerate(module.gates)}
+        for gidx, (__, inputs, __, __) in enumerate(module.gates):
+            for net in inputs:
                 if net in producer:
                     assert position[producer[net]] < position[gidx]
 
@@ -396,8 +397,8 @@ class TestToposort:
         out2 = m.new_net()
         m._driver[out1] = "gate"
         m._driver[out2] = "gate"
-        m.gates.append(Gate("AND2", (a[0], out2), out1, ""))
-        m.gates.append(Gate("INV", (out1,), out2, ""))
+        m.gates.append(("AND2", (a[0], out2), out1, ""))
+        m.gates.append(("INV", (out1,), out2, ""))
         with pytest.raises(SimulationError, match="cycle"):
             m.index.node_order()
         with pytest.raises(NetlistError, match="cycle"):
@@ -561,11 +562,33 @@ class TestModuleDiskCache:
             second = cached_module("r4")   # from the store
             assert self._counter("module_cache.hits") == hits + 1
             assert second.n_nets == first.n_nets
-            assert ([g.kind for g in second.gates]
-                    == [g.kind for g in first.gates])
+            assert ([kind for kind, __, __, __ in second.gates]
+                    == [kind for kind, __, __, __ in first.gates])
             assert second.inputs.keys() == first.inputs.keys()
         finally:
             cached_module.cache_clear()
+
+    def test_store_roundtrip_rows_equal_a_fresh_build(self, tmp_path,
+                                                      monkeypatch):
+        """Gate and register rows come back from the store as the plain
+        tuples a fresh build makes, field for field."""
+        from repro.eval.experiments import NAMED_BUILDS, cached_module
+
+        try:
+            self._cold(monkeypatch, tmp_path)
+            cached_module("r4_pipe")
+            cached_module.cache_clear()
+            hits = self._counter("module_cache.hits")
+            loaded = cached_module("r4_pipe")   # from the store
+            assert self._counter("module_cache.hits") == hits + 1
+        finally:
+            cached_module.cache_clear()
+        builder, params = NAMED_BUILDS["r4_pipe"]
+        fresh = builder(**params)
+        assert loaded.registers and loaded.registers == fresh.registers
+        assert loaded.gates == fresh.gates
+        assert {type(row) for row in loaded.gates + loaded.registers} \
+            == {tuple}
 
     def test_corrupt_entry_is_counted_and_replaced(self, tmp_path,
                                                    monkeypatch):

@@ -123,7 +123,6 @@ def test_shared_leaf_leaves_module_unchanged(leaf, params, name):
 def test_wrong_product_raises_under_optimize_flag():
     """The product check is a raise, not an ``assert`` that -O strips."""
     script = textwrap.dedent("""
-        import dataclasses
         from repro.errors import SimulationError
         from repro.eval.experiments import cached_module
         from repro.eval.sweep import measure_design_point
@@ -131,11 +130,11 @@ def test_wrong_product_raises_under_optimize_flag():
 
         module = clone_module(cached_module("r16"))
         lsb = module.outputs["p"][0]
-        idx = next(i for i, g in enumerate(module.gates)
-                   if g.output == lsb)
-        assert module.gates[idx].kind == "XOR2"
-        module.gates[idx] = dataclasses.replace(module.gates[idx],
-                                                kind="XNOR2")
+        idx = next(i for i, (__, __, output, __) in enumerate(module.gates)
+                   if output == lsb)
+        kind, inputs, output, block = module.gates[idx]
+        assert kind == "XOR2"
+        module.gates[idx] = ("XNOR2", inputs, output, block)
         try:
             measure_design_point("broken", module)
         except SimulationError as exc:
