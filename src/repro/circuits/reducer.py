@@ -16,7 +16,6 @@ plus the internal condition bits ``c1``/``c2``/``zero`` for inspection.
 """
 
 from repro.circuits.adders import make_adder
-from repro.circuits.ortree import zero_flag
 from repro.circuits.primitives import GateBuilder
 from repro.core.reduction import BIAS_DELTA, DISCARDED_FRACTION_BITS, UPPER_BOUND
 from repro.hdl.module import Module
@@ -78,7 +77,10 @@ def reducer_logic(gb, d, adder_style="ripple"):
         c2 = diff[11]                               # sign bit: negative
 
     with m.block("zero_check"):
-        zero_ok = zero_flag(gb, fraction[:DISCARDED_FRACTION_BITS])
+        # The 29-input OR tree (NOR as OR + INV): 1 when every
+        # discarded fraction bit is 0.
+        discarded = list(fraction[:DISCARDED_FRACTION_BITS])
+        zero_ok = gb.g_not(gb.or_tree(discarded))
 
     with m.block("select"):
         reduce_ok = gb.and_tree([c1, c2, zero_ok])

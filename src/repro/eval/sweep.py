@@ -15,6 +15,7 @@ composes them into the ``sweep_radix``, ``sweep_cpa``,
 experiments (``run_experiment("sweep_radix", power_cycles=10)``).
 """
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -179,11 +180,20 @@ def tree_point(radix_log2, use_4_2, power_cycles=0):
                                 power_cycles=power_cycles)
 
 
+@functools.lru_cache(maxsize=1)
+def _unbuffered_mf():
+    """The unbuffered MF unit the ``*-only`` points specialize, built
+    once per process.  Only its copies are edited; it is not a named
+    build, so it never enters the on-disk store."""
+    return build_mf_multiplier(buffer_max_load=None)
+
+
 def specialization_point(label):
     """One format-specialization design point (leaf job).
 
     ``"multi-format"`` measures the full unit; the ``*-only`` labels tie
-    ``frmt`` and let the optimizer reap the other formats' logic.
+    ``frmt`` on a copy of one shared unbuffered build and let the
+    optimizer reap the other formats' logic.
     """
     from repro.hdl.optimize import optimize, tie_input
 
@@ -193,7 +203,7 @@ def specialization_point(label):
     else:
         code = {"int64-only": FRMT_INT64, "fp64-only": FRMT_FP64,
                 "fp32x2-only": FRMT_FP32X2}[label]
-        module = build_mf_multiplier(buffer_max_load=None)
+        module = _unbuffered_mf().copy()
         tie_input(module, "frmt", code)
         optimize(module)
         insert_buffers(module, lib)

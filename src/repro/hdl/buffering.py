@@ -9,8 +9,9 @@ layer of BUFs, its consumers are distributed across them, and the pass
 repeats until every net (including the new buffer nets) is within
 budget.  Constant nets never switch and are exempt.
 
-The pass is a worklist.  The consumer lists, pin loads, pad loads and
-driver blocks are built once; pass 1 checks every net, and each later
+The pass is a worklist.  The pin loads, pad loads and driver blocks
+are built once, and consumer lists only for the nets over budget (the
+only ones a pass can split); pass 1 checks every net, and each later
 pass checks, in ascending order, only the nets the previous pass
 touched (each split net and each new BUF output) — no other net's
 consumers or load can have changed.  A split updates the tables in
@@ -47,23 +48,32 @@ def insert_buffers(module, library, max_load=8.0):
     gates = module.gates
     registers = module.registers
 
-    # consumer lists: (kind, index, pin) where kind is "gate" or "reg".
-    # Only gate/register pins are splittable: primary-output pad load is
-    # fixed at the net (a real flow upsizes the driver for pads).
-    consumers = {}
     load = [0.0] * module.n_nets
-    for gidx, (kind, inputs, __, __) in enumerate(gates):
+    for kind, inputs, __, __ in gates:
         cap = library.spec(kind).input_cap
-        for pin, net in enumerate(inputs):
+        for net in inputs:
             load[net] += cap
-            consumers.setdefault(net, []).append(("gate", gidx, pin))
-    for ridx, (d, __, __, __) in enumerate(registers):
+    for d, __, __, __ in registers:
         load[d] += reg_cap
-        consumers.setdefault(d, []).append(("reg", ridx, 0))
     pad = [0.0] * module.n_nets
     for bus in module.outputs.values():
         for net in bus:
             pad[net] += library.output_load
+    # Consumer lists, (kind, index, pin) with kind "gate" or "reg", of
+    # the nets over budget only: no other net is split.  Only gate and
+    # register pins are splittable: primary-output pad load is fixed at
+    # the net (a real flow upsizes the driver for pads).
+    consumers = {net: [] for net in range(module.n_nets)
+                 if load[net] + pad[net] > max_load
+                 and net not in const_nets}
+    if consumers:
+        for gidx, (__, inputs, __, __) in enumerate(gates):
+            for pin, net in enumerate(inputs):
+                if net in consumers:
+                    consumers[net].append(("gate", gidx, pin))
+        for ridx, (d, __, __, __) in enumerate(registers):
+            if d in consumers:
+                consumers[d].append(("reg", ridx, 0))
     block_of = list(module.index.owner)
 
     worklist = range(module.n_nets)
@@ -77,7 +87,7 @@ def insert_buffers(module, library, max_load=8.0):
             total = load[net] + pad[net]
             if net in const_nets or total <= max_load:
                 continue
-            sinks = consumers.get(net, [])
+            sinks = consumers[net]
             if len(sinks) < 2:
                 continue       # one huge pin / pad only: nothing to split
             n_groups = max(2, math.ceil(total / (max_load - buf_cap)))

@@ -6,11 +6,19 @@ Monte Carlo power and its attribution read a module's structure from
 Each field is derived on its first read and kept; every edit of the
 module drops the whole index
 (:meth:`~repro.hdl.module.Module.drop_index`), and it is never pickled.
+
+The per-net and per-node tables are tuples, never lists.  A full
+collection of CPython's cyclic garbage collector visits every element
+of every list it tracks, while a tuple of strings, ints and such
+tuples leaves its tracking at the first collection that sees it; an
+analysed module kept for the rest of a report would otherwise add its
+tables' length to every full collection.
 """
 
 import weakref
 from array import array
 from functools import cached_property
+from itertools import accumulate
 
 from repro import obs
 from repro.errors import PipelineError, SimulationError
@@ -42,14 +50,13 @@ class NetlistIndex:
     @cached_property
     def fanout(self):
         """net -> tuple of the gate indices reading it, ascending
-        (registers excluded).  Tuples, like the module's rows, drop out
-        of the garbage collector's tracking; per-net lists would not."""
+        (registers excluded)."""
         module = self._module()
         fanout = [[] for __ in range(module.n_nets)]
         for idx, (__, inputs, __, __) in enumerate(module.gates):
             for net in inputs:
                 fanout[net].append(idx)
-        return [tuple(gates) for gates in fanout]
+        return tuple(map(tuple, fanout))
 
     @cached_property
     def owner(self):
@@ -60,14 +67,14 @@ class NetlistIndex:
             owner[output] = block
         for __, q, __, block in module.registers:
             owner[q] = block
-        return owner
+        return tuple(owner)
 
     @cached_property
     def top(self):
         """net -> top-level block tag of its driver (``""`` for none,
         which each report names its own way)."""
         tops = {tag: tag.split("/", 1)[0] for tag in set(self.owner)}
-        return [tops[tag] for tag in self.owner]
+        return tuple(tops[tag] for tag in self.owner)
 
     @cached_property
     def cells(self):
@@ -80,7 +87,7 @@ class NetlistIndex:
             cell[output] = kind
         for __, q, __, __ in module.registers:
             cell[q] = "DFF"
-        return cell
+        return tuple(cell)
 
     @cached_property
     def stages(self):
@@ -112,7 +119,7 @@ class NetlistIndex:
                     mixed = (f"register at stage {reg_stage} latches a "
                              f"stage-{d_stage} net")
                 net_stage[q] = reg_stage + 1
-        return gate_stages, net_stage, mixed
+        return tuple(gate_stages), tuple(net_stage), mixed
 
     @cached_property
     def compiled(self):
@@ -203,31 +210,49 @@ class LibraryFields:
 
 
 def _kahn_order(module, error):
+    """Kahn's sort with a LIFO ready stack over one flat edge table.
+
+    Node ``i < len(gates)`` is gate ``i`` and node ``len(gates) + r``
+    register ``r``.  Each pin read from another node is one edge, coded
+    ``producer * n_nodes + consumer``; sorted, the codes hold every
+    producer's consumers together in the order they are met, so the
+    CSR slice ``targets[start[p]:start[p + 1]]`` releases nodes exactly
+    as one consumer list per node would (``tests/oracles/toposort.py``)
+    without allocating a container per node.
+    """
     gates, registers = module.gates, module.registers
     n_gates = len(gates)
     node_inputs = ([inputs for __, inputs, __, __ in gates]
                    + [(d,) for d, __, __, __ in registers])
-    producers = {output: node
-                 for node, (__, __, output, __) in enumerate(gates)}
-    producers.update((q, n_gates + ridx)
-                     for ridx, (__, q, __, __) in enumerate(registers))
-    indegree = [0] * len(node_inputs)
-    consumers = [[] for __ in node_inputs]
+    n_nodes = len(node_inputs)
+    producer = [-1] * module.n_nets
+    for node, (__, __, output, __) in enumerate(gates):
+        producer[output] = node
+    for node, (__, q, __, __) in enumerate(registers, n_gates):
+        producer[q] = node
+    indegree = [0] * n_nodes
+    outdegree = [0] * n_nodes
+    edges = []
     for node, nets in enumerate(node_inputs):
         for net in nets:
-            if net in producers:
+            src = producer[net]
+            if src >= 0:
+                edges.append(src * n_nodes + node)
                 indegree[node] += 1
-                consumers[producers[net]].append(node)
-    ready = [node for node, deg in enumerate(indegree) if deg == 0]
+                outdegree[src] += 1
+    edges.sort()
+    targets = [edge % n_nodes for edge in edges]
+    start = [0, *accumulate(outdegree)]
+    ready = [node for node in range(n_nodes) if not indegree[node]]
     order = []
     while ready:
         node = ready.pop()
         # Register ``ridx`` is node ``n_gates + ridx``, coded ``-1 - ridx``.
         order.append(node if node < n_gates else n_gates - 1 - node)
-        for consumer in consumers[node]:
+        for consumer in targets[start[node]:start[node + 1]]:
             indegree[consumer] -= 1
-            if indegree[consumer] == 0:
+            if not indegree[consumer]:
                 ready.append(consumer)
-    if len(order) != len(node_inputs):
+    if len(order) != n_nodes:
         raise error("netlist has a combinational cycle")
-    return order
+    return tuple(order)

@@ -176,6 +176,23 @@ class Module:
         ``registers`` or the buses in place call this when done."""
         self.__dict__.pop("index", None)
 
+    def copy(self):
+        """A structural copy sharing no mutable state with this module
+        (rows are immutable tuples, so both row lists hold the same
+        ones); the copy starts without an index."""
+        twin = Module(self.name)
+        twin.n_nets = self.n_nets
+        twin.gates = list(self.gates)
+        twin.registers = list(self.registers)
+        twin.inputs = {name: list(bus) for name, bus in self.inputs.items()}
+        twin.outputs = {name: list(bus)
+                        for name, bus in self.outputs.items()}
+        twin._driver = dict(self._driver)
+        twin._const_nets = dict(self._const_nets)
+        twin._const_cache = dict(self._const_cache)
+        twin._block_stack = list(self._block_stack)
+        return twin
+
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "index"}
 

@@ -711,9 +711,8 @@ class CKernel:
         self._fo_ptr = fo_ptr
         self._fo_dat = fo_dat
 
-        self._stim_order = list(stim_order)
-        n_stim = len(self._stim_order)
-        self._stim_net = (ctypes.c_int32 * max(n_stim, 1))(*self._stim_order)
+        self._n_stim = n_stim = len(stim_order)
+        self._stim_net = (ctypes.c_int32 * max(n_stim, 1))(*stim_order)
         self._stim_words = (ctypes.c_uint64 * max(n_stim, 1))()
 
         self.values = (ctypes.c_uint8 * n_nets)()
@@ -751,13 +750,13 @@ class CKernel:
                 f"kernel window must be 1..{WINDOW_TRANSITIONS} transitions")
         words = self._stim_words
         self._lib.lv_window(_addr(buf.raw), buf.n_limbs, self._stim_net,
-                            len(self._stim_order), shift, words)
+                            self._n_stim, shift, words)
         rc = self._lib.sim_replay(
             self.n_nets, self._n_gates,
             self._gin, self._ttab, self._gout, self._gdelay,
             self._fo_ptr, self._fo_dat,
             self.values, self._live_seq,
-            self._stim_net, words, len(self._stim_order),
+            self._stim_net, words, self._n_stim,
             transitions,
             self.toggles, self._stats, self._settle)
         if rc < 0:

@@ -49,7 +49,7 @@ index when the module is edited.
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import NetlistError
@@ -104,7 +104,6 @@ def _compile_chunks(statements, tag):
 def _compile_eval_factories(gates, tag):
     """Exec chunks of ``lambda:`` appends building scalar per-gate closures."""
     fns = []
-    gates = list(gates)
     with obs.span("compile:kernel", cat="compile", tag=tag,
                   statements=len(gates)):
         for start in range(0, len(gates), CHUNK_STATEMENTS):
@@ -145,9 +144,11 @@ class CompiledModule:
     #: topological node order (see :data:`OPCODES`).
     node_table: array = field(repr=False)
     _tag: str = "module"
-    _order: List[int] = field(repr=False, default_factory=list)
-    _gates: List = field(repr=False, default_factory=list)
-    _registers: List = field(repr=False, default_factory=list)
+    #: The index's node order and the module's rows, as tuples: kept
+    #: for the module's lifetime, so out of the cyclic collector's walk.
+    _order: Tuple[int, ...] = field(repr=False, default=())
+    _gates: Tuple[tuple, ...] = field(repr=False, default=())
+    _registers: Tuple[tuple, ...] = field(repr=False, default=())
     _level_fns: Optional[List[Callable]] = field(repr=False, default=None)
     _settle_fns: Optional[List[Callable]] = field(repr=False, default=None)
     _eval_factories: Optional[List[Callable]] = field(repr=False,
@@ -213,8 +214,7 @@ class CompiledModule:
         _append_gate_row(new_row, gate)
         table = self.node_table[:]
         table[row * NODE_FIELDS:(row + 1) * NODE_FIELDS] = array("i", new_row)
-        gates = list(self._gates)
-        gates[index] = gate
+        gates = self._gates[:index] + (gate,) + self._gates[index + 1:]
         return CompiledModule(
             n_nets=self.n_nets, node_table=table,
             _tag=self._tag, _order=self._order, _gates=gates,
@@ -275,8 +275,8 @@ def compile_module(module):
         node_table=array("i", table),
         _tag=module.name or "module",
         _order=order,
-        _gates=list(gates),
-        _registers=list(registers),
+        _gates=tuple(gates),
+        _registers=tuple(registers),
     )
 
 

@@ -37,6 +37,7 @@ rule executed outside the interpreter, again bit-identical.
 
 import heapq
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -75,27 +76,27 @@ class EventSimulator:
         index = module.index
         self._delay = index.library(library).delays
         self._fanout = index.fanout
-        self._out = [output for __, __, output, __ in module.gates]
-        self.values: List[int] = [0] * module.n_nets
+        self._out = tuple(output for __, __, output, __ in module.gates)
+        #: Net -> its current 0/1 value, one byte each: the simulator
+        #: lives as long as its module, and a list this long would be
+        #: walked by every full collection of the cyclic collector.
+        self.values = array("B", bytes(module.n_nets))
         #: Canonical stimulus order: input buses LSB-first, register q
         #: nets last — the order every stimulus dict is built in, which
         #: :meth:`replay` reproduces for bit-identical event order.
-        self._stim_order = []
-        for bus in module.inputs.values():
-            self._stim_order.extend(bus)
-        for __, q, __, __ in module.registers:
-            self._stim_order.append(q)
-        self._stimulus_nets = set(self._stim_order)
+        self._stim_order = tuple(
+            [net for bus in module.inputs.values() for net in bus]
+            + [q for __, q, __, __ in module.registers])
         self._initialized = False
         self._compiled = index.compiled
-        # Per-gate closures recomputing each output bit from self.values.
-        # Built on first use: a replay served entirely by the compiled C
-        # kernel never needs them.
+        # Per-gate closures recomputing each output bit from self.values,
+        # and the wheel's scratch (monotone sequence counters make the
+        # lists reusable across apply() calls without clearing).  Built
+        # on the first apply(): a simulator whose replays all run on the
+        # compiled C kernel never holds them.
         self._gate_val = None
-        # Persistent wheel scratch: monotone sequence counters make the
-        # arrays reusable across apply() calls without clearing.
-        self._live_seq = [0] * module.n_nets
-        self._trig_mark = [0] * len(module.gates)
+        self._live_seq = None
+        self._trig_mark = None
         self._counter = 0
         # Compiled C kernel for replay(), when a compiler is available.
         self._ck = None
@@ -123,11 +124,10 @@ class EventSimulator:
         """
         module = self.module
         values = self.values
-        for net in range(module.n_nets):
-            values[net] = 0
+        values[:] = array("B", bytes(module.n_nets))
         for net, cval in module.constants.items():
             values[net] = cval
-        for net in self._stimulus_nets:
+        for net in self._stim_order:
             if net not in stimulus:
                 raise SimulationError(f"no stimulus for net {net}")
         for net, val in stimulus.items():
@@ -182,9 +182,11 @@ class EventSimulator:
         delay = self._delay
         outs = self._out
         gate_val = self._gate_val
+        n_nets = self.module.n_nets
         if gate_val is None:
             gate_val = self._gate_val = self._compiled.make_gate_evals(values)
-        n_nets = self.module.n_nets
+            self._live_seq = [0] * n_nets
+            self._trig_mark = [0] * len(outs)
         toggles = toggles_out if toggles_out is not None else [0] * n_nets
         live_seq = self._live_seq
         trig_mark = self._trig_mark
@@ -330,10 +332,7 @@ class EventSimulator:
                 count = ck_toggles[net]
                 if count:
                     toggles[net] += count
-            values = self.values
-            ck_values = ck.values
-            for net in range(n_nets):
-                values[net] = ck_values[net]
+            self.values[:] = array("B", bytes(ck.values))
             self._initialized = True
             stats = self.stats
             stats["applies"] += transitions

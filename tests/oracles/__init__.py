@@ -10,7 +10,9 @@ patched-row campaign must match verdict for verdict),
 ``mf_datapath`` (the multiplier's PP-array → Dadda → Fig. 3 datapath,
 which ``MFMult(mode="paper")`` must match bit for bit), ``buffering``
 (the full-rebuild fanout buffering pass, which the worklist pass must
-match gate for gate) and
+match gate for gate), ``toposort`` (Kahn's sort with one consumer list
+per node, which the index's flat-edge sort must match node for node)
+and
 ``sched_leaves`` (deterministic scheduler-exercise leaves, importable by
 ``"tests.oracles.sched_leaves:<fn>"`` spec from the repository root).
 """

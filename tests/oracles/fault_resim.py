@@ -12,22 +12,12 @@ so a seed names the same mutants on both sides.
 import random
 
 from repro.eval.fault_injection import CoverageResult, propose_mutation
-from repro.hdl.module import Module
 from repro.hdl.sim.levelized import LevelizedSimulator
 
 
 def clone_module(module):
     """Structural copy (mutations must not touch the original)."""
-    twin = Module(module.name)
-    twin.n_nets = module.n_nets
-    twin.gates = list(module.gates)
-    twin.registers = list(module.registers)
-    twin.inputs = {k: list(v) for k, v in module.inputs.items()}
-    twin.outputs = {k: list(v) for k, v in module.outputs.items()}
-    twin._driver = dict(module._driver)
-    twin._const_nets = dict(module._const_nets)
-    twin._const_cache = dict(module._const_cache)
-    return twin
+    return module.copy()
 
 
 def inject_mutation(module, rng):

@@ -168,7 +168,7 @@ class TestPipelineAnalysis:
         y = m.gate("INV", q)
         m.output("o", [y])
         gate_stages, net_stages = stage_map(m)
-        assert gate_stages == [1, 2]
+        assert gate_stages == (1, 2)
 
     def test_mixed_stage_gate_rejected(self):
         m = Module("p")
@@ -179,7 +179,7 @@ class TestPipelineAnalysis:
         with pytest.raises(PipelineError):
             stage_map(m, strict=True)
         gate_stages, __ = stage_map(m, strict=False)
-        assert gate_stages == [2]
+        assert gate_stages == (2,)
 
     def test_report_counts(self):
         from repro.circuits.mult_radix16 import radix16_multiplier

@@ -8,18 +8,25 @@ rebuilt after any edit of the module and never pickled.
 import gc
 import pickle
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import obs
+from repro.errors import PipelineError
 from repro.eval.experiments import NAMED_BUILDS
+from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
 from repro.hdl.buffering import insert_buffers
+from repro.hdl.index import _kahn_order
 from repro.hdl.library import default_library
 from repro.hdl.module import Module
 from repro.hdl.optimize import optimize
 from repro.hdl.pipeline import stage_map
-from repro.hdl.power.monte_carlo import estimate_power
+from repro.hdl.power.monte_carlo import estimate_power, shared_event_simulator
 from repro.hdl.sim.compile import compiled_module
 from repro.hdl.timing.sta import analyze
 from repro.hdl.validate import validate
+from tests.oracles.toposort import kahn_order
 
 
 def _pipe():
@@ -57,7 +64,7 @@ def test_every_edit_gets_a_fresh_index_and_compiled_module():
     def analysed():
         index, compiled = m.index, compiled_module(m)
         analyze(m, lib)
-        assert compiled._gates == m.gates
+        assert compiled._gates == tuple(m.gates)
         assert compiled.n_nets == m.n_nets
         return index, compiled
 
@@ -100,3 +107,102 @@ def test_rows_and_fanout_leave_the_collector():
     gc.collect()
     added = len(gc.get_objects()) - before
     assert added < len(module.gates) / 100, added
+
+
+def _tracked_slots():
+    """Summed length of every list, tuple and dict the cyclic
+    collector tracks: what one full collection walks through."""
+    return sum(len(obj) for obj in gc.get_objects()
+               if type(obj) in (list, tuple, dict))
+
+
+def test_analysed_module_holds_no_large_tracked_tables():
+    """An analysed module keeps its derived tables (index, compiled
+    module, event simulator) as tuples and arrays, which the collector
+    does not walk: after every analysis of a fresh r16, what stays
+    tracked is about its one ``Module.gates`` list.
+
+    Without the C library the glitch replay runs on the Python wheel,
+    which keeps by design one evaluation closure per gate (each with
+    its closure tuple) and two scratch lists; those are counted apart,
+    by name, and everything else must stay under the same bound."""
+    builder, params = NAMED_BUILDS["r16"]
+    lib = default_library()
+    stim = WorkloadGenerator(1).multiplier_stimulus(8)
+
+    def analysed():
+        module = builder(**params)
+        validate(module)
+        compiled_module(module)
+        stage_map(module)
+        analyze(module, lib)
+        area_report(module, lib)
+        estimate_power(module, lib, stim, 8, attribution=True)
+        return module
+
+    analysed()                   # warm imports, caches and lazy tables
+    gc.collect()
+    before = _tracked_slots()
+    module = analysed()
+    gc.collect()
+    added = _tracked_slots() - before
+    esim = shared_event_simulator(module, lib)
+    if esim.kernel == "python":
+        closures = esim._gate_val
+        added -= (len(closures) + sum(len(fn.__closure__) for fn in closures)
+                  + len(esim._live_seq) + len(esim._trig_mark))
+    else:
+        assert esim._gate_val is esim._live_seq is esim._trig_mark is None
+    rows = len(module.gates) + len(module.registers)
+    assert added < 1.2 * rows, (added, rows)
+
+
+_ARITY_KIND = {1: "INV", 2: "AND2", 3: "AND3", 4: "AO22"}
+
+
+@st.composite
+def raw_netlists(draw):
+    """Rows wired at random in creation order, then stored shuffled:
+    gates of arity 1-4 that may read one net more than once, registers,
+    and (when drawn) one pin rewired to its own or a later node's
+    output, which may close a cycle."""
+    n_inputs = draw(st.integers(1, 4))
+    is_register = draw(st.lists(st.booleans(), max_size=16))
+    rows = []
+    for k, register in enumerate(is_register):
+        output = n_inputs + k
+        arity = 1 if register else draw(st.integers(1, 4))
+        inputs = draw(st.lists(st.integers(0, output - 1),
+                               min_size=arity, max_size=arity))
+        rows.append([register, inputs, output])
+    n_nets = n_inputs + len(rows)
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        pin = draw(st.integers(0, len(row[1]) - 1))
+        row[1][pin] = draw(st.integers(row[2], n_nets - 1))
+    rows = draw(st.permutations(rows))
+    module = Module("raw")
+    module.n_nets = n_nets
+    for register, inputs, output in rows:
+        if register:
+            module.registers.append((inputs[0], output, 1, ""))
+        else:
+            module.gates.append((_ARITY_KIND[len(inputs)], tuple(inputs),
+                                 output, ""))
+    return module
+
+
+def _order_or_cycle(sort, module):
+    try:
+        return tuple(sort(module, PipelineError))
+    except PipelineError:
+        return "cycle"
+
+
+@given(raw_netlists())
+@settings(max_examples=200, deadline=None)
+def test_flat_kahn_order_matches_consumer_list_reference(module):
+    """The flat-edge sort releases nodes in the reference's exact order,
+    and raises the requested error type on the same netlists."""
+    assert (_order_or_cycle(_kahn_order, module)
+            == _order_or_cycle(kahn_order, module))

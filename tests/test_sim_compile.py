@@ -218,13 +218,13 @@ class TestWheelMatchesHeap:
         heap = HeapEventSimulator(module, lib)
         wheel.initialize(_input_stim(module, patterns, 0))
         heap.initialize(_input_stim(module, patterns, 0))
-        assert wheel.values == heap.values
+        assert list(wheel.values) == heap.values
         for t in range(1, len(patterns)):
             cw = wheel.apply(_input_stim(module, patterns, t))
             ch = heap.apply(_input_stim(module, patterns, t))
             assert cw.toggles == ch.toggles
             assert cw.settle_time_ps == ch.settle_time_ps
-            assert wheel.values == heap.values
+            assert list(wheel.values) == heap.values
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +252,7 @@ class TestReplay:
                               toggles_out=totals)
         assert counts.toggles == totals
         assert counts.settle_time_ps == last.settle_time_ps
-        assert esim.values == heap.values
+        assert list(esim.values) == heap.values
 
     @given(module_and_patterns())
     @settings(max_examples=20, deadline=None)

@@ -1,9 +1,11 @@
 """Sweep design points: which netlist each leaf measures, and its checks.
 
 A sweep point whose build matches a named experiment netlist measures
-``cached_module(name)`` itself and builds nothing; every other point
-builds a fresh netlist.  A design point whose simulated products are
-wrong raises ``SimulationError`` even under ``python -O``.
+``cached_module(name)`` itself and builds nothing; the three ``*-only``
+specialization points share one unbuffered MF build per process, which
+the first of them builds; every other point builds a fresh netlist.  A
+design point whose simulated products are wrong raises
+``SimulationError`` even under ``python -O``.
 """
 
 import subprocess
@@ -95,14 +97,52 @@ def test_shared_points_reuse_cached_module(monkeypatch, leaf, params, name):
     assert built == []
 
 
+SPECIALIZED = ("int64-only", "fp64-only", "fp32x2-only")
+
+
 @pytest.mark.parametrize("leaf,params", [
     pytest.param(leaf, params, id=ident)
     for ident, leaf, params in POINTS if ident not in SHARED])
 def test_other_points_build_fresh(monkeypatch, leaf, params):
+    """Every non-shared point builds one netlist; a ``*-only`` point
+    does so from a cold per-process memo and measures an edited copy."""
+    specialized = params.get("label") in SPECIALIZED
+    if specialized:
+        sw._unbuffered_mf.cache_clear()
     module, built = _measured_module(monkeypatch, leaf, params)
     assert len(built) == 1
     assert all(module is not cached_module(name)
                for name in set(SHARED.values()))
+    if specialized:
+        assert module is not sw._unbuffered_mf()
+
+
+def test_specialized_points_share_one_mf_build(monkeypatch):
+    """The ``*-only`` points build the unbuffered MF unit once, measure
+    what each would on a fresh build of its own, and edit only copies."""
+    fresh = {}
+    for label in SPECIALIZED:
+        sw._unbuffered_mf.cache_clear()
+        fresh[label] = sw.specialization_point(label)
+    sw._unbuffered_mf.cache_clear()
+    real, built = sw.build_mf_multiplier, []
+
+    def build(**params):
+        module = real(**params)
+        built.append((params, module, list(module.gates),
+                      list(module.registers), module.n_nets))
+        return module
+
+    monkeypatch.setattr(sw, "build_mf_multiplier", build)
+    shared = {label: sw.specialization_point(label) for label in SPECIALIZED}
+    assert shared == fresh
+    assert len(built) == 1
+    params, module, gates, registers, n_nets = built[0]
+    assert params == {"buffer_max_load": None}
+    assert sw._unbuffered_mf() is module
+    assert module.gates == gates
+    assert module.registers == registers
+    assert module.n_nets == n_nets
 
 
 @pytest.mark.parametrize("leaf,params,name", [
