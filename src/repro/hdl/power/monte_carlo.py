@@ -176,10 +176,8 @@ def _replay(esim, packed_values, t_first, t_last):
     and the replay's perf counters; ``elapsed_s`` is the replay's own
     wall time.
     """
-    totals = [0] * esim.module.n_nets
     t0 = time.perf_counter()
-    counts = esim.replay(packed_values, t_first, t_last,
-                         toggles_out=totals)
+    counts = esim.replay(packed_values, t_first, t_last)
     stats = {"engine": esim.engine, "kernel": esim.kernel,
              "transitions": t_last - t_first + 1,
              "events_processed": counts.events_processed,
@@ -187,4 +185,4 @@ def _replay(esim, packed_values, t_first, t_last):
              "wheel_buckets": counts.wheel_buckets,
              "wheel_max_bucket": counts.wheel_max_bucket,
              "elapsed_s": time.perf_counter() - t0}
-    return totals, stats
+    return counts.toggles, stats

@@ -32,7 +32,12 @@ not incidental:
 * events are ordered by the total order ``(maturity time, schedule
   sequence number)`` — sequence numbers are unique, so *any* correct
   priority queue pops the identical event sequence as Python's
-  ``heapq`` (the kernel uses a plain binary heap);
+  ``heapq``.  The kernel's queue is a time wheel: one FIFO slot per
+  distinct pending maturity time, found through a hash of the time's
+  bits, with a binary heap over those times only.  Events enter a
+  slot in sequence order, so draining slots by time, each front to
+  back, *is* that order — at one heap operation per distinct time
+  instead of two per event;
 * maturity times are IEEE-754 double sums of the same per-gate delays
   Python computes with ``float`` — identical values, identical
   coincidences, identical comparisons;
@@ -75,80 +80,272 @@ from repro.hdl.sim.compile import (
 #: plus bit 0 for the seed cycle, bounded by the 64-bit word.
 WINDOW_TRANSITIONS = 63
 
+#: Pending maturity times (slots) and pending events the event kernel's
+#: time wheel holds before its first growth; its hash has twice as many
+#: buckets.  A power of two.
+WHEEL_INITIAL_SLOTS = 256
+
 _EVENT_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-/* One pending output event.  Ordered by (t, seq); seq is unique, so the
- * order is total and the pop sequence matches Python's heapq exactly. */
+/* The time wheel.  The events maturing at one time form a FIFO list,
+ * that time's slot; `hash` maps a time's double bits to its slot (open
+ * addressing, linear probing, at most half full) and `heap` is a binary
+ * min-heap over the distinct pending times only.  Events enter a slot
+ * in increasing seq, so draining slots by time, each front to back,
+ * visits events in exactly the (t, seq) order of one global priority
+ * queue - the order of Python's heapq reference.  Events live in the
+ * index-linked pool `ev`, slots in `slot`; a drained slot leaves the
+ * table, and it and its events go on spare lists for reuse, so both
+ * arrays hold what is pending, not all a transition schedules. */
 typedef struct {
-    double t;
     int64_t seq;
-    int32_t net;
-    int32_t val;
+    int32_t nv;         /* net << 1 | value */
+    int32_t next;       /* next event of the slot (or spare), -1 last */
 } Ev;
 
 typedef struct {
-    Ev *a;
-    int64_t len, cap;
-} Heap;
+    double t;
+    int32_t head, tail; /* a spare slot keeps the next spare in head */
+} Slot;
 
-static int ev_less(const Ev *x, const Ev *y)
+typedef struct {
+    double t;
+    int32_t slot;
+} Due;
+
+typedef struct {
+    Ev *ev;
+    Slot *slot;
+    Due *heap;
+    int32_t *hash;      /* slot index per bucket, -1 when empty */
+    int32_t n_ev, cap_ev, spare_ev;
+    int32_t n_slot, cap_slot, spare_slot, live;
+    int32_t n_heap, cap_heap, hmask;
+} Wheel;
+
+/* The gate-level netlist, as sim_replay's caller lays it out. */
+typedef struct {
+    const int32_t *gin;
+    const uint16_t *ttab;
+    const int32_t *gout;
+    const double *gdelay;
+    const int32_t *fo_ptr, *fo_dat;
+} Netlist;
+
+/* `p` reallocated to twice its `cap` elements of `size` bytes (and
+ * `cap` doubled), or NULL with `p` and `cap` untouched. */
+static void *grow(void *p, int32_t *cap, size_t size)
 {
-    if (x->t != y->t)
-        return x->t < y->t;
-    return x->seq < y->seq;
+    if (*cap > INT32_MAX / 2)
+        return NULL;
+    void *np = realloc(p, (size_t)*cap * 2 * size);
+    if (np)
+        *cap *= 2;
+    return np;
 }
 
-static int heap_push(Heap *h, Ev e)
+static uint32_t time_hash(double t)
 {
-    if (h->len == h->cap) {
-        int64_t nc = h->cap ? h->cap * 2 : 4096;
-        Ev *na = (Ev *)realloc(h->a, (size_t)nc * sizeof(Ev));
-        if (!na)
-            return -1;
-        h->a = na;
-        h->cap = nc;
-    }
-    int64_t i = h->len++;
-    while (i > 0) {
-        int64_t p = (i - 1) >> 1;
-        if (ev_less(&e, &h->a[p])) {
-            h->a[i] = h->a[p];
-            i = p;
-        } else {
-            break;
-        }
-    }
-    h->a[i] = e;
+    uint64_t b;
+    memcpy(&b, &t, sizeof b);
+    b ^= b >> 31;
+    b *= 0x9E3779B97F4A7C15ull;
+    return (uint32_t)(b >> 32);
+}
+
+static int wheel_init(Wheel *w)
+{
+    memset(w, 0, sizeof *w);
+    w->cap_ev = w->cap_slot = w->cap_heap = @WHEEL_SLOTS@;
+    w->spare_ev = w->spare_slot = -1;
+    w->hmask = 2 * @WHEEL_SLOTS@ - 1;
+    w->ev = (Ev *)malloc((size_t)w->cap_ev * sizeof(Ev));
+    w->slot = (Slot *)malloc((size_t)w->cap_slot * sizeof(Slot));
+    w->heap = (Due *)malloc((size_t)w->cap_heap * sizeof(Due));
+    w->hash = (int32_t *)malloc((size_t)(w->hmask + 1) * sizeof(int32_t));
+    if (!w->ev || !w->slot || !w->heap || !w->hash)
+        return -1;
+    memset(w->hash, 0xff, (size_t)(w->hmask + 1) * sizeof(int32_t));
     return 0;
 }
 
-static Ev heap_pop(Heap *h)
+static void wheel_free(Wheel *w)
 {
-    Ev top = h->a[0];
-    Ev last = h->a[--h->len];
-    int64_t i = 0;
+    free(w->ev);
+    free(w->slot);
+    free(w->heap);
+    free(w->hash);
+}
+
+/* Double the hash table, re-inserting every slot it holds. */
+static int wheel_rehash(Wheel *w)
+{
+    int32_t size = w->hmask + 1;
+    if (size > INT32_MAX / 2)
+        return -1;
+    int32_t *nh = (int32_t *)malloc((size_t)size * 2 * sizeof(int32_t));
+    if (!nh)
+        return -1;
+    memset(nh, 0xff, (size_t)size * 2 * sizeof(int32_t));
+    uint32_t m = (uint32_t)(2 * size - 1);
+    for (int32_t i = 0; i < size; i++) {
+        int32_t s = w->hash[i];
+        if (s < 0)
+            continue;
+        uint32_t h = time_hash(w->slot[s].t) & m;
+        while (nh[h] >= 0)
+            h = (h + 1) & m;
+        nh[h] = s;
+    }
+    free(w->hash);
+    w->hash = nh;
+    w->hmask = (int32_t)m;
+    return 0;
+}
+
+static void heap_push(Wheel *w, Due d)
+{
+    int32_t i = w->n_heap++;
+    while (i > 0) {
+        int32_t p = (i - 1) >> 1;
+        if (!(d.t < w->heap[p].t))
+            break;
+        w->heap[i] = w->heap[p];
+        i = p;
+    }
+    w->heap[i] = d;
+}
+
+static int32_t heap_pop(Wheel *w)
+{
+    int32_t top = w->heap[0].slot;
+    Due last = w->heap[--w->n_heap];
+    int32_t i = 0;
     for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= h->len)
+        int32_t c = 2 * i + 1;
+        if (c >= w->n_heap)
             break;
-        if (c + 1 < h->len && ev_less(&h->a[c + 1], &h->a[c]))
+        if (c + 1 < w->n_heap && w->heap[c + 1].t < w->heap[c].t)
             c++;
-        if (ev_less(&h->a[c], &last)) {
-            h->a[i] = h->a[c];
-            i = c;
-        } else {
+        if (!(w->heap[c].t < last.t))
             break;
+        w->heap[i] = w->heap[c];
+        i = c;
+    }
+    w->heap[i] = last;
+    return top;
+}
+
+/* Append an event to the slot of time t, opening the slot (and pushing
+ * t on the heap) if t has none.  The slot being drained stays in the
+ * table until wheel_release, so an event due at the current time joins
+ * its tail; times only grow, so no released time comes back. */
+static int wheel_add(Wheel *w, double t, int64_t seq, int32_t net,
+                     int32_t val)
+{
+    uint32_t h = time_hash(t) & (uint32_t)w->hmask;
+    int32_t s;
+    while ((s = w->hash[h]) >= 0 && w->slot[s].t != t)
+        h = (h + 1) & (uint32_t)w->hmask;
+    int32_t e = w->spare_ev;
+    if (e >= 0) {
+        w->spare_ev = w->ev[e].next;
+    } else {
+        if (w->n_ev == w->cap_ev) {
+            Ev *ev = (Ev *)grow(w->ev, &w->cap_ev, sizeof(Ev));
+            if (!ev)
+                return -1;
+            w->ev = ev;
+        }
+        e = w->n_ev++;
+    }
+    w->ev[e].seq = seq;
+    w->ev[e].nv = net << 1 | val;
+    w->ev[e].next = -1;
+    if (s >= 0) {
+        w->ev[w->slot[s].tail].next = e;
+        w->slot[s].tail = e;
+        return 0;
+    }
+    s = w->spare_slot;
+    if (s >= 0) {
+        w->spare_slot = w->slot[s].head;
+    } else {
+        if (w->n_slot == w->cap_slot) {
+            Slot *slot = (Slot *)grow(w->slot, &w->cap_slot, sizeof(Slot));
+            if (!slot)
+                return -1;
+            w->slot = slot;
+        }
+        s = w->n_slot++;
+    }
+    if (w->n_heap == w->cap_heap) {
+        Due *heap = (Due *)grow(w->heap, &w->cap_heap, sizeof(Due));
+        if (!heap)
+            return -1;
+        w->heap = heap;
+    }
+    w->slot[s].t = t;
+    w->slot[s].head = w->slot[s].tail = e;
+    w->hash[h] = s;
+    Due d = { t, s };
+    heap_push(w, d);
+    if (2 * ++w->live > w->hmask + 1)
+        return wheel_rehash(w);
+    return 0;
+}
+
+/* Retire drained slot s: its events and itself become spares, and it
+ * leaves the table by backward-shift deletion (each later entry of the
+ * probe run moves into the hole unless its home lies past the hole). */
+static void wheel_release(Wheel *w, int32_t s)
+{
+    uint32_t m = (uint32_t)w->hmask;
+    uint32_t i = time_hash(w->slot[s].t) & m;
+    while (w->hash[i] != s)
+        i = (i + 1) & m;
+    for (uint32_t j = (i + 1) & m; w->hash[j] >= 0; j = (j + 1) & m) {
+        uint32_t home = time_hash(w->slot[w->hash[j]].t) & m;
+        if (((j - home) & m) >= ((j - i) & m)) {
+            w->hash[i] = w->hash[j];
+            i = j;
         }
     }
-    h->a[i] = last;
-    return top;
+    w->hash[i] = -1;
+    w->live--;
+    w->ev[w->slot[s].tail].next = w->spare_ev;
+    w->spare_ev = w->slot[s].head;
+    w->slot[s].head = w->spare_slot;
+    w->spare_slot = s;
+}
+
+/* Evaluate each gate driven by `net` and schedule its output `t` plus
+ * the gate's delay later; the newest evaluation of a net is its live
+ * one. */
+static int schedule_fanout(Wheel *w, const Netlist *nl, int32_t net,
+                           double t, const uint8_t *values,
+                           int64_t *live_seq, int64_t *counter)
+{
+    for (int32_t k = nl->fo_ptr[net]; k < nl->fo_ptr[net + 1]; k++) {
+        int32_t g = nl->fo_dat[k];
+        const int32_t *in = nl->gin + 4 * (int64_t)g;
+        int idx = values[in[0]] | (values[in[1]] << 1)
+                | (values[in[2]] << 2) | (values[in[3]] << 3);
+        int32_t out = nl->gout[g];
+        live_seq[out] = ++*counter;
+        if (wheel_add(w, t + nl->gdelay[g], *counter, out,
+                      (nl->ttab[g] >> idx) & 1))
+            return -1;
+    }
+    return 0;
 }
 
 /* Replay `transitions` cycle transitions.
  *
- * gin:   4 input net ids per gate (unused slots repeat input 0 — the
+ * gin:   4 input net ids per gate (unused slots repeat input 0 - the
  *        truth table's output is replicated over the padded bits).
  * ttab:  16-entry truth table per gate, indexed by concatenated input
  *        bits (in0 | in1<<1 | in2<<2 | in3<<3).
@@ -157,7 +354,8 @@ static Ev heap_pop(Heap *h)
  * stim_words: per stimulus net, bit i = the net's value in the window's
  *        cycle i (bit 0 = the already-settled seed cycle).
  * stats: [0] in/out monotone schedule counter, [1] out events
- *        processed, [2] out inertial cancellations.
+ *        processed, [2] out inertial cancellations, [3] out slots
+ *        drained (distinct maturity times), [4] out largest slot.
  * settle_out: settle time (ps) of the final transition.
  *
  * Returns events processed, or -1 on allocation failure.
@@ -174,15 +372,14 @@ int64_t sim_replay(
 {
     (void)n_nets;
     (void)n_gates;
-    Heap h = { 0, 0, 0 };
+    const Netlist nl = { gin, ttab, gout, gdelay, fo_ptr, fo_dat };
+    Wheel w;
     int32_t *changed =
         (int32_t *)malloc(sizeof(int32_t) * (size_t)(n_stim ? n_stim : 1));
-    if (!changed)
-        return -1;
+    int fail = wheel_init(&w) || !changed;
     int64_t counter = stats[0];
-    int64_t events = 0, cancelled = 0;
+    int64_t events = 0, cancelled = 0, slots = 0, max_slot = 0;
     double settle = 0.0;
-    int fail = 0;
 
     for (int32_t tr = 1; tr <= transitions && !fail; tr++) {
         /* Stimulus delta: step every stimulus net (canonical order)
@@ -199,64 +396,53 @@ int64_t sim_replay(
         }
         settle = 0.0;
 
-        /* Schedule the fanout of the changed nets at t = 0, then run
-         * the event loop to quiescence.  This is the heap engine's
-         * algorithm verbatim; see repro/hdl/sim/event.py. */
-        for (int32_t j = 0; j < nc && !fail; j++) {
-            int32_t net = changed[j];
-            for (int32_t k = fo_ptr[net]; k < fo_ptr[net + 1]; k++) {
-                int32_t g = fo_dat[k];
-                const int32_t *in = gin + 4 * (int64_t)g;
-                int idx = values[in[0]] | (values[in[1]] << 1)
-                        | (values[in[2]] << 2) | (values[in[3]] << 3);
-                int32_t val = (ttab[g] >> idx) & 1;
-                counter++;
-                int32_t out = gout[g];
-                live_seq[out] = counter;
-                Ev e = { gdelay[g], counter, out, val };
-                if (heap_push(&h, e)) {
-                    fail = 1;
-                    break;
+        /* Schedule the fanout of the changed nets at t = 0, then drain
+         * the wheel to quiescence.  This is the heap engine's
+         * schedule-per-trigger algorithm; see tests/oracles/
+         * event_heap.py. */
+        for (int32_t j = 0; j < nc && !fail; j++)
+            fail = schedule_fanout(&w, &nl, changed[j], 0.0, values,
+                                   live_seq, &counter);
+        while (w.n_heap && !fail) {
+            int32_t s = heap_pop(&w);
+            double t = w.slot[s].t;
+            int64_t n_in = 0;
+            slots++;
+            /* By index, re-reading `next` after each event: an event
+             * scheduled at t itself joins this slot's tail. */
+            for (int32_t i = w.slot[s].head; i >= 0 && !fail;
+                 i = w.ev[i].next) {
+                int32_t net = w.ev[i].nv >> 1;
+                uint8_t val = (uint8_t)(w.ev[i].nv & 1);
+                n_in++;
+                if (w.ev[i].seq != live_seq[net]) {
+                    cancelled++;    /* cancelled by a newer evaluation */
+                    continue;
                 }
+                if (values[net] == val)
+                    continue;
+                values[net] = val;
+                toggles[net]++;
+                settle = t;
+                fail = schedule_fanout(&w, &nl, net, t, values, live_seq,
+                                       &counter);
             }
-        }
-        while (h.len && !fail) {
-            Ev e = heap_pop(&h);
-            events++;
-            if (e.seq != live_seq[e.net]) {
-                cancelled++;    /* cancelled by a newer evaluation */
-                continue;
-            }
-            if (values[e.net] == (uint8_t)e.val)
-                continue;
-            values[e.net] = (uint8_t)e.val;
-            toggles[e.net]++;
-            settle = e.t;
-            for (int32_t k = fo_ptr[e.net]; k < fo_ptr[e.net + 1]; k++) {
-                int32_t g = fo_dat[k];
-                const int32_t *in = gin + 4 * (int64_t)g;
-                int idx = values[in[0]] | (values[in[1]] << 1)
-                        | (values[in[2]] << 2) | (values[in[3]] << 3);
-                int32_t val = (ttab[g] >> idx) & 1;
-                counter++;
-                int32_t out = gout[g];
-                live_seq[out] = counter;
-                Ev e2 = { e.t + gdelay[g], counter, out, val };
-                if (heap_push(&h, e2)) {
-                    fail = 1;
-                    break;
-                }
-            }
+            events += n_in;
+            if (n_in > max_slot)
+                max_slot = n_in;
+            wheel_release(&w, s);
         }
     }
 
     free(changed);
-    free(h.a);
+    wheel_free(&w);
     if (fail)
         return -1;
     stats[0] = counter;
     stats[1] = events;
     stats[2] = cancelled;
+    stats[3] = slots;
+    stats[4] = max_slot;
     *settle_out = settle;
     return events;
 }
@@ -449,7 +635,8 @@ def _levelized_source():
             .replace("@OP_ONE@", str(OP_ONE)))
 
 
-_SOURCE = _EVENT_SOURCE + _levelized_source()
+_SOURCE = (_EVENT_SOURCE.replace("@WHEEL_SLOTS@", str(WHEEL_INITIAL_SLOTS))
+           + _levelized_source())
 
 _P = ctypes.c_void_p
 _I32 = ctypes.c_int32
@@ -717,12 +904,14 @@ class CKernel:
 
         self.values = (ctypes.c_uint8 * n_nets)()
         self._live_seq = (ctypes.c_int64 * n_nets)()
-        self.toggles = (ctypes.c_int64 * n_nets)()
-        self._stats = (ctypes.c_int64 * 3)()
+        #: Per-net toggles the kernel accumulates, read in place.
+        self.toggles = array("q", [0]) * n_nets
+        self._toggles = (ctypes.c_int64 * n_nets).from_buffer(self.toggles)
+        self._stats = (ctypes.c_int64 * 5)()
         self._settle = (ctypes.c_double * 1)()
 
     def zero_toggles(self):
-        ctypes.memset(self.toggles, 0, ctypes.sizeof(self.toggles))
+        ctypes.memset(self._toggles, 0, ctypes.sizeof(self._toggles))
 
     def limbs(self, packed_values):
         """``packed_values`` — a :class:`LimbBuffer` or a list of per-net
@@ -743,7 +932,10 @@ class CKernel:
         Stimulus bit ``i`` (``0 <= i <= transitions``) of each net's
         row in the :class:`LimbBuffer` ``buf`` is its value in cycle
         ``shift + i``; toggles accumulate into :attr:`toggles`.
-        Returns ``(events, cancelled, settle)``.
+        Returns ``(events, cancelled, slots, max_slot, settle)``: events
+        processed and inertially cancelled, the time-wheel slots
+        drained (one per distinct maturity time of each transition) and
+        the most events any one slot held.
         """
         if not 1 <= transitions <= WINDOW_TRANSITIONS:
             raise SimulationError(
@@ -758,7 +950,8 @@ class CKernel:
             self.values, self._live_seq,
             self._stim_net, words, self._n_stim,
             transitions,
-            self.toggles, self._stats, self._settle)
+            self._toggles, self._stats, self._settle)
         if rc < 0:
             raise SimulationError("compiled event kernel allocation failure")
-        return self._stats[1], self._stats[2], self._settle[0]
+        stats = self._stats
+        return stats[1], stats[2], stats[3], stats[4], self._settle[0]

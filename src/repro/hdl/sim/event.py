@@ -31,8 +31,13 @@ keeps as the reference the wheel must match bit-for-bit.
 
 For long cycle replays :meth:`EventSimulator.replay` additionally uses
 the optional compiled C kernel (:mod:`repro.hdl.sim.ckernel`) when a
-system C compiler is available — the same event order and cancellation
-rule executed outside the interpreter, again bit-identical.
+system C compiler is available — the heap engine's schedule-per-trigger
+algorithm on a C time wheel of its own, the same event order and
+cancellation rule executed outside the interpreter, again bit-identical
+in toggles, settle time and values.  Event, cancellation and wheel
+occupancy counts are engine-specific: the C kernel counts every
+scheduled evaluation as the heap reference does, the Python wheel only
+those that survive its deferred evaluation.
 """
 
 import heapq
@@ -276,7 +281,7 @@ class EventSimulator:
     # cycle-sequence replay
     # ------------------------------------------------------------------
 
-    def replay(self, packed_values, t_first, t_last, toggles_out=None):
+    def replay(self, packed_values, t_first, t_last):
         """Replay cycle transitions ``t_first..t_last`` (inclusive).
 
         ``packed_values`` are a levelized run's per-net pattern words
@@ -305,7 +310,6 @@ class EventSimulator:
         n_nets = self.module.n_nets
         if len(packed_values) < n_nets:
             raise SimulationError("packed_values must cover every net")
-        toggles = toggles_out if toggles_out is not None else [0] * n_nets
         transitions = t_last - t_first + 1
         events = cancelled = 0
         n_buckets = 0
@@ -321,24 +325,26 @@ class EventSimulator:
             t = t_first
             while t <= t_last:
                 span = min(ckernel.WINDOW_TRANSITIONS, t_last - t + 1)
-                ev, ca, settle = ck.run(buf, t - 1, span)
+                ev, ca, slots, max_slot, settle = ck.run(buf, t - 1, span)
                 events += ev
                 cancelled += ca
+                n_buckets += slots
+                max_bucket = max(max_bucket, max_slot)
                 t += span
             # Publish the kernel's state: toggle totals, and the settled
             # scalar values (cycle t_last), so apply() can continue.
-            ck_toggles = ck.toggles
-            for net in range(n_nets):
-                count = ck_toggles[net]
-                if count:
-                    toggles[net] += count
+            toggles = ck.toggles.tolist()
             self.values[:] = array("B", bytes(ck.values))
             self._initialized = True
             stats = self.stats
             stats["applies"] += transitions
             stats["events"] += events
             stats["cancelled"] += cancelled
+            stats["wheel_buckets"] += n_buckets
+            stats["wheel_max_bucket"] = max(stats["wheel_max_bucket"],
+                                            max_bucket)
         else:
+            toggles = [0] * n_nets
             if isinstance(packed_values, ckernel.LimbBuffer):
                 packed_values = packed_values.words()
             stim_order = self._stim_order

@@ -118,9 +118,20 @@ class HeapEventSimulator:
         for net in changed:
             schedule_fanout(net, 0.0)
 
+        # Time-wheel occupancy: each distinct maturity time popped is
+        # one slot; a slot holds the run of events popped at its time.
+        n_slots = max_slot = run = 0
+        t_prev = None
         while heap:
             t, seq, net, val = heapq.heappop(heap)
             events += 1
+            if t == t_prev:
+                run += 1
+            else:
+                n_slots += 1
+                run = 1
+                t_prev = t
+            max_slot = max(max_slot, run)
             if seq != live_seq[net]:
                 cancelled += 1
                 continue            # cancelled by a newer evaluation
@@ -131,7 +142,9 @@ class HeapEventSimulator:
             settle = t
             schedule_fanout(net, t)
         return TransitionCounts(toggles=toggles, events_processed=events,
-                                settle_time_ps=settle, cancelled=cancelled)
+                                settle_time_ps=settle, cancelled=cancelled,
+                                wheel_buckets=n_slots,
+                                wheel_max_bucket=max_slot)
 
 
 def event_toggles_legacy(module, library, run, stimulus, n_cycles):

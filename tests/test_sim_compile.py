@@ -10,6 +10,7 @@ pin that claim down kind-by-kind, on random netlists (registered ones
 included), and on the real multipliers.
 """
 
+import dataclasses
 import random
 import threading
 import time
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import NetlistError, SimulationError
-from repro.hdl.cell import CELL_KINDS
+from repro.hdl.cell import CELL_KINDS, cell_num_inputs
 from repro.hdl.library import default_library
 from repro.hdl.module import Module
 from repro.hdl.power.monte_carlo import (
@@ -321,6 +322,149 @@ class TestReplay:
         assert counts.toggles == [flips] * m.n_nets
         for net_id in range(m.n_nets):
             assert esim.values[net_id] == run.net_value(net_id, n - 1)
+
+
+# ----------------------------------------------------------------------
+# the C kernel's time wheel vs the heapq reference: event bookkeeping
+# ----------------------------------------------------------------------
+
+def _heap_window(module, lib, run, t_first, t_last):
+    """The heap oracle over transitions ``t_first..t_last`` of ``run``:
+    ``(toggles, counts, last counts, oracle)``, ``counts`` the window's
+    ``[events, cancelled, slots, max slot]``, its stimulus stepped in the
+    canonical order (input buses, then register q nets)."""
+    order = ([net for bus in module.inputs.values() for net in bus]
+             + [q for __, q, __, __ in module.registers])
+    heap = HeapEventSimulator(module, lib)
+    heap.initialize({net: run.net_value(net, t_first - 1) for net in order})
+    totals = [0] * module.n_nets
+    counts = [0, 0, 0, 0]
+    last = None
+    for t in range(t_first, t_last + 1):
+        last = heap.apply({net: run.net_value(net, t) for net in order},
+                          toggles_out=totals)
+        counts[0] += last.events_processed
+        counts[1] += last.cancelled
+        counts[2] += last.wheel_buckets
+        counts[3] = max(counts[3], last.wheel_max_bucket)
+    return totals, counts, last, heap
+
+
+def _assert_kernel_matches_heap(module, lib, run, t_first, t_last):
+    """One C-kernel replay of the window equals the heap oracle in every
+    count it keeps, wheel occupancy included (one slot per distinct
+    maturity time); returns the replay's counts."""
+    esim = EventSimulator(module, lib)
+    assert esim.kernel == "c"
+    counts = esim.replay(run.packed, t_first, t_last)
+    totals, expected, last, heap = _heap_window(module, lib, run,
+                                                t_first, t_last)
+    assert counts.toggles == totals
+    assert [counts.events_processed, counts.cancelled, counts.wheel_buckets,
+            counts.wheel_max_bucket] == expected
+    assert counts.settle_time_ps == last.settle_time_ps
+    assert list(esim.values) == heap.values
+    return counts
+
+
+def _slot_stress_module(n_loads, n_wide):
+    """A flip of ``a[0]`` schedules at once an evaluation of one gate of
+    every kind at every load of 1..``n_loads`` inverters: hundreds of
+    distinct maturity times pending together.  ``a[1]`` and ``a[2]``
+    both drive ``n_wide`` equal-load XOR2s, whose evaluations (two per
+    gate when both flip, one cancelling the other) mature together."""
+    m = Module("slots")
+    a = m.input("a", 3)
+    for kind in KINDS:
+        for load in range(1, n_loads + 1):
+            out = m.gate(kind, *[a[0]] * cell_num_inputs(kind))
+            for __ in range(load):
+                m.gate("INV", out)
+    m.output("o", [m.gate("XOR2", a[1], a[2]) for __ in range(n_wide)])
+    return m
+
+
+@needs_c
+class TestKernelEventCounts:
+    """The C kernel runs the heap engine's schedule-per-trigger
+    algorithm, so besides toggles, settle time and values its event and
+    cancellation counts must equal the oracle's too."""
+
+    @given(module_and_patterns())
+    @settings(max_examples=40, deadline=None)
+    def test_random_netlists(self, case):
+        module, patterns = case
+        n = len(patterns)
+        run = LevelizedSimulator(module).run({"a": patterns}, n)
+        _assert_kernel_matches_heap(module, default_library(), run, 1, n - 1)
+
+    @given(registered_module_and_patterns(n_patterns=8))
+    @settings(max_examples=30, deadline=None)
+    def test_registered_netlists(self, case):
+        module, patterns = case
+        n = len(patterns)
+        run = LevelizedSimulator(module).run({"a": patterns}, n)
+        _assert_kernel_matches_heap(module, default_library(), run, 1, n - 1)
+
+    def test_named_r4(self):
+        from repro.eval.experiments import cached_module
+        from repro.eval.workloads import WorkloadGenerator
+
+        module = cached_module("r4")
+        n = 6
+        stim = WorkloadGenerator(11).multiplier_stimulus(n)
+        run = LevelizedSimulator(module).run(stim, n)
+        counts = _assert_kernel_matches_heap(module, default_library(), run,
+                                             1, n - 1)
+        assert (counts.events_processed, counts.cancelled) \
+            == (139_148, 33_047)
+
+    def test_slot_table_growth_and_long_slots(self):
+        lib = default_library()
+        module = _slot_stress_module(n_loads=20, n_wide=300)
+        index = module.index
+        delays = index.library(lib).delays
+        a0 = module.inputs["a"][0]
+        assert len({delays[g] for g in index.fanout[a0]}) \
+            > ckernel.WHEEL_INITIAL_SLOTS
+        n = ckernel.WINDOW_TRANSITIONS + 1
+        rng = random.Random(5)
+        # a[0] flips in transitions 1, 20, 40 and 41 only (the oracle
+        # is slow); a[1] and a[2] flip together in transition 1.
+        patterns = [rng.getrandbits(2) << 1 | (1 <= t < 20 or t == 40)
+                    for t in range(n)]
+        patterns[0] = 0
+        patterns[1] = 0b111
+        run = LevelizedSimulator(module).run({"a": patterns}, n)
+        counts = _assert_kernel_matches_heap(module, lib, run, 1, n - 1)
+        assert counts.wheel_max_bucket >= 2 * 300
+
+    def test_zero_delay_events_join_the_slot_being_drained(self):
+        """With zero-delay buffers an event matures at the time being
+        drained; the heap pops it after that time's older events, the
+        wheel appends it to the slot it is walking."""
+        lib = default_library()
+        buf = lib.spec("BUF")
+        lib = dataclasses.replace(lib, cells={
+            **lib.cells,
+            "BUF": dataclasses.replace(buf, intrinsic_ps=0.0,
+                                       slope_ps=0.0)})
+        m = Module("zero")
+        a = m.input("a", 4)
+        outs = []
+        for i in range(4):
+            x = m.gate("XOR2", a[i], a[(i + 1) % 4])
+            b1 = m.gate("BUF", x)
+            b2 = m.gate("BUF", b1)
+            outs.append(m.gate("AND2", b2, m.gate("INV", a[(i + 2) % 4])))
+            outs.append(m.gate("BUF", m.gate("XOR2", b1, x)))
+        m.output("o", outs)
+        n = 40
+        rng = random.Random(9)
+        patterns = [rng.getrandbits(4) for __ in range(n)]
+        run = LevelizedSimulator(m).run({"a": patterns}, n)
+        counts = _assert_kernel_matches_heap(m, lib, run, 1, n - 1)
+        assert counts.events_processed > counts.wheel_buckets
 
 
 # ----------------------------------------------------------------------
