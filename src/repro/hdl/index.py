@@ -213,12 +213,15 @@ def _kahn_order(module, error):
     """Kahn's sort with a LIFO ready stack over one flat edge table.
 
     Node ``i < len(gates)`` is gate ``i`` and node ``len(gates) + r``
-    register ``r``.  Each pin read from another node is one edge, coded
-    ``producer * n_nodes + consumer``; sorted, the codes hold every
-    producer's consumers together in the order they are met, so the
-    CSR slice ``targets[start[p]:start[p + 1]]`` releases nodes exactly
-    as one consumer list per node would (``tests/oracles/toposort.py``)
-    without allocating a container per node.
+    register ``r``.  Each pin read from another node is one edge.  A
+    counting sort places the edges by producer: one pass counts the
+    degrees, giving CSR offsets ``start``, and a second walks the pins
+    in node order and writes each consumer at its producer's cursor.
+    So the slice ``targets[start[p]:start[p + 1]]`` lists ``p``'s
+    consumers in the order they are met, a node reading ``p`` twice
+    twice in a row, and releases nodes exactly as one consumer list per
+    node would (``tests/oracles/toposort.py``) without allocating a
+    container per node.
     """
     gates, registers = module.gates, module.registers
     n_gates = len(gates)
@@ -232,17 +235,21 @@ def _kahn_order(module, error):
         producer[q] = node
     indegree = [0] * n_nodes
     outdegree = [0] * n_nodes
-    edges = []
     for node, nets in enumerate(node_inputs):
         for net in nets:
             src = producer[net]
             if src >= 0:
-                edges.append(src * n_nodes + node)
                 indegree[node] += 1
                 outdegree[src] += 1
-    edges.sort()
-    targets = [edge % n_nodes for edge in edges]
     start = [0, *accumulate(outdegree)]
+    cursor = start[:-1]
+    targets = [0] * start[-1]
+    for node, nets in enumerate(node_inputs):
+        for net in nets:
+            src = producer[net]
+            if src >= 0:
+                targets[cursor[src]] = node
+                cursor[src] += 1
     ready = [node for node in range(n_nodes) if not indegree[node]]
     order = []
     while ready:

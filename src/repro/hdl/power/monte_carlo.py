@@ -25,11 +25,12 @@ replay):
   engine *delta* stimulus straight from the levelized run's packed
   pattern words, and runs on the compiled C event kernel
   (:mod:`repro.hdl.sim.ckernel`) whenever a system C compiler is
-  available.
+  available, as one contiguous span of transitions per usable CPU.
 """
 
 import argparse
 import time
+from operator import mul
 from typing import Dict
 
 from repro import obs
@@ -109,8 +110,7 @@ def _assemble_report(module, library, n_cycles, zero_toggles,
     index = module.index
     fields = index.library(library)
     energies = fields.energies
-    top = index.top
-    zero_energy = sum(t * e for t, e in zip(zero_toggles, energies))
+    zero_energy = sum(map(mul, zero_toggles, energies))
 
     # Effective switched energy: the functional transitions plus the
     # derated share of the extra (glitch) transitions (see
@@ -118,15 +118,19 @@ def _assemble_report(module, library, n_cycles, zero_toggles,
     retention = library.glitch_retention if glitch else 0.0
     dynamic_energy = 0.0
     by_block_energy: Dict[str, float] = {}
-    for net, zcount in enumerate(zero_toggles):
-        extra = max(event_toggles[net] - zcount, 0)
-        count = zcount + retention * extra
+    get = by_block_energy.get
+    for zcount, ecount, energy, tag in zip(zero_toggles, event_toggles,
+                                           energies, index.top):
+        # ``zcount + retention * 0`` is ``zcount`` as a float, and an
+        # int times a float is its float times that float.
+        count = (zcount + retention * (ecount - zcount) if ecount > zcount
+                 else zcount)
         if not count:
             continue
-        e = count * energies[net]
+        e = count * energy
         dynamic_energy += e
-        tag = top[net] or "(io)"
-        by_block_energy[tag] = by_block_energy.get(tag, 0.0) + e
+        tag = tag or "(io)"
+        by_block_energy[tag] = get(tag, 0.0) + e
 
     transitions = n_cycles - 1
     dynamic_mw = toggles_to_power_mw(dynamic_energy, transitions,
@@ -184,5 +188,6 @@ def _replay(esim, packed_values, t_first, t_last):
              "cancellations": counts.cancelled,
              "wheel_buckets": counts.wheel_buckets,
              "wheel_max_bucket": counts.wheel_max_bucket,
+             "replay_spans": counts.spans,
              "elapsed_s": time.perf_counter() - t0}
     return counts.toggles, stats

@@ -13,7 +13,8 @@ packages, no build system, and a counted fallback
 (``sim.ckernel.fallback``) to the pure-Python engines when no compiler
 is available (or ``REPRO_NO_CKERNEL=1`` is set).  No exported routine
 keeps state between calls, and ctypes releases the GIL around each, so
-threads (the serve submitter and dispatcher) overlap native work.
+threads (the serve submitter and dispatcher, a glitch replay's spans)
+overlap native work.
 
 **Levelized kernel.**  :class:`LimbBuffer` holds every net's packed
 pattern word as ``uint64`` limbs.  ``lv_pack`` transposes stimulus
@@ -53,7 +54,11 @@ The event entry point replays a *window* of cycle transitions in one
 call: per-stimulus-net value words (bit ``i`` = value in the window's
 cycle ``i``), read straight from a levelized run's limb buffer, are
 expanded to per-transition deltas inside the kernel, so Python overhead
-is O(1) per window rather than per event.
+is O(1) per window rather than per event.  A :class:`CKernel` holds
+the module's netlist arrays, read-only once built; a replay's writes go
+to a :class:`KernelState`, so the spans of one replay
+(:meth:`repro.hdl.sim.event.EventSimulator.replay`) run on separate
+states, and threads, against one kernel.
 """
 
 import ctypes
@@ -856,12 +861,41 @@ class LimbBuffer:
                 for i in range(0, len(raw), size)]
 
 
+class KernelState:
+    """One replay span's mutable kernel state.
+
+    Net values, live sequence numbers, accumulated per-net toggles, the
+    window's stimulus words and the kernel's stats and settle time, in
+    ctypes buffers the C side updates in place.  A :class:`CKernel`
+    keeps one for good; :meth:`CKernel.new_state` makes the extra ones
+    a parallel replay runs its other spans on.
+    """
+
+    __slots__ = ("values", "toggles", "_toggles", "_live_seq",
+                 "_stim_words", "_stats", "_settle")
+
+    def __init__(self, n_nets, n_stim):
+        self.values = (ctypes.c_uint8 * n_nets)()
+        self._live_seq = (ctypes.c_int64 * n_nets)()
+        #: Per-net toggles the kernel accumulates, read in place.
+        self.toggles = array("q", [0]) * n_nets
+        self._toggles = (ctypes.c_int64 * n_nets).from_buffer(self.toggles)
+        self._stim_words = (ctypes.c_uint64 * max(n_stim, 1))()
+        self._stats = (ctypes.c_int64 * 5)()
+        self._settle = (ctypes.c_double * 1)()
+
+    def zero_toggles(self):
+        ctypes.memset(self._toggles, 0, ctypes.sizeof(self._toggles))
+
+
 class CKernel:
     """One module + library flattened into the kernel's array layout.
 
-    Holds the persistent simulator state (net values, live sequence
-    numbers, accumulated toggles) in ctypes buffers shared with the C
-    side; construction is pure preprocessing and involves no C calls.
+    The netlist arrays (gate pins, truth tables, delays, fanout CSR,
+    stimulus nets) are read-only after construction and shared by every
+    :class:`KernelState` a replay runs on, so several states may run
+    :meth:`run` at once on separate threads.  Construction is pure
+    preprocessing and involves no C calls.
     """
 
     def __init__(self, lib, module, delays, fanout, stim_order):
@@ -900,18 +934,12 @@ class CKernel:
 
         self._n_stim = n_stim = len(stim_order)
         self._stim_net = (ctypes.c_int32 * max(n_stim, 1))(*stim_order)
-        self._stim_words = (ctypes.c_uint64 * max(n_stim, 1))()
+        #: The kernel's own state: a replay's first span runs on it.
+        self.state = KernelState(n_nets, n_stim)
 
-        self.values = (ctypes.c_uint8 * n_nets)()
-        self._live_seq = (ctypes.c_int64 * n_nets)()
-        #: Per-net toggles the kernel accumulates, read in place.
-        self.toggles = array("q", [0]) * n_nets
-        self._toggles = (ctypes.c_int64 * n_nets).from_buffer(self.toggles)
-        self._stats = (ctypes.c_int64 * 5)()
-        self._settle = (ctypes.c_double * 1)()
-
-    def zero_toggles(self):
-        ctypes.memset(self._toggles, 0, ctypes.sizeof(self._toggles))
+    def new_state(self):
+        """A fresh :class:`KernelState` for one more concurrent span."""
+        return KernelState(self.n_nets, self._n_stim)
 
     def limbs(self, packed_values):
         """``packed_values`` — a :class:`LimbBuffer` or a list of per-net
@@ -920,18 +948,34 @@ class CKernel:
             return packed_values
         return LimbBuffer.from_words(self._lib, packed_values[:self.n_nets])
 
-    def seed(self, buf, shift):
-        """Load every net's value from bit ``shift`` of its row in the
-        :class:`LimbBuffer` ``buf``."""
-        self._lib.lv_seed(_addr(buf.raw), buf.n_limbs, self.n_nets, shift,
-                          self.values)
+    def replay_span(self, state, buf, first, last):
+        """Replay transitions ``first..last`` on ``state``, seeded from
+        cycle ``first - 1`` of ``buf`` and run in windows of up to
+        :data:`WINDOW_TRANSITIONS`; ``state.toggles`` starts from zero.
+        Returns :meth:`run`'s tuple summed over the windows (largest
+        slot: the maximum; settle: the final transition's)."""
+        state.zero_toggles()
+        self._lib.lv_seed(_addr(buf.raw), buf.n_limbs, self.n_nets,
+                          first - 1, state.values)
+        events = cancelled = slots = max_slot = 0
+        settle = 0.0
+        t = first
+        while t <= last:
+            n = min(WINDOW_TRANSITIONS, last - t + 1)
+            ev, ca, sl, mx, settle = self.run(state, buf, t - 1, n)
+            events += ev
+            cancelled += ca
+            slots += sl
+            max_slot = max(max_slot, mx)
+            t += n
+        return events, cancelled, slots, max_slot, settle
 
-    def run(self, buf, shift, transitions):
-        """Replay ``transitions`` transitions from the seeded state.
+    def run(self, state, buf, shift, transitions):
+        """Replay ``transitions`` transitions from ``state``'s values.
 
         Stimulus bit ``i`` (``0 <= i <= transitions``) of each net's
         row in the :class:`LimbBuffer` ``buf`` is its value in cycle
-        ``shift + i``; toggles accumulate into :attr:`toggles`.
+        ``shift + i``; toggles accumulate into ``state.toggles``.
         Returns ``(events, cancelled, slots, max_slot, settle)``: events
         processed and inertially cancelled, the time-wheel slots
         drained (one per distinct maturity time of each transition) and
@@ -940,18 +984,18 @@ class CKernel:
         if not 1 <= transitions <= WINDOW_TRANSITIONS:
             raise SimulationError(
                 f"kernel window must be 1..{WINDOW_TRANSITIONS} transitions")
-        words = self._stim_words
+        words = state._stim_words
         self._lib.lv_window(_addr(buf.raw), buf.n_limbs, self._stim_net,
                             self._n_stim, shift, words)
         rc = self._lib.sim_replay(
             self.n_nets, self._n_gates,
             self._gin, self._ttab, self._gout, self._gdelay,
             self._fo_ptr, self._fo_dat,
-            self.values, self._live_seq,
+            state.values, state._live_seq,
             self._stim_net, words, self._n_stim,
             transitions,
-            self._toggles, self._stats, self._settle)
+            state._toggles, state._stats, state._settle)
         if rc < 0:
             raise SimulationError("compiled event kernel allocation failure")
-        stats = self._stats
-        return stats[1], stats[2], stats[3], stats[4], self._settle[0]
+        stats = state._stats
+        return stats[1], stats[2], stats[3], stats[4], state._settle[0]

@@ -38,12 +38,24 @@ in toggles, settle time and values.  Event, cancellation and wheel
 occupancy counts are engine-specific: the C kernel counts every
 scheduled evaluation as the heap reference does, the Python wheel only
 those that survive its deferred evaluation.
+
+The C-kernel replay runs on every CPU the process may use: it splits
+the transitions into contiguous spans, one per CPU, each seeded from
+the levelized run's values of the cycle before it and replayed on its
+own kernel state on its own thread.  Spans are independent — the seed
+is the state the serial replay would have settled to, and inertial
+cancellation never compares events of different transitions — so the
+merged counts equal the serial replay's exactly.  Every thread is
+joined before :meth:`EventSimulator.replay` returns.
 """
 
 import heapq
+import os
+import threading
 import time
 from array import array
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -64,6 +76,9 @@ class TransitionCounts:
     wheel_buckets: int = 0
     #: Largest single-timestamp bucket.
     wheel_max_bucket: int = 0
+    #: Contiguous transition spans the replay ran as, each on its own
+    #: CPU (1 for one transition at a time).
+    spans: int = 1
 
     def total(self):
         return sum(self.toggles)
@@ -298,83 +313,147 @@ class EventSimulator:
         one :meth:`apply` delta per transition — the fallback when no C
         compiler is available.  Both process events in the identical
         total order by (maturity time, schedule sequence), so the
-        accumulated per-net toggle counts are **bit-identical**.
+        accumulated per-net toggle counts are **bit-identical**.  The C
+        kernel runs the window as contiguous spans, one per usable CPU
+        (:func:`replay_span_count`), on as many threads.
 
         Returns an aggregate :class:`TransitionCounts` over the whole
-        window (``settle_time_ps`` is the final transition's).  On
-        return the simulator holds cycle ``t_last``'s settled state.
+        window (``settle_time_ps`` is the final transition's, ``spans``
+        the split).  On return the simulator holds cycle ``t_last``'s
+        settled state.
         """
         if t_first < 1 or t_last < t_first:
             raise SimulationError(
                 f"bad transition window [{t_first}, {t_last}]")
-        n_nets = self.module.n_nets
-        if len(packed_values) < n_nets:
+        if len(packed_values) < self.module.n_nets:
             raise SimulationError("packed_values must cover every net")
         transitions = t_last - t_first + 1
-        events = cancelled = 0
-        n_buckets = 0
-        max_bucket = 0
-        settle = 0.0
         t0 = time.perf_counter()
-
         if self._ck is not None:
-            ck = self._ck
-            buf = ck.limbs(packed_values)
-            ck.zero_toggles()
-            ck.seed(buf, t_first - 1)
-            t = t_first
-            while t <= t_last:
-                span = min(ckernel.WINDOW_TRANSITIONS, t_last - t + 1)
-                ev, ca, slots, max_slot, settle = ck.run(buf, t - 1, span)
-                events += ev
-                cancelled += ca
-                n_buckets += slots
-                max_bucket = max(max_bucket, max_slot)
-                t += span
-            # Publish the kernel's state: toggle totals, and the settled
-            # scalar values (cycle t_last), so apply() can continue.
-            toggles = ck.toggles.tolist()
-            self.values[:] = array("B", bytes(ck.values))
+            counts = self._replay_native(packed_values, t_first, t_last)
             self._initialized = True
             stats = self.stats
             stats["applies"] += transitions
-            stats["events"] += events
-            stats["cancelled"] += cancelled
-            stats["wheel_buckets"] += n_buckets
+            stats["events"] += counts.events_processed
+            stats["cancelled"] += counts.cancelled
+            stats["wheel_buckets"] += counts.wheel_buckets
             stats["wheel_max_bucket"] = max(stats["wheel_max_bucket"],
-                                            max_bucket)
+                                            counts.wheel_max_bucket)
         else:
-            toggles = [0] * n_nets
-            if isinstance(packed_values, ckernel.LimbBuffer):
-                packed_values = packed_values.words()
-            stim_order = self._stim_order
-            self.initialize({net: (packed_values[net] >> (t_first - 1)) & 1
-                             for net in stim_order})
-            for t in range(t_first, t_last + 1):
-                delta = [(net, (packed_values[net] >> t) & 1)
-                         for net in stim_order
-                         if ((packed_values[net] >> (t - 1))
-                             ^ (packed_values[net] >> t)) & 1]
-                counts = self.apply(delta, toggles_out=toggles)
-                events += counts.events_processed
-                cancelled += counts.cancelled
-                n_buckets += counts.wheel_buckets
-                if counts.wheel_max_bucket > max_bucket:
-                    max_bucket = counts.wheel_max_bucket
-                settle = counts.settle_time_ps
-                # apply() maintains self.stats per transition already.
+            # apply() maintains self.stats per transition already.
+            counts = self._replay_python(packed_values, t_first, t_last)
 
         reg = obs.registry()
         reg.inc("sim.replay.calls")
         reg.inc("sim.replay.transitions", transitions)
-        reg.inc("sim.replay.events", events)
-        reg.inc("sim.replay.cancellations", cancelled)
+        reg.inc("sim.replay.events", counts.events_processed)
+        reg.inc("sim.replay.cancellations", counts.cancelled)
         obs.complete_event(
             "sim:replay", t0, time.perf_counter() - t0, cat="sim",
             module=self.module.name, kernel=self.kernel,
-            engine=self.engine, transitions=transitions, events=events)
+            engine=self.engine, transitions=transitions,
+            events=counts.events_processed, spans=counts.spans)
+        return counts
 
+    def _replay_native(self, packed_values, t_first, t_last):
+        """The C-kernel replay: one contiguous span of transitions per
+        usable CPU (:func:`replay_span_count`), each seeded from the
+        levelized words of the cycle before it and run on its own
+        :class:`~repro.hdl.sim.ckernel.KernelState`.  The calling thread
+        runs the first span, a thread each the others, and all are
+        joined before this returns."""
+        ck = self._ck
+        buf = ck.limbs(packed_values)
+        spans = replay_spans(t_first, t_last,
+                             replay_span_count(t_last - t_first + 1))
+        states = [ck.state] + [ck.new_state() for __ in spans[1:]]
+        results = [None] * len(spans)
+
+        def run_span(i):
+            try:
+                results[i] = ck.replay_span(states[i], buf, *spans[i])
+            except BaseException as exc:    # re-raised by the caller
+                results[i] = exc
+
+        started = []
+        try:
+            for i in range(1, len(spans)):
+                thread = threading.Thread(target=run_span, args=(i,),
+                                          name=f"replay-span-{i}")
+                thread.start()
+                started.append(thread)
+            run_span(0)
+        finally:
+            for thread in started:
+                thread.join()
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+
+        toggles = states[0].toggles.tolist()
+        for state in states[1:]:
+            toggles = list(map(add, toggles, state.toggles))
+        # Publish the last span's settled scalar values (cycle t_last),
+        # so apply() can continue.
+        self.values[:] = array("B", bytes(states[-1].values))
+        return TransitionCounts(
+            toggles=toggles,
+            events_processed=sum(r[0] for r in results),
+            settle_time_ps=results[-1][4],
+            cancelled=sum(r[1] for r in results),
+            wheel_buckets=sum(r[2] for r in results),
+            wheel_max_bucket=max(r[3] for r in results),
+            spans=len(spans))
+
+    def _replay_python(self, packed_values, t_first, t_last):
+        """The Python-wheel replay: one :meth:`apply` delta per
+        transition, serially."""
+        toggles = [0] * self.module.n_nets
+        events = cancelled = n_buckets = max_bucket = 0
+        settle = 0.0
+        if isinstance(packed_values, ckernel.LimbBuffer):
+            packed_values = packed_values.words()
+        stim_order = self._stim_order
+        self.initialize({net: (packed_values[net] >> (t_first - 1)) & 1
+                         for net in stim_order})
+        for t in range(t_first, t_last + 1):
+            delta = [(net, (packed_values[net] >> t) & 1)
+                     for net in stim_order
+                     if ((packed_values[net] >> (t - 1))
+                         ^ (packed_values[net] >> t)) & 1]
+            counts = self.apply(delta, toggles_out=toggles)
+            events += counts.events_processed
+            cancelled += counts.cancelled
+            n_buckets += counts.wheel_buckets
+            if counts.wheel_max_bucket > max_bucket:
+                max_bucket = counts.wheel_max_bucket
+            settle = counts.settle_time_ps
         return TransitionCounts(toggles=toggles, events_processed=events,
                                 settle_time_ps=settle, cancelled=cancelled,
                                 wheel_buckets=n_buckets,
                                 wheel_max_bucket=max_bucket)
+
+
+def replay_span_count(transitions):
+    """How many spans a C-kernel replay of ``transitions`` transitions
+    splits into: one per CPU this process may run on, and no more than
+    there are transitions."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, transitions)
+
+
+def replay_spans(t_first, t_last, n):
+    """Transitions ``t_first..t_last`` as ``n`` contiguous ``(first,
+    last)`` spans, in order, whose lengths differ by at most one
+    (``1 <= n <= t_last - t_first + 1``, so none is empty)."""
+    size, extra = divmod(t_last - t_first + 1, n)
+    spans = []
+    first = t_first
+    for i in range(n):
+        last = first + size - (i >= extra)
+        spans.append((first, last))
+        first = last + 1
+    return spans

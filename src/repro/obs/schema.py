@@ -19,6 +19,7 @@ SIM_STATS_DEFAULTS: Dict[str, object] = {
     "cancellations": 0,
     "wheel_buckets": 0,
     "wheel_max_bucket": 0,
+    "replay_spans": 0,            # CPUs the glitch replay ran on
     "elapsed_s": 0.0,
     "transitions_per_s": 0.0,
 }

@@ -11,9 +11,12 @@ included), and on the real multipliers.
 """
 
 import dataclasses
+import os
 import random
+import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,7 @@ from repro.hdl.power.monte_carlo import (
     estimate_power,
     shared_event_simulator,
 )
-from repro.hdl.sim import ckernel
+from repro.hdl.sim import ckernel, event
 from repro.hdl.sim.compile import compiled_module, gate_expr
 from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
@@ -350,21 +353,38 @@ def _heap_window(module, lib, run, t_first, t_last):
     return totals, counts, last, heap
 
 
+#: Span counts the C-kernel replay is forced to split into; 1 is the
+#: serial replay.
+SPAN_COUNTS = (1, 2, 3, 4)
+
+
+def _forced_spans(n):
+    """Force every replay to split into ``min(n, transitions)`` spans."""
+    return mock.patch.object(event, "replay_span_count",
+                             lambda transitions: min(n, transitions))
+
+
 def _assert_kernel_matches_heap(module, lib, run, t_first, t_last):
-    """One C-kernel replay of the window equals the heap oracle in every
-    count it keeps, wheel occupancy included (one slot per distinct
-    maturity time); returns the replay's counts."""
-    esim = EventSimulator(module, lib)
-    assert esim.kernel == "c"
-    counts = esim.replay(run.packed, t_first, t_last)
+    """A C-kernel replay of the window, split into each of
+    :data:`SPAN_COUNTS` contiguous spans, equals the heap oracle in
+    every count it keeps, wheel occupancy included (one slot per
+    distinct maturity time); returns the serial replay's counts."""
     totals, expected, last, heap = _heap_window(module, lib, run,
                                                 t_first, t_last)
-    assert counts.toggles == totals
-    assert [counts.events_processed, counts.cancelled, counts.wheel_buckets,
-            counts.wheel_max_bucket] == expected
-    assert counts.settle_time_ps == last.settle_time_ps
-    assert list(esim.values) == heap.values
-    return counts
+    got = []
+    for n in SPAN_COUNTS:
+        esim = EventSimulator(module, lib)
+        assert esim.kernel == "c"
+        with _forced_spans(n):
+            counts = esim.replay(run.packed, t_first, t_last)
+        assert counts.spans == min(n, t_last - t_first + 1)
+        assert counts.toggles == totals
+        assert [counts.events_processed, counts.cancelled,
+                counts.wheel_buckets, counts.wheel_max_bucket] == expected
+        assert counts.settle_time_ps == last.settle_time_ps
+        assert list(esim.values) == heap.values
+        got.append(counts)
+    return got[0]
 
 
 def _slot_stress_module(n_loads, n_wide):
@@ -388,7 +408,10 @@ def _slot_stress_module(n_loads, n_wide):
 class TestKernelEventCounts:
     """The C kernel runs the heap engine's schedule-per-trigger
     algorithm, so besides toggles, settle time and values its event and
-    cancellation counts must equal the oracle's too."""
+    cancellation counts must equal the oracle's too — at every split
+    into spans, since each span seeds from the levelized words of the
+    cycle before it and cancellation never reaches across a
+    transition."""
 
     @given(module_and_patterns())
     @settings(max_examples=40, deadline=None)
@@ -414,8 +437,14 @@ class TestKernelEventCounts:
         n = 6
         stim = WorkloadGenerator(11).multiplier_stimulus(n)
         run = LevelizedSimulator(module).run(stim, n)
-        counts = _assert_kernel_matches_heap(module, default_library(), run,
-                                             1, n - 1)
+        # Span threads switching as often as they can lose no count.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = _assert_kernel_matches_heap(module, default_library(),
+                                                 run, 1, n - 1)
+        finally:
+            sys.setswitchinterval(interval)
         assert (counts.events_processed, counts.cancelled) \
             == (139_148, 33_047)
 
@@ -430,7 +459,8 @@ class TestKernelEventCounts:
         n = ckernel.WINDOW_TRANSITIONS + 1
         rng = random.Random(5)
         # a[0] flips in transitions 1, 20, 40 and 41 only (the oracle
-        # is slow); a[1] and a[2] flip together in transition 1.
+        # is slow); a[1] and a[2] flip together in transition 1.  The
+        # serial replay's one window holds every span boundary.
         patterns = [rng.getrandbits(2) << 1 | (1 <= t < 20 or t == 40)
                     for t in range(n)]
         patterns[0] = 0
@@ -465,6 +495,61 @@ class TestKernelEventCounts:
         run = LevelizedSimulator(m).run({"a": patterns}, n)
         counts = _assert_kernel_matches_heap(m, lib, run, 1, n - 1)
         assert counts.events_processed > counts.wheel_buckets
+
+
+# ----------------------------------------------------------------------
+# the C-kernel replay split into contiguous spans, one thread each
+# ----------------------------------------------------------------------
+
+class TestReplaySpans:
+    def test_spans_are_contiguous_covering_and_never_empty(self):
+        for t_first in (1, 5):
+            for transitions in range(1, 70):
+                t_last = t_first + transitions - 1
+                for n in range(1, min(transitions, 9) + 1):
+                    spans = event.replay_spans(t_first, t_last, n)
+                    assert len(spans) == n
+                    assert spans[0][0] == t_first
+                    assert spans[-1][1] == t_last
+                    for (__, last), (first, __) in zip(spans, spans[1:]):
+                        assert first == last + 1
+                    sizes = [last - first + 1 for first, last in spans]
+                    assert min(sizes) >= 1
+                    assert max(sizes) - min(sizes) <= 1
+
+    def test_count_is_usable_cpus_capped_by_transitions(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert event.replay_span_count(10 ** 6) == cpus
+        assert event.replay_span_count(1) == 1
+
+    @needs_c
+    def test_failing_span_raises_and_leaves_no_thread(self, monkeypatch):
+        module = _wide_module()
+        lib = default_library()
+        n = 9
+        rng = random.Random(3)
+        patterns = [rng.getrandbits(130) for __ in range(n)]
+        run = LevelizedSimulator(module).run({"a": patterns}, n)
+        esim = EventSimulator(module, lib)
+        want = esim.replay(run.packed, 1, n - 1)
+        run_window = ckernel.CKernel.run
+
+        def fail_off_main_state(ck, state, *args):
+            if state is not ck.state:
+                raise SimulationError("injected span failure")
+            return run_window(ck, state, *args)
+
+        baseline = threading.active_count()
+        with _forced_spans(3):
+            monkeypatch.setattr(ckernel.CKernel, "run", fail_off_main_state)
+            with pytest.raises(SimulationError, match="injected"):
+                esim.replay(run.packed, 1, n - 1)
+            assert threading.active_count() == baseline
+            monkeypatch.setattr(ckernel.CKernel, "run", run_window)
+            again = esim.replay(run.packed, 1, n - 1)
+        assert again.spans == 3
+        assert again.toggles == want.toggles
+        assert again.events_processed == want.events_processed
 
 
 # ----------------------------------------------------------------------
@@ -580,9 +665,12 @@ class TestMonteCarlo:
         assert stats["kernel"] == shared_event_simulator(module, lib).kernel
         assert stats["transitions"] == 3
         assert stats["events_processed"] > 0
+        assert stats["replay_spans"] == (
+            event.replay_span_count(3) if stats["kernel"] == "c" else 1)
 
         flat = estimate_power(module, lib, stim, 4, glitch=False)
         assert flat.sim_stats["engine"] == "zero-delay"
+        assert flat.sim_stats["replay_spans"] == 0
 
     def test_batch_glitch_toggles_match_legacy_reference(self):
         from repro.eval.workloads import WorkloadGenerator
