@@ -3,6 +3,8 @@
 Validation, the compile pass, static timing, area, pipeline staging,
 Monte Carlo power and its attribution read a module's structure from
 :attr:`~repro.hdl.module.Module.index` instead of deriving it again.
+Its one topological sort is a depth-first pass, which on a module as
+built emits the construction order.
 Each field is derived on its first read and kept; every edit of the
 module drops the whole index
 (:meth:`~repro.hdl.module.Module.drop_index`), and it is never pickled.
@@ -18,7 +20,6 @@ tables' length to every full collection.
 import weakref
 from array import array
 from functools import cached_property
-from itertools import accumulate
 
 from repro import obs
 from repro.errors import PipelineError, SimulationError
@@ -36,15 +37,17 @@ class NetlistIndex:
 
     def node_order(self, error=SimulationError):
         """Gate indices (``>= 0``) and register codes (``-1 - ridx``)
-        in one deterministic topological order, sorted on first call.
+        in one deterministic topological order, sorted depth-first on
+        first call (:func:`_depth_first_order`).
 
         Registers are nodes with a d -> q edge, so any cycle, even one
         through a register, raises ``error``.  Readers that need only
-        the gates (timing, the event settle) filter it.
+        the gates (timing, the event settle) filter it; none depends on
+        which topological order it is.
         """
         if self._order is None:
             obs.registry().inc("hdl.index.sorts")
-            self._order = _kahn_order(self._module(), error)
+            self._order = _depth_first_order(self._module(), error)
         return self._order
 
     @cached_property
@@ -92,9 +95,10 @@ class NetlistIndex:
     @cached_property
     def stages(self):
         """``(gate_stages, net_stages, mixed)`` of one pipeline walk
-        (see :func:`repro.hdl.pipeline.stage_map`); ``mixed`` is the
-        message of the first gate mixing stages or register latching a
-        net of another stage, else ``None``."""
+        (see :func:`repro.hdl.pipeline.stage_map`); ``mixed`` names the
+        lowest-index gate mixing stages, else the lowest-index register
+        latching a net of another stage, else is ``None``, whatever the
+        node order."""
         module = self._module()
         gates, registers = module.gates, module.registers
         net_stage = [0] * module.n_nets
@@ -102,23 +106,25 @@ class NetlistIndex:
             for net in bus:
                 net_stage[net] = 1
         gate_stages = [0] * len(gates)
-        mixed = None
+        mixed = []
         for node in self.node_order(PipelineError):
             if node >= 0:
                 kind, inputs, output, block = gates[node]
                 stages = {net_stage[n] for n in inputs if net_stage[n]}
                 stage = max(stages) if stages else 1
-                if len(stages) > 1 and mixed is None:
-                    mixed = (f"gate {node} ({kind} in {block!r}) "
-                             f"mixes stages {sorted(stages)}")
+                if len(stages) > 1:
+                    mixed.append((0, node, f"gate {node} ({kind} in "
+                                  f"{block!r}) mixes stages {sorted(stages)}"))
                 gate_stages[node] = net_stage[output] = stage
             else:
                 d, q, reg_stage, __ = registers[-node - 1]
                 d_stage = net_stage[d] or reg_stage
-                if d_stage != reg_stage and mixed is None:
-                    mixed = (f"register at stage {reg_stage} latches a "
-                             f"stage-{d_stage} net")
+                if d_stage != reg_stage:
+                    mixed.append((1, -node - 1, f"register {-node - 1} at "
+                                  f"stage {reg_stage} latches a "
+                                  f"stage-{d_stage} net"))
                 net_stage[q] = reg_stage + 1
+        mixed = min(mixed)[2] if mixed else None
         return tuple(gate_stages), tuple(net_stage), mixed
 
     @cached_property
@@ -209,57 +215,49 @@ class LibraryFields:
         return EventSimulator(self._module(), self.library)
 
 
-def _kahn_order(module, error):
-    """Kahn's sort with a LIFO ready stack over one flat edge table.
-
-    Node ``i < len(gates)`` is gate ``i`` and node ``len(gates) + r``
-    register ``r``.  Each pin read from another node is one edge.  A
-    counting sort places the edges by producer: one pass counts the
-    degrees, giving CSR offsets ``start``, and a second walks the pins
-    in node order and writes each consumer at its producer's cursor.
-    So the slice ``targets[start[p]:start[p + 1]]`` lists ``p``'s
-    consumers in the order they are met, a node reading ``p`` twice
-    twice in a row, and releases nodes exactly as one consumer list per
-    node would (``tests/oracles/toposort.py``) without allocating a
-    container per node.
+def _depth_first_order(module, error):
+    """One iterative depth-first pass from roots in output-net order: a
+    module built through :meth:`~repro.hdl.module.Module.gate` comes out
+    in construction order, and a buffer added later is pulled in just
+    before its first reader.  Node ``i < len(gates)`` is gate ``i`` and
+    node ``len(gates) + r`` register ``r``.  A node is gray from its
+    expansion until it is emitted; a gray producer met again closes a
+    cycle.  The stack is explicit, so no netlist is too deep for it.
     """
     gates, registers = module.gates, module.registers
     n_gates = len(gates)
     node_inputs = ([inputs for __, inputs, __, __ in gates]
                    + [(d,) for d, __, __, __ in registers])
-    n_nodes = len(node_inputs)
-    producer = [-1] * module.n_nets
+    # Inputs and constants are read from a sentinel node, born black.
+    sentinel = len(node_inputs)
+    producer = [sentinel] * module.n_nets
     for node, (__, __, output, __) in enumerate(gates):
         producer[output] = node
     for node, (__, q, __, __) in enumerate(registers, n_gates):
         producer[q] = node
-    indegree = [0] * n_nodes
-    outdegree = [0] * n_nodes
-    for node, nets in enumerate(node_inputs):
-        for net in nets:
-            src = producer[net]
-            if src >= 0:
-                indegree[node] += 1
-                outdegree[src] += 1
-    start = [0, *accumulate(outdegree)]
-    cursor = start[:-1]
-    targets = [0] * start[-1]
-    for node, nets in enumerate(node_inputs):
-        for net in nets:
-            src = producer[net]
-            if src >= 0:
-                targets[cursor[src]] = node
-                cursor[src] += 1
-    ready = [node for node in range(n_nodes) if not indegree[node]]
-    order = []
-    while ready:
-        node = ready.pop()
-        # Register ``ridx`` is node ``n_gates + ridx``, coded ``-1 - ridx``.
-        order.append(node if node < n_gates else n_gates - 1 - node)
-        for consumer in targets[start[node]:start[node + 1]]:
-            indegree[consumer] -= 1
-            if not indegree[consumer]:
-                ready.append(consumer)
-    if len(order) != n_nodes:
-        raise error("netlist has a combinational cycle")
+    mark = bytearray(sentinel + 1)           # 0 white, 1 gray, 2 black
+    mark[sentinel] = 2
+    order, stack = [], []
+    for root in producer:
+        if not mark[root]:
+            stack.append(root)
+        while stack:
+            node = stack[-1]
+            if not mark[node]:
+                mark[node] = 1
+                depth = len(stack)
+                for net in node_inputs[node]:
+                    src = producer[net]
+                    if mark[src] != 2:
+                        if mark[src]:
+                            raise error("netlist has a combinational cycle")
+                        stack.append(src)
+                if len(stack) > depth:
+                    continue
+            stack.pop()
+            # A node pushed by two readers is popped once more, black.
+            if mark[node] == 1:
+                mark[node] = 2
+                # Register ``ridx`` (node ``n_gates + ridx``) is ``-1 - ridx``.
+                order.append(node if node < n_gates else n_gates - 1 - node)
     return tuple(order)

@@ -7,18 +7,20 @@ Two synthesis-style cleanups that operate on finished modules:
   simpler cells (``AND(x, 1) -> BUF``, ``FA(a, b, 0) -> HA`` style
   simplifications happen at build time in ``GateBuilder``; this pass
   catches constants that only become known after composition, e.g. a
-  mode net tied off for a single-format build);
+  mode net tied off for a single-format build; a row that reads no
+  constant or aliased net costs one set test);
 * :func:`eliminate_dead_cells` — removes cells (and buffers) whose
   outputs reach no primary output and no register.
 
-Both preserve observable behaviour exactly (property-tested) and report
+Both preserve observable behaviour exactly (property-tested; the
+full-rewrite propagation is ``tests/oracles/optimize.py``) and report
 what they removed — used by the specialization ablation, which asks how
 much area a *single-format* variant of the multi-format unit would save
 (an upper bound on the cost of multi-format flexibility).
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import NetlistError
 from repro.hdl.cell import cell_eval
@@ -53,43 +55,45 @@ def tie_input(module, bus_name, value):
 
 
 def propagate_constants(module, stats=None):
-    """Fold cells whose value is decidable from constant inputs."""
+    """Fold cells whose value is decidable from constant inputs.  A row
+    reading no ``touched`` (constant or aliased) net is kept as it is."""
     stats = stats if stats is not None else OptimizeStats()
     const: Dict[int, int] = dict(module.constants)
     replacement: Dict[int, int] = {}
+    touched = set(const)
     new_gates = []
-    for kind, inputs, output, block in module.gates:
+    for row in module.gates:
+        kind, inputs, output, block = row
+        if touched.isdisjoint(inputs) and (kind != "MUX2"
+                                           or inputs[0] != inputs[1]):
+            new_gates.append(row)
+            continue
         ins = tuple(replacement.get(n, n) for n in inputs)
         values = [const.get(n) for n in ins]
-        if all(v is not None for v in values):
-            out_value = cell_eval(kind)(1, *values) & 1
-            const[output] = out_value
-            module._const_nets[output] = out_value
-            module._driver[output] = "const"
-            stats.constants_folded += 1
-            continue
-        simplified = _simplify(kind, ins, values)
+        if None in values:
+            simplified = _simplify(kind, ins, values)
+        else:
+            simplified = ("CONST", cell_eval(kind)(1, *values) & 1)
         if simplified is None:
             new_gates.append((kind, ins, output, block))
             continue
         new_kind, new_ins = simplified
-        if new_kind == "WIRE":
-            replacement[output] = new_ins[0]
-            module._driver[output] = "const" \
-                if new_ins[0] in const else module._driver[new_ins[0]]
-            if new_ins[0] in const:
-                const[output] = const[new_ins[0]]
-                module._const_nets[output] = const[new_ins[0]]
+        if new_kind not in ("WIRE", "CONST"):
             stats.cells_simplified += 1
+            new_gates.append((new_kind, new_ins, output, block))
             continue
+        touched.add(output)
         if new_kind == "CONST":
-            const[output] = new_ins
-            module._const_nets[output] = new_ins
+            const[output] = module._const_nets[output] = new_ins
             module._driver[output] = "const"
             stats.constants_folded += 1
             continue
+        replacement[output] = src = new_ins[0]
+        if src in const:
+            const[output] = module._const_nets[output] = const[src]
+        module._driver[output] = "const" if src in const \
+            else module._driver[src]
         stats.cells_simplified += 1
-        new_gates.append((new_kind, new_ins, output, block))
     module.gates = new_gates
     # Re-point registers and outputs through wire replacements.
     module.registers = [(replacement.get(d, d), q, stage, block)
@@ -222,34 +226,32 @@ def optimize(module, max_passes=8):
 
 def _compact(module):
     """Drop dangling nets' driver records (keeps validate() happy)."""
-    live = set()
-    for bus in module.inputs.values():
-        live.update(bus)
-    for bus in module.outputs.values():
+    live = set(module._const_nets)
+    for bus in [*module.inputs.values(), *module.outputs.values()]:
         live.update(bus)
     for __, inputs, output, __ in module.gates:
         live.add(output)
         live.update(inputs)
     for d, q, __, __ in module.registers:
-        live.add(d)
-        live.add(q)
-    live.update(module._const_nets)
-    # Renumber nets densely.
-    mapping = {old: new for new, old in enumerate(sorted(live))}
-    module.gates = [(kind, tuple(mapping[n] for n in inputs),
-                     mapping[output], block)
+        live.update((d, q))
+    # Renumber nets densely, in ascending order.
+    mapping = [-1] * module.n_nets
+    for new, old in enumerate(sorted(live)):
+        mapping[old] = new
+    renumber = mapping.__getitem__
+    module.gates = [(kind, tuple(map(renumber, inputs)), mapping[output],
+                     block)
                     for kind, inputs, output, block in module.gates]
     module.registers = [(mapping[d], mapping[q], stage, block)
                         for d, q, stage, block in module.registers]
     for name, bus in module.inputs.items():
-        module.inputs[name] = [mapping[n] for n in bus]
+        module.inputs[name] = list(map(renumber, bus))
     for name, bus in module.outputs.items():
-        module.outputs[name] = [mapping[n] for n in bus]
+        module.outputs[name] = list(map(renumber, bus))
     module._const_nets = {mapping[n]: v
-                          for n, v in module._const_nets.items()
-                          if n in mapping}
+                          for n, v in module._const_nets.items()}
     module._driver = {mapping[n]: k for n, k in module._driver.items()
-                      if n in mapping}
+                      if mapping[n] >= 0}
     module._const_cache = {v: n for n, v in module._const_nets.items()}
     module.n_nets = len(live)
     module.drop_index()

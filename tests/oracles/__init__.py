@@ -11,7 +11,10 @@ patched-row campaign must match verdict for verdict),
 which ``MFMult(mode="paper")`` must match bit for bit), ``buffering``
 (the full-rebuild fanout buffering pass, which the worklist pass must
 match gate for gate), ``toposort`` (Kahn's sort with one consumer list
-per node, which the index's flat-edge sort must match node for node)
+per node, which decides the netlists on which the index's depth-first
+order must raise a cycle error), ``optimize`` (the full-rewrite
+constant propagation, which the row-skipping pass must match row for
+row and stat for stat)
 and
 ``sched_leaves`` (deterministic scheduler-exercise leaves, importable by
 ``"tests.oracles.sched_leaves:<fn>"`` spec from the repository root).

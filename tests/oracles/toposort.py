@@ -1,10 +1,12 @@
 """Reference toposort: Kahn's sort with one consumer list per node.
 
-:func:`repro.hdl.index._kahn_order` keeps its edges in one flat CSR
-table; this is the historic form it replaced, which it must match node
-for node: producers in a dict, one consumer list per node filled in
-node order (gates, then registers; one entry per pin), and the same
-LIFO ready stack.
+:func:`repro.hdl.index._depth_first_order` emits some other
+topological order, so the two are not compared node for node.  This
+sort is the independent cycle oracle: the index must raise its
+requested error on exactly the netlists where this one finds a cycle,
+and on every other netlist its order must be a permutation of the
+nodes that puts each node after the producers of its inputs
+(``tests/test_netlist_index.py``).
 """
 
 

@@ -4,9 +4,17 @@ format specialization)."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.pipeline_unit import FRMT_FP64, FRMT_INT64, build_mf_multiplier
+from repro.core.pipeline_unit import (
+    FRMT_FP32X2,
+    FRMT_FP64,
+    FRMT_INT64,
+    build_mf_multiplier,
+)
 from repro.errors import NetlistError
+from repro.hdl.cell import CELL_KINDS, cell_num_inputs
 from repro.hdl.module import Module
 from repro.hdl.optimize import (
     OptimizeStats,
@@ -17,6 +25,7 @@ from repro.hdl.optimize import (
 )
 from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.hdl.validate import validate
+from tests.oracles.optimize import reference_propagate_constants
 
 
 class TestConstantPropagation:
@@ -166,3 +175,86 @@ class TestOptimizePreservesBehaviour:
         run = LevelizedSimulator(m).run(stim, len(cases))
         for t, (x, y) in enumerate(cases):
             assert run.bus_word(m.outputs["p"], t) == x * y
+
+
+@st.composite
+def tied_netlists(draw):
+    """Gates of every kind and registers wired at random over input
+    buses and both constants; then each bus is tied to a random value
+    or left an input."""
+    m = Module("rand")
+    nets = []
+    for b in range(draw(st.integers(1, 3))):
+        nets += m.input(f"i{b}", draw(st.integers(1, 4)))
+    nets += [m.const(0), m.const(1)]
+    for __ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            nets.append(m.register(draw(st.sampled_from(nets)), stage=1))
+            continue
+        kind = draw(st.sampled_from(sorted(CELL_KINDS)))
+        ins = [draw(st.sampled_from(nets))
+               for __ in range(cell_num_inputs(kind))]
+        nets.append(m.gate(kind, *ins))
+    m.output("o", draw(st.lists(st.sampled_from(nets), min_size=1,
+                                max_size=8)))
+    for name in list(m.inputs):
+        if draw(st.booleans()):
+            tie_input(m, name, draw(st.integers(0, 15)))
+    return m
+
+
+def _state(m):
+    return (m.gates, m.registers, m.outputs, list(m._const_nets.items()),
+            list(m._driver.items()))
+
+
+def _assert_propagation_matches_reference(module):
+    """Alternate propagation and dead-cell passes on two copies, the
+    fast pass on one and the full-rewrite oracle on the other, and
+    compare after every propagation until nothing changes."""
+    fast, ref = module.copy(), module.copy()
+    fast_stats, ref_stats = OptimizeStats(), OptimizeStats()
+    while True:
+        before = (fast_stats.constants_folded, fast_stats.cells_simplified,
+                  fast_stats.dead_cells_removed)
+        propagate_constants(fast, fast_stats)
+        reference_propagate_constants(ref, ref_stats)
+        assert _state(fast) == _state(ref)
+        assert fast_stats == ref_stats
+        eliminate_dead_cells(fast, fast_stats)
+        eliminate_dead_cells(ref, ref_stats)
+        if before == (fast_stats.constants_folded,
+                      fast_stats.cells_simplified,
+                      fast_stats.dead_cells_removed):
+            return fast_stats
+
+
+class TestPropagationMatchesReference:
+    """:func:`propagate_constants` skips the rows that read no constant
+    or aliased net; ``tests/oracles/optimize.py`` re-expresses every
+    row.  Both must leave the same module and stats."""
+
+    @given(tied_netlists())
+    @settings(max_examples=300, deadline=None)
+    def test_random_tied_netlists(self, module):
+        _assert_propagation_matches_reference(module)
+
+    def test_mux_with_equal_data_pins_is_simplified_untouched(self):
+        m = Module("mux")
+        a = m.input("a", 2)
+        m.output("o", [m.gate("MUX2", a[0], a[0], a[1])])
+        stats = _assert_propagation_matches_reference(m)
+        assert stats.cells_simplified == 1
+
+    @pytest.mark.parametrize("code", [FRMT_INT64, FRMT_FP64, FRMT_FP32X2],
+                             ids=["int64-only", "fp64-only", "fp32x2-only"])
+    def test_mf_specializations(self, code, unbuffered_mf):
+        module = unbuffered_mf.copy()
+        tie_input(module, "frmt", code)
+        stats = _assert_propagation_matches_reference(module)
+        assert stats.cells_simplified and stats.dead_cells_removed
+
+
+@pytest.fixture(scope="module")
+def unbuffered_mf():
+    return build_mf_multiplier(buffer_max_load=None)

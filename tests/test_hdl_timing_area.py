@@ -181,6 +181,22 @@ class TestPipelineAnalysis:
         gate_stages, __ = stage_map(m, strict=False)
         assert gate_stages == (2,)
 
+    def test_mixed_stage_names_lowest_index_gate(self):
+        """Gate 0 reads gate 1's output, so the sort visits gate 1
+        first; both mix stages, and the error names gate 0."""
+        m = Module("p")
+        a = m.input("a", 2)
+        q = m.register(a[0], stage=1)
+        late, early = m.new_net(), m.new_net()
+        m._driver[late] = m._driver[early] = "gate"
+        m.gates.append(("AND2", (early, a[1]), late, "x"))
+        m.gates.append(("AND2", (q, a[1]), early, "y"))
+        m.output("o", [late])
+        assert m.index.node_order().index(1) < m.index.node_order().index(0)
+        with pytest.raises(PipelineError,
+                           match=r"^gate 0 \(AND2 in 'x'\) mixes stages"):
+            stage_map(m, strict=True)
+
     def test_report_counts(self):
         from repro.circuits.mult_radix16 import radix16_multiplier
         m = radix16_multiplier(pipeline_cut="after_ppgen")

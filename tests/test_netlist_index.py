@@ -8,16 +8,17 @@ rebuilt after any edit of the module and never pickled.
 import gc
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.circuits.mult_common import build_multiplier
 from repro.errors import PipelineError
 from repro.eval.experiments import NAMED_BUILDS
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
 from repro.hdl.buffering import insert_buffers
-from repro.hdl.index import _kahn_order
 from repro.hdl.library import default_library
 from repro.hdl.module import Module
 from repro.hdl.optimize import optimize
@@ -192,17 +193,68 @@ def raw_netlists(draw):
     return module
 
 
-def _order_or_cycle(sort, module):
-    try:
-        return tuple(sort(module, PipelineError))
-    except PipelineError:
-        return "cycle"
+def _producers(module):
+    """net -> node code of its driver (gate index or ``-1 - ridx``)."""
+    producer = {output: gidx
+                for gidx, (__, __, output, __) in enumerate(module.gates)}
+    producer.update((q, -1 - ridx)
+                    for ridx, (__, q, __, __) in enumerate(module.registers))
+    return producer
 
 
 @given(raw_netlists())
-@settings(max_examples=200, deadline=None)
-def test_flat_kahn_order_matches_consumer_list_reference(module):
-    """The flat-edge sort releases nodes in the reference's exact order,
-    and raises the requested error type on the same netlists."""
-    assert (_order_or_cycle(_kahn_order, module)
-            == _order_or_cycle(kahn_order, module))
+@settings(max_examples=300, deadline=None)
+def test_node_order_is_a_topological_permutation(module):
+    """On an acyclic netlist the order holds every gate and register
+    once, each after the producers of its inputs, and a second sort
+    returns it again; exactly where the reference Kahn sort finds a
+    cycle, the requested error type is raised."""
+    try:
+        kahn_order(module, PipelineError)
+    except PipelineError:
+        with pytest.raises(PipelineError, match="cycle"):
+            module.index.node_order(PipelineError)
+        return
+    order = module.index.node_order(PipelineError)
+    codes = (list(range(len(module.gates)))
+             + [-1 - ridx for ridx in range(len(module.registers))])
+    assert sorted(order) == sorted(codes)
+    position = {node: pos for pos, node in enumerate(order)}
+    producer = _producers(module)
+    node_inputs = ([(gidx, inputs) for gidx, (__, inputs, __, __)
+                    in enumerate(module.gates)]
+                   + [(-1 - ridx, (d,)) for ridx, (d, __, __, __)
+                      in enumerate(module.registers)])
+    for node, inputs in node_inputs:
+        for net in inputs:
+            if net in producer:
+                assert position[producer[net]] < position[node]
+    module.drop_index()
+    assert module.index.node_order(PipelineError) == order
+
+
+def test_built_module_sorts_in_construction_order():
+    """A module built through ``Module.gate``/``register`` comes out in
+    output-net order: its construction order."""
+    m = build_multiplier(radix_log2=2, width=8, pipeline_cut="after_ppgen",
+                         buffer_max_load=None)
+    assert m.registers
+    by_net = sorted(_producers(m).items())
+    assert m.index.node_order() == tuple(node for __, node in by_net)
+
+
+def test_deep_chain_built_against_net_order():
+    """A 50k-gate chain whose first gate drives the highest net: the
+    first root visited is the chain's end, fifty thousand producers
+    deep, which an explicit stack walks without recursion."""
+    n = 50_000
+    m = Module("chain")
+    m.n_nets = n + 1
+    m._driver[0] = "input"
+    m.inputs["a"] = [0]
+    for gidx in range(n):
+        m.gates.append(("INV", (0 if gidx == 0 else n + 1 - gidx,),
+                        n - gidx, ""))
+        m._driver[n - gidx] = "gate"
+    m.output("o", [1])
+    assert m.index.node_order() == tuple(range(n))
