@@ -189,5 +189,7 @@ def _replay(esim, packed_values, t_first, t_last):
              "wheel_buckets": counts.wheel_buckets,
              "wheel_max_bucket": counts.wheel_max_bucket,
              "replay_spans": counts.spans,
+             "ring_bucket_ps": counts.ring_bucket_ps,
+             "ring_shared_buckets": counts.ring_shared_buckets,
              "elapsed_s": time.perf_counter() - t0}
     return counts.toggles, stats

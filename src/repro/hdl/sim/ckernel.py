@@ -33,12 +33,12 @@ not incidental:
 * events are ordered by the total order ``(maturity time, schedule
   sequence number)`` — sequence numbers are unique, so *any* correct
   priority queue pops the identical event sequence as Python's
-  ``heapq``.  The kernel's queue is a time wheel: one FIFO slot per
-  distinct pending maturity time, found through a hash of the time's
-  bits, with a binary heap over those times only.  Events enter a
-  slot in sequence order, so draining slots by time, each front to
-  back, *is* that order — at one heap operation per distinct time
-  instead of two per event;
+  ``heapq``.  The kernel's queue is a bucket ring over the settle
+  window (:func:`ring_geometry`): one FIFO slot per distinct pending
+  time ``t`` in bucket ``floor(t / q) mod R``, sorted by exact ``t``,
+  drained by a cursor walking the buckets.  Events enter a slot in
+  sequence order, so draining slots by time, each front to back, *is*
+  that order;
 * maturity times are IEEE-754 double sums of the same per-gate delays
   Python computes with ``float`` — identical values, identical
   coincidences, identical comparisons;
@@ -63,11 +63,13 @@ states, and threads, against one kernel.
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from array import array
 from pathlib import Path
 
@@ -85,26 +87,31 @@ from repro.hdl.sim.compile import (
 #: plus bit 0 for the seed cycle, bounded by the 64-bit word.
 WINDOW_TRANSITIONS = 63
 
-#: Pending maturity times (slots) and pending events the event kernel's
-#: time wheel holds before its first growth; its hash has twice as many
-#: buckets.  A power of two.
+#: Pending maturity times (slots) and pending events the event kernel
+#: holds before its first growth.
 WHEEL_INITIAL_SLOTS = 256
+
+#: The most buckets an event kernel's ring may have; a library whose
+#: delays need more gets wider buckets, several times sharing one.
+RING_MAX_BUCKETS = 4096
+
+#: Compiler flags of every build of the library, part of its digest.
+CFLAGS = ("-std=c99", "-O2", "-fPIC")
 
 _EVENT_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* The time wheel.  The events maturing at one time form a FIFO list,
- * that time's slot; `hash` maps a time's double bits to its slot (open
- * addressing, linear probing, at most half full) and `heap` is a binary
- * min-heap over the distinct pending times only.  Events enter a slot
- * in increasing seq, so draining slots by time, each front to back,
- * visits events in exactly the (t, seq) order of one global priority
- * queue - the order of Python's heapq reference.  Events live in the
- * index-linked pool `ev`, slots in `slot`; a drained slot leaves the
- * table, and it and its events go on spare lists for reuse, so both
- * arrays hold what is pending, not all a transition schedules. */
+/* The bucket ring.  The events maturing at one time t form a FIFO list,
+ * that time's slot, kept in bucket floor(t * inv_q) mod R in increasing
+ * t.  Pending times lie in [now, now + dmax], fewer than R buckets, so
+ * a cursor walking the buckets (skipping empty ones 64 at a time via
+ * `occ`) meets them in order.  Events enter a slot in increasing seq,
+ * so draining slots by time, each front to back, is the (t, seq) order
+ * of Python's heapq reference.  Events live in the index-linked pool
+ * `ev`, slots in `slot`; a drained slot and its events go on spare
+ * lists, so both arrays hold only what is pending. */
 typedef struct {
     int64_t seq;
     int32_t nv;         /* net << 1 | value */
@@ -113,22 +120,20 @@ typedef struct {
 
 typedef struct {
     double t;
-    int32_t head, tail; /* a spare slot keeps the next spare in head */
+    int32_t head, tail;
+    int32_t next;       /* next later slot of the bucket (or spare) */
 } Slot;
-
-typedef struct {
-    double t;
-    int32_t slot;
-} Due;
 
 typedef struct {
     Ev *ev;
     Slot *slot;
-    Due *heap;
-    int32_t *hash;      /* slot index per bucket, -1 when empty */
+    int32_t *ring;      /* front slot per bucket, -1 when empty */
+    uint64_t *occ;      /* bit b set while bucket b holds a slot */
+    double inv_q;
+    uint32_t mask;
     int32_t n_ev, cap_ev, spare_ev;
     int32_t n_slot, cap_slot, spare_slot, live;
-    int32_t n_heap, cap_heap, hmask;
+    int64_t shared;     /* new times that found their bucket occupied */
 } Wheel;
 
 /* The gate-level netlist, as sim_replay's caller lays it out. */
@@ -152,28 +157,20 @@ static void *grow(void *p, int32_t *cap, size_t size)
     return np;
 }
 
-static uint32_t time_hash(double t)
-{
-    uint64_t b;
-    memcpy(&b, &t, sizeof b);
-    b ^= b >> 31;
-    b *= 0x9E3779B97F4A7C15ull;
-    return (uint32_t)(b >> 32);
-}
-
-static int wheel_init(Wheel *w)
+static int wheel_init(Wheel *w, double inv_q, int32_t n_buckets)
 {
     memset(w, 0, sizeof *w);
-    w->cap_ev = w->cap_slot = w->cap_heap = @WHEEL_SLOTS@;
+    w->cap_ev = w->cap_slot = @WHEEL_SLOTS@;
     w->spare_ev = w->spare_slot = -1;
-    w->hmask = 2 * @WHEEL_SLOTS@ - 1;
+    w->inv_q = inv_q;
+    w->mask = (uint32_t)n_buckets - 1;
     w->ev = (Ev *)malloc((size_t)w->cap_ev * sizeof(Ev));
     w->slot = (Slot *)malloc((size_t)w->cap_slot * sizeof(Slot));
-    w->heap = (Due *)malloc((size_t)w->cap_heap * sizeof(Due));
-    w->hash = (int32_t *)malloc((size_t)(w->hmask + 1) * sizeof(int32_t));
-    if (!w->ev || !w->slot || !w->heap || !w->hash)
+    w->ring = (int32_t *)malloc((size_t)n_buckets * sizeof(int32_t));
+    w->occ = (uint64_t *)calloc((size_t)(w->mask >> 6) + 1, sizeof(uint64_t));
+    if (!w->ev || !w->slot || !w->ring || !w->occ)
         return -1;
-    memset(w->hash, 0xff, (size_t)(w->hmask + 1) * sizeof(int32_t));
+    memset(w->ring, 0xff, (size_t)n_buckets * sizeof(int32_t));
     return 0;
 }
 
@@ -181,80 +178,35 @@ static void wheel_free(Wheel *w)
 {
     free(w->ev);
     free(w->slot);
-    free(w->heap);
-    free(w->hash);
+    free(w->ring);
+    free(w->occ);
 }
 
-/* Double the hash table, re-inserting every slot it holds. */
-static int wheel_rehash(Wheel *w)
+/* The first bucket at or cyclically after b that holds a slot; some
+ * bucket must. */
+static uint32_t wheel_next(const Wheel *w, uint32_t b)
 {
-    int32_t size = w->hmask + 1;
-    if (size > INT32_MAX / 2)
-        return -1;
-    int32_t *nh = (int32_t *)malloc((size_t)size * 2 * sizeof(int32_t));
-    if (!nh)
-        return -1;
-    memset(nh, 0xff, (size_t)size * 2 * sizeof(int32_t));
-    uint32_t m = (uint32_t)(2 * size - 1);
-    for (int32_t i = 0; i < size; i++) {
-        int32_t s = w->hash[i];
-        if (s < 0)
-            continue;
-        uint32_t h = time_hash(w->slot[s].t) & m;
-        while (nh[h] >= 0)
-            h = (h + 1) & m;
-        nh[h] = s;
-    }
-    free(w->hash);
-    w->hash = nh;
-    w->hmask = (int32_t)m;
-    return 0;
+    uint32_t i = b >> 6, words_mask = w->mask >> 6;
+    uint64_t x = w->occ[i] & (~(uint64_t)0 << (b & 63));
+    while (!x)
+        x = w->occ[i = (i + 1) & words_mask];
+    return i << 6 | (uint32_t)__builtin_ctzll(x);
 }
 
-static void heap_push(Wheel *w, Due d)
-{
-    int32_t i = w->n_heap++;
-    while (i > 0) {
-        int32_t p = (i - 1) >> 1;
-        if (!(d.t < w->heap[p].t))
-            break;
-        w->heap[i] = w->heap[p];
-        i = p;
-    }
-    w->heap[i] = d;
-}
-
-static int32_t heap_pop(Wheel *w)
-{
-    int32_t top = w->heap[0].slot;
-    Due last = w->heap[--w->n_heap];
-    int32_t i = 0;
-    for (;;) {
-        int32_t c = 2 * i + 1;
-        if (c >= w->n_heap)
-            break;
-        if (c + 1 < w->n_heap && w->heap[c + 1].t < w->heap[c].t)
-            c++;
-        if (!(w->heap[c].t < last.t))
-            break;
-        w->heap[i] = w->heap[c];
-        i = c;
-    }
-    w->heap[i] = last;
-    return top;
-}
-
-/* Append an event to the slot of time t, opening the slot (and pushing
- * t on the heap) if t has none.  The slot being drained stays in the
- * table until wheel_release, so an event due at the current time joins
- * its tail; times only grow, so no released time comes back. */
+/* Append an event to the slot of time t, opening the slot in its place
+ * in t's bucket if t has none.  The slot being drained stays at the
+ * front of its bucket until wheel_release, so an event due at the
+ * current time joins its tail; times only grow, so no released time
+ * comes back.  t >= 0, so the cast floors. */
 static int wheel_add(Wheel *w, double t, int64_t seq, int32_t net,
                      int32_t val)
 {
-    uint32_t h = time_hash(t) & (uint32_t)w->hmask;
-    int32_t s;
-    while ((s = w->hash[h]) >= 0 && w->slot[s].t != t)
-        h = (h + 1) & (uint32_t)w->hmask;
+    uint32_t b = (uint32_t)(uint64_t)(t * w->inv_q) & w->mask;
+    int32_t prev = -1, s = w->ring[b];
+    while (s >= 0 && w->slot[s].t < t) {
+        prev = s;
+        s = w->slot[s].next;
+    }
     int32_t e = w->spare_ev;
     if (e >= 0) {
         w->spare_ev = w->ev[e].next;
@@ -270,14 +222,16 @@ static int wheel_add(Wheel *w, double t, int64_t seq, int32_t net,
     w->ev[e].seq = seq;
     w->ev[e].nv = net << 1 | val;
     w->ev[e].next = -1;
-    if (s >= 0) {
+    if (s >= 0 && w->slot[s].t == t) {
         w->ev[w->slot[s].tail].next = e;
         w->slot[s].tail = e;
         return 0;
     }
-    s = w->spare_slot;
-    if (s >= 0) {
-        w->spare_slot = w->slot[s].head;
+    if (w->ring[b] >= 0)
+        w->shared++;
+    int32_t n = w->spare_slot;
+    if (n >= 0) {
+        w->spare_slot = w->slot[n].next;
     } else {
         if (w->n_slot == w->cap_slot) {
             Slot *slot = (Slot *)grow(w->slot, &w->cap_slot, sizeof(Slot));
@@ -285,45 +239,30 @@ static int wheel_add(Wheel *w, double t, int64_t seq, int32_t net,
                 return -1;
             w->slot = slot;
         }
-        s = w->n_slot++;
+        n = w->n_slot++;
     }
-    if (w->n_heap == w->cap_heap) {
-        Due *heap = (Due *)grow(w->heap, &w->cap_heap, sizeof(Due));
-        if (!heap)
-            return -1;
-        w->heap = heap;
-    }
-    w->slot[s].t = t;
-    w->slot[s].head = w->slot[s].tail = e;
-    w->hash[h] = s;
-    Due d = { t, s };
-    heap_push(w, d);
-    if (2 * ++w->live > w->hmask + 1)
-        return wheel_rehash(w);
+    w->slot[n].t = t;
+    w->slot[n].head = w->slot[n].tail = e;
+    w->slot[n].next = s;
+    if (prev >= 0)
+        w->slot[prev].next = n;
+    else
+        w->ring[b] = n;
+    w->occ[b >> 6] |= (uint64_t)1 << (b & 63);
+    w->live++;
     return 0;
 }
 
-/* Retire drained slot s: its events and itself become spares, and it
- * leaves the table by backward-shift deletion (each later entry of the
- * probe run moves into the hole unless its home lies past the hole). */
-static void wheel_release(Wheel *w, int32_t s)
+/* Retire drained slot s, the front of bucket b: the bucket's next slot
+ * becomes its front, and s and its events become spares. */
+static void wheel_release(Wheel *w, uint32_t b, int32_t s)
 {
-    uint32_t m = (uint32_t)w->hmask;
-    uint32_t i = time_hash(w->slot[s].t) & m;
-    while (w->hash[i] != s)
-        i = (i + 1) & m;
-    for (uint32_t j = (i + 1) & m; w->hash[j] >= 0; j = (j + 1) & m) {
-        uint32_t home = time_hash(w->slot[w->hash[j]].t) & m;
-        if (((j - home) & m) >= ((j - i) & m)) {
-            w->hash[i] = w->hash[j];
-            i = j;
-        }
-    }
-    w->hash[i] = -1;
+    if ((w->ring[b] = w->slot[s].next) < 0)
+        w->occ[b >> 6] &= ~((uint64_t)1 << (b & 63));
     w->live--;
     w->ev[w->slot[s].tail].next = w->spare_ev;
     w->spare_ev = w->slot[s].head;
-    w->slot[s].head = w->spare_slot;
+    w->slot[s].next = w->spare_slot;
     w->spare_slot = s;
 }
 
@@ -354,36 +293,40 @@ static int schedule_fanout(Wheel *w, const Netlist *nl, int32_t net,
  *        truth table's output is replicated over the padded bits).
  * ttab:  16-entry truth table per gate, indexed by concatenated input
  *        bits (in0 | in1<<1 | in2<<2 | in3<<3).
+ * gdelay: per-gate delay, finite and >= 0, at most dmax.
  * fo_ptr/fo_dat: CSR fanout (net -> driven gate indices).
+ * inv_q/n_buckets: the ring, 1 / bucket width (q a power of two) and a
+ *        power-of-two bucket count >= dmax / q + 3.
  * values/live_seq: persistent simulator state (callee-updated).
  * stim_words: per stimulus net, bit i = the net's value in the window's
  *        cycle i (bit 0 = the already-settled seed cycle).
- * stats: [0] in/out monotone schedule counter, [1] out events
- *        processed, [2] out inertial cancellations, [3] out slots
- *        drained (distinct maturity times), [4] out largest slot.
+ * stats: [0] monotone schedule counter; accumulated over calls:
+ *        [1] events processed, [2] inertial cancellations, [3] slots
+ *        drained (distinct maturity times), [4] largest slot (max),
+ *        [5] new times that found their bucket occupied.
  * settle_out: settle time (ps) of the final transition.
  *
- * Returns events processed, or -1 on allocation failure.
+ * Returns 0, or -1 on allocation failure.
  */
 int64_t sim_replay(
-    int32_t n_nets, int32_t n_gates,
     const int32_t *gin, const uint16_t *ttab,
     const int32_t *gout, const double *gdelay,
     const int32_t *fo_ptr, const int32_t *fo_dat,
+    double inv_q, int32_t n_buckets,
     uint8_t *values, int64_t *live_seq,
     const int32_t *stim_net, const uint64_t *stim_words, int32_t n_stim,
     int32_t transitions,
     int64_t *toggles, int64_t *stats, double *settle_out)
 {
-    (void)n_nets;
-    (void)n_gates;
     const Netlist nl = { gin, ttab, gout, gdelay, fo_ptr, fo_dat };
     Wheel w;
     int32_t *changed =
         (int32_t *)malloc(sizeof(int32_t) * (size_t)(n_stim ? n_stim : 1));
-    int fail = wheel_init(&w) || !changed;
+    int fail = wheel_init(&w, inv_q, n_buckets) || !changed;
     int64_t counter = stats[0];
-    int64_t events = 0, cancelled = 0, slots = 0, max_slot = 0;
+    int64_t events = stats[1], cancelled = stats[2], slots = stats[3];
+    int64_t max_slot = stats[4];
+    w.shared = stats[5];
     double settle = 0.0;
 
     for (int32_t tr = 1; tr <= transitions && !fail; tr++) {
@@ -401,41 +344,45 @@ int64_t sim_replay(
         }
         settle = 0.0;
 
-        /* Schedule the fanout of the changed nets at t = 0, then drain
-         * the wheel to quiescence.  This is the heap engine's
-         * schedule-per-trigger algorithm; see tests/oracles/
+        /* Schedule the fanout of the changed nets at t = 0, then walk
+         * the ring from bucket 0 to quiescence.  This is the heap
+         * engine's schedule-per-trigger algorithm; see tests/oracles/
          * event_heap.py. */
         for (int32_t j = 0; j < nc && !fail; j++)
             fail = schedule_fanout(&w, &nl, changed[j], 0.0, values,
                                    live_seq, &counter);
-        while (w.n_heap && !fail) {
-            int32_t s = heap_pop(&w);
-            double t = w.slot[s].t;
-            int64_t n_in = 0;
-            slots++;
-            /* By index, re-reading `next` after each event: an event
-             * scheduled at t itself joins this slot's tail. */
-            for (int32_t i = w.slot[s].head; i >= 0 && !fail;
-                 i = w.ev[i].next) {
-                int32_t net = w.ev[i].nv >> 1;
-                uint8_t val = (uint8_t)(w.ev[i].nv & 1);
-                n_in++;
-                if (w.ev[i].seq != live_seq[net]) {
-                    cancelled++;    /* cancelled by a newer evaluation */
-                    continue;
+        for (uint32_t b = 0; w.live && !fail;) {
+            int32_t s;
+            b = wheel_next(&w, b);
+            while ((s = w.ring[b]) >= 0 && !fail) {
+                double t = w.slot[s].t;
+                int64_t n_in = 0;
+                slots++;
+                /* By index, re-reading `next` after each event: an
+                 * event scheduled at t itself joins this slot's
+                 * tail. */
+                for (int32_t i = w.slot[s].head; i >= 0 && !fail;
+                     i = w.ev[i].next) {
+                    int32_t net = w.ev[i].nv >> 1;
+                    uint8_t val = (uint8_t)(w.ev[i].nv & 1);
+                    n_in++;
+                    if (w.ev[i].seq != live_seq[net]) {
+                        cancelled++;    /* cancelled by a newer evaluation */
+                        continue;
+                    }
+                    if (values[net] == val)
+                        continue;
+                    values[net] = val;
+                    toggles[net]++;
+                    settle = t;
+                    fail = schedule_fanout(&w, &nl, net, t, values,
+                                           live_seq, &counter);
                 }
-                if (values[net] == val)
-                    continue;
-                values[net] = val;
-                toggles[net]++;
-                settle = t;
-                fail = schedule_fanout(&w, &nl, net, t, values, live_seq,
-                                       &counter);
+                events += n_in;
+                if (n_in > max_slot)
+                    max_slot = n_in;
+                wheel_release(&w, b, s);
             }
-            events += n_in;
-            if (n_in > max_slot)
-                max_slot = n_in;
-            wheel_release(&w, s);
         }
     }
 
@@ -448,8 +395,9 @@ int64_t sim_replay(
     stats[2] = cancelled;
     stats[3] = slots;
     stats[4] = max_slot;
+    stats[5] = w.shared;
     *settle_out = settle;
-    return events;
+    return 0;
 }
 """
 
@@ -651,10 +599,10 @@ _I64 = ctypes.c_int64
 #: routines take their buffers as ``void *`` (see :func:`_addr`).
 _SIGNATURES = {
     "sim_replay": (_I64, [
-        _I32, _I32,
         ctypes.POINTER(_I32), ctypes.POINTER(ctypes.c_uint16),
         ctypes.POINTER(_I32), ctypes.POINTER(ctypes.c_double),
         ctypes.POINTER(_I32), ctypes.POINTER(_I32),
+        ctypes.c_double, _I32,
         ctypes.POINTER(ctypes.c_uint8), ctypes.POINTER(_I64),
         ctypes.POINTER(_I32), ctypes.POINTER(ctypes.c_uint64),
         _I32,
@@ -702,10 +650,18 @@ def _cache_dir():
     raise OSError("no writable cache directory for the compiled kernel")
 
 
+def _library_path(cache):
+    """Where in ``cache`` the library built from :data:`_SOURCE` with
+    :data:`CFLAGS` lives: either one changing names a new file."""
+    ident = "\0".join((_SOURCE,) + CFLAGS)
+    digest = hashlib.sha256(ident.encode()).hexdigest()[:16]
+    return cache / f"simkernel-{digest}.so"
+
+
 def _build_and_load():
     cache = _cache_dir()
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    so_path = cache / f"simkernel-{digest}.so"
+    so_path = _library_path(cache)
+    digest = so_path.stem.removeprefix("simkernel-")
     if not so_path.exists():
         cc = (os.environ.get("CC") or shutil.which("cc")
               or shutil.which("gcc"))
@@ -719,8 +675,7 @@ def _build_and_load():
         os.replace(tmp_c, c_path)
         tmp_path = cache / f"simkernel-{digest}.{os.getpid()}.tmp.so"
         subprocess.run(
-            [cc, "-O2", "-std=c99", "-fPIC", "-shared",
-             "-o", str(tmp_path), str(c_path)],
+            [cc, *CFLAGS, "-shared", "-o", str(tmp_path), str(c_path)],
             check=True, capture_output=True)
         os.replace(tmp_path, so_path)
     lib = ctypes.CDLL(str(so_path))
@@ -881,21 +836,45 @@ class KernelState:
         self.toggles = array("q", [0]) * n_nets
         self._toggles = (ctypes.c_int64 * n_nets).from_buffer(self.toggles)
         self._stim_words = (ctypes.c_uint64 * max(n_stim, 1))()
-        self._stats = (ctypes.c_int64 * 5)()
+        self._stats = (ctypes.c_int64 * 6)()
         self._settle = (ctypes.c_double * 1)()
 
-    def zero_toggles(self):
+    def reset(self):
+        """Zero the toggles and the accumulated stats (the schedule
+        counter runs on, as ``_live_seq`` still holds its values)."""
         ctypes.memset(self._toggles, 0, ctypes.sizeof(self._toggles))
+        ctypes.memset(ctypes.byref(self._stats, 8), 0, 8 * 5)
+
+
+def ring_geometry(delays):
+    """``(q, n_buckets)`` of the ring for gate ``delays`` (finite, >= 0):
+    ``q`` (ps) the coarsest power of two dividing every delay, widened
+    to fit :data:`RING_MAX_BUCKETS`; ``n_buckets`` the next power of two
+    >= ``max(delays) / q + 3``, so no two pending times a lap apart
+    share a bucket."""
+    grids = [(num & -num) / den for num, den in
+             map(float.as_integer_ratio, set(delays)) if num]
+    # The floor keeps 1 / q finite for sub-normal delays.
+    q = max(min(grids, default=1.0), 2.0 ** -32)
+    dmax = max(delays, default=0.0)
+    while dmax / q + 3 > RING_MAX_BUCKETS:
+        q *= 2
+    n_buckets = 4
+    while n_buckets < dmax / q + 3:
+        n_buckets *= 2
+    return q, n_buckets
 
 
 class CKernel:
     """One module + library flattened into the kernel's array layout.
 
     The netlist arrays (gate pins, truth tables, delays, fanout CSR,
-    stimulus nets) are read-only after construction and shared by every
+    stimulus nets) and the ring geometry (:func:`ring_geometry`) are
+    read-only after construction and shared by every
     :class:`KernelState` a replay runs on, so several states may run
     :meth:`run` at once on separate threads.  Construction is pure
-    preprocessing and involves no C calls.
+    preprocessing and involves no C calls; a gate delay the ring cannot
+    order (negative, infinite or NaN) raises :class:`SimulationError`.
     """
 
     def __init__(self, lib, module, delays, fanout, stim_order):
@@ -903,7 +882,14 @@ class CKernel:
         self.n_nets = n_nets = module.n_nets
         gates = module.gates
         n_gates = len(gates)
-        self._n_gates = n_gates
+        for g, delay in enumerate(delays):
+            if not 0.0 <= delay < math.inf:
+                kind, __, output, __ = gates[g]
+                raise SimulationError(
+                    f"gate {g} ({kind} driving net {output}) has delay "
+                    f"{delay!r} ps; the event kernel needs 0 <= d < inf")
+        #: Bucket width (ps) and bucket count of the ring.
+        self.ring_bucket_ps, self._n_buckets = ring_geometry(delays)
 
         gin = (ctypes.c_int32 * (4 * n_gates))()
         ttab = (ctypes.c_uint16 * max(n_gates, 1))()
@@ -952,34 +938,29 @@ class CKernel:
         """Replay transitions ``first..last`` on ``state``, seeded from
         cycle ``first - 1`` of ``buf`` and run in windows of up to
         :data:`WINDOW_TRANSITIONS`; ``state.toggles`` starts from zero.
-        Returns :meth:`run`'s tuple summed over the windows (largest
-        slot: the maximum; settle: the final transition's)."""
-        state.zero_toggles()
+        Returns ``(events, cancelled, slots, max_slot, shared, settle,
+        seconds)``: events processed and inertially cancelled, slots
+        drained (one per distinct maturity time of each transition), the
+        most events one slot held, new times that found their ring
+        bucket occupied, the final transition's settle time and the
+        span's own wall time."""
+        t0 = time.perf_counter()
+        state.reset()
         self._lib.lv_seed(_addr(buf.raw), buf.n_limbs, self.n_nets,
                           first - 1, state.values)
-        events = cancelled = slots = max_slot = 0
-        settle = 0.0
-        t = first
-        while t <= last:
-            n = min(WINDOW_TRANSITIONS, last - t + 1)
-            ev, ca, sl, mx, settle = self.run(state, buf, t - 1, n)
-            events += ev
-            cancelled += ca
-            slots += sl
-            max_slot = max(max_slot, mx)
-            t += n
-        return events, cancelled, slots, max_slot, settle
+        for t in range(first, last + 1, WINDOW_TRANSITIONS):
+            self.run(state, buf, t - 1, min(WINDOW_TRANSITIONS, last - t + 1))
+        return (*state._stats[1:6], state._settle[0],
+                time.perf_counter() - t0)
 
     def run(self, state, buf, shift, transitions):
         """Replay ``transitions`` transitions from ``state``'s values.
 
         Stimulus bit ``i`` (``0 <= i <= transitions``) of each net's
         row in the :class:`LimbBuffer` ``buf`` is its value in cycle
-        ``shift + i``; toggles accumulate into ``state.toggles``.
-        Returns ``(events, cancelled, slots, max_slot, settle)``: events
-        processed and inertially cancelled, the time-wheel slots
-        drained (one per distinct maturity time of each transition) and
-        the most events any one slot held.
+        ``shift + i``.  Toggles accumulate into ``state.toggles`` and
+        the counts :meth:`replay_span` returns into ``state._stats``;
+        ``state._settle`` gets the last transition's settle time.
         """
         if not 1 <= transitions <= WINDOW_TRANSITIONS:
             raise SimulationError(
@@ -988,14 +969,12 @@ class CKernel:
         self._lib.lv_window(_addr(buf.raw), buf.n_limbs, self._stim_net,
                             self._n_stim, shift, words)
         rc = self._lib.sim_replay(
-            self.n_nets, self._n_gates,
             self._gin, self._ttab, self._gout, self._gdelay,
             self._fo_ptr, self._fo_dat,
+            1.0 / self.ring_bucket_ps, self._n_buckets,
             state.values, state._live_seq,
             self._stim_net, words, self._n_stim,
             transitions,
             state._toggles, state._stats, state._settle)
         if rc < 0:
             raise SimulationError("compiled event kernel allocation failure")
-        stats = state._stats
-        return stats[1], stats[2], stats[3], stats[4], state._settle[0]

@@ -32,12 +32,13 @@ keeps as the reference the wheel must match bit-for-bit.
 For long cycle replays :meth:`EventSimulator.replay` additionally uses
 the optional compiled C kernel (:mod:`repro.hdl.sim.ckernel`) when a
 system C compiler is available — the heap engine's schedule-per-trigger
-algorithm on a C time wheel of its own, the same event order and
-cancellation rule executed outside the interpreter, again bit-identical
-in toggles, settle time and values.  Event, cancellation and wheel
-occupancy counts are engine-specific: the C kernel counts every
-scheduled evaluation as the heap reference does, the Python wheel only
-those that survive its deferred evaluation.
+algorithm on a C bucket ring of its own (one FIFO slot per distinct
+maturity time, in ring buckets a cursor walks in time order), the same
+event order and cancellation rule executed outside the interpreter,
+again bit-identical in toggles, settle time and values.  Event,
+cancellation and wheel occupancy counts are engine-specific: the C
+kernel counts every scheduled evaluation as the heap reference does,
+the Python wheel only those that survive its deferred evaluation.
 
 The C-kernel replay runs on every CPU the process may use: it splits
 the transitions into contiguous spans, one per CPU, each seeded from
@@ -79,6 +80,13 @@ class TransitionCounts:
     #: Contiguous transition spans the replay ran as, each on its own
     #: CPU (1 for one transition at a time).
     spans: int = 1
+    #: The C kernel's ring bucket width in ps (0 on the Python wheel).
+    ring_bucket_ps: float = 0.0
+    #: New maturity times that found their ring bucket already holding
+    #: another pending time (C kernel only).
+    ring_shared_buckets: int = 0
+    #: Wall time of each span in seconds, in span order (C kernel only).
+    span_s: tuple = ()
 
     def total(self):
         return sum(self.toggles)
@@ -352,7 +360,8 @@ class EventSimulator:
             "sim:replay", t0, time.perf_counter() - t0, cat="sim",
             module=self.module.name, kernel=self.kernel,
             engine=self.engine, transitions=transitions,
-            events=counts.events_processed, spans=counts.spans)
+            events=counts.events_processed, spans=counts.spans,
+            span_s=list(counts.span_s))
         return counts
 
     def _replay_native(self, packed_values, t_first, t_last):
@@ -399,11 +408,14 @@ class EventSimulator:
         return TransitionCounts(
             toggles=toggles,
             events_processed=sum(r[0] for r in results),
-            settle_time_ps=results[-1][4],
+            settle_time_ps=results[-1][5],
             cancelled=sum(r[1] for r in results),
             wheel_buckets=sum(r[2] for r in results),
             wheel_max_bucket=max(r[3] for r in results),
-            spans=len(spans))
+            spans=len(spans),
+            ring_bucket_ps=ck.ring_bucket_ps,
+            ring_shared_buckets=sum(r[4] for r in results),
+            span_s=tuple(r[6] for r in results))
 
     def _replay_python(self, packed_values, t_first, t_last):
         """The Python-wheel replay: one :meth:`apply` delta per

@@ -20,6 +20,8 @@ SIM_STATS_DEFAULTS: Dict[str, object] = {
     "wheel_buckets": 0,
     "wheel_max_bucket": 0,
     "replay_spans": 0,            # CPUs the glitch replay ran on
+    "ring_bucket_ps": 0.0,        # the C kernel's ring bucket width
+    "ring_shared_buckets": 0,     # new times meeting an occupied bucket
     "elapsed_s": 0.0,
     "transitions_per_s": 0.0,
 }

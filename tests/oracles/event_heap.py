@@ -7,9 +7,16 @@ from the module and library, evaluates each gate with the hand-written
 function of ``oracles.cells`` and settles in the gates of the module
 index's topological order, so it shares no evaluation code with the
 fast paths.
+
+Given a ``bucket_ps``, it also counts what the C kernel's bucket ring
+reports as ``ring_shared_buckets``: the new pending maturity times whose
+bucket ``floor(t / bucket_ps)`` already holds another pending time.  A
+time is pending from its first scheduled event until the next distinct
+time starts draining, as a slot is in the ring.
 """
 
 import heapq
+import math
 
 from repro.errors import SimulationError
 from repro.hdl.sim.event import TransitionCounts
@@ -29,8 +36,9 @@ def _eval_gate(fn, ins, values):
 class HeapEventSimulator:
     """Transport-delay simulator, schedule-per-trigger, one heap."""
 
-    def __init__(self, module, library):
+    def __init__(self, module, library, bucket_ps=None):
         self.module = module
+        self._bucket_ps = bucket_ps
         load = [0.0] * module.n_nets
         self._fanout = [[] for __ in range(module.n_nets)]
         for gidx, (kind, inputs, __, __) in enumerate(module.gates):
@@ -94,16 +102,27 @@ class HeapEventSimulator:
         # is live; re-evaluating a gate before its pending output event
         # matures cancels that event.
         live_seq = [0] * self.module.n_nets
+        # Ring occupancy: the pending times, and how many of them each
+        # bucket holds.
+        q = self._bucket_ps
+        pending = set()
+        in_bucket = {}
+        shared = 0
 
         def schedule_fanout(net, t):
-            nonlocal counter
+            nonlocal counter, shared
             for gidx in fanout[net]:
                 __, inputs, output, __ = gates[gidx]
                 val = _eval_gate(evals[gidx], inputs, values)
                 counter += 1
                 live_seq[output] = counter
-                heapq.heappush(heap,
-                               (t + delay[gidx], counter, output, val))
+                te = t + delay[gidx]
+                if q and te not in pending:
+                    pending.add(te)
+                    b = math.floor(te / q)
+                    shared += in_bucket.get(b, 0) > 0
+                    in_bucket[b] = in_bucket.get(b, 0) + 1
+                heapq.heappush(heap, (te, counter, output, val))
 
         # Apply all stimulus changes simultaneously at t = 0.
         items = stimulus.items() if hasattr(stimulus, "items") else stimulus
@@ -128,6 +147,9 @@ class HeapEventSimulator:
             if t == t_prev:
                 run += 1
             else:
+                if q and t_prev is not None:    # its slot is drained
+                    pending.remove(t_prev)
+                    in_bucket[math.floor(t_prev / q)] -= 1
                 n_slots += 1
                 run = 1
                 t_prev = t
@@ -144,7 +166,9 @@ class HeapEventSimulator:
         return TransitionCounts(toggles=toggles, events_processed=events,
                                 settle_time_ps=settle, cancelled=cancelled,
                                 wheel_buckets=n_slots,
-                                wheel_max_bucket=max_slot)
+                                wheel_max_bucket=max_slot,
+                                ring_bucket_ps=q or 0.0,
+                                ring_shared_buckets=shared)
 
 
 def event_toggles_legacy(module, library, run, stimulus, n_cycles):

@@ -11,6 +11,7 @@ included), and on the real multipliers.
 """
 
 import dataclasses
+import math
 import os
 import random
 import sys
@@ -328,20 +329,21 @@ class TestReplay:
 
 
 # ----------------------------------------------------------------------
-# the C kernel's time wheel vs the heapq reference: event bookkeeping
+# the C kernel's bucket ring vs the heapq reference: event bookkeeping
 # ----------------------------------------------------------------------
 
-def _heap_window(module, lib, run, t_first, t_last):
+def _heap_window(module, lib, run, t_first, t_last, bucket_ps=None):
     """The heap oracle over transitions ``t_first..t_last`` of ``run``:
     ``(toggles, counts, last counts, oracle)``, ``counts`` the window's
-    ``[events, cancelled, slots, max slot]``, its stimulus stepped in the
+    ``[events, cancelled, slots, max slot, shared buckets]`` (the last
+    at ring bucket width ``bucket_ps``), its stimulus stepped in the
     canonical order (input buses, then register q nets)."""
     order = ([net for bus in module.inputs.values() for net in bus]
              + [q for __, q, __, __ in module.registers])
-    heap = HeapEventSimulator(module, lib)
+    heap = HeapEventSimulator(module, lib, bucket_ps)
     heap.initialize({net: run.net_value(net, t_first - 1) for net in order})
     totals = [0] * module.n_nets
-    counts = [0, 0, 0, 0]
+    counts = [0, 0, 0, 0, 0]
     last = None
     for t in range(t_first, t_last + 1):
         last = heap.apply({net: run.net_value(net, t) for net in order},
@@ -350,6 +352,7 @@ def _heap_window(module, lib, run, t_first, t_last):
         counts[1] += last.cancelled
         counts[2] += last.wheel_buckets
         counts[3] = max(counts[3], last.wheel_max_bucket)
+        counts[4] += last.ring_shared_buckets
     return totals, counts, last, heap
 
 
@@ -367,10 +370,12 @@ def _forced_spans(n):
 def _assert_kernel_matches_heap(module, lib, run, t_first, t_last):
     """A C-kernel replay of the window, split into each of
     :data:`SPAN_COUNTS` contiguous spans, equals the heap oracle in
-    every count it keeps, wheel occupancy included (one slot per
-    distinct maturity time); returns the serial replay's counts."""
+    every count it keeps, occupancy included (one slot per distinct
+    maturity time, and the new times meeting an occupied bucket of the
+    kernel's ring); returns the serial replay's counts."""
+    q = ckernel.ring_geometry(module.index.library(lib).delays)[0]
     totals, expected, last, heap = _heap_window(module, lib, run,
-                                                t_first, t_last)
+                                                t_first, t_last, q)
     got = []
     for n in SPAN_COUNTS:
         esim = EventSimulator(module, lib)
@@ -378,9 +383,12 @@ def _assert_kernel_matches_heap(module, lib, run, t_first, t_last):
         with _forced_spans(n):
             counts = esim.replay(run.packed, t_first, t_last)
         assert counts.spans == min(n, t_last - t_first + 1)
+        assert len(counts.span_s) == counts.spans
+        assert counts.ring_bucket_ps == q
         assert counts.toggles == totals
         assert [counts.events_processed, counts.cancelled,
-                counts.wheel_buckets, counts.wheel_max_bucket] == expected
+                counts.wheel_buckets, counts.wheel_max_bucket,
+                counts.ring_shared_buckets] == expected
         assert counts.settle_time_ps == last.settle_time_ps
         assert list(esim.values) == heap.values
         got.append(counts)
@@ -498,6 +506,173 @@ class TestKernelEventCounts:
 
 
 # ----------------------------------------------------------------------
+# the bucket ring's geometry, and the ring on libraries that stress it
+# ----------------------------------------------------------------------
+
+def _library_with(change):
+    """The default library with every cell spec passed through
+    ``change(kind, spec) -> spec``."""
+    lib = default_library()
+    return dataclasses.replace(lib, cells={
+        kind: change(kind, spec) for kind, spec in lib.cells.items()})
+
+
+def _off_grid_library():
+    """Every delay a third of the default's: on no power-of-two grid
+    the ring could use, so buckets hold several distinct times."""
+    return _library_with(lambda kind, spec: dataclasses.replace(
+        spec, intrinsic_ps=spec.intrinsic_ps / 3,
+        slope_ps=spec.slope_ps / 3))
+
+
+def _fine_library():
+    """INV 2**-10 ps slower: a grid so fine that ``dmax / q`` exceeds
+    :data:`~repro.hdl.sim.ckernel.RING_MAX_BUCKETS`, so the ring widens
+    its buckets; inverter chains then end 2**-10 ps apart, inside one
+    bucket."""
+    return _library_with(lambda kind, spec: dataclasses.replace(
+        spec, intrinsic_ps=spec.intrinsic_ps + 2 ** -10)
+        if kind == "INV" else spec)
+
+
+#: Whole-ps, load-independent delays, INV 1 ps and the slowest kinds
+#: 8 ps: the ring's buckets are 1 ps wide and every maturity time lies
+#: exactly on a bucket boundary.
+_BOUNDARY_PS = {**{kind: float(1 + i % 7)
+                   for i, kind in enumerate(sorted(CELL_KINDS))},
+                "INV": 1.0, "XOR2": 8.0, "XNOR2": 8.0, "XOR3": 8.0,
+                "MAJ3": 8.0, "MUX2": 8.0}
+
+
+def _boundary_library():
+    return _library_with(lambda kind, spec: dataclasses.replace(
+        spec, intrinsic_ps=_BOUNDARY_PS[kind], slope_ps=0.0))
+
+
+def _boundary_module():
+    """Under :func:`_boundary_library`: an inverter chain (1 ps a
+    stage) and XOR2s (8 ps, the largest delay) closing over it, so a
+    flip of ``a[0]`` keeps events pending at every time from ``now`` to
+    ``now + 8`` ps - the ring's whole window - while 8 ps evaluations
+    are cancelled by newer ones."""
+    m = Module("boundary")
+    a = m.input("a", 3)
+    chain = [a[0]]
+    for __ in range(12):
+        chain.append(m.gate("INV", chain[-1]))
+    outs = [m.gate("XOR2", chain[i], chain[i + j])
+            for i in range(0, 12, 3) for j in (1, 4, 7) if i + j <= 12]
+    outs.append(m.gate("XOR2", a[1], chain[8]))
+    outs.append(m.gate("MUX2", a[2], chain[5], chain[12]))
+    m.output("o", outs)
+    return m
+
+
+class TestRingGeometry:
+    def test_bucket_is_the_coarsest_grid_of_the_delays(self):
+        assert ckernel.ring_geometry([12.0, 116.0]) == (4.0, 32)
+        assert ckernel.ring_geometry([12.5, 116.0, 0.0]) == (0.5, 256)
+        assert ckernel.ring_geometry([1.0, 8.0]) == (1.0, 16)
+        # No non-zero delay: every event matures at t = 0.
+        assert ckernel.ring_geometry([]) == (1.0, 4)
+        assert ckernel.ring_geometry([0.0, 0.0]) == (1.0, 4)
+
+    @pytest.mark.parametrize("delays", [
+        [12.0 + 2 ** -10, 116.0],
+        [1 / 3, 116.0],
+        [2.0 ** -1074, 1.0],
+        [2.0 ** -1074],
+        [1e300, 3.0],
+    ])
+    def test_ring_spans_the_window_within_the_cap(self, delays):
+        q, n = ckernel.ring_geometry(delays)
+        dmax = max(delays)
+        assert n & (n - 1) == 0 and n <= ckernel.RING_MAX_BUCKETS
+        assert n >= dmax / q + 3
+        assert math.frexp(q)[0] == 0.5 and math.isfinite(1 / q)
+        assert q == 2.0 ** -32 or q / 2 < dmax / (ckernel.RING_MAX_BUCKETS - 3)
+
+    def test_named_designs_use_the_whole_cap(self):
+        # The default library's loads (1.1, 1.5, 2.2 ...) put some
+        # delays off every power-of-two grid, so the cap sets q.
+        from repro.eval.experiments import cached_module
+
+        delays = cached_module("r4").index.library(default_library()).delays
+        assert ckernel.ring_geometry(delays) \
+            == (2.0 ** -5, ckernel.RING_MAX_BUCKETS)
+
+    @needs_c
+    @pytest.mark.parametrize("field, value", [
+        ("slope_ps", -100.0),
+        ("intrinsic_ps", math.inf),
+        ("intrinsic_ps", math.nan),
+    ])
+    def test_unorderable_delay_raises_naming_the_gate(self, field, value):
+        lib = _library_with(lambda kind, spec: dataclasses.replace(
+            spec, **{field: value}) if kind == "NAND2" else spec)
+        m = Module("bad")
+        a = m.input("a", 2)
+        m.output("o", [m.gate("INV", a[0]), m.gate("NAND2", a[0], a[1])])
+        with pytest.raises(SimulationError,
+                           match=r"gate 1 \(NAND2 driving net \d+\)"):
+            EventSimulator(m, lib)
+
+
+@needs_c
+class TestRingLibraries:
+    """The ring equals the heap oracle where its buckets are shared or
+    its window is tight, at every span count; the oracle counts the
+    shared buckets from ``floor(t / q)`` itself."""
+
+    def _named_r4(self, lib):
+        from repro.eval.experiments import cached_module
+        from repro.eval.workloads import WorkloadGenerator
+
+        module = cached_module("r4")
+        n = 4
+        run = LevelizedSimulator(module).run(
+            WorkloadGenerator(13).multiplier_stimulus(n), n)
+        return _assert_kernel_matches_heap(module, lib, run, 1, n - 1)
+
+    @given(module_and_patterns())
+    @settings(max_examples=20, deadline=None)
+    def test_random_netlists(self, case):
+        module, patterns = case
+        n = len(patterns)
+        run = LevelizedSimulator(module).run({"a": patterns}, n)
+        for lib in (_off_grid_library(), _fine_library(),
+                    _boundary_library()):
+            _assert_kernel_matches_heap(module, lib, run, 1, n - 1)
+
+    def test_off_grid_library(self):
+        assert self._named_r4(_off_grid_library()).ring_shared_buckets > 0
+
+    def test_widened_ring(self):
+        lib = _fine_library()
+        from repro.eval.experiments import cached_module
+
+        delays = cached_module("r4").index.library(lib).delays
+        assert max(delays) / 2 ** -10 > ckernel.RING_MAX_BUCKETS
+        counts = self._named_r4(lib)
+        assert counts.ring_bucket_ps > 2 ** -10
+        assert counts.ring_shared_buckets > 0
+
+    def test_times_on_bucket_boundaries(self):
+        m = _boundary_module()
+        n = 40
+        rng = random.Random(21)
+        patterns = [rng.getrandbits(3) for __ in range(n)]
+        run = LevelizedSimulator(m).run({"a": patterns}, n)
+        lib = _boundary_library()
+        # [now, now + 8] holds 9 bucket boundaries: the ring needs 16.
+        assert ckernel.ring_geometry(m.index.library(lib).delays) \
+            == (1.0, 16)
+        counts = _assert_kernel_matches_heap(m, lib, run, 1, n - 1)
+        assert counts.ring_shared_buckets == 0
+        assert counts.cancelled > 0
+
+
+# ----------------------------------------------------------------------
 # the C-kernel replay split into contiguous spans, one thread each
 # ----------------------------------------------------------------------
 
@@ -521,6 +696,27 @@ class TestReplaySpans:
         cpus = len(os.sched_getaffinity(0))
         assert event.replay_span_count(10 ** 6) == cpus
         assert event.replay_span_count(1) == 1
+
+    @needs_c
+    def test_spans_time_themselves_on_the_trace(self):
+        from repro import obs
+
+        module = _wide_module()
+        n = 9
+        rng = random.Random(4)
+        run = LevelizedSimulator(module).run(
+            {"a": [rng.getrandbits(130) for __ in range(n)]}, n)
+        esim = EventSimulator(module, default_library())
+        obs.start_trace()
+        try:
+            with _forced_spans(3):
+                counts = esim.replay(run.packed, 1, n - 1)
+        finally:
+            events = obs.stop_trace()
+        replay, = [e for e in events if e["name"] == "sim:replay"]
+        assert replay["args"]["span_s"] == list(counts.span_s)
+        assert len(counts.span_s) == 3
+        assert all(0 < s <= replay["dur"] / 1e6 for s in counts.span_s)
 
     @needs_c
     def test_failing_span_raises_and_leaves_no_thread(self, monkeypatch):
@@ -667,10 +863,19 @@ class TestMonteCarlo:
         assert stats["events_processed"] > 0
         assert stats["replay_spans"] == (
             event.replay_span_count(3) if stats["kernel"] == "c" else 1)
+        if stats["kernel"] == "c":
+            ck = shared_event_simulator(module, lib)._ck
+            assert stats["ring_bucket_ps"] == ck.ring_bucket_ps > 0
+            assert stats["ring_shared_buckets"] >= 0
+        else:
+            assert stats["ring_bucket_ps"] == 0.0
+            assert stats["ring_shared_buckets"] == 0
 
         flat = estimate_power(module, lib, stim, 4, glitch=False)
         assert flat.sim_stats["engine"] == "zero-delay"
         assert flat.sim_stats["replay_spans"] == 0
+        assert flat.sim_stats["ring_bucket_ps"] == 0.0
+        assert flat.sim_stats["ring_shared_buckets"] == 0
 
     def test_batch_glitch_toggles_match_legacy_reference(self):
         from repro.eval.workloads import WorkloadGenerator
@@ -703,6 +908,27 @@ class TestKernelFallback:
 
     def _fallbacks(self, reg):
         return reg.snapshot()["counters"].get("sim.ckernel.fallback", 0)
+
+    def test_compile_flags_name_the_library(self, tmp_path, monkeypatch):
+        path = ckernel._library_path(tmp_path)
+        assert ckernel._library_path(tmp_path) == path
+        monkeypatch.setattr(ckernel, "CFLAGS", ckernel.CFLAGS + ("-O3",))
+        assert ckernel._library_path(tmp_path) != path
+
+    def test_build_compiles_with_cflags(self, tmp_path, monkeypatch):
+        commands = []
+
+        def no_compile(cmd, **kwargs):
+            commands.append(cmd)
+            raise OSError("not compiling")
+
+        monkeypatch.setenv("REPRO_CKERNEL_CACHE", str(tmp_path))
+        monkeypatch.setenv("CC", "cc")
+        monkeypatch.setattr(ckernel.subprocess, "run", no_compile)
+        with pytest.raises(OSError, match="not compiling"):
+            ckernel._build_and_load()
+        flags = list(ckernel.CFLAGS)
+        assert commands[0][1:1 + len(flags)] == flags
 
     def test_build_failure_is_counted_with_reason(self, fresh_loader,
                                                   monkeypatch):
