@@ -11,10 +11,12 @@ budget.  Constant nets never switch and are exempt.
 
 The pass is a worklist.  The pin loads, pad loads and driver blocks
 are built once, and consumer lists only for the nets over budget (the
-only ones a pass can split); pass 1 checks every net, and each later
+only ones a pass can split); pass 1 checks those nets, and each later
 pass checks, in ascending order, only the nets the previous pass
 touched (each split net and each new BUF output) — no other net's
-consumers or load can have changed.  A split updates the tables in
+consumers or load can have changed.  A consumer pin is one int, so a
+build tracks no container per pin: ``4 * gate + pin`` for a gate pin,
+``-1 - index`` for a register's d pin.  A split updates the tables in
 place: the split net's consumers become its BUFs in creation order,
 and each BUF net gets its group's sinks in group order with their pin
 capacitances summed in that order, so every load compares exactly as
@@ -44,13 +46,14 @@ def insert_buffers(module, library, max_load=8.0):
     if max_load <= reg_cap:
         raise NetlistError("max_load smaller than a single register pin")
     const_nets = set(module.constants)
-    buf_cap = library.spec("BUF").input_cap
+    input_cap = {kind: spec.input_cap for kind, spec in library.cells.items()}
+    buf_cap = input_cap["BUF"]
     gates = module.gates
     registers = module.registers
 
     load = [0.0] * module.n_nets
     for kind, inputs, __, __ in gates:
-        cap = library.spec(kind).input_cap
+        cap = input_cap[kind]
         for net in inputs:
             load[net] += cap
     for d, __, __, __ in registers:
@@ -59,10 +62,11 @@ def insert_buffers(module, library, max_load=8.0):
     for bus in module.outputs.values():
         for net in bus:
             pad[net] += library.output_load
-    # Consumer lists, (kind, index, pin) with kind "gate" or "reg", of
-    # the nets over budget only: no other net is split.  Only gate and
-    # register pins are splittable: primary-output pad load is fixed at
-    # the net (a real flow upsizes the driver for pads).
+    # Consumer lists of the nets over budget only: no other net is
+    # split.  Gate pins come first, in (gate, pin) order, then register
+    # d pins.  Only gate and register pins are splittable: primary-output
+    # pad load is fixed at the net (a real flow upsizes the driver for
+    # pads).
     consumers = {net: [] for net in range(module.n_nets)
                  if load[net] + pad[net] > max_load
                  and net not in const_nets}
@@ -70,13 +74,13 @@ def insert_buffers(module, library, max_load=8.0):
         for gidx, (__, inputs, __, __) in enumerate(gates):
             for pin, net in enumerate(inputs):
                 if net in consumers:
-                    consumers[net].append(("gate", gidx, pin))
+                    consumers[net].append(4 * gidx + pin)
         for ridx, (d, __, __, __) in enumerate(registers):
             if d in consumers:
-                consumers[d].append(("reg", ridx, 0))
+                consumers[d].append(-1 - ridx)
     block_of = list(module.index.owner)
 
-    worklist = range(module.n_nets)
+    worklist = list(consumers)
     passes = 0
     while worklist:
         passes += 1
@@ -85,7 +89,7 @@ def insert_buffers(module, library, max_load=8.0):
         touched = []
         for net in worklist:
             total = load[net] + pad[net]
-            if net in const_nets or total <= max_load:
+            if total <= max_load:
                 continue
             sinks = consumers[net]
             if len(sinks) < 2:
@@ -101,20 +105,21 @@ def insert_buffers(module, library, max_load=8.0):
             for g in range(n_groups):
                 group = sinks[g::n_groups]
                 buf_out = module.gate("BUF", net, block=block)
-                bufs.append(("gate", len(gates) - 1, 0))
+                bufs.append(4 * (len(gates) - 1))
                 net_load += buf_cap
                 buf_load = 0.0
-                for sink, idx, pin in group:
-                    if sink == "gate":
+                for sink in group:
+                    if sink >= 0:
+                        idx, pin = divmod(sink, 4)
                         kind, inputs, output, gate_block = gates[idx]
-                        buf_load += library.spec(kind).input_cap
+                        buf_load += input_cap[kind]
                         gates[idx] = (kind, inputs[:pin] + (buf_out,)
                                       + inputs[pin + 1:],
                                       output, gate_block)
                     else:
-                        __, q, stage, reg_block = registers[idx]
+                        __, q, stage, reg_block = registers[-1 - sink]
                         buf_load += reg_cap
-                        registers[idx] = (buf_out, q, stage, reg_block)
+                        registers[-1 - sink] = (buf_out, q, stage, reg_block)
                 consumers[buf_out] = group
                 load.append(buf_load)
                 pad.append(0.0)

@@ -53,7 +53,10 @@ class NetlistIndex:
     @cached_property
     def fanout(self):
         """net -> tuple of the gate indices reading it, ascending
-        (registers excluded)."""
+        (registers excluded), once per pin: ``hdl.index.fanout_builds``
+        counts the builds.  Only the Python event wheel reads it; the C
+        event kernel builds its own from the compiled node table."""
+        obs.registry().inc("hdl.index.fanout_builds")
         module = self._module()
         fanout = [[] for __ in range(module.n_nets)]
         for idx, (__, inputs, __, __) in enumerate(module.gates):

@@ -58,6 +58,7 @@ class Module:
         self._const_nets: Dict[int, int] = {}  # net -> 0/1
         self._const_cache: Dict[int, int] = {}
         self._block_stack: List[str] = []
+        self._block_path = ""                  # "/".join(_block_stack)
 
     # ------------------------------------------------------------------
     # construction
@@ -71,16 +72,19 @@ class Module:
 
     @property
     def current_block(self):
-        return "/".join(self._block_stack)
+        return self._block_path
 
     @contextlib.contextmanager
     def block(self, tag):
         """Scope subsequent gates under ``tag`` (nestable)."""
-        self._block_stack.append(tag)
+        stack = self._block_stack
+        stack.append(tag)
+        self._block_path = "/".join(stack)
         try:
             yield
         finally:
-            self._block_stack.pop()
+            stack.pop()
+            self._block_path = "/".join(stack)
 
     def input(self, name, width):
         """Declare a primary input bus; returns its nets, LSB first."""
@@ -120,13 +124,17 @@ class Module:
             raise NetlistError(
                 f"{kind} takes {expected} inputs, got {len(inputs)}"
             )
+        driver = self._driver
         for net in inputs:
-            self._require_driven(net)
-        out = self.new_net()
-        self._driver[out] = "gate"
+            if type(net) is not int or net not in driver:
+                self._require_driven(net)
+        # new_net(), inlined: one call per gate of every build.
+        self.__dict__.pop("index", None)
+        out = self.n_nets
+        self.n_nets = out + 1
+        driver[out] = "gate"
         self.gates.append((kind, inputs, out,
-                           block if block is not None
-                           else self.current_block))
+                           block if block is not None else self._block_path))
         return out
 
     def register(self, d, stage, block=None):
@@ -136,7 +144,7 @@ class Module:
         self._driver[q] = "register"
         self.registers.append((d, q, stage,
                                block if block is not None
-                               else self.current_block))
+                               else self._block_path))
         return q
 
     def register_bus(self, bus, stage, block=None):
@@ -191,10 +199,16 @@ class Module:
         twin._const_nets = dict(self._const_nets)
         twin._const_cache = dict(self._const_cache)
         twin._block_stack = list(self._block_stack)
+        twin._block_path = self._block_path
         return twin
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "index"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if "_block_path" not in state:   # pickled without the cached path
+            self._block_path = "/".join(self._block_stack)
 
     def stats(self):
         """Cheap structural summary used by reports and tests."""

@@ -55,7 +55,8 @@ call: per-stimulus-net value words (bit ``i`` = value in the window's
 cycle ``i``), read straight from a levelized run's limb buffer, are
 expanded to per-transition deltas inside the kernel, so Python overhead
 is O(1) per window rather than per event.  A :class:`CKernel` holds
-the module's netlist arrays, read-only once built; a replay's writes go
+the module's netlist arrays, filled by ``ck_tables`` straight from the
+compiled node table and read-only once built; a replay's writes go
 to a :class:`KernelState`, so the spans of one replay
 (:meth:`repro.hdl.sim.event.EventSimulator.replay`) run on separate
 states, and threads, against one kernel.
@@ -399,6 +400,50 @@ int64_t sim_replay(
     *settle_out = settle;
     return 0;
 }
+
+/* sim_replay's gin/ttab/gout (rows pad unused pins with input 0, as
+ * gin does) and its CSR fanout, net -> reading gates, ascending, once
+ * per real pin (the first arity[op] pins), from the node table: rows
+ * first.. are node order[i - first] (< 0: a register).  With fo_dat
+ * NULL only counts the pins.  Returns the pin count, or -1 on
+ * allocation failure. */
+int64_t ck_tables(
+    const int32_t *nodes, int32_t n_rows, const int32_t *order,
+    int32_t first, const uint8_t *arity, const uint16_t *tt,
+    int32_t n_gates, int32_t n_nets,
+    int32_t *gin, uint16_t *ttab, int32_t *gout,
+    int32_t *fo_ptr, int32_t *fo_dat)
+{
+    uint8_t *ar = (uint8_t *)malloc((size_t)(n_gates ? n_gates : 1));
+    if (!ar)
+        return -1;
+    memset(fo_ptr, 0, sizeof(int32_t) * ((size_t)n_nets + 1));
+    for (int32_t i = first; i < n_rows; i++) {
+        int32_t g = order[i - first];
+        if (g < 0)
+            continue;
+        const int32_t *nd = nodes + @NODE_FIELDS@ * (int64_t)i;
+        memcpy(gin + 4 * (int64_t)g, nd + 1, 4 * sizeof(int32_t));
+        ttab[g] = tt[nd[0]];
+        gout[g] = nd[5];
+        ar[g] = arity[nd[0]];
+        for (int p = 0; p < ar[g]; p++)
+            fo_ptr[nd[1 + p] + 1]++;
+    }
+    for (int32_t net = 0; net < n_nets; net++)
+        fo_ptr[net + 1] += fo_ptr[net];
+    int64_t n_pins = fo_ptr[n_nets];
+    if (fo_dat) {
+        /* fo_ptr[net] is the fill cursor, ending at net + 1's start. */
+        for (int32_t g = 0; g < n_gates; g++)
+            for (int p = 0; p < ar[g]; p++)
+                fo_dat[fo_ptr[gin[4 * (int64_t)g + p]]++] = g;
+        memmove(fo_ptr + 1, fo_ptr, sizeof(int32_t) * (size_t)n_nets);
+        fo_ptr[0] = 0;
+    }
+    free(ar);
+    return n_pins;
+}
 """
 
 #: The levelized half of the library: bit-parallel settle over the node
@@ -588,7 +633,12 @@ def _levelized_source():
             .replace("@OP_ONE@", str(OP_ONE)))
 
 
+#: Per gate opcode, the arity and the truth table ``ck_tables`` reads.
+_ARITY = bytearray(CELL_KINDS[kind].arity for kind in OPCODES)
+_TRUTH = array("H", [CELL_KINDS[kind].truth_table for kind in OPCODES])
+
 _SOURCE = (_EVENT_SOURCE.replace("@WHEEL_SLOTS@", str(WHEEL_INITIAL_SLOTS))
+           .replace("@NODE_FIELDS@", str(NODE_FIELDS))
            + _levelized_source())
 
 _P = ctypes.c_void_p
@@ -610,6 +660,8 @@ _SIGNATURES = {
         ctypes.POINTER(_I64), ctypes.POINTER(_I64),
         ctypes.POINTER(ctypes.c_double),
     ]),
+    "ck_tables": (_I64, [_P, _I32, _P, _I32, _P, _P, _I32, _I32,
+                         _P, _P, _P, _P, _P]),
     "lv_pack": (None, [_P, _I64, _I32, _P, _I32, _P, _I32]),
     "lv_unpack": (None, [_P, _I32, _P, _I32, _I64, _P]),
     "lv_settle": (None, [_P, _I32, _P, _I64]),
@@ -722,7 +774,9 @@ def load_kernel():
 
 def _addr(buf):
     """Address of a writable buffer (``bytearray``/``array``) for a
-    ``void *`` argument; ``buf`` must outlive the call."""
+    ``void *`` argument.  Bind ``buf`` to a name for the whole call: the
+    address keeps nothing alive, so ``_addr(bytearray(n))`` hands C the
+    memory of a buffer already freed."""
     return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
@@ -872,51 +926,43 @@ class CKernel:
     stimulus nets) and the ring geometry (:func:`ring_geometry`) are
     read-only after construction and shared by every
     :class:`KernelState` a replay runs on, so several states may run
-    :meth:`run` at once on separate threads.  Construction is pure
-    preprocessing and involves no C calls; a gate delay the ring cannot
-    order (negative, infinite or NaN) raises :class:`SimulationError`.
+    :meth:`run` at once on separate threads.  ``ck_tables`` fills the
+    gate tables and the fanout from the module's compiled node table and
+    node order (a counting call sizes the fanout), with no Python work
+    per gate or net; a gate delay the ring cannot order (negative,
+    infinite or NaN) raises :class:`SimulationError`.
     """
 
-    def __init__(self, lib, module, delays, fanout, stim_order):
+    def __init__(self, lib, module, delays, stim_order):
         self._lib = lib
         self.n_nets = n_nets = module.n_nets
-        gates = module.gates
-        n_gates = len(gates)
-        for g, delay in enumerate(delays):
-            if not 0.0 <= delay < math.inf:
-                kind, __, output, __ = gates[g]
-                raise SimulationError(
-                    f"gate {g} ({kind} driving net {output}) has delay "
-                    f"{delay!r} ps; the event kernel needs 0 <= d < inf")
+        n_gates = len(module.gates)
+        if not all(0.0 <= delay < math.inf for delay in set(delays)):
+            g = next(g for g, delay in enumerate(delays)
+                     if not 0.0 <= delay < math.inf)
+            kind, __, output, __ = module.gates[g]
+            raise SimulationError(
+                f"gate {g} ({kind} driving net {output}) has delay "
+                f"{delays[g]!r} ps; the event kernel needs 0 <= d < inf")
+        self._gdelay = (ctypes.c_double * max(n_gates, 1))()
+        ctypes.memmove(self._gdelay, array("d", delays).tobytes(), 8 * n_gates)
+        self._gin = (ctypes.c_int32 * max(4 * n_gates, 1))()
+        self._ttab = (ctypes.c_uint16 * max(n_gates, 1))()
+        self._gout = (ctypes.c_int32 * max(n_gates, 1))()
+        self._fo_ptr = (ctypes.c_int32 * (n_nets + 1))()
+        nodes = module.index.compiled.node_table
+        order = array("i", module.index.node_order())
+        n_rows = len(nodes) // NODE_FIELDS
+        # Count the fanout pins, then fill the tables and the fanout.
+        args = [_addr(nodes), n_rows, _addr(order), n_rows - len(order),
+                _addr(_ARITY), _addr(_TRUTH), n_gates, n_nets,
+                self._gin, self._ttab, self._gout, self._fo_ptr]
+        n_pins = lib.ck_tables(*args, None)
+        self._fo_dat = (ctypes.c_int32 * max(n_pins, 1))()
+        if n_pins < 0 or lib.ck_tables(*args, self._fo_dat) < 0:
+            raise SimulationError("compiled event kernel allocation failure")
         #: Bucket width (ps) and bucket count of the ring.
         self.ring_bucket_ps, self._n_buckets = ring_geometry(delays)
-
-        gin = (ctypes.c_int32 * (4 * n_gates))()
-        ttab = (ctypes.c_uint16 * max(n_gates, 1))()
-        gout = (ctypes.c_int32 * max(n_gates, 1))()
-        for idx, (kind, ins, output, __) in enumerate(gates):
-            ttab[idx] = CELL_KINDS[kind].truth_table
-            gout[idx] = output
-            gin[4 * idx: 4 * idx + 4] = ins + (ins[0],) * (4 - len(ins))
-        self._gin = gin
-        self._ttab = ttab
-        self._gout = gout
-        self._gdelay = (ctypes.c_double * max(n_gates, 1))(*delays)
-
-        fo_ptr = (ctypes.c_int32 * (n_nets + 1))()
-        total = 0
-        for net in range(n_nets):
-            fo_ptr[net] = total
-            total += len(fanout[net])
-        fo_ptr[n_nets] = total
-        fo_dat = (ctypes.c_int32 * max(total, 1))()
-        pos = 0
-        for net in range(n_nets):
-            for g in fanout[net]:
-                fo_dat[pos] = g
-                pos += 1
-        self._fo_ptr = fo_ptr
-        self._fo_dat = fo_dat
 
         self._n_stim = n_stim = len(stim_order)
         self._stim_net = (ctypes.c_int32 * max(n_stim, 1))(*stim_order)

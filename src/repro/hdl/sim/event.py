@@ -39,6 +39,10 @@ again bit-identical in toggles, settle time and values.  Event,
 cancellation and wheel occupancy counts are engine-specific: the C
 kernel counts every scheduled evaluation as the heap reference does,
 the Python wheel only those that survive its deferred evaluation.
+The C kernel builds its gate tables and fanout from the compiled node
+table; only the Python wheel reads the index's tuple fanout, on its
+first :meth:`EventSimulator.apply`, so a simulator whose replays all
+run natively never has it built.
 
 The C-kernel replay runs on every CPU the process may use: it splits
 the transitions into contiguous spans, one per CPU, each seeded from
@@ -103,8 +107,6 @@ class EventSimulator:
         self.library = library
         index = module.index
         self._delay = index.library(library).delays
-        self._fanout = index.fanout
-        self._out = tuple(output for __, __, output, __ in module.gates)
         #: Net -> its current 0/1 value, one byte each: the simulator
         #: lives as long as its module, and a list this long would be
         #: walked by every full collection of the cyclic collector.
@@ -118,10 +120,13 @@ class EventSimulator:
         self._initialized = False
         self._compiled = index.compiled
         # Per-gate closures recomputing each output bit from self.values,
-        # and the wheel's scratch (monotone sequence counters make the
-        # lists reusable across apply() calls without clearing).  Built
-        # on the first apply(): a simulator whose replays all run on the
-        # compiled C kernel never holds them.
+        # the gates' output nets, the index's tuple fanout and the
+        # wheel's scratch (monotone sequence counters make the lists
+        # reusable across apply() calls without clearing).  Read or
+        # built on the first apply(): a simulator whose replays all run
+        # on the compiled C kernel never holds them.
+        self._out = None
+        self._fanout = None
         self._gate_val = None
         self._live_seq = None
         self._trig_mark = None
@@ -131,7 +136,7 @@ class EventSimulator:
         lib = ckernel.load_kernel()
         if lib is not None:
             self._ck = ckernel.CKernel(lib, module, self._delay,
-                                       self._fanout, self._stim_order)
+                                       self._stim_order)
         #: Cumulative perf counters across every apply()/replay() on
         #: this instance.
         self.stats = {"applies": 0, "events": 0, "cancelled": 0,
@@ -206,15 +211,18 @@ class EventSimulator:
         # Both change ``events_processed`` bookkeeping relative to the
         # heap engine but provably not toggles, values or settle time.
         values = self.values
-        fanout = self._fanout
         delay = self._delay
-        outs = self._out
         gate_val = self._gate_val
         n_nets = self.module.n_nets
         if gate_val is None:
+            self._out = tuple(output for __, __, output, __
+                              in self.module.gates)
+            self._fanout = self.module.index.fanout
             gate_val = self._gate_val = self._compiled.make_gate_evals(values)
             self._live_seq = [0] * n_nets
-            self._trig_mark = [0] * len(outs)
+            self._trig_mark = [0] * len(self._out)
+        outs = self._out
+        fanout = self._fanout
         toggles = toggles_out if toggles_out is not None else [0] * n_nets
         live_seq = self._live_seq
         trig_mark = self._trig_mark

@@ -26,26 +26,35 @@ def validate(module):
 
 
 def _check_single_drivers(module):
-    driven = {}
-    for idx, (__, __, output, __) in enumerate(module.gates):
-        if output in driven:
+    """Raise on the first net driven twice, naming both drivers (gates,
+    then registers, inputs and constants), then on the lowest undriven
+    net."""
+    nets = ([output for __, __, output, __ in module.gates]
+            + [q for __, q, __, __ in module.registers]
+            + [net for bus in module.inputs.values() for net in bus]
+            + list(module.constants))
+    driven = bytearray(module.n_nets)
+    for pos, net in enumerate(nets):
+        if driven[net]:
             raise NetlistError(
-                f"net {output} driven by gates {driven[output]} and {idx}"
-            )
-        driven[output] = idx
-    for __, q, __, __ in module.registers:
-        if q in driven:
-            raise NetlistError(f"register q net {q} also driven by a gate")
-        driven[q] = f"reg:{q}"
+                f"net {net} driven by {_driver(module, nets.index(net))} "
+                f"and {_driver(module, pos)}")
+        driven[net] = 1
+    undriven = driven.find(0)
+    if undriven >= 0:
+        raise NetlistError(f"net {undriven} has no driver")
+
+
+def _driver(module, pos):
+    """The driver at position ``pos`` of the checking order."""
+    if pos < len(module.gates):
+        return f"gate {pos}"
+    pos -= len(module.gates)
+    if pos < len(module.registers):
+        return f"register {pos}"
+    pos -= len(module.registers)
     for name, bus in module.inputs.items():
-        for net in bus:
-            if net in driven:
-                raise NetlistError(f"input {name} net {net} also driven")
-            driven[net] = f"input:{name}"
-    for net in module.constants:
-        if net in driven:
-            raise NetlistError(f"constant net {net} also driven")
-        driven[net] = "const"
-    for net in range(module.n_nets):
-        if net not in driven:
-            raise NetlistError(f"net {net} has no driver")
+        if pos < len(bus):
+            return f"input {name}"
+        pos -= len(bus)
+    return "a constant"

@@ -22,6 +22,7 @@ from repro.eval import sweep as sw
 from repro.eval.experiments import NAMED_BUILDS
 from repro.hdl.buffering import insert_buffers
 from repro.hdl.library import default_library
+from repro.hdl.module import Module
 from repro.hdl.optimize import optimize, tie_input
 from tests.oracles.buffering import reference_insert_buffers
 from tests.oracles.fault_resim import clone_module
@@ -70,6 +71,7 @@ def _assert_same_buffering(module, max_load):
     assert fast.gates == ref.gates
     assert fast.registers == ref.registers
     assert fast.n_nets == ref.n_nets
+    return fast
 
 
 @pytest.mark.parametrize("builder,params", _designs())
@@ -107,3 +109,80 @@ def test_random_netlists(max_load):
         _assert_same_buffering(module, max_load)
 
     check()
+
+
+def _fanout_module(name, n_readers):
+    """Input ``a[0]`` read by ``n_readers`` INVs: over any small budget."""
+    m = Module(name)
+    a = m.input("a", 4)
+    with m.block("fan"):
+        outs = [m.gate("INV", a[0]) for __ in range(n_readers)]
+    return m, a, outs
+
+
+def _buffered_sinks(module, net):
+    """``(gate, pin)`` and ``("reg", index)`` of the pins still reading
+    ``net`` after buffering."""
+    pins = [(g, pin) for g, (__, ins, __, __) in enumerate(module.gates)
+            for pin, n in enumerate(ins) if n == net]
+    return pins + [("reg", r) for r, (d, __, __, __)
+                   in enumerate(module.registers) if d == net]
+
+
+class TestEdgeCases:
+    """Netlists the multipliers may not contain, where the sink order
+    and the pin loads decide the split."""
+
+    @pytest.mark.parametrize("max_load", [2.0, 3.0, 8.0])
+    def test_gate_reading_an_over_budget_net_on_two_pins(self, max_load):
+        m, a, outs = _fanout_module("two_pins", 9)
+        with m.block("pair"):
+            both = m.gate("AND2", a[0], a[0])
+            mux = m.gate("MUX2", a[0], a[0], a[1])
+        m.output("o", outs + [both, mux])
+        before = m.n_nets
+        fast = _assert_same_buffering(m, max_load)
+        assert fast.n_nets > before
+        # Every reader left on a[0] is a BUF: each pin of the two-pin
+        # readers was moved as a sink of its own.
+        assert all(fast.gates[g][0] == "BUF"
+                   for g, __ in _buffered_sinks(fast, a[0]))
+        __, both_ins, __, __ = fast.gates[9]
+        __, mux_ins, __, __ = fast.gates[10]
+        assert min(both_ins + mux_ins[:2]) >= before
+        assert mux_ins[2] == a[1]
+
+    @pytest.mark.parametrize("max_load", [2.0, 4.0])
+    def test_over_budget_register_d_nets(self, max_load):
+        m, a, outs = _fanout_module("reg_d", 3)
+        qs = [m.register(a[0], stage=1, block="regs") for __ in range(8)]
+        qs += [m.register(a[1], stage=1) for __ in range(6)]
+        m.output("o", outs + qs)
+        before = m.n_nets
+        fast = _assert_same_buffering(m, max_load)
+        assert fast.n_nets > before
+        assert all(d >= before for d, __, __, __ in fast.registers)
+
+    @pytest.mark.parametrize("max_load", [3.0, 4.0])
+    def test_sink_on_pin_3_of_a_four_input_cell(self, max_load):
+        m, a, outs = _fanout_module("pin3", 5)
+        with m.block("wide"):
+            wide = [m.gate(kind, a[1], a[2], a[3], a[0])
+                    for kind in ("AO22", "OA22", "AO22")]
+        m.output("o", outs + wide)
+        before = m.n_nets
+        fast = _assert_same_buffering(m, max_load)
+        assert fast.n_nets > before
+        for g in range(5, 8):
+            kind, ins, __, __ = fast.gates[g]
+            assert ins[:3] == (a[1], a[2], a[3]) and ins[3] >= before
+
+    @pytest.mark.parametrize("max_load", [3.0, 8.0])
+    def test_primary_output_net_over_budget(self, max_load):
+        m, a, outs = _fanout_module("po", 12)
+        m.output("o", outs + [a[0], a[0]])
+        m.output("p", [a[0]])
+        before = m.n_nets
+        fast = _assert_same_buffering(m, max_load)
+        assert fast.n_nets > before
+        assert fast.outputs == {"o": outs + [a[0], a[0]], "p": [a[0]]}

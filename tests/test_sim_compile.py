@@ -36,6 +36,10 @@ from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
 from tests.oracles.cells import CELLS
 from tests.oracles.event_heap import HeapEventSimulator, event_toggles_legacy
+from tests.oracles.kernel_tables import (
+    native_kernel_tables,
+    reference_kernel_tables,
+)
 from tests.oracles.levelized import interpreted_run
 from tests.test_hdl_properties import (
     module_and_patterns,
@@ -508,6 +512,124 @@ class TestKernelEventCounts:
 # ----------------------------------------------------------------------
 # the bucket ring's geometry, and the ring on libraries that stress it
 # ----------------------------------------------------------------------
+
+def _assert_tables_match(module):
+    """The kernel's native tables equal the per-gate flattening."""
+    esim = EventSimulator(module, default_library())
+    assert esim.kernel == "c"
+    native = native_kernel_tables(esim._ck, module)
+    assert "fanout" not in module.index.__dict__
+    reference = reference_kernel_tables(module)
+    for name, got, want in zip(("gin", "ttab", "gout", "fo_ptr", "fo_dat"),
+                               native, reference):
+        assert got == want, name
+
+
+def _repeated_pin_module():
+    """Every cell kind, each once on distinct nets and once reading one
+    net on all its pins, plus registers and both constants."""
+    m = Module("repeated")
+    a = m.input("a", 4)
+    pool = list(a) + [m.const(0), m.const(1)]
+    for kind in CELL_KINDS:
+        arity = cell_num_inputs(kind)
+        pool.append(m.gate(kind, *pool[-arity:]))
+        pool.append(m.gate(kind, *[pool[-2]] * arity))
+        pool.append(m.register(pool[-1], stage=1))
+    m.output("o", pool[-6:])
+    return m
+
+
+@needs_c
+class TestKernelTables:
+    """``ck_tables`` builds the event kernel's gate tables and CSR
+    fanout from the compiled node table; they equal the per-gate
+    flattening of ``tests/oracles/kernel_tables.py`` (padded pins, one
+    fanout entry per real pin, ascending) on every netlist shape."""
+
+    @given(registered_module_and_patterns())
+    @settings(max_examples=60, deadline=None)
+    def test_random_netlists(self, case):
+        module, __ = case
+        _assert_tables_match(module)
+
+    def test_every_kind_with_repeated_pins(self):
+        module = _repeated_pin_module()
+        _assert_tables_match(module)
+        fanout = module.index.fanout
+        for g, (kind, ins, __, __) in enumerate(module.gates):
+            if len(set(ins)) == 1 < len(ins):
+                assert fanout[ins[0]].count(g) == len(ins), kind
+
+    def test_repeated_pins_replay_like_the_heap(self):
+        module = _repeated_pin_module()
+        rng = random.Random(5)
+        n = 12
+        run = LevelizedSimulator(module).run(
+            {"a": [rng.randrange(16) for __ in range(n)]}, n)
+        _assert_kernel_matches_heap(module, default_library(), run, 1, n - 1)
+
+    def test_buffered_netlist_reading_later_bufs(self):
+        from repro.circuits.mult_common import build_multiplier
+
+        module = build_multiplier(2, width=8, buffer_max_load=3.0)
+        assert any(kind != "BUF" and max(ins) > out
+                   for kind, ins, out, __ in module.gates)
+        _assert_tables_match(module)
+
+    @pytest.mark.parametrize("name", ["r4", "mf"])
+    def test_named_designs(self, name):
+        from repro.eval.experiments import NAMED_BUILDS
+
+        builder, params = NAMED_BUILDS[name]
+        _assert_tables_match(builder(**params))
+
+
+class TestFanoutOnDemand:
+    """A native replay never builds the index's tuple fanout; the
+    Python wheel builds it on its first ``apply`` and reads it."""
+
+    @staticmethod
+    def _module():
+        from repro.circuits.mult_common import build_multiplier
+        from repro.eval.workloads import WorkloadGenerator
+
+        stim = WorkloadGenerator(3).multiplier_stimulus(6)
+        return build_multiplier(2, width=8), {
+            bus: [w & 0xFF for w in words] for bus, words in stim.items()}
+
+    @staticmethod
+    def _builds():
+        from repro import obs
+
+        return obs.registry().snapshot()["counters"].get(
+            "hdl.index.fanout_builds", 0)
+
+    @needs_c
+    def test_native_estimate_builds_no_fanout(self):
+        module, stim = self._module()
+        before = self._builds()
+        report = estimate_power(module, default_library(), stim, 6,
+                                attribution=True)
+        assert report.sim_stats["kernel"] == "c"
+        assert "fanout" not in module.index.__dict__
+        assert self._builds() == before
+
+    def test_python_wheel_builds_and_reads_it(self):
+        module, stim = self._module()
+        lib = default_library()
+        esim = EventSimulator(module, lib)
+        esim._ck = None                     # the Python wheel's replay
+        assert "fanout" not in module.index.__dict__
+        before = self._builds()
+        run = LevelizedSimulator(module).run(stim, 6)
+        counts = esim.replay(run.packed, 1, 5)
+        assert esim._fanout is module.index.fanout
+        assert self._builds() == before + 1
+        totals, __, last, __ = _heap_window(module, lib, run, 1, 5)
+        assert counts.toggles == totals
+        assert counts.settle_time_ps == last.settle_time_ps
+
 
 def _library_with(change):
     """The default library with every cell spec passed through
