@@ -24,13 +24,3 @@ def reference_kernel_tables(module):
         fo_dat += readers
         fo_ptr.append(len(fo_dat))
     return gin, ttab, gout, fo_ptr, fo_dat
-
-
-def native_kernel_tables(kernel, module):
-    """The same five lists read from ``module``'s
-    :class:`~repro.hdl.sim.ckernel.CKernel` ``kernel``."""
-    n_gates = len(module.gates)
-    fo_ptr = list(kernel._fo_ptr)
-    return (list(kernel._gin[:4 * n_gates]), list(kernel._ttab[:n_gates]),
-            list(kernel._gout[:n_gates]), fo_ptr,
-            list(kernel._fo_dat[:fo_ptr[-1]]))

@@ -120,13 +120,10 @@ def _fanout_module(name, n_readers):
     return m, a, outs
 
 
-def _buffered_sinks(module, net):
-    """``(gate, pin)`` and ``("reg", index)`` of the pins still reading
-    ``net`` after buffering."""
-    pins = [(g, pin) for g, (__, ins, __, __) in enumerate(module.gates)
-            for pin, n in enumerate(ins) if n == net]
-    return pins + [("reg", r) for r, (d, __, __, __)
-                   in enumerate(module.registers) if d == net]
+def _gate_readers(module, net):
+    """The gates still reading ``net`` after buffering, once per pin."""
+    return [g for g, (__, ins, __, __) in enumerate(module.gates)
+            for n in ins if n == net]
 
 
 class TestEdgeCases:
@@ -146,7 +143,7 @@ class TestEdgeCases:
         # Every reader left on a[0] is a BUF: each pin of the two-pin
         # readers was moved as a sink of its own.
         assert all(fast.gates[g][0] == "BUF"
-                   for g, __ in _buffered_sinks(fast, a[0]))
+                   for g in _gate_readers(fast, a[0]))
         __, both_ins, __, __ = fast.gates[9]
         __, mux_ins, __, __ = fast.gates[10]
         assert min(both_ins + mux_ins[:2]) >= before
